@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick bench-scale bench-tile chaos explore explore-smoke grid serve-smoke serve-chaos soak verify lint results quick clean
+.PHONY: install test bench bench-quick bench-scale bench-tile bench-e2e bench-e2e-smoke chaos explore explore-smoke grid serve-smoke serve-chaos soak verify lint results quick clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -29,6 +29,18 @@ bench-scale:
 # P=64 first-pixel advantage drops below its 2x floor.
 bench-tile:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_tile.py --smoke --check
+
+# End-to-end benchmark (BENCHMARK.json): six workloads from a one-shot
+# frame to a spooled job, every output checked, compared against
+# benchmarks/e2e/baseline.json (exit 1 on `regressed`; ~3 min).  The
+# script finds src/ itself.
+bench-e2e:
+	python3 benchmarks/e2e/run.py --check
+
+# The benchmark harness's own tests on smoke-sized scenes (~40 s):
+# golden digests and modelled clocks, span accounting, the driver form.
+bench-e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Randomized fault-injection suite (seeded, so failures reproduce).
 # Uses pytest-timeout's per-test kill switch when installed; the suite

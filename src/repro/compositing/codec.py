@@ -150,13 +150,22 @@ class PixelCodec(abc.ABC):
         """Pre-stage scan; only called when ``needs_bound_scan``."""
 
     async def scan_region(
-        self, ctx: BaseRankContext, image: SubImage, state: Any, rect: Rect
+        self,
+        ctx: BaseRankContext,
+        image: SubImage,
+        state: Any,
+        rect: Rect,
+        *,
+        blank: bool = False,
     ) -> None:
         """Regional variant of :meth:`scan` for tile-grained engines.
 
         Only called when ``needs_bound_scan``; charges ``T_bound`` for
         the region's pixels.  Summed over a partition of the frame the
-        total charge equals one whole-image :meth:`scan`.
+        total charge equals one whole-image :meth:`scan`.  ``blank``
+        is the caller's proof that the region holds no foreground: the
+        modelled scan is charged all the same, only the host skips
+        looking.
         """
 
     @abc.abstractmethod
@@ -275,12 +284,12 @@ class _TrackedRectCodec(PixelCodec):
         state.local_rect = image.bounding_rect()
         await ctx.charge_bound(image.num_pixels)
 
-    async def scan_region(self, ctx, image, state, rect):
+    async def scan_region(self, ctx, image, state, rect, *, blank=False):
         # Tile-grained scan: the tracked rect covers only this region's
         # foreground, which clips *tighter* than (whole-image rect ∩
         # region) — fewer bytes ship, and the per-region charges sum to
         # exactly one whole-image scan.
-        state.local_rect = image.bounding_rect(rect)
+        state.local_rect = Rect.empty() if blank else image.bounding_rect(rect)
         await ctx.charge_bound(rect.area)
 
     def update_state(self, state, keep, contribs):

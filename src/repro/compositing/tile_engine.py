@@ -26,8 +26,9 @@ substrate time since the engine started) to the rank's stats, which the
 run-timeline layer turns into latency-to-first-pixel metrics.
 
 :meth:`TileRoutedCompositor.run_fused` is the render-overlapped entry:
-a callback renders one tile at a time and each finished tile enters the
-router while later tiles are still rendering.
+a callback finishes the rank image tile by tile (in practice one tile
+row at a time) and each finished tile enters the router while later
+ones are still rendering.
 
 Recovery: stage checkpoints do not apply (there are no stage
 boundaries to snapshot), so the ``checkpoint-resume`` policy falls back
@@ -152,14 +153,16 @@ class TileRoutedCompositor(Compositor):
     ) -> tuple[SubImage, CompositeOutcome]:
         """Render-overlapped run: tiles enter the router as they render.
 
-        ``render_tile(rect)`` returns a full-frame :class:`SubImage`
-        that is final inside ``rect`` (e.g. a clipped ray cast).  Tiles
-        render in ascending id; each one is pushed to its owner before
-        the next starts rendering, so on real substrates communication
-        overlaps the remaining rendering.  Returns ``(subimage,
-        outcome)`` where ``subimage`` is the pristine assembled render
-        (bit-identical to an unfused full render — rays are per-pixel
-        independent).
+        ``render_tile(image, rect)`` makes the rank image final inside
+        ``rect`` by writing straight into its (blank) planes, and returns
+        ``False`` when it can prove the tile blank without looking at
+        pixels.  Tiles are requested in ascending id, i.e. row-major, so
+        a renderer may finish a whole tile row on the first request of
+        that row; each tile is pushed to its owner before the next is
+        requested, so on real substrates communication overlaps the
+        remaining rendering.  Returns ``(subimage, outcome)`` where
+        ``subimage`` is the pristine assembled render (bit-identical to
+        an unfused full render — rays are per-pixel independent).
 
         Fused accounting books everything to stage 0 (render charges no
         model time, matching the unfused render phase; the per-tile
@@ -175,16 +178,13 @@ class TileRoutedCompositor(Compositor):
         await router.post_receives(tile_map.owned(ctx.rank))
         for tile_id in range(tile_map.num_tiles):
             rect = tile_map.rect(tile_id)
-            rendered = render_tile(rect)
-            rows, cols = rect.slices()
-            image.intensity[rows, cols] = rendered.intensity[rows, cols]
-            image.opacity[rows, cols] = rendered.opacity[rows, cols]
+            blank = not render_tile(image, rect)
             if tile_map.owner(tile_id) == ctx.rank:
                 continue
             state = None
             if self.codec.needs_bound_scan:
                 state = self.codec.make_state(image)
-                await self.codec.scan_region(ctx, image, state, rect)
+                await self.codec.scan_region(ctx, image, state, rect, blank=blank)
             await self._encode_and_push(ctx, router, image, tile_map, tile_id, state)
         subimage = image.copy()
         outcome = await self._complete_owned(

@@ -21,8 +21,8 @@ Phase semantics:
 * **fused render+composite** (:func:`fused_render_composite_phase`) —
   taken instead of the two separate phases when the method is
   tile-routed, the renderer is the ray caster, and the plan is not
-  folded: the ray caster renders one tile at a time (``clip_rect``) and
-  each finished tile enters the tile router while later tiles are still
+  folded: the rank's ray setup is built once, each tile row is marched
+  once, and its tiles enter the tile router while later rows are still
   rendering.  Per-pixel ray independence makes the result bit-identical
   to render-then-composite.
 * **gather** (:func:`gather_phase`) — owned tiles flow to rank 0 over
@@ -46,8 +46,9 @@ from ..compositing.base import CompositeOutcome
 from ..compositing.registry import TILE_ROUTED, make_compositor
 from ..render.camera import Camera
 from ..render.image import SubImage
-from ..render.raycast import render_subvolume
+from ..render.raycast import RaySetup, render_subvolume
 from ..render.splat import splat_subvolume
+from ..types import Rect
 from ..volume.datasets import make_dataset
 from ..volume.folded import FoldedPartition, partition_folded
 from ..volume.partition import PartitionPlan, recursive_bisect, render_load_weights
@@ -191,16 +192,27 @@ def _store_cached_subimage(path: str, image: SubImage) -> None:
     enforce_cache_budget(os.path.dirname(path) or ".", keep=path)
 
 
+def _lookup_render_cache(
+    cfg: RunConfig, rank: int, extent
+) -> tuple[Optional[str], Optional[SubImage]]:
+    """``(path, cached)`` for this rank's pristine render: ``path`` is
+    ``None`` with the cache off, ``cached`` is ``None`` on a miss."""
+    path = _render_cache_path(cfg, rank, extent)
+    if path is None:
+        return None, None
+    cached = _load_cached_subimage(path)
+    perf.incr(
+        "pipeline.render_cache_misses" if cached is None else "pipeline.render_cache_hits"
+    )
+    return path, cached
+
+
 async def render_phase(ctx: BaseRankContext, cfg: RunConfig, scene: Scene) -> SubImage:
     """Render this rank's subvolume (no communication, no model time)."""
     extent = scene.plan.extent(ctx.rank)
-    cache_path = _render_cache_path(cfg, ctx.rank, extent)
-    if cache_path is not None:
-        cached = _load_cached_subimage(cache_path)
-        if cached is not None:
-            perf.incr("pipeline.render_cache_hits")
-            return cached
-        perf.incr("pipeline.render_cache_misses")
+    cache_path, cached = _lookup_render_cache(cfg, ctx.rank, extent)
+    if cached is not None:
+        return cached
     render = render_subvolume if cfg.renderer == "raycast" else splat_subvolume
     with perf.timer("pipeline.render"):
         image = render(scene.volume, scene.transfer, scene.camera, extent)
@@ -246,25 +258,51 @@ def _fusable(cfg: RunConfig, scene: Scene) -> bool:
 async def fused_render_composite_phase(
     ctx: BaseRankContext, cfg: RunConfig, scene: Scene
 ) -> tuple[SubImage, CompositeOutcome]:
-    """Render tile by tile, pushing each tile into the router as it
-    finishes; returns ``(subimage, outcome)`` exactly like running
-    :func:`render_phase` then :func:`composite_phase` (bit-identical —
-    rays are per-pixel independent, and the tile engine's fold order
-    does not depend on arrival order)."""
+    """Render tile row by tile row, pushing each tile into the router as
+    its row finishes; returns ``(subimage, outcome)`` exactly like
+    running :func:`render_phase` then :func:`composite_phase`
+    (bit-identical — rays are per-pixel independent, and the tile
+    engine's fold order does not depend on arrival order).
+
+    The ray setup is built once per rank.  Tile ids are row-major, so
+    the first request for a tile of a new row marches that whole row
+    band (clipped to the rays' bounding rect) into the rank image, and
+    the row's later tiles find their pixels already there.  A render
+    cache hit fills bands from the cached subimage instead; a miss
+    stores the assembled subimage under the split path's key.
+    """
     compositor = make_compositor(cfg.method, **cfg.method_options)
     extent = scene.plan.extent(ctx.rank)
     camera = scene.camera
-
-    def render_tile(rect):
+    cache_path, cached = _lookup_render_cache(cfg, ctx.rank, extent)
+    if cached is None:
         with perf.timer("pipeline.render"):
-            return render_subvolume(
-                scene.volume, scene.transfer, camera, extent, clip_rect=rect
-            )
+            setup = RaySetup(scene.volume, scene.transfer, camera, extent)
+        nonblank = setup.rect
+    else:
+        nonblank = cached.bounding_rect()
+    band_rows = (0, 0)
+
+    def render_tile(image: SubImage, rect: Rect) -> bool:
+        nonlocal band_rows
+        if (rect.y0, rect.y1) != band_rows:
+            band_rows = (rect.y0, rect.y1)
+            band = nonblank.intersect(Rect(rect.y0, 0, rect.y1, camera.width))
+            if cached is None:
+                with perf.timer("pipeline.render"):
+                    setup.march_into(image.intensity, image.opacity, band)
+            elif not band.is_empty:
+                rows, cols = band.slices()
+                image.intensity[rows, cols] = cached.intensity[rows, cols]
+                image.opacity[rows, cols] = cached.opacity[rows, cols]
+        return not rect.intersect(nonblank).is_empty
 
     with perf.timer("pipeline.composite"):
         subimage, outcome = await compositor.run_fused(
             ctx, camera.height, camera.width, scene.plan, camera.view_dir, render_tile
         )
+    if cached is None and cache_path is not None:
+        _store_cached_subimage(cache_path, subimage)
     if outcome.producer is None:
         outcome.producer = compositor.name
     return subimage, outcome

@@ -23,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,11 @@ from ..errors import ConfigurationError
 from ..types import Rect
 
 __all__ = ["Camera", "rotation_matrix"]
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def rotation_matrix(rot_x: float, rot_y: float, rot_z: float) -> np.ndarray:
@@ -73,34 +79,43 @@ class Camera:
             raise ConfigurationError(f"scale must be > 0, got {self.scale}")
 
     # ---- derived geometry -------------------------------------------------
-    @property
+    # Derived values are pure functions of the frozen fields, so each is
+    # computed once per instance (``cached_property`` stores into the
+    # instance ``__dict__``, which ``frozen=True`` does not guard) and
+    # ``replace``/``rotated`` start from an empty cache.  Arrays are
+    # handed out read-only because every caller shares them.
+    @cached_property
     def center(self) -> np.ndarray:
-        return np.asarray(self.volume_shape, dtype=np.float64) / 2.0
+        return _frozen(np.asarray(self.volume_shape, dtype=np.float64) / 2.0)
 
-    @property
+    @cached_property
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.volume_shape))
 
-    @property
+    @cached_property
     def pixel_scale(self) -> float:
         if self.scale is not None:
             return self.scale
         margin = 1.04
         return self.diagonal * margin / min(self.width, self.height)
 
-    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(right, up, view_dir)`` unit vectors in world space."""
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rot = rotation_matrix(self.rot_x, self.rot_y, self.rot_z)
         right = rot @ np.array([1.0, 0.0, 0.0])
         up = rot @ np.array([0.0, 1.0, 0.0])
         view_dir = rot @ np.array([0.0, 0.0, -1.0])
-        return right, up, view_dir
+        return _frozen(right), _frozen(up), _frozen(view_dir)
+
+    def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Return ``(right, up, view_dir)`` unit vectors in world space."""
+        return self._basis
 
     @property
     def view_dir(self) -> np.ndarray:
-        return self.basis()[2]
+        return self._basis[2]
 
-    @property
+    @cached_property
     def t_half(self) -> float:
         """Half-length of the sampled ray segment around the center."""
         return self.diagonal / 2.0 + self.step

@@ -15,6 +15,20 @@ slab, while interpolation near block faces may read neighbour voxels —
 the ghost-cell data a real distributed renderer exchanges during the
 partitioning phase.
 
+Setup once, march any selection
+-------------------------------
+Everything about casting one extent through one camera that does not
+depend on *which* pixels are wanted lives in :class:`RaySetup`: the
+screen footprint, the slab hit mask, the compacted ray origins, each
+ray's ``[kmin, kmax]`` step interval and its occupancy-tightened span.
+All of it is per-ray elementwise, so a slice of a whole-footprint setup
+is bit-identical to a setup computed for the slice alone.
+:meth:`RaySetup.march_into` then marches any rect selection of those
+rays straight into caller-supplied planes.  :func:`render_subvolume` is
+"build the setup for the (clipped) footprint, march all of it"; the
+fused tile pipeline builds one setup per rank and marches one tile-row
+band at a time.
+
 Marching strategy
 -----------------
 The production marcher (:func:`_march_chunked`) batches ``chunk_steps``
@@ -58,7 +72,7 @@ from ..volume.transfer import TransferFunction
 from .camera import Camera
 from .image import SubImage
 
-__all__ = ["render_subvolume", "render_full", "DEFAULT_CHUNK_STEPS"]
+__all__ = ["RaySetup", "render_subvolume", "render_full", "DEFAULT_CHUNK_STEPS"]
 
 _EPS = 1e-12
 
@@ -72,6 +86,206 @@ _OCC_BLOCK = 8
 #: exact convex-combination bound by rounding ulps, so only blocks whose
 #: bound is *comfortably* below the threshold are skipped.
 _OCC_MARGIN = 1e-5
+
+
+class RaySetup:
+    """Per-(volume, transfer, camera, extent) ray state, computed once.
+
+    Holds the rays that can contribute to the image — those that hit the
+    extent's slab, cover at least one global sample step and (for the
+    chunked marcher) touch an occupied block — compacted in row-major
+    pixel order, each with its origin and its step interval already
+    tightened to the occupied span.  ``rect`` is their bounding
+    rectangle: a pixel outside it is provably blank.
+
+    ``clip_rect`` restricts the setup to an image-space window (the
+    rays outside it are never derived).  ``march`` picks the marcher the
+    intervals are prepared for: ``"chunked"`` (production) or
+    ``"reference"`` (plain intervals for the per-step oracle).
+    """
+
+    __slots__ = (
+        "volume", "transfer", "camera", "march", "rect", "rows", "cols",
+        "origins", "kmin", "kmax", "chunk_origin", "occupancy", "occ_threshold",
+    )
+
+    def __init__(
+        self,
+        volume: VolumeGrid,
+        transfer: TransferFunction,
+        camera: Camera,
+        extent: Extent3 | None = None,
+        *,
+        clip_rect: Rect | None = None,
+        march: str = "chunked",
+    ):
+        if tuple(camera.volume_shape) != volume.shape:
+            raise RenderError(
+                f"camera built for volume shape {camera.volume_shape}, got {volume.shape}"
+            )
+        if march not in ("chunked", "reference"):
+            raise RenderError(f"unknown marcher {march!r}; use 'chunked' or 'reference'")
+        self.volume = volume
+        self.transfer = transfer
+        self.camera = camera
+        self.march = march
+        self.occupancy = None
+        self.occ_threshold = 0.0
+        perf.incr("raycast.setups")
+        if extent is None:
+            extent = volume.full_extent()
+        self._derive_rays(extent, clip_rect)
+        if self.rows.size:
+            self.rect = Rect(
+                int(self.rows[0]), int(self.cols.min()),
+                int(self.rows[-1]) + 1, int(self.cols.max()) + 1,
+            )
+            #: First sampled step of any ray: the anchor of the chunk grid.
+            self.chunk_origin = int(self.kmin.min())
+        else:
+            self.rect = Rect.empty()
+            self.chunk_origin = 0
+
+    def _derive_rays(self, extent: Extent3, clip_rect: Rect | None) -> None:
+        camera = self.camera
+        self.rows = self.cols = np.empty(0, dtype=np.intp)
+        self.origins = np.empty((0, 3), dtype=np.float64)
+        self.kmin = self.kmax = np.empty(0, dtype=np.int64)
+        if extent.is_empty:
+            return
+        footprint = camera.footprint_rect(extent.corners())
+        if clip_rect is not None:
+            footprint = footprint.intersect(clip_rect)
+        if footprint.is_empty:
+            return
+
+        origins = camera.pixel_origins(footprint).reshape(-1, 3)
+        view_dir = camera.view_dir
+        tmin, tmax, valid = _slab_interval(origins, view_dir, extent)
+        hit = valid & (tmax - tmin > _EPS)
+
+        # Global sample grid indices covered by each pixel's interval:
+        # t_k = -t_half + (k + 0.5) * step  with  t_k in [tmin, tmax).
+        step = camera.step
+        t_half = camera.t_half
+        tmin = tmin[hit]
+        tmax = tmax[hit]
+        kmin = np.ceil((tmin + t_half) / step - 0.5).astype(np.int64)
+        kmax = np.ceil((tmax + t_half) / step - 0.5).astype(np.int64) - 1
+        np.clip(kmin, 0, camera.num_steps - 1, out=kmin)
+        np.clip(kmax, -1, camera.num_steps - 1, out=kmax)
+
+        sampled = kmax >= kmin
+        pixels = np.flatnonzero(hit)[sampled]  # row-major inside footprint
+        origins = origins[pixels]
+        kmin = kmin[sampled]
+        kmax = kmax[sampled]
+        perf.incr("raycast.rays", int(pixels.size))
+
+        # Empty-space skipping needs a provable zero-opacity threshold;
+        # transfer functions without one (duck-typed stand-ins) simply
+        # march unskipped, and so does the reference marcher.
+        zero_lo = getattr(self.transfer, "zero_alpha_below", None)
+        if (
+            self.march == "chunked"
+            and pixels.size
+            and zero_lo is not None
+            and zero_lo > _OCC_MARGIN
+        ):
+            self.occupancy = self.volume.occupancy_max(_OCC_BLOCK)
+            self.occ_threshold = float(zero_lo) - _OCC_MARGIN
+            # Tighten each ray's interval to its occupied span and drop
+            # rays that never touch an occupied block.  Their pixels
+            # stay exactly 0.0 — the same value the reference computes
+            # by adding +0.0 at every step.
+            alive, kmin, kmax = _occupied_span(
+                self.volume.shape, self.occupancy, _OCC_BLOCK, self.occ_threshold,
+                origins, view_dir, step, t_half, kmin, kmax,
+            )
+            perf.incr("raycast.empty_rays", int(pixels.size - alive.sum()))
+            pixels = pixels[alive]
+            origins = origins[alive]
+            kmin = kmin[alive]
+            kmax = kmax[alive]
+
+        self.rows = footprint.y0 + pixels // footprint.width
+        self.cols = footprint.x0 + pixels % footprint.width
+        self.origins = origins
+        self.kmin = kmin
+        self.kmax = kmax
+
+    def march_into(
+        self,
+        intensity: np.ndarray,
+        opacity: np.ndarray,
+        rect: Rect | None = None,
+        *,
+        early_termination: float | None = None,
+        chunk_steps: int = DEFAULT_CHUNK_STEPS,
+    ) -> None:
+        """March the rays inside ``rect`` (default: all) into full-frame
+        ``intensity``/``opacity`` planes.
+
+        Only pixels a ray can reach are written, so the planes must be
+        blank inside ``rect`` beforehand.  Chunk boundaries are anchored
+        at the setup's first sampled step, never at the selection's, so
+        every ray sees the same chunking — and, under lossy
+        ``early_termination``, retires at the same step — whichever
+        selection it is marched in.
+        """
+        if chunk_steps < 1:
+            raise RenderError(f"chunk_steps must be >= 1, got {chunk_steps}")
+        if early_termination is not None and not (0.0 < early_termination <= 1.0):
+            raise RenderError(
+                f"early_termination must be in (0, 1], got {early_termination}"
+            )
+        sel = self._select(self.rect if rect is None else rect.intersect(self.rect))
+        if sel is None:
+            return
+        origins = self.origins[sel]
+        kmin = self.kmin[sel]
+        kmax = self.kmax[sel]
+        acc_i = np.zeros(kmin.size, dtype=np.float64)
+        acc_a = np.zeros(kmin.size, dtype=np.float64)
+        camera = self.camera
+        perf.incr("raycast.march_calls")
+        with perf.timer("raycast.march"):
+            if self.march == "reference":
+                _march_reference(
+                    self.volume.data, self.transfer, origins, camera.view_dir,
+                    camera.step, camera.t_half, kmin, kmax, acc_i, acc_a,
+                )
+            else:
+                _march_chunked(
+                    self.volume.data, self.transfer, origins, camera.view_dir,
+                    camera.step, camera.t_half, kmin, kmax, acc_i, acc_a,
+                    chunk_steps=chunk_steps,
+                    chunk_origin=self.chunk_origin,
+                    opacity_limit=(
+                        1.0 if early_termination is None else float(early_termination)
+                    ),
+                    occupancy=self.occupancy,
+                    occ_block=_OCC_BLOCK,
+                    occ_threshold=self.occ_threshold,
+                )
+        pixels = (self.rows[sel], self.cols[sel])
+        intensity[pixels] = acc_i
+        opacity[pixels] = acc_a
+
+    def _select(self, rect: Rect) -> slice | np.ndarray | None:
+        """Positions of the rays inside ``rect`` (a subset of ``self.rect``):
+        a slice for full-width row bands, an index array otherwise,
+        ``None`` when there are none."""
+        if rect.is_empty:
+            return None
+        lo, hi = np.searchsorted(self.rows, (rect.y0, rect.y1))
+        if lo == hi:
+            return None
+        if rect.x0 <= self.rect.x0 and rect.x1 >= self.rect.x1:
+            return slice(int(lo), int(hi))
+        cols = self.cols[lo:hi]
+        inside = np.flatnonzero((cols >= rect.x0) & (cols < rect.x1))
+        return inside + lo if inside.size else None
 
 
 def render_subvolume(
@@ -94,9 +308,7 @@ def render_subvolume(
     rays whose pixels fall inside it march, everything else stays
     blank.  Because every pixel's ray is independent and samples the
     same global ``t`` grid, the pixels inside the window are
-    bit-identical to the corresponding pixels of an unclipped render —
-    the invariant the fused render+composite pipeline relies on when it
-    renders tile by tile.
+    bit-identical to the corresponding pixels of an unclipped render.
 
     ``early_termination`` is the accumulated-opacity threshold at which a
     ray stops marching.  ``None`` (the default) means *exact*: rays stop
@@ -108,94 +320,12 @@ def render_subvolume(
     (production) or ``"reference"`` (the plain per-step loop kept as the
     equivalence/benchmark oracle; ignores the other two knobs).
     """
-    if tuple(camera.volume_shape) != volume.shape:
-        raise RenderError(
-            f"camera built for volume shape {camera.volume_shape}, got {volume.shape}"
-        )
-    if march not in ("chunked", "reference"):
-        raise RenderError(f"unknown marcher {march!r}; use 'chunked' or 'reference'")
-    if chunk_steps < 1:
-        raise RenderError(f"chunk_steps must be >= 1, got {chunk_steps}")
-    if early_termination is not None and not (0.0 < early_termination <= 1.0):
-        raise RenderError(
-            f"early_termination must be in (0, 1], got {early_termination}"
-        )
-    if extent is None:
-        extent = volume.full_extent()
+    setup = RaySetup(volume, transfer, camera, extent, clip_rect=clip_rect, march=march)
     image = SubImage.blank(camera.height, camera.width)
-    if extent.is_empty:
-        return image
-
-    footprint = camera.footprint_rect(extent.corners())
-    if clip_rect is not None:
-        footprint = footprint.intersect(clip_rect)
-    if footprint.is_empty:
-        return image
-
-    origins = camera.pixel_origins(footprint).reshape(-1, 3)
-    _, _, view_dir = camera.basis()
-    tmin, tmax, valid = _slab_interval(origins, view_dir, extent)
-    hit = valid & (tmax - tmin > _EPS)
-    if not hit.any():
-        return image
-
-    origins = origins[hit]
-    tmin = tmin[hit]
-    tmax = tmax[hit]
-
-    # Global sample grid indices covered by each pixel's interval:
-    # t_k = -t_half + (k + 0.5) * step  with  t_k in [tmin, tmax).
-    step = camera.step
-    t_half = camera.t_half
-    kmin = np.ceil((tmin + t_half) / step - 0.5).astype(np.int64)
-    kmax = np.ceil((tmax + t_half) / step - 0.5).astype(np.int64) - 1
-    np.clip(kmin, 0, camera.num_steps - 1, out=kmin)
-    np.clip(kmax, -1, camera.num_steps - 1, out=kmax)
-
-    acc_i = np.zeros(origins.shape[0], dtype=np.float64)
-    acc_a = np.zeros(origins.shape[0], dtype=np.float64)
-    sampled = kmax >= kmin
-    if sampled.any():
-        perf.incr("raycast.march_calls")
-        perf.incr("raycast.rays", int(sampled.sum()))
-        with perf.timer("raycast.march"):
-            if march == "reference":
-                _march_reference(
-                    volume.data, transfer, origins, view_dir, step, t_half,
-                    kmin, kmax, acc_i, acc_a,
-                )
-            else:
-                # Empty-space skipping needs a provable zero-opacity
-                # threshold; transfer functions without one (duck-typed
-                # stand-ins) simply march unskipped.
-                zero_lo = getattr(transfer, "zero_alpha_below", None)
-                occupancy = (
-                    volume.occupancy_max(_OCC_BLOCK)
-                    if zero_lo is not None and zero_lo > _OCC_MARGIN
-                    else None
-                )
-                _march_chunked(
-                    volume.data, transfer, origins, view_dir, step, t_half,
-                    kmin, kmax, acc_i, acc_a,
-                    chunk_steps=chunk_steps,
-                    opacity_limit=(
-                        1.0 if early_termination is None else float(early_termination)
-                    ),
-                    occupancy=occupancy,
-                    occ_block=_OCC_BLOCK,
-                    occ_threshold=(0.0 if zero_lo is None else float(zero_lo) - _OCC_MARGIN),
-                )
-
-    # Scatter accumulated pixels back into the full frame.
-    h, w = footprint.height, footprint.width
-    frame_i = np.zeros(h * w, dtype=np.float64)
-    frame_a = np.zeros(h * w, dtype=np.float64)
-    flat_idx = np.flatnonzero(hit)
-    frame_i[flat_idx] = acc_i
-    frame_a[flat_idx] = acc_a
-    rows, cols = footprint.slices()
-    image.intensity[rows, cols] = frame_i.reshape(h, w)
-    image.opacity[rows, cols] = frame_a.reshape(h, w)
+    setup.march_into(
+        image.intensity, image.opacity,
+        early_termination=early_termination, chunk_steps=chunk_steps,
+    )
     return image
 
 
@@ -250,12 +380,19 @@ def _march_chunked(
     acc_a: np.ndarray,
     *,
     chunk_steps: int,
+    chunk_origin: int,
     opacity_limit: float,
     occupancy: np.ndarray | None = None,
     occ_block: int = _OCC_BLOCK,
     occ_threshold: float = 0.0,
 ) -> None:
     """Chunked front-to-back accumulation over the global sample grid.
+
+    Every ray passed in has ``kmax >= kmin`` (already tightened to its
+    occupied span when ``occupancy`` is given).  Chunks are the
+    ``chunk_steps``-wide cells of a grid starting at ``chunk_origin``,
+    so a ray's chunking does not depend on which other rays march with
+    it.
 
     Bit-identical to :func:`_march_reference`: each ray sees the same
     samples in the same order with the same float expressions; batching
@@ -268,34 +405,18 @@ def _march_chunked(
     unit_correction = step != 1.0
     exact = opacity_limit >= 1.0
 
-    # Compacted working set: global positions `idx` plus per-ray state.
-    idx = np.flatnonzero(kmax >= kmin)
-    o_c = origins[idx]
-    kn_c = kmin[idx]
-    kx_c = kmax[idx]
-
-    if occupancy is not None:
-        # Tighten each ray's interval to its occupied span and drop
-        # rays that never touch an occupied block.  Their accumulators
-        # stay exactly 0.0 — the same value the reference computes by
-        # adding +0.0 at every step.
-        alive, kn2, kx2 = _occupied_span(
-            data.shape, occupancy, occ_block, occ_threshold,
-            o_c, view_dir, step, t_half, kn_c, kx_c,
-        )
-        perf.incr("raycast.empty_rays", int(idx.size - alive.sum()))
-        if not alive.all():
-            idx = idx[alive]
-            o_c = o_c[alive]
-            if idx.size == 0:
-                return
-        kn_c = kn2[alive]
-        kx_c = kx2[alive]
-
+    # Compacted working set: positions `idx` into the caller's arrays
+    # plus per-ray state.  Rays leave it as they retire.
+    idx = np.arange(kmin.size)
+    o_c = origins
+    kn_c = kmin
+    kx_c = kmax
     ai_c = np.zeros(idx.size, dtype=np.float64)
     aa_c = np.zeros(idx.size, dtype=np.float64)
 
-    k_lo = int(kn_c.min())
+    # First chunk of the grid anchored at `chunk_origin` that holds a
+    # sampled step of these rays.
+    k_lo = chunk_origin + (int(kn_c.min()) - chunk_origin) // chunk_steps * chunk_steps
     k_hi = int(kx_c.max())
 
     for c0 in range(k_lo, k_hi + 1, chunk_steps):

@@ -72,6 +72,49 @@ class TestBasis:
         assert cam.rot_y == 0.0
 
 
+class TestDerivedGeometryCache:
+    def test_computed_once_and_bit_identical(self, monkeypatch):
+        import repro.render.camera as camera_module
+
+        calls = []
+        real = camera_module.rotation_matrix
+        monkeypatch.setattr(
+            camera_module, "rotation_matrix", lambda *a: (calls.append(a), real(*a))[1]
+        )
+        cam = make_camera(rot_x=33.0, rot_y=-70.0, rot_z=12.0, step=0.7)
+        rot = real(33.0, -70.0, 12.0)
+        for _ in range(3):
+            right, up, view_dir = cam.basis()
+            assert np.array_equal(right, rot @ np.array([1.0, 0.0, 0.0]))
+            assert np.array_equal(up, rot @ np.array([0.0, 1.0, 0.0]))
+            assert np.array_equal(view_dir, rot @ np.array([0.0, 0.0, -1.0]))
+            assert cam.view_dir is view_dir
+            assert np.array_equal(cam.center, [16.0, 16.0, 8.0])
+            assert cam.t_half == float(np.linalg.norm((32, 32, 16))) / 2.0 + 0.7
+            assert cam.pixel_scale == float(np.linalg.norm((32, 32, 16))) * 1.04 / 48
+        assert len(calls) == 1
+
+    def test_shared_arrays_are_read_only(self):
+        cam = make_camera(rot_y=20.0)
+        for array in (*cam.basis(), cam.view_dir, cam.center):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_copies_start_from_a_fresh_cache(self):
+        from dataclasses import replace
+
+        cam = make_camera(rot_y=20.0)
+        before = cam.view_dir.copy()
+        turned = cam.rotated(rot_y=80.0)
+        assert not np.allclose(turned.view_dir, before)
+        assert np.array_equal(turned.view_dir, make_camera(rot_y=80.0).view_dir)
+        finer = replace(cam, step=0.5, scale=2.0)
+        assert finer.t_half == cam.diagonal / 2.0 + 0.5 and finer.pixel_scale == 2.0
+        assert np.array_equal(cam.view_dir, before)
+        # The cache is not part of the value: equality and hash see fields only.
+        assert cam == make_camera(rot_y=20.0) and hash(cam) == hash(make_camera(rot_y=20.0))
+
+
 class TestSampling:
     def test_t_grid_covers_volume(self):
         cam = make_camera()
