@@ -102,15 +102,19 @@ soak:
 	$(PYTHON) tools/soak.py
 
 # Schedule x codec equivalence grid: every combo vs the sequential
-# oracle, plus bit-parity of the paper aliases against the recorded
-# seed counters (tests/data/seed_counters.json).
+# oracle, plus bit-parity of the paper aliases and bslcv against what
+# the hand-written classes they replaced produced — pixels, counters,
+# modelled clocks — as recorded in tests/data/seed_counters.json.
 grid:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_grid_equivalence.py tests/test_schedule_codec.py -q
 
 # What CI gates on: the tier-1 suite plus the hot-path regression check.
+# Ends with the source line count, the before-number of the next
+# simplicity change.
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpaths.py --smoke --check
+	@echo "source lines: $$(find src -name '*.py' | xargs wc -l | tail -1)"
 
 # Static checks (config in pyproject.toml [tool.ruff]); CI runs the same.
 lint:

@@ -17,7 +17,7 @@ import os
 import sys
 
 from repro.analysis.tables import format_generic
-from repro.cluster.topology import log2_int
+from repro.cluster.hypercube import log2_int
 from repro.experiments.harness import run_method, workload
 from repro.render.reference import luminance
 from repro.volume.io import to_gray8, write_pgm

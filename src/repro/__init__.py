@@ -40,10 +40,6 @@ from .cluster import (
 )
 from .compositing import (
     PAPER_METHODS,
-    BinarySwap,
-    BinarySwapBoundingRect,
-    BinarySwapBoundingRectCompression,
-    BinarySwapLoadBalancedCompression,
     BinaryTreeCompression,
     CompositeOutcome,
     Compositor,
@@ -88,16 +84,15 @@ from .volume import (
     recursive_bisect,
 )
 
-__version__ = "1.7.0"
+#: The one place the version is written: ``pyproject.toml`` reads it
+#: (``[tool.setuptools.dynamic]``) and ``CITATION.cff`` is checked
+#: against it by ``tests/test_public_surface.py``.
+__version__ = "1.8.0"
 
 __all__ = [
     "BACKENDS",
     "Backend",
     "BaseRankContext",
-    "BinarySwap",
-    "BinarySwapBoundingRect",
-    "BinarySwapBoundingRectCompression",
-    "BinarySwapLoadBalancedCompression",
     "BinaryTreeCompression",
     "Camera",
     "CompositeOutcome",

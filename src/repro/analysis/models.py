@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster.model import MachineModel
-from ..cluster.topology import log2_int
+from ..cluster.hypercube import log2_int
 from ..types import PIXEL_BYTES, RECT_INFO_BYTES, RLE_CODE_BYTES
 
 __all__ = [

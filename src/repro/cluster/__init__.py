@@ -33,6 +33,7 @@ from .events import (
     SendRecvOp,
     WaitOp,
 )
+from .hypercube import is_power_of_two, keeps_low_half, log2_int
 from .model import (
     ETHERNET_CLUSTER,
     IDEALIZED,
@@ -75,17 +76,6 @@ from .schedule_policy import (
 )
 from .simulator import Simulator, TraceEvent
 from .stats import PRE_STAGE, RankStats, RunResult, StageStats, merge_counters
-from .topology import (
-    TreeStep,
-    binary_swap_partner,
-    binary_swap_schedule,
-    binary_tree_schedule,
-    is_power_of_two,
-    keeps_low_half,
-    log2_int,
-    ring_next,
-    ring_prev,
-)
 
 __all__ = [
     "ADVERSARIAL_MODES",
@@ -143,12 +133,8 @@ __all__ = [
     "TIMELINE_SCHEMA",
     "TraceEvent",
     "WaitOp",
-    "TreeStep",
     "allreduce",
     "bcast",
-    "binary_swap_partner",
-    "binary_swap_schedule",
-    "binary_tree_schedule",
     "decode_payload",
     "drive",
     "encode_payload",
@@ -159,6 +145,4 @@ __all__ = [
     "make_backend",
     "merge_counters",
     "payload_nbytes",
-    "ring_next",
-    "ring_prev",
 ]

@@ -9,13 +9,16 @@ Compositing factors into two orthogonal planes (see ``DESIGN.md`` §5e):
   crosses the wire and what modelled time it charges — raw, bounding
   rect, run-length, rect + RLE.
 
-:class:`~repro.compositing.engine.ScheduledCompositor` runs any
-compatible pair; the paper's four methods (BS, BSBR, BSLC, BSBRC) are
-registry aliases over these planes, priced identically to the original
-hand-written classes (:mod:`.bs`, :mod:`.bsbr`, :mod:`.bslc`,
-:mod:`.bsbrc`, kept as parity baselines).  Also here: related-work
-baselines, the *over* operator, the mask RLE codec, bounding-rectangle
-machinery and the byte-level wire formats.
+:class:`~repro.compositing.engine.ScheduledCompositor` is the one
+implementation that runs any compatible pair; the paper's four methods
+(BS, BSBR, BSLC, BSBRC) and the value-RLE comparator ``bslcv`` are
+registry aliases over these planes.  What the hand-written method
+classes they replaced produced — pixels, per-stage counters, modelled
+clocks — is pinned in ``tests/data/seed_counters.json``.  Also here:
+the related-work baselines no schedule expresses, the asynchronous
+tile-routed engine, the *over* operator, the mask and value RLE codecs,
+bounding-rectangle machinery and the byte-level wire formats (one
+kernel per concept, :mod:`~repro.compositing.wire`).
 """
 
 from .base import CompositeOutcome, Compositor, composite_rect_pixels, split_axis_for
@@ -26,18 +29,14 @@ from .baselines import (
     ParallelPipeline,
     strip_rect,
 )
-from .bs import BinarySwap
 from .folding import FoldedCompositor
-from .bsbr import BinarySwapBoundingRect
-from .bsbrc import BinarySwapBoundingRectCompression
-from .bslc import BinarySwapLoadBalancedCompression, final_owned_indices
-from .bslc_value import BinarySwapValueCompression
 from .codec import (
     BoundingRectCodec,
     PixelCodec,
     RawCodec,
     RectRLECodec,
     RunLengthCodec,
+    ValueRunCodec,
 )
 from .engine import ScheduledCompositor
 from .value_rle import (
@@ -79,25 +78,18 @@ from .wire import (
     pack_bsbr,
     pack_bsbrc,
     pack_bslc,
-    pack_pixels_rect,
-    pack_raw_seq,
-    pack_rle_rect,
+    pack_pixels,
+    pack_rle,
     unpack_bs,
     unpack_bsbr,
     unpack_bsbrc,
     unpack_bslc,
-    unpack_pixels_rect,
-    unpack_raw_seq,
-    unpack_rle_rect,
+    unpack_pixels,
+    unpack_rle,
 )
 
 __all__ = [
-    "BinarySwap",
-    "BinarySwapBoundingRect",
-    "BinarySwapBoundingRectCompression",
-    "BinarySwapLoadBalancedCompression",
     "BinarySwapSchedule",
-    "BinarySwapValueCompression",
     "BinaryTreeCompression",
     "BoundingRectCodec",
     "CODECS",
@@ -124,12 +116,12 @@ __all__ = [
     "ScheduledCompositor",
     "SectionedSchedule",
     "VALUE_RUN_BYTES",
+    "ValueRunCodec",
     "WireMessage",
     "available_methods",
     "clip_rect",
     "composite_rect_pixels",
     "count_nonblank",
-    "final_owned_indices",
     "find_bounding_rect",
     "initial_indices",
     "is_blank",
@@ -144,9 +136,8 @@ __all__ = [
     "pack_bsbr",
     "pack_bsbrc",
     "pack_bslc",
-    "pack_pixels_rect",
-    "pack_raw_seq",
-    "pack_rle_rect",
+    "pack_pixels",
+    "pack_rle",
     "pack_value_runs",
     "parse_radix",
     "register",
@@ -160,9 +151,8 @@ __all__ = [
     "unpack_bsbr",
     "unpack_bsbrc",
     "unpack_bslc",
-    "unpack_pixels_rect",
-    "unpack_raw_seq",
-    "unpack_rle_rect",
+    "unpack_pixels",
+    "unpack_rle",
     "unpack_value_runs",
     "validate_method",
     "value_rle_decode",

@@ -13,9 +13,16 @@ per-stage byte, message and counter value bit-for-bit unchanged.
 
 Implementations: :class:`RawCodec` (BS), :class:`BoundingRectCodec`
 (BSBR), :class:`RunLengthCodec` (BSLC's sequence RLE, also usable over
-rect parts), :class:`RectRLECodec` (BSBRC).  Stateless codecs are
-shared across ranks; per-run mutable state (the tracked local bounding
-rectangle) lives in the object :meth:`PixelCodec.make_state` returns.
+rect parts), :class:`RectRLECodec` (BSBRC), and :class:`ValueRunCodec`
+(the Ahrens & Painter value-run comparator, ``bslcv``).  Stateless
+codecs are shared across ranks; per-run mutable state (the tracked
+local bounding rectangle) lives in the object
+:meth:`PixelCodec.make_state` returns.
+
+How a part addresses the frame is looked at in exactly two places:
+:func:`part_pixels` selects a part's pixel values for the encoders, and
+:meth:`PixelCodec.composite` folds a decoded :class:`Contribution`
+(rect-dense, rect-sparse or sequence) back in.
 """
 
 from __future__ import annotations
@@ -31,22 +38,19 @@ from ..errors import CompositingError
 from ..render.image import SubImage
 from ..types import Rect
 from .base import composite_rect_pixels
-from .over import over
+from .over import nonblank_mask, over
 from .schedule import IndexPart, RectPart
+from .value_rle import pack_value_runs, unpack_value_runs
 from .wire import (
     WireMessage,
-    pack_bs,
     pack_bsbr,
     pack_bsbrc,
-    pack_bslc,
-    pack_raw_seq,
-    pack_rle_rect,
-    unpack_bs,
+    pack_pixels,
+    pack_rle,
     unpack_bsbr,
     unpack_bsbrc,
-    unpack_bslc,
-    unpack_raw_seq,
-    unpack_rle_rect,
+    unpack_pixels,
+    unpack_rle,
 )
 
 __all__ = [
@@ -56,6 +60,8 @@ __all__ = [
     "BoundingRectCodec",
     "RunLengthCodec",
     "RectRLECodec",
+    "ValueRunCodec",
+    "part_pixels",
     "composite_sparse_rect",
     "composite_sequence_pixels",
 ]
@@ -65,16 +71,30 @@ __all__ = [
 class Contribution:
     """Decoded pixels received from one peer.
 
-    ``rect`` carries the geometry for rect payloads.  ``positions`` are
-    the non-blank offsets (row-major inside ``rect``, or into the kept
-    sequence for index parts); ``None`` means the values are dense over
-    the whole part.
+    ``rect`` carries the geometry for rect payloads (``None``: the
+    values run over the kept index sequence).  ``positions`` are the
+    non-blank offsets (row-major inside ``rect``, or into the kept
+    sequence); ``None`` means the values are dense over the whole part.
     """
 
     rect: Rect | None = None
     positions: np.ndarray | None = None
     values_i: np.ndarray | None = None
     values_a: np.ndarray | None = None
+
+
+def part_pixels(
+    image: SubImage, part: RectPart | IndexPart
+) -> tuple[np.ndarray, np.ndarray]:
+    """``part``'s ``(intensity, opacity)`` values in sequence order.
+
+    A rect part is the 2-D slice of its block (a view; row-major is its
+    C order), an index part the flat gather at its indices.
+    """
+    if isinstance(part, RectPart):
+        rows, cols = part.rect.slices()
+        return image.intensity[rows, cols], image.opacity[rows, cols]
+    return image.intensity.ravel()[part.indices], image.opacity.ravel()[part.indices]
 
 
 def composite_sparse_rect(
@@ -190,7 +210,6 @@ class PixelCodec(abc.ABC):
     ) -> Contribution:
         """Parse a received message; emits the method's stat notes."""
 
-    @abc.abstractmethod
     def composite(
         self,
         image: SubImage,
@@ -198,7 +217,43 @@ class PixelCodec(abc.ABC):
         contrib: Contribution,
         local_in_front: bool,
     ) -> int:
-        """Fold a contribution into ``image``; returns pixels charged."""
+        """Fold a contribution into ``image``; returns pixels charged.
+
+        Only pixels the message carried are folded and charged: the
+        listed positions of a sparse payload, the whole (possibly empty)
+        rect of a dense one.
+        """
+        rect, positions = contrib.rect, contrib.positions
+        if rect is None:
+            return composite_sequence_pixels(
+                image,
+                keep.indices,
+                positions,
+                contrib.values_i,
+                contrib.values_a,
+                local_in_front=local_in_front,
+            )
+        if rect.is_empty:
+            return 0
+        if positions is None:
+            composite_rect_pixels(
+                image,
+                rect,
+                contrib.values_i.reshape(rect.height, rect.width),
+                contrib.values_a.reshape(rect.height, rect.width),
+                local_in_front=local_in_front,
+            )
+            return rect.area
+        if positions.size:
+            composite_sparse_rect(
+                image,
+                rect,
+                positions,
+                contrib.values_i,
+                contrib.values_a,
+                local_in_front=local_in_front,
+            )
+        return int(positions.size)
 
     def update_state(
         self, state: Any, keep: RectPart | IndexPart, contribs: list[Contribution]
@@ -219,38 +274,11 @@ class RawCodec(PixelCodec):
     description = "raw pixels, blanks included"
 
     def encode(self, image, part, state):
-        if isinstance(part, RectPart):
-            return pack_bs(image.intensity, image.opacity, part.rect), None
-        return (
-            pack_raw_seq(image.intensity.ravel(), image.opacity.ravel(), part.indices),
-            None,
-        )
+        return pack_pixels(*part_pixels(image, part)), None
 
     def decode(self, ctx, raw, keep, meta, stage):
-        if isinstance(keep, RectPart):
-            recv_i, recv_a = unpack_bs(raw, keep.rect)
-            return Contribution(rect=keep.rect, values_i=recv_i, values_a=recv_a)
-        recv_i, recv_a = unpack_raw_seq(raw, keep.num_pixels)
-        return Contribution(values_i=recv_i, values_a=recv_a)
-
-    def composite(self, image, keep, contrib, local_in_front):
-        if isinstance(keep, RectPart):
-            composite_rect_pixels(
-                image,
-                keep.rect,
-                contrib.values_i,
-                contrib.values_a,
-                local_in_front=local_in_front,
-            )
-            return keep.rect.area
-        return composite_sequence_pixels(
-            image,
-            keep.indices,
-            None,
-            contrib.values_i,
-            contrib.values_a,
-            local_in_front=local_in_front,
-        )
+        recv_i, recv_a = unpack_pixels(raw, keep.num_pixels)
+        return Contribution(rect=keep.rect, values_i=recv_i, values_a=recv_a)
 
 
 # --------------------------------------------------------------------------
@@ -326,18 +354,6 @@ class BoundingRectCodec(_TrackedRectCodec):
             ctx.note("empty_send_rect")
         return Contribution(rect=recv_rect, values_i=recv_i, values_a=recv_a)
 
-    def composite(self, image, keep, contrib, local_in_front):
-        if contrib.rect.is_empty:
-            return 0
-        composite_rect_pixels(
-            image,
-            contrib.rect,
-            contrib.values_i,
-            contrib.values_a,
-            local_in_front=local_in_front,
-        )
-        return contrib.rect.area
-
 
 class RectRLECodec(_TrackedRectCodec):
     """Bounding rect + RLE of its blank mask (BSBRC, eq. (8))."""
@@ -369,21 +385,6 @@ class RectRLECodec(_TrackedRectCodec):
             rect=recv_rect, positions=positions, values_i=recv_i, values_a=recv_a
         )
 
-    def composite(self, image, keep, contrib, local_in_front):
-        if contrib.rect.is_empty or contrib.positions is None:
-            return 0
-        if not contrib.positions.size:
-            return 0
-        composite_sparse_rect(
-            image,
-            contrib.rect,
-            contrib.positions,
-            contrib.values_i,
-            contrib.values_a,
-            local_in_front=local_in_front,
-        )
-        return int(contrib.positions.size)
-
 
 # --------------------------------------------------------------------------
 # run-length — RLE over the whole part, no rect tracking (BSLC)
@@ -402,48 +403,52 @@ class RunLengthCodec(PixelCodec):
     description = "run-length encoded blank mask, non-blank pixels only"
 
     def encode(self, image, part, state):
-        if isinstance(part, RectPart):
-            return pack_rle_rect(image.intensity, image.opacity, part.rect), None
-        return (
-            pack_bslc(image.intensity.ravel(), image.opacity.ravel(), part.indices),
-            None,
-        )
+        return pack_rle(*part_pixels(image, part)), None
 
     async def charge_encode(self, ctx, part, meta):
         # The RLE scan touches every pixel of the sending part.
         await ctx.charge_encode(part.num_pixels)
 
     def decode(self, ctx, raw, keep, meta, stage):
-        if isinstance(keep, RectPart):
-            positions, recv_i, recv_a = unpack_rle_rect(raw, keep.rect)
-            rect: Rect | None = keep.rect
-        else:
-            positions, recv_i, recv_a = unpack_bslc(raw, keep.num_pixels)
-            rect = None
+        positions, recv_i, recv_a = unpack_rle(raw, keep.num_pixels)
         ctx.note("r_code", int.from_bytes(raw[:4], "little"))
         ctx.note("a_opaque", positions.size)
         return Contribution(
-            rect=rect, positions=positions, values_i=recv_i, values_a=recv_a
+            rect=keep.rect,
+            positions=positions,
+            values_i=recv_i,
+            values_a=recv_a,
         )
 
-    def composite(self, image, keep, contrib, local_in_front):
-        if isinstance(keep, RectPart):
-            if not contrib.positions.size:
-                return 0
-            composite_sparse_rect(
-                image,
-                keep.rect,
-                contrib.positions,
-                contrib.values_i,
-                contrib.values_a,
-                local_in_front=local_in_front,
-            )
-            return int(contrib.positions.size)
-        return composite_sequence_pixels(
-            image,
-            keep.indices,
-            contrib.positions,
-            contrib.values_i,
-            contrib.values_a,
-            local_in_front=local_in_front,
+
+# --------------------------------------------------------------------------
+# value runs — the related-work comparator (bslcv)
+# --------------------------------------------------------------------------
+class ValueRunCodec(RunLengthCodec):
+    """Ahrens & Painter value runs over an index part's sequence.
+
+    The comparator the paper's §3.3 argues against for volume rendering:
+    on floating-point pixels the value runs degenerate to one run per
+    non-blank pixel (18 bytes each vs the mask RLE's 16 + amortized
+    2-byte codes; :mod:`~repro.compositing.value_rle`).  The encoder
+    scans the whole sending part like :class:`RunLengthCodec`; blanks
+    ship inside runs, and since a blank received pixel is an
+    *over*-identity only the non-blank ones fold and charge ``T_over``.
+    """
+
+    name = "value-rle"
+    description = "value run-length coding (Ahrens & Painter)"
+    supports = frozenset({"index"})
+
+    def encode(self, image, part, state):
+        return pack_value_runs(*part_pixels(image, part)), None
+
+    def decode(self, ctx, raw, keep, meta, stage):
+        recv_i, recv_a = unpack_value_runs(raw, keep.num_pixels)
+        ctx.note("value_runs", int.from_bytes(raw[:4], "little"))
+        mask = nonblank_mask(recv_i, recv_a)
+        positions = np.flatnonzero(mask)
+        ctx.note("a_opaque", positions.size)
+        return Contribution(
+            positions=positions, values_i=recv_i[mask], values_a=recv_a[mask]
         )

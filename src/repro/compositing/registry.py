@@ -3,9 +3,10 @@
 Methods are addressable two ways:
 
 * **paper names and baselines** — the four paper methods (``bs``,
-  ``bsbr``, ``bslc``, ``bsbrc``) are thin aliases over the schedule ×
-  codec engine (:data:`COMBO_ALIASES`); the related-work baselines
-  (``direct``, ``direct-async``, ``tree``, ``pipeline``, ``bslcv``)
+  ``bsbr``, ``bslc``, ``bsbrc``) and the value-RLE comparator
+  ``bslcv`` are thin aliases over the schedule × codec engine
+  (:data:`COMBO_ALIASES`); the related-work baselines no schedule
+  expresses (``direct``, ``direct-async``, ``tree``, ``pipeline``)
   keep their dedicated classes;
 * **schedule × codec combos** — ``"<schedule>:<codec>"`` strings such
   as ``radix-k:rect-rle`` or ``sectioned:raw``, instantiated through
@@ -47,17 +48,25 @@ _DESCRIPTIONS: dict[str, str] = {}
 #: The four methods evaluated in the paper's tables, in table order.
 PAPER_METHODS = ("bs", "bsbr", "bslc", "bsbrc")
 
-#: The paper methods as schedule × codec coordinates.
+#: Named methods that are schedule × codec coordinates: the paper's
+#: four and the Ahrens & Painter comparator ``bslcv``.
 COMBO_ALIASES: dict[str, tuple[str, str]] = {
     "bs": ("binary-swap", "raw"),
     "bsbr": ("binary-swap", "rect"),
     "bslc": ("sectioned", "rle"),
     "bsbrc": ("binary-swap", "rect-rle"),
+    "bslcv": ("sectioned", "value-rle"),
 }
 
 
 def _load_planes():
-    from .codec import BoundingRectCodec, RawCodec, RectRLECodec, RunLengthCodec
+    from .codec import (
+        BoundingRectCodec,
+        RawCodec,
+        RectRLECodec,
+        RunLengthCodec,
+        ValueRunCodec,
+    )
     from .schedule import (
         BinarySwapSchedule,
         DirectSendSchedule,
@@ -76,6 +85,7 @@ def _load_planes():
         "rect": BoundingRectCodec,
         "rle": RunLengthCodec,
         "rect-rle": RectRLECodec,
+        "value-rle": ValueRunCodec,
     }
     return schedules, codecs
 
@@ -274,22 +284,15 @@ def _alias_factory(alias: str, schedule_name: str, codec_name: str):
 
 def _register_builtins() -> None:
     for alias, (schedule_name, codec_name) in COMBO_ALIASES.items():
+        role = "paper method" if alias in PAPER_METHODS else "comparator"
         register(
             alias,
             _alias_factory(alias, schedule_name, codec_name),
             description=(
-                f"paper method (= {schedule_name}:{codec_name}): "
+                f"{role} (= {schedule_name}:{codec_name}): "
                 f"{CODECS[codec_name].description}"
             ),
         )
-
-    from .bslc_value import BinarySwapValueCompression
-
-    register(
-        "bslcv",
-        BinarySwapValueCompression,
-        description="BSLC variant with value run-length coding",
-    )
 
     from .baselines import (
         BinaryTreeCompression,

@@ -38,7 +38,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from ..cluster.topology import keeps_low_half, log2_int
+from ..cluster.hypercube import keeps_low_half, log2_int
 from ..errors import CompositingError, ConfigurationError
 from ..types import Rect
 from ..volume.partition import PartitionPlan
@@ -81,6 +81,8 @@ class IndexPart:
 
     indices: np.ndarray
     kind: ClassVar[str] = "index"
+    #: No rectangular geometry (the counterpart of :attr:`RectPart.rect`).
+    rect: ClassVar[None] = None
 
     @property
     def num_pixels(self) -> int:

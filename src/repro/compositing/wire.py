@@ -5,33 +5,45 @@ codes are packed with explicit little-endian layouts and parsed back on
 the receiving rank — so that the byte counts driving the communication
 model are *measured*, not assumed.
 
-Each ``pack_*`` helper returns a :class:`WireMessage` carrying both the
-actual buffer and the ``accounted_bytes`` used for pricing/M_max.  The
-two differ only by self-describing length fields (``uint32`` code/pixel
-counts) that a real MPI implementation gets for free from the message
-envelope (``MPI_Get_count``); the paper's cost equations likewise do not
-charge for them.  All *semantic* content — 16 B/pixel, 8 B rect info,
-2 B/RLE code — is charged exactly as in eqs. (2), (4), (6), (8).
+There is one kernel per concept, each taking already-selected pixel
+values (a rect's 2-D block or an index set's flat gather — selection is
+the caller's business):
 
-Layouts (little-endian)
------------------------
-* **BS**      ``float64 pixels[h*w][2]`` — the half region, row-major.
-* **BSBR**    ``int16 rect[4]`` then (if non-empty) pixels of the rect.
-* **BSLC**    ``uint32 ncodes``, ``uint16 codes[ncodes]``,
-  ``float64 pixels[nonblank][2]`` in owned-sequence order.
-* **BSBRC**   ``int16 rect[4]`` then (if non-empty) ``uint32 ncodes``,
-  codes, and non-blank pixels of the rect in row-major order.
+* the **pixel block** (:func:`pack_pixels` / :func:`unpack_pixels`):
+  ``float64 (intensity, opacity)[n]``, 16 bytes per pixel;
+* the **RLE body** (:func:`pack_rle` / :func:`unpack_rle`):
+  ``uint32 ncodes``, ``uint16 codes[ncodes]``, then the pixel block of
+  the non-blank pixels only, in sequence order;
+* the **rect info** header: ``int16 rect[4]``, 8 bytes, which ships even
+  for an empty rectangle (the pair cannot know in advance).
 
-Unpack helpers hand back **read-only views** into the message buffer
-wherever the caller only reads the pixels (the flat BSLC/BSBRC paths);
-the rect-shaped paths reshape, which materializes a writable plane.
-Pack helpers avoid dtype round-trip copies (``astype(..., copy=False)``)
-— on a little-endian host every wire dtype is the native layout.
+The paper's four formats are compositions of those:
+
+* **BS**      the pixel block of the half region, row-major.
+* **BSBR**    rect info, then (if non-empty) the pixel block of the rect.
+* **BSLC**    the RLE body of an interleaved owned sequence.
+* **BSBRC**   rect info, then (if non-empty) the RLE body of the rect's
+  row-major pixels.
+
+Every packer returns a :class:`WireMessage` carrying both the actual
+buffer and the ``accounted_bytes`` used for pricing/M_max.  The two
+differ only by the self-describing ``uint32`` code count, which a real
+MPI implementation gets for free from the message envelope
+(``MPI_Get_count``); the paper's cost equations likewise do not charge
+for it.  All *semantic* content — 16 B/pixel, 8 B rect info, 2 B/RLE
+code — is charged exactly as in eqs. (2), (4), (6), (8).
+
+Unpackers hand back **read-only views** into the message buffer wherever
+the caller only reads the pixels (the flat paths); the rect-shaped
+paths reshape, which materializes a writable plane.  Packers avoid
+dtype round-trip copies (``astype(..., copy=False)``) — on a
+little-endian host every wire dtype is the native layout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -43,8 +55,10 @@ from .rle import count_nonblank, rle_decode_mask, rle_encode_mask
 
 __all__ = [
     "WireMessage",
-    "pack_pixels_rect",
-    "unpack_pixels_rect",
+    "pack_pixels",
+    "unpack_pixels",
+    "pack_rle",
+    "unpack_rle",
     "pack_bs",
     "unpack_bs",
     "pack_bsbr",
@@ -53,10 +67,6 @@ __all__ = [
     "unpack_bslc",
     "pack_bsbrc",
     "unpack_bsbrc",
-    "pack_raw_seq",
-    "unpack_raw_seq",
-    "pack_rle_rect",
-    "unpack_rle_rect",
 ]
 
 _PIXEL_DTYPE = np.dtype("<f8")
@@ -83,20 +93,22 @@ class WireMessage:
 
 
 # --------------------------------------------------------------------------
-# shared pixel block helpers
+# the kernels: pixel block, RLE body, rect info
 # --------------------------------------------------------------------------
-def _pixels_to_bytes(intensity: np.ndarray, opacity: np.ndarray) -> bytes:
-    """Interleave (intensity, opacity) float64 pairs, 16 bytes per pixel."""
-    stacked = np.empty((intensity.size, 2), dtype=_PIXEL_DTYPE)
+def pack_pixels(vals_i: np.ndarray, vals_a: np.ndarray) -> WireMessage:
+    """Every given pixel, blank or not: interleaved ``(intensity,
+    opacity)`` float64 pairs in C order, 16 bytes each."""
+    stacked = np.empty((vals_i.size, 2), dtype=_PIXEL_DTYPE)
     # asarray is a no-copy passthrough for the float64 planes the
     # renderer produces; the strided column assignments are the single
     # interleaving pass.
-    stacked[:, 0] = np.asarray(intensity, dtype=np.float64).ravel()
-    stacked[:, 1] = np.asarray(opacity, dtype=np.float64).ravel()
+    stacked[:, 0] = np.asarray(vals_i, dtype=np.float64).ravel()
+    stacked[:, 1] = np.asarray(vals_a, dtype=np.float64).ravel()
     perf.incr("wire.packed_pixel_bytes", stacked.nbytes)
-    return stacked.tobytes()
+    return WireMessage(buffer=stacked.tobytes(), accounted_bytes=stacked.nbytes)
 
-def _pixels_from_bytes(buf: bytes, npixels: int) -> tuple[np.ndarray, np.ndarray]:
+
+def unpack_pixels(buf: bytes, npixels: int) -> tuple[np.ndarray, np.ndarray]:
     """Zero-copy views of the (intensity, opacity) columns of ``buf``.
 
     The returned arrays are **read-only strided views** into the message
@@ -112,81 +124,116 @@ def _pixels_from_bytes(buf: bytes, npixels: int) -> tuple[np.ndarray, np.ndarray
     return flat[:, 0], flat[:, 1]
 
 
-def pack_pixels_rect(intensity: np.ndarray, opacity: np.ndarray, rect: Rect) -> bytes:
-    """Row-major pixel block of ``rect`` from full-image planes."""
-    rows, cols = rect.slices()
-    return _pixels_to_bytes(intensity[rows, cols], opacity[rows, cols])
+def pack_rle(vals_i: np.ndarray, vals_a: np.ndarray) -> WireMessage:
+    """Run codes over the blank mask, then the non-blank pixels only.
+
+    The mask runs in C order of the given values, so a receiver that
+    knows the same sequence (the kept index set, or the rect a header
+    names) decodes positionally.
+    """
+    vals_i = np.asarray(vals_i, dtype=np.float64)
+    vals_a = np.asarray(vals_a, dtype=np.float64)
+    mask = nonblank_mask(vals_i, vals_a)
+    codes = rle_encode_mask(mask.ravel())
+    # A boolean gather yields the non-blank pixels in C order directly
+    # from the (possibly 2-D, sliced) views — no flattened intermediate.
+    pixels = pack_pixels(vals_i[mask], vals_a[mask])
+    header = np.asarray([codes.size], dtype=_LEN_DTYPE).tobytes()
+    return WireMessage(
+        buffer=header + codes.astype(_CODE_DTYPE, copy=False).tobytes() + pixels.buffer,
+        accounted_bytes=codes.size * RLE_CODE_BYTES + pixels.accounted_bytes,
+    )
 
 
-def unpack_pixels_rect(buf: bytes, rect: Rect) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_pixels_rect`; returns ``(h, w)`` planes."""
-    flat_i, flat_a = _pixels_from_bytes(buf, rect.area)
-    return flat_i.reshape(rect.height, rect.width), flat_a.reshape(rect.height, rect.width)
+def unpack_rle(
+    msg: bytes, npixels: int, offset: int = 0, what: str = "BSLC"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode the RLE body at ``msg[offset:]`` over an ``npixels`` sequence.
+
+    Returns ``(positions, intensity, opacity)``: ``positions`` are the
+    offsets into the sequence of the non-blank pixels the body carries.
+    """
+    off = offset + _LEN_DTYPE.itemsize
+    if len(msg) < off:
+        raise WireFormatError(f"{what} message truncated before code count")
+    ncodes = int(np.frombuffer(msg[offset:off], dtype=_LEN_DTYPE)[0])
+    code_bytes = ncodes * RLE_CODE_BYTES
+    if len(msg) < off + code_bytes:
+        raise WireFormatError(f"{what} message truncated in code block")
+    codes = np.frombuffer(msg[off : off + code_bytes], dtype=_CODE_DTYPE)
+    off += code_bytes
+    mask = rle_decode_mask(codes, npixels)
+    flat_i, flat_a = unpack_pixels(msg[off:], count_nonblank(codes))
+    return np.flatnonzero(mask), flat_i, flat_a
 
 
-# --------------------------------------------------------------------------
-# BS — plain binary swap
-# --------------------------------------------------------------------------
-def pack_bs(intensity: np.ndarray, opacity: np.ndarray, half: Rect) -> WireMessage:
-    """Whole half-region, blanks included (paper eq. (2): ``16 · A/2^k``)."""
-    buf = pack_pixels_rect(intensity, opacity, half)
-    return WireMessage(buffer=buf, accounted_bytes=half.area * PIXEL_BYTES)
-
-
-def unpack_bs(msg: bytes, half: Rect) -> tuple[np.ndarray, np.ndarray]:
-    return unpack_pixels_rect(msg, half)
-
-
-# --------------------------------------------------------------------------
-# BSBR — bounding rectangle
-# --------------------------------------------------------------------------
-def pack_bsbr(intensity: np.ndarray, opacity: np.ndarray, send_rect: Rect) -> WireMessage:
-    """Rect info always ships (8 B); pixels only when non-empty (eq. (4))."""
+def _pack_in_rect(
+    intensity: np.ndarray,
+    opacity: np.ndarray,
+    send_rect: Rect,
+    pack_body: Callable[[np.ndarray, np.ndarray], WireMessage],
+) -> WireMessage:
+    """Rect info (always, 8 B), then ``pack_body`` of a non-empty rect's block."""
     send_rect = send_rect.normalized()
     header = send_rect.as_int16_array().astype(_RECT_DTYPE, copy=False).tobytes()
     if send_rect.is_empty:
         return WireMessage(buffer=header, accounted_bytes=RECT_INFO_BYTES)
-    body = pack_pixels_rect(intensity, opacity, send_rect)
+    rows, cols = send_rect.slices()
+    body = pack_body(intensity[rows, cols], opacity[rows, cols])
     return WireMessage(
-        buffer=header + body,
-        accounted_bytes=RECT_INFO_BYTES + send_rect.area * PIXEL_BYTES,
+        buffer=header + body.buffer,
+        accounted_bytes=RECT_INFO_BYTES + body.accounted_bytes,
     )
+
+
+def _unpack_rect_info(msg: bytes, what: str) -> Rect:
+    """The leading rect info; an empty rect must end the message."""
+    if len(msg) < RECT_INFO_BYTES:
+        raise WireFormatError(f"{what} message too short: {len(msg)} bytes")
+    rect = Rect.from_int16_array(np.frombuffer(msg[:RECT_INFO_BYTES], dtype=_RECT_DTYPE))
+    if rect.is_empty and len(msg) != RECT_INFO_BYTES:
+        raise WireFormatError(f"empty-rect {what} message has trailing bytes")
+    return rect
+
+
+# --------------------------------------------------------------------------
+# the paper's four formats
+# --------------------------------------------------------------------------
+def pack_bs(intensity: np.ndarray, opacity: np.ndarray, half: Rect) -> WireMessage:
+    """Whole half-region, blanks included (paper eq. (2): ``16 · A/2^k``)."""
+    rows, cols = half.slices()
+    return pack_pixels(intensity[rows, cols], opacity[rows, cols])
+
+
+def unpack_bs(msg: bytes, half: Rect) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`pack_bs`; returns ``(h, w)`` planes."""
+    flat_i, flat_a = unpack_pixels(msg, half.area)
+    return flat_i.reshape(half.height, half.width), flat_a.reshape(half.height, half.width)
+
+
+def pack_bsbr(intensity: np.ndarray, opacity: np.ndarray, send_rect: Rect) -> WireMessage:
+    """Rect info always ships (8 B); pixels only when non-empty (eq. (4))."""
+    return _pack_in_rect(intensity, opacity, send_rect, pack_pixels)
 
 
 def unpack_bsbr(msg: bytes) -> tuple[Rect, np.ndarray | None, np.ndarray | None]:
     """Returns ``(rect, intensity, opacity)``; planes are ``None`` if empty."""
-    if len(msg) < RECT_INFO_BYTES:
-        raise WireFormatError(f"BSBR message too short: {len(msg)} bytes")
-    rect = Rect.from_int16_array(np.frombuffer(msg[:RECT_INFO_BYTES], dtype=_RECT_DTYPE))
+    rect = _unpack_rect_info(msg, "BSBR")
     if rect.is_empty:
-        if len(msg) != RECT_INFO_BYTES:
-            raise WireFormatError("empty-rect BSBR message has trailing bytes")
         return rect, None, None
-    i_plane, a_plane = unpack_pixels_rect(msg[RECT_INFO_BYTES:], rect)
-    return rect, i_plane, a_plane
+    return (rect, *unpack_bs(msg[RECT_INFO_BYTES:], rect))
 
 
-# --------------------------------------------------------------------------
-# BSLC — run-length codes over an interleaved owned sequence
-# --------------------------------------------------------------------------
 def pack_bslc(
     intensity_flat: np.ndarray, opacity_flat: np.ndarray, indices: np.ndarray
 ) -> WireMessage:
-    """Encode the pixels at ``indices`` (the sent interleaved subset).
+    """Encode the pixels at ``indices`` (the sent interleaved subset, eq. (6)).
 
     ``intensity_flat``/``opacity_flat`` are flattened full-image planes.
     The mask is taken in sequence order of ``indices`` so the receiver
     (which owns the identical index set) can decode positionally.
     """
-    vals_i = np.asarray(intensity_flat, dtype=np.float64)[indices]
-    vals_a = np.asarray(opacity_flat, dtype=np.float64)[indices]
-    mask = nonblank_mask(vals_i, vals_a)
-    codes = rle_encode_mask(mask)
-    pixels = _pixels_to_bytes(vals_i[mask], vals_a[mask])
-    header = np.asarray([codes.size], dtype=_LEN_DTYPE).tobytes()
-    buf = header + codes.astype(_CODE_DTYPE, copy=False).tobytes() + pixels
-    accounted = codes.size * RLE_CODE_BYTES + int(mask.sum()) * PIXEL_BYTES
-    return WireMessage(buffer=buf, accounted_bytes=accounted)
+    return pack_rle(np.asarray(intensity_flat)[indices], np.asarray(opacity_flat)[indices])
 
 
 def unpack_bslc(msg: bytes, seq_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -195,96 +242,12 @@ def unpack_bslc(msg: bytes, seq_len: int) -> tuple[np.ndarray, np.ndarray, np.nd
     ``positions`` are offsets into the receiver's owned sequence (length
     ``seq_len``) of the non-blank pixels carried by the message.
     """
-    if len(msg) < _LEN_DTYPE.itemsize:
-        raise WireFormatError(f"BSLC message too short: {len(msg)} bytes")
-    ncodes = int(np.frombuffer(msg[: _LEN_DTYPE.itemsize], dtype=_LEN_DTYPE)[0])
-    off = _LEN_DTYPE.itemsize
-    code_bytes = ncodes * RLE_CODE_BYTES
-    if len(msg) < off + code_bytes:
-        raise WireFormatError("BSLC message truncated in code block")
-    codes = np.frombuffer(msg[off : off + code_bytes], dtype=_CODE_DTYPE)
-    off += code_bytes
-    mask = rle_decode_mask(codes, seq_len)
-    npix = count_nonblank(codes)
-    flat_i, flat_a = _pixels_from_bytes(msg[off:], npix)
-    return np.flatnonzero(mask), flat_i, flat_a
+    return unpack_rle(msg, seq_len)
 
 
-# --------------------------------------------------------------------------
-# schedule × codec extensions: raw sequences, RLE over a known rect
-# --------------------------------------------------------------------------
-def pack_raw_seq(
-    intensity_flat: np.ndarray, opacity_flat: np.ndarray, indices: np.ndarray
-) -> WireMessage:
-    """Raw pixels of an owned-sequence subset, 16 B each, blanks included.
-
-    Positions are implicit: the receiver owns the identical index set
-    (the sectioned-schedule invariant) and decodes positionally — the
-    sequence analogue of :func:`pack_bs`.
-    """
-    vals_i = np.asarray(intensity_flat, dtype=np.float64)[indices]
-    vals_a = np.asarray(opacity_flat, dtype=np.float64)[indices]
-    buf = _pixels_to_bytes(vals_i, vals_a)
-    return WireMessage(buffer=buf, accounted_bytes=int(indices.shape[0]) * PIXEL_BYTES)
-
-
-def unpack_raw_seq(msg: bytes, seq_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_raw_seq` for a ``seq_len``-pixel sequence."""
-    return _pixels_from_bytes(msg, seq_len)
-
-
-def pack_rle_rect(intensity: np.ndarray, opacity: np.ndarray, rect: Rect) -> WireMessage:
-    """RLE codes + non-blank pixels of ``rect``, without rect info.
-
-    The BSLC wire layout applied to a rect's row-major pixels: the
-    receiver already knows the exchanged region (it is the kept part of
-    a fixed-region schedule), so unlike :func:`pack_bsbrc` no 8-byte
-    rect header ships.
-    """
-    rows, cols = rect.slices()
-    block_i = np.asarray(intensity[rows, cols], dtype=np.float64)
-    block_a = np.asarray(opacity[rows, cols], dtype=np.float64)
-    mask2d = nonblank_mask(block_i, block_a)
-    codes = rle_encode_mask(mask2d.ravel())
-    pixels = _pixels_to_bytes(block_i[mask2d], block_a[mask2d])
-    header = np.asarray([codes.size], dtype=_LEN_DTYPE).tobytes()
-    buf = header + codes.astype(_CODE_DTYPE, copy=False).tobytes() + pixels
-    accounted = codes.size * RLE_CODE_BYTES + int(mask2d.sum()) * PIXEL_BYTES
-    return WireMessage(buffer=buf, accounted_bytes=accounted)
-
-
-def unpack_rle_rect(msg: bytes, rect: Rect) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode to ``(positions, intensity, opacity)``.
-
-    ``positions`` are row-major offsets inside ``rect`` of the non-blank
-    pixels carried by the message.
-    """
-    return unpack_bslc(msg, rect.area)
-
-
-# --------------------------------------------------------------------------
-# BSBRC — bounding rectangle + RLE inside it
-# --------------------------------------------------------------------------
 def pack_bsbrc(intensity: np.ndarray, opacity: np.ndarray, send_rect: Rect) -> WireMessage:
     """Rect info (8 B) + codes + non-blank pixels of the rect (eq. (8))."""
-    send_rect = send_rect.normalized()
-    header = send_rect.as_int16_array().astype(_RECT_DTYPE, copy=False).tobytes()
-    if send_rect.is_empty:
-        return WireMessage(buffer=header, accounted_bytes=RECT_INFO_BYTES)
-    rows, cols = send_rect.slices()
-    block_i = np.asarray(intensity[rows, cols], dtype=np.float64)
-    block_a = np.asarray(opacity[rows, cols], dtype=np.float64)
-    mask2d = nonblank_mask(block_i, block_a)
-    codes = rle_encode_mask(mask2d.ravel())
-    # 2-D boolean gather yields the non-blank pixels in row-major order
-    # directly from the sliced views — no flattened intermediate copy.
-    pixels = _pixels_to_bytes(block_i[mask2d], block_a[mask2d])
-    len_field = np.asarray([codes.size], dtype=_LEN_DTYPE).tobytes()
-    buf = header + len_field + codes.astype(_CODE_DTYPE, copy=False).tobytes() + pixels
-    accounted = (
-        RECT_INFO_BYTES + codes.size * RLE_CODE_BYTES + int(mask2d.sum()) * PIXEL_BYTES
-    )
-    return WireMessage(buffer=buf, accounted_bytes=accounted)
+    return _pack_in_rect(intensity, opacity, send_rect, pack_rle)
 
 
 def unpack_bsbrc(msg: bytes) -> tuple[Rect, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
@@ -293,24 +256,7 @@ def unpack_bsbrc(msg: bytes) -> tuple[Rect, np.ndarray | None, np.ndarray | None
     ``positions`` are row-major offsets inside ``rect`` of the non-blank
     pixels; all three are ``None`` for an empty rect.
     """
-    if len(msg) < RECT_INFO_BYTES:
-        raise WireFormatError(f"BSBRC message too short: {len(msg)} bytes")
-    rect = Rect.from_int16_array(np.frombuffer(msg[:RECT_INFO_BYTES], dtype=_RECT_DTYPE))
+    rect = _unpack_rect_info(msg, "BSBRC")
     if rect.is_empty:
-        if len(msg) != RECT_INFO_BYTES:
-            raise WireFormatError("empty-rect BSBRC message has trailing bytes")
         return rect, None, None, None
-    off = RECT_INFO_BYTES
-    if len(msg) < off + _LEN_DTYPE.itemsize:
-        raise WireFormatError("BSBRC message truncated before code count")
-    ncodes = int(np.frombuffer(msg[off : off + _LEN_DTYPE.itemsize], dtype=_LEN_DTYPE)[0])
-    off += _LEN_DTYPE.itemsize
-    code_bytes = ncodes * RLE_CODE_BYTES
-    if len(msg) < off + code_bytes:
-        raise WireFormatError("BSBRC message truncated in code block")
-    codes = np.frombuffer(msg[off : off + code_bytes], dtype=_CODE_DTYPE)
-    off += code_bytes
-    mask = rle_decode_mask(codes, rect.area)
-    npix = count_nonblank(codes)
-    flat_i, flat_a = _pixels_from_bytes(msg[off:], npix)
-    return rect, np.flatnonzero(mask), flat_i, flat_a
+    return (rect, *unpack_rle(msg, rect.area, RECT_INFO_BYTES, "BSBRC"))

@@ -42,7 +42,7 @@ from .. import perf
 from ..analysis.metrics import MethodMeasurement, measure
 from ..cache import enforce_cache_budget, touch
 from ..cluster.model import SP2, MachineModel
-from ..cluster.topology import is_power_of_two, log2_int
+from ..cluster.hypercube import is_power_of_two, log2_int
 from ..compositing.base import composite_rect_pixels
 from ..errors import ConfigurationError
 from ..pipeline.system import CompositingRun, run_compositing

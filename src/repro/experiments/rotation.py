@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from ..analysis.tables import format_generic
 from ..cluster.model import SP2, MachineModel
-from ..cluster.topology import log2_int
+from ..cluster.hypercube import log2_int
 from .harness import run_method, workload
 
 __all__ = ["RotationObservation", "run_rotation", "format_rotation"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..analysis.tables import format_generic
 from ..cluster.model import SP2, MachineModel
-from ..cluster.topology import log2_int
+from ..cluster.hypercube import log2_int
 from .harness import run_method, workload
 
 __all__ = ["StageBreakdown", "run_stage_breakdown", "format_stage_breakdown"]

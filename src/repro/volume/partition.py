@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cluster.topology import is_power_of_two, log2_int
+from ..cluster.hypercube import is_power_of_two, log2_int
 from ..errors import PartitionError
 from ..types import Extent3
 

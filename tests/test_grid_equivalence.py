@@ -6,18 +6,20 @@ Three layers of guarantees:
   sparse and a dense workload, reproduces the sequential depth-order
   composite and yields a valid ownership partition;
 * **paper parity** — the four paper aliases (``bs``/``bsbr``/``bslc``/
-  ``bsbrc``), now thin combos over the engine, are *bit-for-bit*
-  identical to the pre-refactor hand-written classes: same pixels and
-  the same per-rank per-stage byte/message/counter accounting, which is
-  also pinned against ``tests/data/seed_counters.json`` (recorded from
-  the seed implementations) so a regression in either plane is caught
-  even if both drift together;
+  ``bsbrc``) and ``bslcv``, thin combos over the engine, are
+  *bit-for-bit* identical to the hand-written classes they replaced:
+  same pixels, modelled clocks and per-rank per-stage byte/message/
+  counter accounting, pinned in ``tests/data/seed_counters.json``
+  (``methods``: recorded from the seed implementations;
+  ``legacy_parity``: recorded from the last commit that still carried
+  the classes, see its ``_note``);
 * **radix degeneracy** — ``radix-k`` with ``[2]*log2(P)`` equals binary
   swap exactly, and a non-trivial radix runs end-to-end on the simulator
   and the multiprocessing backend, with the method name visible in the
   run-timeline.
 """
 
+import hashlib
 import json
 import os
 
@@ -26,21 +28,10 @@ import pytest
 
 from conftest import rendered_workload
 from repro.cluster.model import SP2
-from repro.compositing.bs import BinarySwap
-from repro.compositing.bsbr import BinarySwapBoundingRect
-from repro.compositing.bsbrc import BinarySwapBoundingRectCompression
-from repro.compositing.bslc import BinarySwapLoadBalancedCompression
-from repro.compositing.registry import COMBO_ALIASES, available_methods
+from repro.compositing.registry import COMBO_ALIASES, PAPER_METHODS, available_methods
 from repro.pipeline.system import assemble_final, run_compositing, validate_ownership
 
 pytestmark = pytest.mark.grid
-
-LEGACY_CLASSES = {
-    "bs": BinarySwap,
-    "bsbr": BinarySwapBoundingRect,
-    "bslc": BinarySwapLoadBalancedCompression,
-    "bsbrc": BinarySwapBoundingRectCompression,
-}
 
 ALL_COMBOS = tuple(m for m in available_methods() if ":" in m)
 
@@ -48,7 +39,11 @@ ALL_COMBOS = tuple(m for m in available_methods() if ":" in m)
 GRID_DATASETS = ("engine_low", "cube")
 GRID_RANKS = (2, 4, 8)
 
-SEED_COUNTERS = os.path.join(os.path.dirname(__file__), "data", "seed_counters.json")
+with open(
+    os.path.join(os.path.dirname(__file__), "data", "seed_counters.json"),
+    encoding="utf-8",
+) as _fh:
+    SEED = json.load(_fh)
 
 
 def _run(subimages, method, plan, camera, **options):
@@ -76,6 +71,26 @@ def _stage_accounting(run):
     return ranks
 
 
+def _parity_record(run, shape):
+    """Everything the legacy classes pinned, as plain comparable data.
+
+    Clocks are compared by exact ``repr`` and pixels by a digest of the
+    assembled final planes: identical charge sequences and identical
+    folds give identical values, not merely close ones.
+    """
+    final = assemble_final(run.outcomes, *shape)
+    pixels = hashlib.blake2b(digest_size=16)
+    pixels.update(np.ascontiguousarray(final.intensity).tobytes())
+    pixels.update(np.ascontiguousarray(final.opacity).tobytes())
+    return {
+        "mmax_bytes": run.stats.mmax_bytes,
+        "t_comp": repr(float(run.stats.t_comp)),
+        "t_comm": repr(float(run.stats.t_comm)),
+        "pixels_blake2b": pixels.hexdigest(),
+        "ranks": _stage_accounting(run),
+    }
+
+
 def _images_equal(a, b) -> bool:
     return np.array_equal(a.intensity, b.intensity) and np.array_equal(
         a.opacity, b.opacity
@@ -101,37 +116,26 @@ class TestComboGrid:
 
 
 # ---------------------------------------------------------------------------
-# Paper aliases vs the pre-refactor classes: bit-for-bit
+# Paper aliases vs the recorded output of the classes they replaced
 # ---------------------------------------------------------------------------
 class TestPaperParity:
     @pytest.mark.parametrize("alias", sorted(COMBO_ALIASES))
     @pytest.mark.parametrize("dataset", GRID_DATASETS)
     def test_alias_bit_identical_to_legacy(self, alias, dataset):
         subimages, plan, camera = rendered_workload(dataset, 8)
-        new_run = _run(subimages, alias, plan, camera)
-        old_run = _run(subimages, LEGACY_CLASSES[alias](), plan, camera)
-        # Pixels: exactly equal, not just within tolerance.
-        new_final = assemble_final(new_run.outcomes, *subimages[0].shape)
-        old_final = assemble_final(old_run.outcomes, *subimages[0].shape)
-        assert _images_equal(new_final, old_final)
-        # Wire accounting: every byte, message and counter per stage.
-        assert _stage_accounting(new_run) == _stage_accounting(old_run)
-        # Modelled time: identical charge sequences give identical clocks.
-        assert new_run.stats.t_comp == old_run.stats.t_comp
-        assert new_run.stats.t_comm == old_run.stats.t_comm
-        assert new_run.stats.mmax_bytes == old_run.stats.mmax_bytes
+        run = _run(subimages, alias, plan, camera)
+        recorded = SEED["legacy_parity"][dataset][alias]
+        assert _parity_record(run, subimages[0].shape) == recorded
 
-    @pytest.mark.parametrize("alias", sorted(COMBO_ALIASES))
+    @pytest.mark.parametrize("alias", sorted(PAPER_METHODS))
     def test_alias_matches_recorded_seed_counters(self, alias):
-        with open(SEED_COUNTERS, encoding="utf-8") as fh:
-            seed = json.load(fh)
-        spec = seed["workload"]
+        spec = SEED["workload"]
         subimages, plan, camera = rendered_workload(
             spec["dataset"], spec["num_ranks"], spec["image_size"],
             tuple(spec["rotation"]), tuple(spec["volume_shape"]),
         )
         run = _run(subimages, alias, plan, camera)
-        recorded = seed["methods"][alias]
+        recorded = SEED["methods"][alias]
         assert run.stats.mmax_bytes == recorded["mmax_bytes"]
         assert _stage_accounting(run) == recorded["ranks"]
 

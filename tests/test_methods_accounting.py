@@ -5,7 +5,7 @@ import pytest
 
 from conftest import rendered_workload
 from repro.cluster.model import SP2
-from repro.cluster.topology import log2_int
+from repro.cluster.hypercube import log2_int
 from repro.pipeline.system import run_compositing
 from repro.types import PIXEL_BYTES, RECT_INFO_BYTES
 

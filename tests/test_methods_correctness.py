@@ -10,7 +10,7 @@ import pytest
 
 from conftest import SMALL_IMAGE, random_subimages, rendered_workload, reference_image
 from repro.cluster.model import IDEALIZED, SP2
-from repro.compositing.registry import available_methods
+from repro.compositing.registry import available_methods, make_compositor
 from repro.errors import CompositingError
 from repro.pipeline.system import assemble_final, run_compositing, validate_ownership
 from repro.render.reference import composite_sequential
@@ -155,10 +155,12 @@ class TestMethodOptions:
         assert final.max_abs_diff(reference) < 1e-9
 
     def test_bslc_invalid_section(self):
-        from repro.compositing.bslc import BinarySwapLoadBalancedCompression
+        from repro.compositing.schedule import SectionedSchedule
 
         with pytest.raises(CompositingError):
-            BinarySwapLoadBalancedCompression(section=0)
+            SectionedSchedule(section=0)
+        with pytest.raises(CompositingError):
+            make_compositor("bslc", section=0)
 
     def test_plan_size_mismatch_rejected(self):
         subimages, plan, camera = rendered_workload("engine_low", 4)

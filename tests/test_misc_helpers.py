@@ -6,14 +6,26 @@ import pytest
 from conftest import rendered_workload
 from repro.cluster.model import SP2
 from repro.cluster.stats import StageStats, merge_counters
-from repro.compositing.bslc import final_owned_indices
+from repro.compositing.schedule import SectionedSchedule
 from repro.pipeline.system import run_compositing
+from repro.types import Rect
+from repro.volume.partition import recursive_bisect
+
+
+def final_owned_indices(rank, size, num_pixels, **options):
+    """The index set ``rank`` ends up owning under the sectioned schedule."""
+    program = SectionedSchedule(**options).build(
+        rank, size, Rect(0, 0, 1, num_pixels), num_pixels,
+        recursive_bisect((32, 32, 16), size), np.array([0.0, 0.0, 1.0]),
+    )
+    return program.final_part.indices
 
 
 class TestFinalOwnedIndices:
     @pytest.mark.parametrize("num_ranks", [2, 4, 8])
     def test_matches_actual_bslc_ownership(self, num_ranks):
-        """The display-node recomputation must equal what the ranks
+        """The schedule's final part is deterministic in (P, A, section)
+        — independent of plan and view — and equals what the ranks
         actually ended up owning."""
         subimages, plan, camera = rendered_workload("engine_low", num_ranks)
         run = run_compositing(list(subimages), "bslc", plan, camera.view_dir, SP2)

@@ -17,7 +17,7 @@ from repro.analysis.models import (
     predict_bslc,
 )
 from repro.cluster.model import SP2
-from repro.cluster.topology import log2_int
+from repro.cluster.hypercube import log2_int
 from repro.pipeline.system import run_compositing
 
 NUM_RANKS = 8

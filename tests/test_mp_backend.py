@@ -6,12 +6,11 @@ correctness of the transport port, not performance.
 
 import pytest
 
-from conftest import rendered_workload, reference_image
+from conftest import reference_image
 from repro.cluster.mp_backend import MPRankContext, run_rank_programs_mp
 from repro.errors import ConfigurationError, SimulationError
-from repro.pipeline.mp import run_compositing_mp
-from repro.volume.folded import partition_folded
-from repro.volume.partition import recursive_bisect
+from repro.pipeline.config import RunConfig
+from repro.pipeline.system import SortLastSystem
 
 SMALL = dict(image_size=32, volume_shape=(32, 32, 16))
 
@@ -92,55 +91,31 @@ class TestRawBackend:
 
 
 class TestCompositingCrossValidation:
+    """The whole pipeline on a *real* transport, through its one entry
+    point ``SortLastSystem(cfg).run(backend="mp")``, against the
+    independent sequential oracle.  (Bit parity of mp vs the simulator,
+    pixels and integer counters, is ``tests/test_backend_parity.py``.)"""
+
+    @staticmethod
+    def _run_mp(method, num_ranks):
+        cfg = RunConfig(
+            dataset="engine_low", method=method, num_ranks=num_ranks,
+            comm_timeout=45, **SMALL,
+        )
+        return SortLastSystem(cfg).run(backend="mp")
+
     @pytest.mark.parametrize("method", ["bs", "bsbr", "bslc", "bsbrc"])
     def test_matches_simulator_reference(self, method):
-        """The same compositor on a *real* transport produces the exact
-        image the simulator (and the sequential oracle) produce."""
-        subimages, plan, camera = rendered_workload(
-            "engine_low", 4, SMALL["image_size"], (20.0, 30.0, 0.0),
-            SMALL["volume_shape"],
-        )
+        result = self._run_mp(method, 4)
+        assert result.backend_name == "mp"
+        # The oracle is rendered and composited in this process, not by
+        # the workers.
         reference = reference_image(
             "engine_low", 4, SMALL["image_size"], (20.0, 30.0, 0.0),
             SMALL["volume_shape"],
         )
-        final = run_compositing_mp(
-            list(subimages), method, plan, camera.view_dir, timeout=45
-        )
-        assert final.max_abs_diff(reference) < 1e-9
+        assert result.final_image.max_abs_diff(reference) < 1e-9
 
     def test_folded_non_pow2(self):
-        from repro.render.raycast import render_subvolume
-        from repro.render.reference import composite_sequential
-        from repro.volume.datasets import make_dataset
-        from repro.volume.folded import folded_depth_order
-
-        volume, transfer = make_dataset("engine_low", SMALL["volume_shape"])
-        from repro.render.camera import Camera
-
-        camera = Camera(
-            width=32, height=32, volume_shape=volume.shape, rot_x=20, rot_y=30
-        )
-        folded = partition_folded(volume.shape, 3)
-        subimages = [
-            render_subvolume(volume, transfer, camera, folded.extent(r))
-            for r in range(3)
-        ]
-        reference = composite_sequential(
-            subimages, folded_depth_order(folded, camera.view_dir)
-        )
-        final = run_compositing_mp(
-            subimages, "bsbrc", folded, camera.view_dir, timeout=45
-        )
-        assert final.max_abs_diff(reference) < 1e-9
-
-    def test_plan_size_mismatch(self):
-        subimages, plan, camera = rendered_workload(
-            "engine_low", 4, SMALL["image_size"], (20.0, 30.0, 0.0),
-            SMALL["volume_shape"],
-        )
-        wrong = recursive_bisect(SMALL["volume_shape"], 8)
-        from repro.errors import CompositingError
-
-        with pytest.raises(CompositingError):
-            run_compositing_mp(list(subimages), "bs", wrong, camera.view_dir)
+        result = self._run_mp("bsbrc", 3)
+        assert result.final_image.max_abs_diff(result.reference_image()) < 1e-9

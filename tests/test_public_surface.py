@@ -1,0 +1,85 @@
+"""The package's public surface holds together.
+
+Deleting or renaming a module must leave no dangling import, no
+``__all__`` entry that does not resolve, and no second place where the
+version is written.
+"""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.compositing
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Public names removed with the hand-written method classes, the second
+#: wire-kernel family, the hypercube schedule helpers and the mp shim
+#: (CHANGELOG "Unreleased" lists each with its replacement).
+REMOVED_NAMES = {
+    "BinarySwap",
+    "BinarySwapBoundingRect",
+    "BinarySwapBoundingRectCompression",
+    "BinarySwapLoadBalancedCompression",
+    "BinarySwapValueCompression",
+    "final_owned_indices",
+    "pack_pixels_rect",
+    "unpack_pixels_rect",
+    "pack_raw_seq",
+    "unpack_raw_seq",
+    "pack_rle_rect",
+    "unpack_rle_rect",
+    "binary_swap_partner",
+    "binary_swap_schedule",
+    "binary_tree_schedule",
+    "TreeStep",
+    "ring_next",
+    "ring_prev",
+    "run_compositing_mp",
+}
+
+#: Every module but the ``python -m`` entry scripts, which run on import.
+MODULES = sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    if not info.name.endswith(".__main__")
+)
+
+
+def test_walk_finds_the_package():
+    assert "repro.compositing.wire" in MODULES and len(MODULES) > 60
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_and_all_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported), "duplicate __all__ entries"
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing, f"{name}.__all__ names unresolved: {missing}"
+
+
+@pytest.mark.parametrize(
+    "package", ["repro", "repro.compositing", "repro.cluster", "repro.pipeline"]
+)
+def test_removed_names_stay_removed(package):
+    module = importlib.import_module(package)
+    assert not REMOVED_NAMES & set(module.__all__)
+    assert not [name for name in REMOVED_NAMES if hasattr(module, name)]
+
+
+def test_version_has_one_source():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    dynamic = project["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "repro.__version__"}
+    cited = re.search(
+        r"^version:\s*(\S+)$", (ROOT / "CITATION.cff").read_text(encoding="utf-8"), re.M
+    )
+    assert cited and cited.group(1).strip("\"'") == repro.__version__

@@ -17,11 +17,13 @@ from repro.compositing.codec import (
     RawCodec,
     RectRLECodec,
     RunLengthCodec,
+    ValueRunCodec,
 )
 from repro.compositing.engine import ScheduledCompositor
 from repro.compositing.registry import (
     CODECS,
     COMBO_ALIASES,
+    PAPER_METHODS,
     SCHEDULES,
     available_methods,
     make_compositor,
@@ -39,10 +41,10 @@ from repro.compositing.schedule import (
     parse_radix,
 )
 from repro.compositing.wire import (
-    pack_raw_seq,
-    pack_rle_rect,
-    unpack_raw_seq,
-    unpack_rle_rect,
+    pack_pixels,
+    pack_rle,
+    unpack_pixels,
+    unpack_rle,
 )
 from repro.errors import CompositingError, ConfigurationError, PartitionError
 from repro.render.image import SubImage
@@ -156,8 +158,9 @@ class TestRegistry:
     def test_catalog_covers_every_method(self):
         catalog = method_catalog()
         assert set(catalog) == set(available_methods())
-        for alias in COMBO_ALIASES:
+        for alias in PAPER_METHODS:
             assert catalog[alias].startswith("paper method")
+        assert catalog["bslcv"].startswith("comparator (= sectioned:value-rle)")
         assert all(catalog[f"radix-k:{c}"] for c in ("raw", "rect", "rect-rle", "rle"))
 
     def test_every_advertised_combo_is_compatible(self):
@@ -346,16 +349,16 @@ class TestRefoldPairs:
 
 
 # ---------------------------------------------------------------------------
-# New wire kernels
+# Wire kernels on the selections the codecs hand them
 # ---------------------------------------------------------------------------
 class TestWireKernels:
     def test_raw_seq_roundtrip(self, rng):
         intensity = rng.uniform(0, 1, 100)
         opacity = rng.uniform(0, 1, 100)
         indices = np.arange(0, 100, 3)
-        msg = pack_raw_seq(intensity, opacity, indices)
+        msg = pack_pixels(intensity[indices], opacity[indices])
         assert msg.accounted_bytes == indices.shape[0] * 16
-        out_i, out_a = unpack_raw_seq(msg.buffer, indices.shape[0])
+        out_i, out_a = unpack_pixels(msg.buffer, indices.shape[0])
         np.testing.assert_array_equal(out_i, intensity[indices])
         np.testing.assert_array_equal(out_a, opacity[indices])
 
@@ -365,9 +368,9 @@ class TestWireKernels:
         opacity = np.where(mask, rng.uniform(0.1, 0.9, (height, width)), 0.0)
         intensity = np.where(mask, opacity * 0.5, 0.0)
         rect = Rect(2, 3, 10, 11)
-        msg = pack_rle_rect(intensity, opacity, rect)
-        positions, out_i, out_a = unpack_rle_rect(msg.buffer, rect)
         rows, cols = rect.slices()
+        msg = pack_rle(intensity[rows, cols], opacity[rows, cols])
+        positions, out_i, out_a = unpack_rle(msg.buffer, rect.area)
         flat_i = intensity[rows, cols].ravel()
         flat_a = opacity[rows, cols].ravel()
         expected = np.flatnonzero((flat_a != 0.0) | (flat_i != 0.0))
@@ -380,5 +383,6 @@ class TestWireKernels:
         assert RunLengthCodec.supports == frozenset({"rect", "index"})
         assert BoundingRectCodec.supports == frozenset({"rect"})
         assert RectRLECodec.supports == frozenset({"rect"})
+        assert ValueRunCodec.supports == frozenset({"index"})
         assert BoundingRectCodec.needs_bound_scan
         assert not RawCodec.needs_bound_scan

@@ -1,18 +1,50 @@
-"""Tests for communication schedules (binary swap, tree, ring)."""
+"""Tests for the hypercube bit helpers and the communication patterns
+built on them (binary-swap pairing, binary-tree combining)."""
 
+import numpy as np
 import pytest
 
-from repro.cluster.topology import (
-    binary_swap_partner,
-    binary_swap_schedule,
-    binary_tree_schedule,
-    is_power_of_two,
-    keeps_low_half,
-    log2_int,
-    ring_next,
-    ring_prev,
-)
+from repro.cluster.hypercube import is_power_of_two, keeps_low_half, log2_int
+from repro.cluster.model import SP2
+from repro.compositing.schedule import BinarySwapSchedule
 from repro.errors import ConfigurationError
+from repro.pipeline.system import run_compositing
+from repro.render.image import SubImage
+from repro.types import Rect
+from repro.volume.partition import recursive_bisect
+
+VIEW = np.array([0.37, -0.61, 0.70])
+FRAME = Rect(0, 0, 64, 64)
+
+
+def _swap_partners(size):
+    """``partners[rank][stage]`` as the binary-swap schedule pairs them."""
+    plan = recursive_bisect((32, 32, 16), size)
+    schedule = BinarySwapSchedule()
+    partners = []
+    for rank in range(size):
+        program = schedule.build(rank, size, FRAME, FRAME.area, plan, VIEW)
+        assert all(len(stage.steps) == 1 for stage in program.stages)
+        partners.append([stage.steps[0].peer for stage in program.stages])
+    return partners
+
+
+def _tree_traffic(size):
+    """Per stage, the (senders, receivers) of the ``tree`` baseline, read
+    off the simulator's per-rank message counters."""
+    plan = recursive_bisect((32, 32, 16), size)
+    images = [SubImage.blank(8, 8) for _ in range(size)]
+    run = run_compositing(images, "tree", plan, VIEW, SP2)
+    stages = []
+    for stage in range(log2_int(size)):
+        sent = {r: rs.stages[stage].msgs_sent
+                for r, rs in enumerate(run.stats.rank_stats) if stage in rs.stages}
+        recv = {r: rs.stages[stage].msgs_recv
+                for r, rs in enumerate(run.stats.rank_stats) if stage in rs.stages}
+        assert set(sent.values()) <= {0, 1} and set(recv.values()) <= {0, 1}
+        stages.append(({r for r, n in sent.items() if n},
+                       {r for r, n in recv.items() if n}))
+    return stages
 
 
 class TestPowersOfTwo:
@@ -32,37 +64,31 @@ class TestPowersOfTwo:
 class TestBinarySwap:
     @pytest.mark.parametrize("size", [2, 4, 8, 16, 32, 64])
     def test_partner_is_involution(self, size):
+        partners = _swap_partners(size)
         for stage in range(log2_int(size)):
             for rank in range(size):
-                partner = binary_swap_partner(rank, stage, size)
+                partner = partners[rank][stage]
                 assert partner != rank
-                assert binary_swap_partner(partner, stage, size) == rank
+                assert partners[partner][stage] == rank
 
     @pytest.mark.parametrize("size", [2, 8, 64])
     def test_each_stage_is_perfect_matching(self, size):
+        partners = _swap_partners(size)
         for stage in range(log2_int(size)):
-            partners = {binary_swap_partner(r, stage, size) for r in range(size)}
-            assert partners == set(range(size))
+            assert {partners[r][stage] for r in range(size)} == set(range(size))
 
     def test_schedule_visits_distinct_partners(self):
-        sched = binary_swap_schedule(5, 16)
+        sched = _swap_partners(16)[5]
         assert len(sched) == 4
         assert len(set(sched)) == 4
         assert sched == [4, 7, 1, 13]
 
-    def test_stage_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            binary_swap_partner(0, 3, 8)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            binary_swap_partner(8, 0, 8)
-
     def test_keeps_low_half_complementary(self):
         for size in (2, 8, 32):
+            partners = _swap_partners(size)
             for stage in range(log2_int(size)):
                 for rank in range(size):
-                    partner = binary_swap_partner(rank, stage, size)
+                    partner = partners[rank][stage]
                     assert keeps_low_half(rank, stage) != keeps_low_half(partner, stage)
 
     @pytest.mark.parametrize("size", [2, 4, 8, 16])
@@ -79,49 +105,20 @@ class TestBinarySwap:
 class TestBinaryTree:
     @pytest.mark.parametrize("size", [2, 4, 8, 16])
     def test_every_nonzero_rank_sends_once(self, size):
-        senders = {}
-        for rank in range(size):
-            steps = binary_tree_schedule(rank, size)
-            sends = [s for s in steps if s.role == "send"]
-            if rank == 0:
-                assert not sends
-            else:
-                assert len(sends) == 1
-                senders[rank] = sends[0].peer
-
-        # Every send goes to a rank that is still alive at that stage.
-        for rank, peer in senders.items():
-            assert 0 <= peer < rank
+        stages = _tree_traffic(size)
+        sends = [sum(rank in senders for senders, _ in stages) for rank in range(size)]
+        assert sends == [0] + [1] * (size - 1)
+        # Every send goes down to a rank that is still alive at that stage.
+        for stage, (senders, _) in enumerate(stages):
+            assert all(0 <= rank - (1 << stage) < rank for rank in senders)
 
     @pytest.mark.parametrize("size", [2, 4, 8, 16])
     def test_recv_matches_send(self, size):
-        """For each stage, receivers' peers are exactly that stage's senders."""
-        by_stage_send = {}
-        by_stage_recv = {}
-        for rank in range(size):
-            for step in binary_tree_schedule(rank, size):
-                key = (step.stage, step.role)
-                bucket = by_stage_send if step.role == "send" else by_stage_recv
-                bucket.setdefault(step.stage, set()).add((rank, step.peer))
-        for stage, sends in by_stage_send.items():
-            recvs = by_stage_recv.get(stage, set())
-            assert {(peer, rank) for rank, peer in sends} == recvs
+        """For each stage, the receivers are exactly that stage's senders'
+        peers ``sender - 2**stage``."""
+        for stage, (senders, receivers) in enumerate(_tree_traffic(size)):
+            assert senders
+            assert {rank - (1 << stage) for rank in senders} == receivers
 
     def test_rank0_receives_log_times(self):
-        steps = binary_tree_schedule(0, 16)
-        assert [s.role for s in steps] == ["recv"] * 4
-
-
-class TestRing:
-    def test_ring_next_prev_inverse(self):
-        for size in (1, 2, 5, 8):
-            for rank in range(size):
-                assert ring_prev(ring_next(rank, size), size) == rank
-
-    def test_ring_wraps(self):
-        assert ring_next(7, 8) == 0
-        assert ring_prev(0, 8) == 7
-
-    def test_ring_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ring_next(0, 0)
+        assert [0 in receivers for _, receivers in _tree_traffic(16)] == [True] * 4

@@ -10,12 +10,12 @@ from repro.compositing.wire import (
     pack_bsbr,
     pack_bsbrc,
     pack_bslc,
-    pack_pixels_rect,
+    pack_pixels,
     unpack_bs,
     unpack_bsbr,
     unpack_bsbrc,
     unpack_bslc,
-    unpack_pixels_rect,
+    unpack_pixels,
 )
 from repro.errors import WireFormatError
 from repro.types import PIXEL_BYTES, RECT_INFO_BYTES, RLE_CODE_BYTES, Rect
@@ -37,16 +37,16 @@ class TestPixelsRect:
     def test_roundtrip(self, planes):
         intensity, opacity = planes
         rect = Rect(2, 1, 7, 9)
-        buf = pack_pixels_rect(intensity, opacity, rect)
-        assert len(buf) == rect.area * PIXEL_BYTES
-        out_i, out_a = unpack_pixels_rect(buf, rect)
         rows, cols = rect.slices()
-        assert np.array_equal(out_i, intensity[rows, cols])
-        assert np.array_equal(out_a, opacity[rows, cols])
+        msg = pack_pixels(intensity[rows, cols], opacity[rows, cols])
+        assert len(msg.buffer) == msg.accounted_bytes == rect.area * PIXEL_BYTES
+        out_i, out_a = unpack_pixels(msg.buffer, rect.area)
+        assert np.array_equal(out_i, intensity[rows, cols].ravel())
+        assert np.array_equal(out_a, opacity[rows, cols].ravel())
 
     def test_wrong_length_rejected(self):
         with pytest.raises(WireFormatError):
-            unpack_pixels_rect(b"\x00" * 8, Rect(0, 0, 1, 1))
+            unpack_pixels(b"\x00" * 8, 1)
 
 
 class TestBS:
