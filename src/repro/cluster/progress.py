@@ -38,10 +38,16 @@ partial frame arrives *flagged*, not silently.
 
 Serialization
 -------------
-:meth:`ProgressEvent.to_dict` emits the ``repro.serve-event/1``
+:meth:`ProgressEvent.to_dict` emits the ``repro.serve-event/2``
 document the serving layer streams to clients (arrays as base64 with
-dtype/shape, rects as ``[y0, x0, y1, x1]``);
-:func:`serve_event_from_dict` round-trips it.
+dtype/shape, rects as ``[y0, x0, y1, x1]``).  The wire carries no pixel
+the receiver cannot use: a ``stage`` document's planes are only the
+rank's keep part — cropped to ``part_rect``, or gathered at
+``part_indices`` — beside the ``frame_shape`` they came from, and
+:func:`serve_event_from_dict` scatters them back into blank full-frame
+planes, so the rebuilt event equals the in-process one *on the keep
+part* (the only region a consumer reads).  ``tile`` and ``final``
+planes travel whole and round-trip exactly.
 
 Threading: the feed is locked and :meth:`ProgressFeed.stream` is a
 blocking generator, so a service thread can stream a job's frames while
@@ -71,14 +77,14 @@ __all__ = [
 ]
 
 #: Schema tag of one streamed progress event document.
-SERVE_EVENT_SCHEMA = "repro.serve-event/1"
+SERVE_EVENT_SCHEMA = "repro.serve-event/2"
 
 #: Event kinds, in the order a clean run produces them.
 _KINDS = ("stage", "tile", "final")
 
 
 def _array_doc(arr: np.ndarray) -> dict[str, Any]:
-    arr = np.ascontiguousarray(arr)
+    # ``tobytes`` lays a cropped (strided) view out in C order itself.
     return {
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
@@ -91,6 +97,35 @@ def _array_from_doc(doc: dict[str, Any]) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.dtype(doc["dtype"])).reshape(
         tuple(int(v) for v in doc["shape"])
     ).copy()
+
+
+def _gather_part(
+    plane: np.ndarray, rect: Optional[Rect], indices: Optional[np.ndarray]
+) -> np.ndarray:
+    """The keep part of a stage event's full-frame plane."""
+    if rect is not None:
+        return plane[rect.y0 : rect.y1, rect.x0 : rect.x1]
+    if indices is not None:
+        return plane.ravel()[indices.ravel()]
+    return plane  # no part recorded: the plane travels whole
+
+
+def _scatter_part(
+    part: np.ndarray,
+    frame_shape: tuple[int, ...],
+    rect: Optional[Rect],
+    indices: Optional[np.ndarray],
+) -> np.ndarray:
+    """Inverse of :func:`_gather_part`: a blank full-frame plane holding
+    ``part`` where it was taken from."""
+    if rect is None and indices is None:
+        return part
+    plane = np.zeros(frame_shape, dtype=part.dtype)
+    if rect is not None:
+        plane[rect.y0 : rect.y1, rect.x0 : rect.x1] = part
+    else:
+        plane.ravel()[indices.ravel()] = part
+    return plane
 
 
 def _rect_doc(rect: Optional[Rect]) -> Optional[list[int]]:
@@ -138,7 +173,15 @@ class ProgressEvent:
     def to_dict(
         self, *, job_id: Optional[str] = None, session: Optional[str] = None
     ) -> dict[str, Any]:
-        """Export as a ``repro.serve-event/1`` document."""
+        """Export as a ``repro.serve-event/2`` document.
+
+        A ``stage`` event ships only its keep part (see the module
+        docstring); the in-process event keeps its full-frame planes.
+        """
+        intensity, opacity = self.intensity, self.opacity
+        if self.kind == "stage":
+            intensity = _gather_part(intensity, self.part_rect, self.part_indices)
+            opacity = _gather_part(opacity, self.part_rect, self.part_indices)
         doc: dict[str, Any] = {
             "schema": SERVE_EVENT_SCHEMA,
             "seq": self.seq,
@@ -157,9 +200,11 @@ class ProgressEvent:
             ),
             "degraded": self.degraded,
             "outcome": self.outcome,
-            "intensity": _array_doc(self.intensity),
-            "opacity": _array_doc(self.opacity),
+            "intensity": _array_doc(intensity),
+            "opacity": _array_doc(opacity),
         }
+        if self.kind == "stage":
+            doc["frame_shape"] = list(self.intensity.shape)
         if job_id is not None:
             doc["job_id"] = job_id
         if session is not None:
@@ -177,15 +222,25 @@ def serve_event_from_dict(doc: dict[str, Any]) -> ProgressEvent:
             f"unsupported serve-event schema {schema!r} "
             f"(expected {SERVE_EVENT_SCHEMA!r})"
         )
+    kind = str(doc["kind"])
+    part_rect = _rect_from_doc(doc.get("part_rect"))
     part_indices = doc.get("part_indices")
+    if part_indices is not None:
+        part_indices = _array_from_doc(part_indices)
+    intensity = _array_from_doc(doc["intensity"])
+    opacity = _array_from_doc(doc["opacity"])
+    if kind == "stage":
+        frame_shape = tuple(int(v) for v in doc["frame_shape"])
+        intensity = _scatter_part(intensity, frame_shape, part_rect, part_indices)
+        opacity = _scatter_part(opacity, frame_shape, part_rect, part_indices)
     return ProgressEvent(
         seq=int(doc["seq"]),
-        kind=str(doc["kind"]),
+        kind=kind,
         rank=int(doc["rank"]),
         t=float(doc["t"]),
         coverage=float(doc["coverage"]),
-        intensity=_array_from_doc(doc["intensity"]),
-        opacity=_array_from_doc(doc["opacity"]),
+        intensity=intensity,
+        opacity=opacity,
         stage=None if doc.get("stage") is None else int(doc["stage"]),
         ordinal=None if doc.get("ordinal") is None else int(doc["ordinal"]),
         num_stages=(
@@ -193,8 +248,8 @@ def serve_event_from_dict(doc: dict[str, Any]) -> ProgressEvent:
         ),
         tile=None if doc.get("tile") is None else int(doc["tile"]),
         rect=_rect_from_doc(doc.get("rect")),
-        part_rect=_rect_from_doc(doc.get("part_rect")),
-        part_indices=None if part_indices is None else _array_from_doc(part_indices),
+        part_rect=part_rect,
+        part_indices=part_indices,
         degraded=bool(doc.get("degraded", False)),
         outcome=doc.get("outcome"),
     )

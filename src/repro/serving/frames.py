@@ -1,7 +1,7 @@
 """Client-side progressive frame assembly from streamed serve events.
 
 A consumer of a :class:`~repro.cluster.progress.ProgressFeed` (or of a
-``repro.serve-event/1`` document stream) folds events into a
+``repro.serve-event/2`` document stream) folds events into a
 :class:`ProgressiveFrame`: the best currently-known approximation of
 the final display image.  Tile events scatter their rect's *final*
 pixels; stage events scatter the emitting rank's keep part (valid
@@ -32,7 +32,7 @@ class ProgressiveFrame:
 
     @classmethod
     def replay(cls, docs, height: int, width: int) -> "ProgressiveFrame":
-        """Fold a recorded ``repro.serve-event/1`` document stream.
+        """Fold a recorded ``repro.serve-event/2`` document stream.
 
         Pairs with :func:`repro.serving.spool.read_events`, which
         already drops a torn trailing record from an interrupted

@@ -6,9 +6,17 @@ job request documents (``repro.serve-job/1``) into ``<spool>/jobs/``;
 a serving process claims them (atomic rename into ``<spool>/work/``),
 renders them through a shared :class:`~repro.serving.service.
 RenderService`, streams every progress event as a
-``repro.serve-event/1`` JSON line into ``<spool>/out/<job>.events.jsonl``,
+``repro.serve-event/2`` JSON line into ``<spool>/out/<job>.events.jsonl``,
 and finishes with ``<spool>/out/<job>.result.json`` plus the final
 image planes in ``<spool>/out/<job>.final.npz``.
+
+An idle server does not sleep out a poll period: it waits on the
+spool's *doorbell*, a FIFO at ``<spool>/doorbell`` that
+:func:`submit_job` rings after the job file is in place.  The bell is
+only a hint — the job file is the truth.  Every wake-up, by ring or by
+timeout, does the same ``jobs/`` listing and atomic-rename claim, so a
+lost ring (no FIFO, no listener, a full pipe, a platform without
+``os.mkfifo``) costs at most one ``poll`` period and never a job.
 
 Crash-survivability contract:
 
@@ -52,8 +60,10 @@ import json
 import os
 import random
 import re
+import select
 import shutil
 import signal
+import stat
 import threading
 import time
 import uuid
@@ -84,6 +94,7 @@ RESULT_SCHEMA = "repro.serve-result/1"
 LEASE_SCHEMA = "repro.serve-lease/1"
 
 _JOBS, _WORK, _OUT = "jobs", "work", "out"
+_DOORBELL = "doorbell"
 
 #: ``work/`` entry for attempt N of a job: ``<job_id>.aN.json``.
 _WORK_RE = re.compile(r"^(?P<jid>.+)\.a(?P<n>\d+)\.json$")
@@ -131,6 +142,76 @@ def _exclusive_write_text(path: str, text: str) -> bool:
             pass
 
 
+# ---- doorbell ---------------------------------------------------------------
+def _ring_doorbell(root: str) -> None:
+    """Wake a server idling on the spool: one non-blocking byte.
+
+    Every failure is swallowed — no FIFO, no server holding the read
+    end (``ENXIO``), a full pipe — because the server's next timeout
+    finds the job file anyway.
+    """
+    try:
+        fd = os.open(os.path.join(root, _DOORBELL), os.O_WRONLY | os.O_NONBLOCK)
+    except OSError:
+        return
+    try:
+        os.write(fd, b"\0")
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+class _Doorbell:
+    """Server end of the spool doorbell: wait for a ring or a timeout.
+
+    The FIFO is opened read-write: holding a write end ourselves means
+    the pipe never reports hang-up when the last submitter closes, so
+    an idle server blocks in ``select`` instead of spinning on EOF.
+    Where the FIFO cannot be had (no ``os.mkfifo``, a filesystem that
+    refuses it, something else squatting on the name) :meth:`wait` is
+    the plain timeout.
+    """
+
+    def __init__(self, root: str):
+        self._path = os.path.join(root, _DOORBELL)
+        self._fd: Optional[int] = None
+        try:
+            try:
+                os.mkfifo(self._path)
+            except FileExistsError:
+                pass  # left by a killed server, or a live one sharing the spool
+            fd = os.open(self._path, os.O_RDWR | os.O_NONBLOCK)
+        except (AttributeError, OSError):
+            return
+        if stat.S_ISFIFO(os.fstat(fd).st_mode):
+            self._fd = fd
+        else:
+            os.close(fd)
+
+    def wait(self, timeout: float) -> None:
+        """Return once the bell has rung (drained here) or ``timeout`` passed."""
+        if self._fd is None:
+            time.sleep(timeout)
+        elif select.select([self._fd], [], [], timeout)[0]:
+            try:
+                while len(os.read(self._fd, 4096)) == 4096:
+                    pass
+            except OSError:
+                pass  # a competing server on this spool drained it first
+
+    def close(self) -> None:
+        """Release the pipe and unlink it: a cleanly stopped spool holds
+        only regular files."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+            try:
+                os.unlink(self._path)
+            except OSError:
+                pass
+
+
 # ---- client side ------------------------------------------------------------
 def submit_job(
     root: str,
@@ -167,6 +248,7 @@ def submit_job(
     _atomic_write_text(
         os.path.join(root, _JOBS, f"{job_id}.json"), json.dumps(doc, indent=2)
     )
+    _ring_doorbell(root)  # after the rename: the job file is the truth
     return job_id
 
 
@@ -185,14 +267,16 @@ def wait_for_result(
     job_id: str,
     *,
     timeout: float = 60.0,
-    poll: float = 0.05,
+    poll: float = 0.005,
     max_poll: float = 0.5,
 ) -> dict[str, Any]:
     """Poll the spool until the job's result document lands.
 
     The poll interval backs off exponentially from ``poll`` to
-    ``max_poll`` with +/-20% jitter, so many waiters on one spool don't
-    hammer the filesystem in lockstep while a long render runs.
+    ``max_poll`` with +/-20% jitter: a short job's waiter returns within
+    milliseconds of the result (one ``stat`` per poll), and many waiters
+    on one spool don't hammer the filesystem in lockstep while a long
+    render runs.
     """
     deadline = time.monotonic() + timeout
     delay = poll
@@ -424,19 +508,21 @@ def _job_writer(
     ticket,
     work_path: Optional[str] = None,
     attempt: int = 1,
-) -> None:
+) -> bool:
     """Writer thread body: stream events, result document, then retire.
 
     Ordering contract for pollers: by the time ``<job>.result.json``
     exists, ``<job>.events.jsonl`` is complete — the event stream only
     ends once the feed is closed, which happens strictly after the run
     finishes (or fails).  A *cancelled* job (service drain) writes no
-    result at all, leaving its work file for the drain path to re-spool.
+    result at all, leaving its work file for the drain path to re-spool
+    (and returns False: the job is not over).
     """
     _stream_events(root, job_id, session, ticket)
     retired = _finish_job(root, job_id, session, qos, ticket, attempt=attempt)
     if retired and work_path is not None:
         _cleanup_work(root, work_path, job_id)
+    return retired
 
 
 def _finish_job(
@@ -522,9 +608,11 @@ def serve(
     (sessions and QoS from each request, admission per
     ``queue_limit``/``shed_policy``), and exits after ``max_jobs`` jobs
     or once the spool has been idle — no pending or in-flight work —
-    for ``idle_timeout`` seconds.  With neither bound the loop serves
-    until SIGTERM/``stop_event``, then drains gracefully: in-flight
-    renders finish, queued claims go back to ``jobs/``.
+    for ``idle_timeout`` seconds.  Between looks at the spool the loop
+    waits on the doorbell, ``poll`` seconds at most.  With neither bound
+    the loop serves until SIGTERM/``stop_event``, then drains
+    gracefully: in-flight renders finish, queued claims go back to
+    ``jobs/``.
     """
     _ensure_layout(root)
     if heartbeat_s is None:
@@ -540,6 +628,7 @@ def serve(
             prev_handler = None
 
     served = 0
+    #: Claimed jobs whose writer has not finished (or that were cancelled).
     inflight: dict[str, dict[str, Any]] = {}
     inflight_lock = threading.Lock()
     service = RenderService(
@@ -562,6 +651,7 @@ def serve(
 
     beater = threading.Thread(target=_heartbeat, name="spool-heartbeat", daemon=True)
     beater.start()
+    bell = _Doorbell(root)
 
     def _launch(work_path: str, job_id: str, attempt: int) -> bool:
         """Admit one claimed work item; False if it could not start."""
@@ -630,20 +720,26 @@ def serve(
             # Service closed under us (stop raced the claim): re-spool.
             _respool(root, work_path, job_id)
             return False
-        writer = threading.Thread(
-            target=_job_writer,
-            args=(root, job_id, session, qos, ticket, work_path, attempt),
-            name=f"spool-writer-{job_id}",
-            daemon=True,
+        meta: dict[str, Any] = {
+            "ticket": ticket,
+            "work_path": work_path,
+            "attempt": attempt,
+        }
+
+        def _write_then_retire() -> None:
+            # A finished job's ticket, feed and frames are dropped here,
+            # not at exit; a cancelled one stays for the drain path.
+            if _job_writer(root, job_id, session, qos, ticket, work_path, attempt):
+                with inflight_lock:
+                    if inflight.get(job_id) is meta:
+                        del inflight[job_id]
+
+        meta["writer"] = threading.Thread(
+            target=_write_then_retire, name=f"spool-writer-{job_id}", daemon=True
         )
-        writer.start()
         with inflight_lock:
-            inflight[job_id] = {
-                "ticket": ticket,
-                "work_path": work_path,
-                "attempt": attempt,
-                "writer": writer,
-            }
+            inflight[job_id] = meta
+        meta["writer"].start()
         served += 1
         return True
 
@@ -679,7 +775,7 @@ def serve(
                 and time.monotonic() - last_activity >= idle_timeout
             ):
                 break
-            time.sleep(poll)
+            bell.wait(poll)
     finally:
         interrupted = stop.is_set()
         stop.set()
@@ -707,6 +803,7 @@ def serve(
             if job_id in cancelled_ids or meta["ticket"].state == "cancelled":
                 served -= 1 if _respool(root, meta["work_path"], job_id) else 0
         beater.join(timeout=heartbeat_s + 1.0)
+        bell.close()
         if prev_handler is not None:
             try:
                 signal.signal(signal.SIGTERM, prev_handler)

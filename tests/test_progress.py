@@ -8,10 +8,12 @@ Locks the ProgressFeed contracts the serving layer depends on:
 * an installed feed changes nothing — pixels, integer byte/message
   counters, and modelled times are identical with and without one;
 * coverage is monotone, ends at 1.0, and survives degraded re-runs;
-* live feeds are simulator-only, and the ``repro.serve-event/1``
-  document round-trips losslessly.
+* live feeds are simulator-only, and the ``repro.serve-event/2``
+  document carries a stage event's keep part only, round-trips it bit
+  for bit, and replays to the one-shot frame.
 """
 
+import os
 import threading
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.pipeline.config import RunConfig
 from repro.pipeline.phases import build_scene
 from repro.pipeline.system import SortLastSystem
 from repro.render.raycast import render_subvolume
+from repro.serving import ProgressiveFrame, read_events, serve, submit_job
 
 
 def _cfg(**kw):
@@ -257,6 +260,80 @@ class TestServeEventSchema:
             assert np.array_equal(back.opacity, event.opacity)
             assert back.rect == event.rect
 
+    @pytest.mark.parametrize("method", ["bsbrc", "bslc"])
+    def test_stage_documents_carry_exactly_the_keep_part(self, method):
+        """Rect parts (``bsbrc``) travel cropped, index parts (``bslc``)
+        gathered; decoding puts them back bit for bit on blank planes."""
+        feed = ProgressFeed()
+        SortLastSystem(_cfg(method=method)).run(progress=feed)
+        stages = [e for e in feed.events if e.kind == "stage"]
+        assert stages
+        for event in stages:
+            doc = event.to_dict()
+            assert doc["frame_shape"] == list(event.intensity.shape)
+            if event.part_rect is not None:
+                rect = event.part_rect
+                keep = np.zeros(event.intensity.shape, dtype=bool)
+                keep[rect.y0 : rect.y1, rect.x0 : rect.x1] = True
+                assert doc["intensity"]["shape"] == [rect.height, rect.width]
+            else:
+                keep = np.zeros(event.intensity.size, dtype=bool)
+                keep[event.part_indices] = True
+                keep = keep.reshape(event.intensity.shape)
+                assert doc["intensity"]["shape"] == [event.part_indices.size]
+            assert doc["opacity"]["shape"] == doc["intensity"]["shape"]
+            back = serve_event_from_dict(doc)
+            assert back.part_rect == event.part_rect
+            assert (back.part_indices is None) == (event.part_indices is None)
+            for got, sent in (
+                (back.intensity, event.intensity),
+                (back.opacity, event.opacity),
+            ):
+                assert got.shape == sent.shape and got.dtype == sent.dtype
+                assert np.array_equal(got[keep], sent[keep])
+                assert not got[~keep].any()
+        # The sender's own events keep their full-frame planes.
+        assert all(e.intensity.shape == (64, 64) for e in stages)
+
+    def test_spooled_stage_log_replays_to_the_one_shot_frame(self, tmp_path):
+        """After the last exchange the keep parts tile the frame, so the
+        stage documents alone — no ``final`` — rebuild the image."""
+        spool = str(tmp_path / "spool")
+        cfg = _cfg(method="binary-swap:raw")
+        job_id = submit_job(spool)
+        assert serve(spool, cfg, max_jobs=1, idle_timeout=10.0) == 1
+        events = read_events(spool, job_id)
+        one_shot = SortLastSystem(cfg).run().final_image
+        stages = [doc for doc in events if doc["kind"] == "stage"]
+        assert stages and events[-1]["kind"] == "final"
+        for docs in (stages, events):
+            frame = ProgressiveFrame.replay(docs, 64, 64)
+            assert np.array_equal(frame.image.intensity, one_shot.intensity)
+            assert np.array_equal(frame.image.opacity, one_shot.opacity)
+
+    def test_event_log_byte_guard(self, tmp_path):
+        """Deterministic stand-in for a wall-clock assertion: the e2e
+        benchmark's serve job (``engine_high``, 96 px, P=8, ``bsbrc``)
+        spooled 4.93 MB of events when stage frames travelled whole."""
+        spool = str(tmp_path / "spool")
+        cfg = RunConfig(
+            dataset="engine_high", image_size=96, num_ranks=8, method="bsbrc"
+        )
+        job_id = submit_job(spool)
+        assert serve(spool, cfg, max_jobs=1, idle_timeout=10.0) == 1
+        log = os.path.join(spool, "out", f"{job_id}.events.jsonl")
+        assert os.path.getsize(log) <= 1_700_000
+
     def test_bad_schema_rejected(self):
         with pytest.raises(ConfigurationError, match="serve-event"):
             serve_event_from_dict({"schema": "repro.serve-event/999"})
+
+    def test_whole_frame_v1_documents_are_refused(self):
+        """``/1`` stage planes meant something else (the whole frame);
+        spools are transient, so there is no second decoder."""
+        feed = ProgressFeed()
+        SortLastSystem(_cfg()).run(progress=feed)
+        doc = feed.events[0].to_dict()
+        doc["schema"] = "repro.serve-event/1"
+        with pytest.raises(ConfigurationError, match="serve-event/1"):
+            serve_event_from_dict(doc)

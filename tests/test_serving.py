@@ -10,8 +10,11 @@ bit-identically); and the file-spool front end round-trips jobs,
 events, and results through nothing but a directory.
 """
 
+import contextlib
+import gc
 import json
 import os
+import pathlib
 import threading
 import time
 
@@ -32,6 +35,7 @@ from repro.pipeline.config import RunConfig
 from repro.pipeline.session import RenderJob
 from repro.pipeline.system import SortLastSystem
 from repro.serving import (
+    JobTicket,
     ProgressiveFrame,
     QOS_POLICIES,
     RenderService,
@@ -287,6 +291,157 @@ class TestSpool:
             submit_job(str(tmp_path), qos="platinum")
 
 
+def _doorbell(spool):
+    return os.path.join(spool, "doorbell")
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+@contextlib.contextmanager
+def _idle_server(spool, **serve_kw):
+    """A ``serve`` loop on a thread, handed over once it idles on its
+    doorbell (the bell is hung after everything else is set up, and
+    the loop's first look at the empty spool takes microseconds)."""
+    stop = threading.Event()
+    served = []
+    thread = threading.Thread(
+        target=lambda: served.append(
+            serve(spool, _cfg(), stop_event=stop, **serve_kw)
+        )
+    )
+    thread.start()
+    try:
+        _wait_until(pathlib.Path(_doorbell(spool)).is_fifo)
+        time.sleep(0.2)
+        yield served
+    finally:
+        stop.set()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive()
+
+
+def _claimed(spool, job_id):
+    return not os.path.exists(os.path.join(spool, "jobs", f"{job_id}.json"))
+
+
+needs_fifo = pytest.mark.skipif(
+    not hasattr(os, "mkfifo"), reason="platform has no FIFOs"
+)
+
+
+@needs_fifo
+class TestDoorbell:
+    def test_ring_wakes_an_idle_server_long_before_its_poll(self, tmp_path):
+        spool = str(tmp_path / "spool")
+        with _idle_server(spool, poll=5.0, max_jobs=1) as served:
+            t0 = time.monotonic()
+            job_id = submit_job(spool)
+            _wait_until(lambda: _claimed(spool, job_id), timeout=4.0)
+            assert time.monotonic() - t0 < 1.0  # the bell, not the 5 s timeout
+            assert wait_for_result(spool, job_id, timeout=60.0)["ok"]
+        assert served == [1]
+
+    def test_unlinked_fifo_falls_back_to_the_poll_period(self, tmp_path):
+        spool = str(tmp_path / "spool")
+        with _idle_server(spool, poll=0.3, max_jobs=1):
+            os.unlink(_doorbell(spool))
+            t0 = time.monotonic()
+            job_id = submit_job(spool)  # rings nothing: the name is gone
+            _wait_until(lambda: _claimed(spool, job_id), timeout=5.0)
+            assert time.monotonic() - t0 < 2.0
+            assert wait_for_result(spool, job_id, timeout=60.0)["ok"]
+
+    @pytest.mark.parametrize("stale_fifo", [False, True])
+    def test_submit_with_nobody_listening(self, tmp_path, stale_fifo):
+        """No server: the ring is dropped without raising or blocking,
+        and a server started later finds the job file.  A FIFO left by
+        a SIGKILLed server is reused; a clean exit unlinks it."""
+        spool = str(tmp_path / "spool")
+        if stale_fifo:
+            os.makedirs(spool)
+            os.mkfifo(_doorbell(spool))
+        t0 = time.monotonic()
+        first = submit_job(spool)
+        assert time.monotonic() - t0 < 1.0
+        with _idle_server(spool, poll=5.0, max_jobs=2) as served:
+            assert wait_for_result(spool, first, timeout=60.0)["ok"]
+            t0 = time.monotonic()
+            second = submit_job(spool)
+            _wait_until(lambda: _claimed(spool, second), timeout=4.0)
+            assert time.monotonic() - t0 < 1.0  # the (reused) bell works
+            assert wait_for_result(spool, second, timeout=60.0)["ok"]
+        assert served == [2]
+        assert not os.path.lexists(_doorbell(spool))
+
+    def test_two_servers_one_result_per_job(self, tmp_path):
+        spool = str(tmp_path / "spool")
+        with _idle_server(spool, max_workers=1, idle_timeout=1.0) as served_a:
+            with _idle_server(spool, max_workers=1, idle_timeout=1.0) as served_b:
+                jobs = [submit_job(spool, deltas={"rot_y": 5.0 * i}) for i in range(4)]
+                docs = [wait_for_result(spool, j, timeout=60.0) for j in jobs]
+        assert all(doc["ok"] and doc["attempt"] == 1 for doc in docs)
+        # Both woke on every ring; each job was launched exactly once.
+        assert served_a[0] + served_b[0] == len(jobs)
+        out = os.listdir(os.path.join(spool, "out"))
+        assert sorted(n for n in out if n.endswith(".result.json")) == sorted(
+            f"{j}.result.json" for j in jobs
+        )
+        assert os.listdir(os.path.join(spool, "work")) == []
+
+    @pytest.mark.parametrize("squatter", [False, True])
+    def test_wait_blocks_until_rung_and_never_spins(self, tmp_path, squatter):
+        """With no submitter connected the wait sleeps out its timeout
+        (no hang-up busy loop); a regular file squatting on the name is
+        not mistaken for a bell and degrades to the same timeout."""
+        from repro.serving.spool import _Doorbell, _ring_doorbell
+
+        spool = str(tmp_path)
+        if squatter:
+            with open(_doorbell(spool), "w", encoding="utf-8"):
+                pass
+        bell = _Doorbell(spool)
+        try:
+            for _ in range(2):
+                t0 = time.monotonic()
+                bell.wait(0.2)
+                assert time.monotonic() - t0 >= 0.19
+            if not squatter:
+                _ring_doorbell(spool)
+                t0 = time.monotonic()
+                bell.wait(5.0)
+                assert time.monotonic() - t0 < 1.0
+                t0 = time.monotonic()
+                bell.wait(0.2)  # the ring was drained: blocks again
+                assert time.monotonic() - t0 >= 0.19
+        finally:
+            bell.close()
+        assert os.path.lexists(_doorbell(spool)) == squatter  # not ours: left alone
+
+
+class TestServerMemory:
+    def test_finished_jobs_are_retired_while_serving(self, tmp_path):
+        """The serve loop drops a job's ticket, feed and frames once its
+        writer is done — not at exit (it used to keep ~1.4 MB a job)."""
+        spool = str(tmp_path / "spool")
+
+        def live_tickets():
+            gc.collect()
+            return sum(isinstance(obj, JobTicket) for obj in gc.get_objects())
+
+        before = live_tickets()
+        with _idle_server(spool, poll=0.05) as served:
+            for i in range(4):
+                job_id = submit_job(spool, deltas={"rot_y": 5.0 * i})
+                assert wait_for_result(spool, job_id, timeout=60.0)["ok"]
+            _wait_until(lambda: live_tickets() == before)
+        assert served == [4]
+
+
 def _blocked_service(**service_kw):
     """A service whose single pool worker is parked on a gate, so every
     submitted job stays deterministically queued until the gate opens."""
@@ -321,7 +476,7 @@ class TestAdmission:
             assert service.rejected_jobs == 1
             kinds = [e["kind"] for e in service.events]
             assert kinds.count("rejected") == 1
-            assert all(e["schema"] == "repro.serve-event/1" for e in service.events)
+            assert all(e["schema"] == "repro.serve-event/2" for e in service.events)
             gate.set()
             for ticket in kept:
                 assert ticket.result(timeout=120).config is not None
@@ -523,7 +678,7 @@ class TestTornSpoolWrites:
         os.makedirs(os.path.join(spool, "out"))
         with open(self._events_path(spool, "job-x"), "w", encoding="utf-8") as fh:
             fh.write("not json\n")
-            fh.write(json.dumps({"schema": "repro.serve-event/1"}) + "\n")
+            fh.write(json.dumps({"schema": "repro.serve-event/2"}) + "\n")
         with pytest.raises(json.JSONDecodeError):
             read_events(spool, "job-x")
 

@@ -7,8 +7,12 @@ including ``tile-routed:rle``, one carrying a crash fault plan under
 sessions over a single bounded worker pool.  Afterwards the script
 asserts, against the on-disk artifacts:
 
-* every streamed ``repro.serve-event/1`` sequence is monotone in
+* every streamed ``repro.serve-event/2`` sequence is monotone in
   coverage and ends with a ``final`` event at coverage 1.0;
+* every event log, folded through ``ProgressiveFrame.replay``, equals
+  the job's ``final.npz`` bit for bit — for a clean job already
+  *without* its ``final`` event, from the cropped stage parts and the
+  tiles alone — and its size is printed;
 * every persisted final frame is bit-identical to a one-shot
   ``SortLastSystem.run`` of the same configuration (the crash job
   compared against a one-shot degraded run);
@@ -34,7 +38,7 @@ import numpy as np  # noqa: E402
 from repro.cluster.faults import FaultPlan, FaultRule  # noqa: E402
 from repro.pipeline.config import RunConfig  # noqa: E402
 from repro.pipeline.system import SortLastSystem  # noqa: E402
-from repro.serving import load_result, read_events  # noqa: E402
+from repro.serving import ProgressiveFrame, load_result, read_events  # noqa: E402
 
 BASE = dict(dataset="sphere", method="bsbrc", num_ranks=4, image_size=64,
             machine="sp2")
@@ -83,11 +87,23 @@ def _verify(spool: str, job_id: str, want, *, degraded: bool) -> None:
            all(a <= b for a, b in zip(covs, covs[1:])))
     _check(f"{job_id}: final event at 1.0",
            events[-1]["kind"] == "final" and events[-1]["coverage"] == 1.0)
+    size = BASE["image_size"]
+    # A clean job's partial frames already tile the image; a degraded
+    # one needs its (flagged) final to fill what the lost rank owned.
+    folds = {"event log": events} if degraded else {
+        "event log": events, "partial frames alone": events[:-1]}
     with np.load(doc["image"]) as npz:
         _check(f"{job_id}: final intensity bit-identical to one-shot",
                np.array_equal(npz["intensity"], want.final_image.intensity))
         _check(f"{job_id}: final opacity bit-identical to one-shot",
                np.array_equal(npz["opacity"], want.final_image.opacity))
+        for what, docs in folds.items():
+            frame = ProgressiveFrame.replay(docs, size, size)
+            _check(f"{job_id}: replayed {what} bit-identical to final.npz",
+                   np.array_equal(frame.image.intensity, npz["intensity"])
+                   and np.array_equal(frame.image.opacity, npz["opacity"]))
+    log = os.path.join(spool, "out", f"{job_id}.events.jsonl")
+    print(f"  {job_id}: {len(events)} events, {os.path.getsize(log)} event bytes")
 
 
 def main() -> None:
