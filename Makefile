@@ -108,11 +108,14 @@ soak:
 grid:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_grid_equivalence.py tests/test_schedule_codec.py -q
 
-# What CI gates on: the tier-1 suite plus the hot-path regression check.
-# Ends with the source line count, the before-number of the next
-# simplicity change.
+# What CI gates on: the tier-1 suite, then the end-to-end harness's own
+# tests (19 tests, ~21 s: golden digests and modelled clocks — the
+# bit-identity gate every simplicity change leans on), plus the hot-path
+# regression check.  Ends with the source line count, the before-number
+# of the next simplicity change.
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpaths.py --smoke --check
 	@echo "source lines: $$(find src -name '*.py' | xargs wc -l | tail -1)"
 

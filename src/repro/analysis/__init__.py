@@ -10,7 +10,6 @@ from .models import (
     predict_bslc,
 )
 from .plots import ascii_line_plot, series_summary
-from .quality import ImageDelta, image_delta, mean_abs_error, psnr
 from .sparsity import (
     SubimageSparsity,
     measure_sparsity,
@@ -21,7 +20,6 @@ from .tables import format_generic, format_mmax_table, format_paper_table
 from .timeline import Interval, ascii_gantt, intervals_from_stats, trace_to_json
 
 __all__ = [
-    "ImageDelta",
     "Interval",
     "MethodMeasurement",
     "Prediction",
@@ -31,18 +29,15 @@ __all__ = [
     "ascii_line_plot",
     "check_mmax_ordering",
     "format_generic",
-    "image_delta",
     "intervals_from_stats",
     "format_mmax_table",
     "format_paper_table",
     "measure",
-    "mean_abs_error",
     "measure_sparsity",
     "predict_bs",
     "predict_bsbr",
     "predict_bsbrc",
     "predict_bslc",
-    "psnr",
     "series_summary",
     "sparsity_table",
     "speedup",

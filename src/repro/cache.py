@@ -1,12 +1,19 @@
-"""Bounded on-disk render cache: LRU eviction for ``REPRO_CACHE_DIR``.
+"""The on-disk render cache: one keyed ``.npz`` store under
+``REPRO_CACHE_DIR``, bounded by LRU eviction.
 
-The render cache (per-rank subimages from :mod:`repro.pipeline.phases`
-and whole rendered workloads from :mod:`repro.experiments.harness`) is
-append-only by construction: every distinct (dataset, viewpoint, rank
-count, extent) writes a new ``.npz``.  A one-shot CLI run never notices,
-but a long-lived render service serving many camera paths would grow
-the directory without bound.  This module adds the missing half of the
-cache contract:
+Two producers share it — per-rank subimages from
+:mod:`repro.pipeline.phases` and whole rendered workloads from
+:mod:`repro.experiments.harness`.  Both go through the same four calls:
+:func:`cache_dir` (the directory, ``None`` = caching off),
+:func:`entry_path` (SHA-256 of the key fields → file name),
+:func:`load_entry` (arrays, or ``None`` on a miss or a corrupt file; a
+hit bumps recency) and :func:`store_entry` (write a per-process temp
+file, ``os.replace`` it into place, enforce the size cap).
+
+The store is append-only by construction: every distinct (dataset,
+viewpoint, rank count, extent) writes a new ``.npz``.  A one-shot CLI
+run never notices, but a long-lived render service serving many camera
+paths would grow the directory without bound, hence the cap:
 
 * ``REPRO_CACHE_MAX_BYTES`` — optional size cap for the cache
   directory.  Unset/empty/non-positive means unbounded (the historical
@@ -32,16 +39,29 @@ overshoot transiently.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import zlib
 from typing import Optional
+from zipfile import BadZipFile
+
+import numpy as np
 
 __all__ = [
+    "CACHE_DIR_ENV",
     "CACHE_LIMIT_ENV",
+    "cache_dir",
+    "entry_path",
+    "load_entry",
+    "store_entry",
     "cache_budget",
     "parse_size",
     "touch",
     "enforce_cache_budget",
 ]
+
+#: Environment variable naming the on-disk cache directory.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Environment variable capping the on-disk cache size in bytes.
 CACHE_LIMIT_ENV = "REPRO_CACHE_MAX_BYTES"
@@ -81,6 +101,55 @@ def touch(path: str) -> None:
         os.utime(path, None)
     except OSError:
         pass
+
+
+def cache_dir() -> Optional[str]:
+    """Active on-disk cache directory, or ``None`` when caching is off."""
+    return os.environ.get(CACHE_DIR_ENV, "").strip() or None
+
+
+def entry_path(
+    prefix: str, key_fields: tuple, root: Optional[str] = None
+) -> Optional[str]:
+    """``<root>/<prefix>_<sha256 of key_fields>.npz``; ``root`` defaults
+    to :func:`cache_dir`, and ``None`` comes back when caching is off."""
+    root = root if root is not None else cache_dir()
+    if root is None:
+        return None
+    digest = hashlib.sha256(repr(key_fields).encode("utf-8")).hexdigest()[:24]
+    return os.path.join(root, f"{prefix}_{digest}.npz")
+
+
+def load_entry(path: str) -> Optional[dict[str, np.ndarray]]:
+    """Every array of a cached entry; ``None`` on any miss/corruption."""
+    if not os.path.exists(path):
+        return None
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    except (OSError, ValueError, KeyError, EOFError, BadZipFile, zlib.error):
+        return None
+    touch(path)  # LRU recency: a hit protects the entry from eviction
+    return arrays
+
+
+def store_entry(path: str, **arrays: np.ndarray) -> None:
+    """Atomically persist ``arrays`` at ``path`` and enforce the cap."""
+    root = os.path.dirname(path) or "."
+    os.makedirs(root, exist_ok=True)
+    # Per-process temp name: two processes storing one key never write
+    # through each other's file.  It must end in .npz or np.savez
+    # appends the suffix and breaks the rename.
+    tmp = f"{path}.r{os.getpid()}.tmp.npz"
+    try:
+        np.savez_compressed(tmp, **arrays)
+        os.replace(tmp, path)
+    except OSError:
+        # Cache is best-effort; never fail the render over it.
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        return
+    enforce_cache_budget(root, keep=path)
 
 
 def _entries(root: str) -> list[tuple[float, int, str]]:

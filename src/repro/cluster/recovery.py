@@ -27,8 +27,8 @@ never aliases a stored checkpoint.
 where each policy may *fall back* to every weaker one: a respawn whose
 budget is exhausted (or whose replay would violate the message protocol)
 degrades; a crash that cannot degrade aborts.  The lattice is resolved
-at one decision point — ``SortLastSystem.run`` — so ``--no-degrade``,
-render-phase refolding, and the new mechanisms share a single code path.
+at one decision point — ``SortLastSystem._recover`` — so ``abort``,
+render-phase refolding, and the lossless mechanisms share a single code path.
 
 **Respawn plans** — :class:`RespawnPlan` tells the multiprocessing
 supervisor how to restart a dead worker in place: the replacement

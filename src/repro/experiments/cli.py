@@ -18,8 +18,7 @@ Subcommands regenerate each paper artifact::
               fault injection via ``--fault-plan plan.json`` with
               ``--comm-timeout``; recovery via ``--recovery
               {abort,degrade,respawn,checkpoint-resume}`` and
-              ``--respawn-budget N``; ``--no-degrade`` is shorthand for
-              ``--recovery abort``; interconnect topology via
+              ``--respawn-budget N``; interconnect topology via
               ``--topology fat-tree:radix=16`` and ``--links CAPACITY``)
     scale     at-scale crossover study: the paper's method ranking
               replayed at P=64 and extended to P=256/1024 on synthetic
@@ -173,9 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--heartbeat-interval", type=float, default=None,
                      help="mp worker liveness heartbeat period in seconds; "
                           "0 disables heartbeats (default: 0.25)")
-    run.add_argument("--no-degrade", action="store_true",
-                     help="shorthand for --recovery abort: fail instead of "
-                          "recovering when a rank is lost")
     _add_topology_options(run)
     explore = sub.add_parser(
         "explore",
@@ -452,10 +448,7 @@ def _run_one(args, command: str) -> None:
                 machine=getattr(args, "machine", "sp2"),
                 backend=getattr(args, "backend", "sim"),
                 comm_timeout=getattr(args, "comm_timeout", None),
-                recovery=(
-                    getattr(args, "recovery", None)
-                    or ("abort" if getattr(args, "no_degrade", False) else "degrade")
-                ),
+                recovery=getattr(args, "recovery", None) or "degrade",
                 respawn_budget=getattr(args, "respawn_budget", 2),
                 heartbeat_interval=getattr(args, "heartbeat_interval", None),
                 topology=getattr(args, "topology", "flat"),

@@ -28,10 +28,8 @@ re-running.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-from zipfile import BadZipFile as zipfile_error
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +38,7 @@ import numpy as np
 
 from .. import perf
 from ..analysis.metrics import MethodMeasurement, measure
-from ..cache import enforce_cache_budget, touch
+from ..cache import entry_path, load_entry, store_entry
 from ..cluster.model import SP2, MachineModel
 from ..cluster.hypercube import is_power_of_two, log2_int
 from ..compositing.base import composite_rect_pixels
@@ -57,8 +55,6 @@ __all__ = [
     "RenderedWorkload",
     "workload",
     "clear_workload_cache",
-    "render_cache_dir",
-    "CACHE_ENV",
     "run_method",
     "run_grid",
     "rows_to_json",
@@ -71,52 +67,31 @@ __all__ = [
 #: subimage footprints overlap, as in the paper's experiments).
 DEFAULT_ROTATION = (20.0, 30.0, 0.0)
 
-#: Environment variable naming the on-disk render cache directory.
-CACHE_ENV = "REPRO_CACHE_DIR"
-
 #: Bump whenever the renderer's output or the cache layout changes.
 _CACHE_VERSION = 1
 
-
-def render_cache_dir() -> str | None:
-    """Active on-disk cache directory, or ``None`` when caching is off."""
-    value = os.environ.get(CACHE_ENV, "").strip()
-    return value or None
+Blocks = list[tuple[Rect, np.ndarray, np.ndarray]]
 
 
-def _workload_cache_path(cache_dir: str, key_fields: tuple) -> str:
-    digest = hashlib.sha256(repr(key_fields).encode("utf-8")).hexdigest()[:24]
-    return os.path.join(cache_dir, f"workload_{digest}.npz")
-
-
-def _load_cached_blocks(
-    path: str, max_ranks: int
-) -> list[tuple[Rect, np.ndarray, np.ndarray]] | None:
-    """Read a cached block set; ``None`` on any miss/corruption."""
-    if not os.path.exists(path):
+def _blocks_from_entry(arrays: dict[str, np.ndarray], max_ranks: int) -> Blocks | None:
+    """Decode a cached block set; ``None`` when it is not one."""
+    rects = arrays.get("rects")
+    if rects is None or rects.shape != (max_ranks, 4):
         return None
+    blocks: Blocks = []
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            rects = archive["rects"]
-            if rects.shape != (max_ranks, 4):
-                return None
-            blocks: list[tuple[Rect, np.ndarray, np.ndarray]] = []
-            for n in range(max_ranks):
-                rect = Rect(*(int(v) for v in rects[n]))
-                if rect.is_empty:
-                    blocks.append((rect, np.empty((0, 0)), np.empty((0, 0))))
-                else:
-                    blocks.append((rect, archive[f"i{n}"], archive[f"a{n}"]))
-    except (OSError, KeyError, ValueError, zipfile_error):
+        for n in range(max_ranks):
+            rect = Rect(*(int(v) for v in rects[n]))
+            if rect.is_empty:
+                blocks.append((rect, np.empty((0, 0)), np.empty((0, 0))))
+            else:
+                blocks.append((rect, arrays[f"i{n}"], arrays[f"a{n}"]))
+    except (KeyError, ValueError):
         return None
-    touch(path)  # LRU recency: a hit protects the entry from eviction
     return blocks
 
 
-def _store_cached_blocks(
-    path: str, blocks: list[tuple[Rect, np.ndarray, np.ndarray]]
-) -> None:
-    """Atomically persist a rendered block set next to ``path``."""
+def _blocks_to_entry(blocks: Blocks) -> dict[str, np.ndarray]:
     arrays: dict[str, np.ndarray] = {
         "rects": np.asarray(
             [[r.y0, r.x0, r.y1, r.x1] for r, _, _ in blocks], dtype=np.int64
@@ -126,18 +101,7 @@ def _store_cached_blocks(
         if not rect.is_empty:
             arrays[f"i{n}"] = block_i
             arrays[f"a{n}"] = block_a
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    # Must end in .npz or np.savez appends the suffix and breaks the rename.
-    tmp = path + ".tmp.npz"
-    try:
-        np.savez_compressed(tmp, **arrays)
-        os.replace(tmp, path)
-    except OSError:
-        # Cache is best-effort; never fail the render over it.
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        return
-    enforce_cache_budget(os.path.dirname(path) or ".", keep=path)
+    return arrays
 
 
 @dataclass
@@ -156,7 +120,7 @@ class RenderedWorkload:
 
     camera: Camera = field(init=False)
     plan_max: PartitionPlan = field(init=False)
-    blocks: list[tuple[Rect, np.ndarray, np.ndarray]] = field(init=False)
+    blocks: Blocks = field(init=False)
     _subimage_cache: dict[int, list[SubImage]] = field(init=False, default_factory=dict)
     _plan_cache: dict[int, PartitionPlan] = field(init=False, default_factory=dict)
 
@@ -175,21 +139,20 @@ class RenderedWorkload:
         )
         self.plan_max = recursive_bisect(volume.shape, self.max_ranks)
 
-        cache_dir = self.cache_dir if self.cache_dir is not None else render_cache_dir()
-        cache_path = None
-        if cache_dir is not None:
-            key = (
-                _CACHE_VERSION,
-                "raycast",
-                self.dataset,
-                self.image_size,
-                self.max_ranks,
-                tuple(self.rotation),
-                tuple(volume.shape),
-                self.step,
-            )
-            cache_path = _workload_cache_path(cache_dir, key)
-            cached = _load_cached_blocks(cache_path, self.max_ranks)
+        key = (
+            _CACHE_VERSION,
+            "raycast",
+            self.dataset,
+            self.image_size,
+            self.max_ranks,
+            tuple(self.rotation),
+            tuple(volume.shape),
+            self.step,
+        )
+        cache_path = entry_path("workload", key, root=self.cache_dir)
+        if cache_path is not None:
+            arrays = load_entry(cache_path)
+            cached = _blocks_from_entry(arrays, self.max_ranks) if arrays else None
             if cached is not None:
                 perf.incr("harness.disk_cache_hits")
                 self.blocks = cached
@@ -212,7 +175,7 @@ class RenderedWorkload:
                         (rect, img.intensity[rows, cols].copy(), img.opacity[rows, cols].copy())
                     )
         if cache_path is not None:
-            _store_cached_blocks(cache_path, self.blocks)
+            store_entry(cache_path, **_blocks_to_entry(self.blocks))
             perf.incr("harness.disk_cache_stores")
         self._plan_cache[self.max_ranks] = self.plan_max
 
@@ -309,20 +272,19 @@ def run_method(
     *,
     machine: MachineModel = SP2,
     network=None,
-    engine: str = "event",
     **method_options,
 ) -> tuple[MethodMeasurement, CompositingRun]:
     """Composite one workload with one method at one processor count.
 
     ``network`` (a :class:`~repro.cluster.model.Network` or ``None`` for
-    the flat link) and ``engine`` select the simulator's topology and
-    scheduler; see :func:`repro.pipeline.system.run_compositing`.
+    the flat link) selects the simulator's topology; see
+    :func:`repro.pipeline.system.run_compositing`.
     """
     images = work.subimages_for(num_ranks)
     plan = work.plan_for(num_ranks)
     run = run_compositing(
         images, method, plan, work.camera.view_dir, machine,
-        network=network, engine=engine, **method_options,
+        network=network, **method_options,
     )
     row = measure(
         run.stats,
@@ -347,22 +309,13 @@ def run_grid(
     verbose: bool = False,
     method_options: Mapping[str, Mapping] | None = None,
     network=None,
-    engine: str = "event",
-    pool=None,
 ) -> list[MethodMeasurement]:
     """Run the full (dataset x P x method) grid — the Tables 1/2 engine.
 
     ``method_options`` maps a method name to extra factory keywords for
     that method's runs (e.g. ``{"radix-k:rect-rle": {"radix": (4, 4)}}``),
-    so schedule ablations sweep through the same grid.  ``network`` and
-    ``engine`` apply the same topology/scheduler to every cell.
-
-    ``pool`` (a :class:`repro.serving.WorkerPool`) runs the grid's
-    method cells through a shared bounded executor instead of inline —
-    the same pool a :class:`repro.serving.RenderService` rations its
-    interactive sessions over, so a batch sweep and live jobs share one
-    admission bound.  Rendering stays sequential per dataset/P (the
-    workload memo is shared); rows come back in grid order either way.
+    so schedule ablations sweep through the same grid.  ``network``
+    applies the same topology to every cell.
     """
     top = max_ranks if max_ranks is not None else max(rank_counts)
     per_method = dict(method_options or {})
@@ -377,28 +330,11 @@ def run_grid(
             step=step,
         )
         for num_ranks in rank_counts:
-            cell_rows: list[MethodMeasurement]
-            if pool is not None:
-                futures = [
-                    pool.submit(
-                        run_method,
-                        work, method, num_ranks, machine=machine,
-                        network=network, engine=engine,
-                        **per_method.get(method, {}),
-                    )
-                    for method in methods
-                ]
-                cell_rows = [future.result()[0] for future in futures]
-            else:
-                cell_rows = [
-                    run_method(
-                        work, method, num_ranks, machine=machine,
-                        network=network, engine=engine,
-                        **per_method.get(method, {}),
-                    )[0]
-                    for method in methods
-                ]
-            for row in cell_rows:
+            for method in methods:
+                row, _ = run_method(
+                    work, method, num_ranks, machine=machine,
+                    network=network, **per_method.get(method, {}),
+                )
                 rows.append(row)
                 if verbose:
                     print(

@@ -92,7 +92,6 @@ def run_scale_crossover(
     image_size: int = 96,
     machine: MachineModel = SP2,
     network=None,
-    engine: str = "event",
     verbose: bool = False,
 ) -> list[MethodMeasurement]:
     """The (P x fill x method) crossover grid on the modelled machine.
@@ -110,7 +109,7 @@ def run_scale_crossover(
             for method in methods:
                 run = run_compositing(
                     images, method, plan, VIEW_DIR, machine,
-                    network=network, engine=engine,
+                    network=network,
                 )
                 row = measure(
                     run.stats,

@@ -62,9 +62,6 @@ class RunConfig:
     #: Weighted-median partitioning: balance visible-voxel render load
     #: across ranks (the paper's future-work load-balancing scheme).
     balance_render_load: bool = False
-    #: Rendering algorithm: "raycast" (paper's evaluation) or "splat"
-    #: (Westover splatting, the paper's future-work renderer).
-    renderer: str = "raycast"
     method_options: dict[str, Any] = field(default_factory=dict)
     #: Execution backend: "sim" | "mp" | "mpi" (see repro.cluster.backend).
     backend: str = "sim"
@@ -119,10 +116,6 @@ class RunConfig:
         validate_method(self.method)
         if self.step <= 0:
             raise ConfigurationError(f"step must be > 0, got {self.step}")
-        if self.renderer not in ("raycast", "splat"):
-            raise ConfigurationError(
-                f"renderer must be 'raycast' or 'splat', got {self.renderer!r}"
-            )
         from ..cluster.backend import BACKENDS
 
         if self.backend not in BACKENDS:

@@ -55,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
         rot_y=args.rot_y,
         backend="mpi",
     )
-    result = MPIBackend().run(size, pipeline_rank_program, (cfg, True))
+    result = MPIBackend().run(size, pipeline_rank_program, (cfg,))
 
     if result.local_rank == 0:
         final = result.returns[0][2]

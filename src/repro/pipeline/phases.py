@@ -13,18 +13,17 @@ Phase semantics:
   setup: dataset, camera, bisection (or folded) plan.  Runs identically
   on every rank; results are memoized in-process.
 * **render** (:func:`render_phase`) — embarrassingly parallel, no
-  communication; uses the chunked ray marcher (or splatter) and an
-  optional ``REPRO_CACHE_DIR`` on-disk per-rank subimage cache.  No
-  model time is charged: the paper measures compositing only.
+  communication; uses the chunked ray marcher and an optional
+  ``REPRO_CACHE_DIR`` on-disk per-rank subimage cache.  No model time
+  is charged: the paper measures compositing only.
 * **composite** (:func:`composite_phase`) — the measured phase; runs the
   configured method (folding-wrapped on non-power-of-two plans).
 * **fused render+composite** (:func:`fused_render_composite_phase`) —
   taken instead of the two separate phases when the method is
-  tile-routed, the renderer is the ray caster, and the plan is not
-  folded: the rank's ray setup is built once, each tile row is marched
-  once, and its tiles enter the tile router while later rows are still
-  rendering.  Per-pixel ray independence makes the result bit-identical
-  to render-then-composite.
+  tile-routed and the plan is not folded: the rank's ray setup is built
+  once, each tile row is marched once, and its tiles enter the tile
+  router while later rows are still rendering.  Per-pixel ray
+  independence makes the result bit-identical to render-then-composite.
 * **gather** (:func:`gather_phase`) — owned tiles flow to rank 0 over
   the same substrate, bucketed under :data:`GATHER_STAGE` so the
   compositing-stage stats stay separable.
@@ -32,22 +31,21 @@ Phase semantics:
 
 from __future__ import annotations
 
-import hashlib
-import os
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .. import perf
-from ..cache import enforce_cache_budget, touch
+from ..cache import entry_path, load_entry, store_entry
 from ..cluster.collectives import gather
 from ..cluster.protocol import BaseRankContext
-from ..compositing.base import CompositeOutcome
+from ..compositing.base import CompositeOutcome, Compositor
+from ..compositing.folding import FoldedCompositor
 from ..compositing.registry import TILE_ROUTED, make_compositor
+from ..errors import RenderError
 from ..render.camera import Camera
 from ..render.image import SubImage
 from ..render.raycast import RaySetup, render_subvolume
-from ..render.splat import splat_subvolume
 from ..types import Rect
 from ..volume.datasets import make_dataset
 from ..volume.folded import FoldedPartition, partition_folded
@@ -63,8 +61,8 @@ __all__ = [
     "composite_phase",
     "fused_render_composite_phase",
     "gather_phase",
+    "compositor_for",
     "pipeline_rank_program",
-    "degraded_rank_program",
 ]
 
 #: Stage bucket used for the final image gather (outside the paper's
@@ -140,13 +138,14 @@ def build_scene(cfg: RunConfig) -> Scene:
 
 
 # ---- render phase -----------------------------------------------------------
-def _render_cache_path(cfg: RunConfig, rank: int, extent) -> Optional[str]:
-    cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if not cache_dir:
-        return None
+def _lookup_render_cache(
+    cfg: RunConfig, rank: int, extent
+) -> tuple[Optional[str], Optional[SubImage]]:
+    """``(path, cached)`` for this rank's pristine render: ``path`` is
+    ``None`` with the cache off, ``cached`` is ``None`` on a miss."""
     key = (
         _RENDER_CACHE_VERSION,
-        cfg.renderer,
+        "raycast",
         cfg.dataset,
         cfg.volume_shape,
         cfg.image_size,
@@ -159,48 +158,16 @@ def _render_cache_path(cfg: RunConfig, rank: int, extent) -> Optional[str]:
         rank,
         (extent.x0, extent.y0, extent.z0, extent.x1, extent.y1, extent.z1),
     )
-    digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:24]
-    return os.path.join(cache_dir, f"subimage_{digest}.npz")
-
-
-def _load_cached_subimage(path: str) -> Optional[SubImage]:
-    if not os.path.exists(path):
-        return None
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            image = SubImage(
-                intensity=archive["intensity"].copy(),
-                opacity=archive["opacity"].copy(),
-            )
-    except Exception:
-        return None
-    touch(path)  # LRU recency: a hit protects the entry from eviction
-    return image
-
-
-def _store_cached_subimage(path: str, image: SubImage) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.r{os.getpid()}.tmp.npz"
-    try:
-        np.savez_compressed(tmp, intensity=image.intensity, opacity=image.opacity)
-        os.replace(tmp, path)
-    except OSError:
-        # Cache is best-effort; never fail the render over it.
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        return
-    enforce_cache_budget(os.path.dirname(path) or ".", keep=path)
-
-
-def _lookup_render_cache(
-    cfg: RunConfig, rank: int, extent
-) -> tuple[Optional[str], Optional[SubImage]]:
-    """``(path, cached)`` for this rank's pristine render: ``path`` is
-    ``None`` with the cache off, ``cached`` is ``None`` on a miss."""
-    path = _render_cache_path(cfg, rank, extent)
+    path = entry_path("subimage", key)
     if path is None:
         return None, None
-    cached = _load_cached_subimage(path)
+    arrays = load_entry(path)
+    cached = None
+    if arrays is not None:
+        try:
+            cached = SubImage(arrays["intensity"], arrays["opacity"])
+        except (KeyError, ValueError, RenderError):
+            pass  # a foreign or damaged entry is a miss
     perf.incr(
         "pipeline.render_cache_misses" if cached is None else "pipeline.render_cache_hits"
     )
@@ -213,24 +180,31 @@ async def render_phase(ctx: BaseRankContext, cfg: RunConfig, scene: Scene) -> Su
     cache_path, cached = _lookup_render_cache(cfg, ctx.rank, extent)
     if cached is not None:
         return cached
-    render = render_subvolume if cfg.renderer == "raycast" else splat_subvolume
     with perf.timer("pipeline.render"):
-        image = render(scene.volume, scene.transfer, scene.camera, extent)
+        image = render_subvolume(scene.volume, scene.transfer, scene.camera, extent)
     if cache_path is not None:
-        _store_cached_subimage(cache_path, image)
+        store_entry(cache_path, intensity=image.intensity, opacity=image.opacity)
     return image
 
 
 # ---- composite phase --------------------------------------------------------
+def compositor_for(
+    method: "str | Compositor", plan: "PartitionPlan | FoldedPartition", **options
+) -> Compositor:
+    """The compositor that runs ``method`` on ``plan``: a registry name
+    is instantiated with ``options``, and a folded plan (any rank count,
+    or the survivors of a rank loss) gets the folding wrapper."""
+    compositor = make_compositor(method, **options) if isinstance(method, str) else method
+    if isinstance(plan, FoldedPartition) and not isinstance(compositor, FoldedCompositor):
+        compositor = FoldedCompositor(compositor)
+    return compositor
+
+
 async def composite_phase(
     ctx: BaseRankContext, cfg: RunConfig, image: SubImage, scene: Scene
 ) -> CompositeOutcome:
     """Run the configured compositing method on this rank."""
-    compositor = make_compositor(cfg.method, **cfg.method_options)
-    if isinstance(scene.plan, FoldedPartition):
-        from ..compositing.folding import FoldedCompositor
-
-        compositor = FoldedCompositor(compositor)
+    compositor = compositor_for(cfg.method, scene.plan, **cfg.method_options)
     with perf.timer("pipeline.composite"):
         outcome = await compositor.run(ctx, image, scene.plan, scene.camera.view_dir)
     if outcome.producer is None:
@@ -244,14 +218,12 @@ def _fusable(cfg: RunConfig, scene: Scene) -> bool:
     """True when render and composite can run as one overlapped phase.
 
     Requires the tile-routed method (the only engine with a per-tile
-    entry point), the ray caster (per-pixel independent, so clipped
-    renders are bit-identical), and an unfolded plan (the folding
+    entry point; the ray caster is per-pixel independent, so clipped
+    renders are bit-identical) and an unfolded plan (the folding
     wrapper drives ``run``, not ``run_fused``).
     """
-    return (
-        cfg.method.lower().partition(":")[0] == TILE_ROUTED
-        and cfg.renderer == "raycast"
-        and not isinstance(scene.plan, FoldedPartition)
+    return cfg.method.lower().partition(":")[0] == TILE_ROUTED and not isinstance(
+        scene.plan, FoldedPartition
     )
 
 
@@ -302,7 +274,7 @@ async def fused_render_composite_phase(
             ctx, camera.height, camera.width, scene.plan, camera.view_dir, render_tile
         )
     if cached is None and cache_path is not None:
-        _store_cached_subimage(cache_path, subimage)
+        store_entry(cache_path, intensity=subimage.intensity, opacity=subimage.opacity)
     if outcome.producer is None:
         outcome.producer = compositor.name
     return subimage, outcome
@@ -341,21 +313,21 @@ async def gather_phase(
 async def pipeline_rank_program(
     ctx: BaseRankContext,
     cfg: RunConfig,
-    gather_final: bool = True,
     fault_plan=None,
     recovery=None,
     progress=None,
+    plan=None,
 ):
     """One rank's full pipeline; module-level so every backend can ship it.
 
     Returns ``(subimage, outcome, final)`` where ``subimage`` is the
     pristine rendered image, ``outcome`` the compositing result, and
-    ``final`` the assembled display image on rank 0 (``None`` elsewhere
-    or when ``gather_final`` is off).
+    ``final`` the assembled display image on rank 0 (``None`` elsewhere).
 
     ``fault_plan`` (a :class:`~repro.cluster.faults.FaultPlan`) installs
     this rank's seeded injector, sinking its event records into
-    ``ctx.stats.events``; each phase boundary is a crash checkpoint.
+    ``ctx.stats.events``; each phase boundary is a crash checkpoint
+    (without an injector it only records the phase for failure reports).
 
     ``recovery`` (a :class:`~repro.cluster.recovery.RecoveryRuntime`)
     installs the stage checkpointer: the compositing engine snapshots
@@ -365,6 +337,13 @@ async def pipeline_rank_program(
     ``progress`` (a :class:`~repro.cluster.progress.ProgressFeed`,
     simulator only) installs the live partial-frame feed the engines
     emit into — copies only, no accounting impact.
+
+    ``plan`` replaces the config's own partition: the survivor-side
+    rerun after a rank loss passes the
+    :class:`~repro.volume.folded.FoldedPartition` built by
+    :func:`~repro.volume.folded.refold_survivors`, and bereaved cores
+    re-render their merged blocks (distinct render-cache entries — the
+    cache key carries the extent).
     """
     if progress is not None:
         ctx.install_progress(progress)
@@ -384,48 +363,20 @@ async def pipeline_rank_program(
             )
         )
     scene = build_scene(cfg)
+    if plan is not None:
+        scene = scene._replace(plan=plan)
+    ctx.fault_checkpoint("render")
     if _fusable(cfg, scene):
         # One overlapped phase: tiles enter the router mid-render.  The
         # render checkpoint covers both (there is no boundary between
         # them any more); results are bit-identical to the split path.
-        ctx.fault_checkpoint("render")
         subimage, outcome = await fused_render_composite_phase(ctx, cfg, scene)
     else:
-        ctx.fault_checkpoint("render")
         subimage = await render_phase(ctx, cfg, scene)
         ctx.fault_checkpoint("composite")
         outcome = await composite_phase(ctx, cfg, subimage.copy(), scene)
-    final = None
-    if gather_final:
-        ctx.fault_checkpoint("gather")
-        final = await gather_phase(
-            ctx, tile_from_outcome(outcome), scene.camera.height, scene.camera.width
-        )
-    return subimage, outcome, final
-
-
-async def degraded_rank_program(
-    ctx: BaseRankContext, cfg: RunConfig, plan, gather_final: bool = True,
-    progress=None,
-):
-    """Survivor-side rerun after a rank loss: the refolded plan's pipeline.
-
-    ``plan`` is the :class:`~repro.volume.folded.FoldedPartition` built
-    by :func:`~repro.volume.folded.refold_survivors`; bereaved cores
-    re-render their merged blocks (distinct render-cache entries — the
-    cache key carries the extent).  No faults are injected: degradation
-    is a clean pass on the surviving substrate.  ``progress`` re-installs
-    the run's live feed so the degraded attempt keeps streaming.
-    """
-    if progress is not None:
-        ctx.install_progress(progress)
-    scene = build_scene(cfg)
-    scene = Scene(scene.volume, scene.transfer, scene.camera, plan)
-    subimage = await render_phase(ctx, cfg, scene)
-    outcome = await composite_phase(ctx, cfg, subimage.copy(), scene)
-    final = None
-    if gather_final:
-        final = await gather_phase(
-            ctx, tile_from_outcome(outcome), scene.camera.height, scene.camera.width
-        )
+    ctx.fault_checkpoint("gather")
+    final = await gather_phase(
+        ctx, tile_from_outcome(outcome), scene.camera.height, scene.camera.width
+    )
     return subimage, outcome, final

@@ -58,7 +58,6 @@ class RenderJob:
     """
 
     deltas: Mapping[str, Any] = field(default_factory=dict)
-    gather_final: bool = True
     trace: bool = False
     fault_plan: Optional[FaultPlan] = None
     recovery: Optional[str] = None
@@ -135,7 +134,6 @@ class RenderSession:
             )
         cfg = job.config_for(self.config)
         result = SortLastSystem(cfg).run(
-            gather_final=job.gather_final,
             backend=self.backend,
             trace=job.trace,
             fault_plan=job.fault_plan,

@@ -18,7 +18,6 @@ Two entry points:
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
+from ..cache import cache_dir
 from ..cluster.backend import Backend, BackendRunResult, SimBackend, make_backend
 from ..cluster.faults import FaultPlan, crash_phase_of, crash_stage_of
 from ..cluster.model import MachineModel
@@ -57,12 +57,7 @@ from ..volume.folded import FoldedPartition, folded_depth_order, refold_survivor
 from ..volume.partition import PartitionPlan, depth_order
 from .assemble import assemble_outcomes
 from .config import RunConfig
-from .phases import (
-    GATHER_STAGE,
-    build_scene,
-    degraded_rank_program,
-    pipeline_rank_program,
-)
+from .phases import GATHER_STAGE, build_scene, compositor_for, pipeline_rank_program
 
 __all__ = [
     "CompositingRun",
@@ -120,14 +115,7 @@ def run_compositing(
         raise CompositingError(
             f"{num_ranks} images supplied for a {plan.num_ranks}-rank plan"
         )
-    compositor = (
-        make_compositor(method, **method_options) if isinstance(method, str) else method
-    )
-    if isinstance(plan, FoldedPartition):
-        from ..compositing.folding import FoldedCompositor
-
-        if not isinstance(compositor, FoldedCompositor):
-            compositor = FoldedCompositor(compositor)
+    compositor = compositor_for(method, plan, **method_options)
     view_dir = np.asarray(view_dir, dtype=np.float64)
     outcomes: list[CompositeOutcome | None] = [None] * num_ranks
 
@@ -260,18 +248,16 @@ class SortLastSystem:
     def run(
         self,
         *,
-        gather_final: bool = True,
         backend: str | Backend | None = None,
         trace: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        degrade: bool = True,
         recovery: "str | RecoveryPolicy | None" = None,
         schedule_policy=None,
         progress: Optional[ProgressFeed] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
         resume: "None | int | str" = None,
     ) -> SystemResult:
-        """Execute partition → render → composite (→ gather & assemble).
+        """Execute partition → render → composite → gather & assemble.
 
         ``backend`` overrides the config's ``backend`` field; pass a
         short name ("sim", "mp", "mpi") or a
@@ -283,31 +269,36 @@ class SortLastSystem:
         when a rank is then lost is decided by one recovery policy on
         the lattice ``abort < degrade < respawn < checkpoint-resume``
         (see :mod:`repro.cluster.recovery`): ``recovery`` overrides the
-        config's ``recovery`` field; the legacy ``degrade=False``
-        maps to ``abort``.  Stronger policies fall back down the lattice
-        when their mechanism does not apply — a respawn whose replay
-        would break the message protocol (or whose budget ran out)
-        degrades; a crash that cannot degrade re-raises the typed error.
-        Every recovery decision lands as a structured event in the
-        result's timeline.
+        config's ``recovery`` field.  Stronger policies fall back down
+        the lattice when their mechanism does not apply — a respawn
+        whose replay would break the message protocol (or whose budget
+        ran out) degrades; a crash that cannot degrade re-raises the
+        typed error.  Every recovery decision lands as a structured
+        event in the result's timeline.
+
+        Every engine run of this call — the first try and a recovery
+        re-run — is one ``attempt`` of the same rank program with the
+        same substrate options (machine, network, timeout, heartbeat,
+        ``trace``, ``schedule_policy``, ``progress``); a re-run changes
+        only what :meth:`_recover` returns, and never re-arms the fault
+        plan.
 
         ``schedule_policy`` (a
         :class:`~repro.cluster.schedule_policy.SchedulePolicy`,
         simulator only) hands the engine's event-ordering freedom to
-        the schedule explorer.  The *same* policy instance drives every
-        engine run of this call — including degraded/resumed recovery
-        re-runs — so its decision log covers the whole execution and
-        replays it end to end; the policy name, decision count, and
-        trace path (when arranged) land in the timeline meta.
+        the schedule explorer.  The same instance drives every attempt,
+        so its decision log covers the whole execution and replays it
+        end to end; the policy name, decision count, and trace path
+        (when arranged) land in the timeline meta.
 
         ``progress`` (a :class:`~repro.cluster.progress.ProgressFeed`,
         simulator only, one feed per run) streams a bit-exact partial
         frame after every completed exchange stage / completed tile and
         a flagged ``final`` event; the feed is closed when this call
-        returns (or raises).  Recovery re-runs reset the feed's
-        per-attempt accounting, so coverage stays monotone across a
-        degraded restart.  Feeds cannot cross the mp/mpi process
-        boundary, so real transports reject one up front.
+        returns (or raises).  A re-run resets the feed's per-attempt
+        accounting, so coverage stays monotone across a degraded
+        restart.  Feeds cannot cross the mp/mpi process boundary, so
+        real transports reject one up front.
 
         ``checkpoint_store`` (requires a resume-capable ``recovery``
         policy) replaces the run-private store with a caller-owned one —
@@ -332,12 +323,10 @@ class SortLastSystem:
                 f"share one process); backend {engine.name!r} cannot share a "
                 "feed across process boundaries"
             )
-        if recovery is not None:
-            policy = RecoveryPolicy.resolve(recovery, respawn_budget=cfg.respawn_budget)
-        elif not degrade:
-            policy = RecoveryPolicy.resolve("abort")
-        else:
-            policy = RecoveryPolicy.resolve(cfg.recovery, respawn_budget=cfg.respawn_budget)
+        policy = RecoveryPolicy.resolve(
+            cfg.recovery if recovery is None else recovery,
+            respawn_budget=cfg.respawn_budget,
+        )
 
         # Host-side scene build: the result mirrors what every rank
         # derives (memoized, and inherited by forked mp workers).
@@ -364,11 +353,10 @@ class SortLastSystem:
             if store is not None
             else None
         )
-        args: tuple = (cfg, gather_final)
-        if progress is not None:
-            args = (cfg, gather_final, fault_plan, runtime, progress)
-        elif fault_plan is not None or runtime is not None:
-            args = (cfg, gather_final, fault_plan, runtime)
+
+        def program_args(fault_plan=None, runtime=None, plan=None) -> tuple:
+            return (cfg, fault_plan, runtime, progress, plan)
+
         respawn = None
         if (
             engine.name == "mp"
@@ -377,41 +365,49 @@ class SortLastSystem:
         ):
             # Folded plans resend their fold messages on replay, which a
             # peer that already consumed them cannot absorb — in-place
-            # respawn is gated to plain bisection plans.
+            # respawn is gated to plain bisection plans.  A replacement
+            # never re-arms the fault plan.
+            latest = RecoveryRuntime(store, RESUME_LATEST) if store is not None else None
             respawn = RespawnPlan(
                 budget=policy.respawn_budget,
-                args=(
-                    cfg,
-                    gather_final,
-                    None,  # never re-arm the fault plan in a replacement
-                    RecoveryRuntime(store, RESUME_LATEST) if store is not None else None,
-                ),
+                args=program_args(runtime=latest),
                 store=store,
             )
+        network = cfg.build_network()
+
+        def attempt(
+            plan=None, *, fault_plan=None, runtime=None, respawn=None, **result_flags
+        ) -> SystemResult:
+            """One pass of the rank program over the substrate, built
+            into a result.  ``plan`` overrides the scene's partition
+            (and with it the rank count); ``result_flags`` are the
+            events/flags a recovery re-run stamps on its result."""
+            run_scene = scene if plan is None else scene._replace(plan=plan)
+            backend_result = engine.run(
+                run_scene.plan.num_ranks,
+                pipeline_rank_program,
+                program_args(fault_plan, runtime, plan),
+                model=cfg.machine,
+                trace=trace,
+                timeout=cfg.comm_timeout,
+                respawn=respawn,
+                heartbeat=cfg.heartbeat_interval,
+                network=network,
+                schedule_policy=schedule_policy,
+            )
+            return self._build_result(
+                engine, run_scene, backend_result,
+                schedule_policy=schedule_policy, progress=progress, **result_flags,
+            )
+
         try:
             try:
-                backend_result = engine.run(
-                    cfg.num_ranks,
-                    pipeline_rank_program,
-                    args,
-                    model=cfg.machine,
-                    trace=trace,
-                    timeout=cfg.comm_timeout,
-                    respawn=respawn,
-                    heartbeat=cfg.heartbeat_interval,
-                    network=cfg.build_network(),
-                    schedule_policy=schedule_policy,
-                )
+                return attempt(fault_plan=fault_plan, runtime=runtime, respawn=respawn)
             except RankFailedError as err:
-                return self._recover(
-                    engine, scene, err, policy, store,
-                    gather_final=gather_final, trace=trace,
-                    schedule_policy=schedule_policy, progress=progress,
-                )
-            return self._build_result(
-                engine, scene, backend_result, gather_final=gather_final,
-                schedule_policy=schedule_policy, progress=progress,
-            )
+                rerun = self._recover(engine, scene.plan, err, policy, store)
+                if progress is not None:
+                    progress.reset_attempt()
+                return attempt(**rerun)
         finally:
             if progress is not None:
                 progress.close()
@@ -434,9 +430,9 @@ class SortLastSystem:
             store: CheckpointStore = MemoryCheckpointStore()
             return store, store.clear
         if engine.name == "mp":
-            root = os.environ.get("REPRO_CACHE_DIR", "").strip()
+            root = cache_dir()
             tmp_root = None
-            if not root:
+            if root is None:
                 tmp_root = tempfile.mkdtemp(prefix="repro-ckpt-")
                 root = tmp_root
             disk = DiskCheckpointStore(root)
@@ -452,19 +448,15 @@ class SortLastSystem:
     def _recover(
         self,
         engine: Backend,
-        scene,
+        plan: PartitionPlan | FoldedPartition,
         err: RankFailedError,
         policy: RecoveryPolicy,
         store: Optional[CheckpointStore],
-        *,
-        gather_final: bool,
-        trace: bool,
-        schedule_policy=None,
-        progress: Optional[ProgressFeed] = None,
-    ) -> SystemResult:
-        """Walk down the policy lattice after an unrecovered rank failure.
+    ) -> dict[str, Any]:
+        """Walk down the policy lattice after an unrecovered rank
+        failure: what the re-run ``attempt`` changes, or re-raise.
 
-        Order: lockstep checkpoint-resume (simulator), then refold-based
+        Order: lockstep checkpoint-resume, then refold-based
         degradation, then re-raise (abort).  The mp backend's in-place
         respawn already ran inside the supervisor; reaching here means
         it was refused or exhausted, and ``err.events`` carries its
@@ -473,22 +465,43 @@ class SortLastSystem:
         cfg = self.config
         phase = crash_phase_of(err)
         stage = crash_stage_of(err)
+        failed = [err.rank]
         if (
             policy.allows_resume
             and engine.name in ("sim", "mp")
             and store is not None
         ):
-            # Lockstep resume needs a stage checkpointed by *every* rank;
-            # when the crash hit before one exists the lossless fallback
-            # is a clean full replay (resume=None) — still bit-identical,
-            # it just starts from stage 0.  Unlike in-place respawn this
-            # is protocol-safe on mp too: every rank restarts together,
-            # so the replayed exchange sequence is self-consistent.
+            # Every rank restores the *common* minimum checkpointed
+            # stage and replays from there — all ranks move together
+            # (protocol-safe on mp too, unlike in-place respawn), so the
+            # replayed exchange sequence is exactly the fault-free tail
+            # and pixels and byte/message counters land bit-identical to
+            # a clean run.  When the crash hit before any stage was
+            # checkpointed everywhere, ``resume`` is ``None``: a full
+            # replay from stage 0, equally lossless.
             resume = store.resumable_stage(cfg.num_ranks)
-            return self._run_resumed(
-                engine, scene, err, store, resume,
-                gather_final=gather_final, trace=trace, policy=policy,
-                schedule_policy=schedule_policy, progress=progress,
+            events = [
+                {
+                    "event": "detected",
+                    "fault": "crash",
+                    "rank": err.rank,
+                    "phase": phase,
+                    "stage": stage,
+                    "backend": engine.name,
+                },
+                {
+                    "event": "recovery",
+                    "policy": policy.name,
+                    "action": "checkpoint-resume",
+                    "failed_ranks": failed,
+                    "resume_stage": resume,
+                    "backend": engine.name,
+                },
+            ]
+            return dict(
+                runtime=RecoveryRuntime(store, resume),
+                recovered=True,
+                extra_events=list(err.events) + events,
             )
         degradable = (
             policy.allows_degrade
@@ -496,101 +509,18 @@ class SortLastSystem:
                 phase in ("render", "composite")
                 or (phase is None and stage is not None and stage != GATHER_STAGE)
             )
-            and isinstance(scene.plan, PartitionPlan)
-            and scene.plan.num_ranks >= 2
+            and isinstance(plan, PartitionPlan)
+            and plan.num_ranks >= 2
         )
         if not degradable:
             raise err
-        return self._run_degraded(
-            engine, scene, err,
-            gather_final=gather_final, trace=trace, phase=phase, stage=stage,
-            schedule_policy=schedule_policy, progress=progress,
-        )
-
-    def _run_resumed(
-        self,
-        engine: Backend,
-        scene,
-        err: RankFailedError,
-        store: CheckpointStore,
-        resume: Optional[int],
-        *,
-        gather_final: bool,
-        trace: bool,
-        policy: RecoveryPolicy,
-        schedule_policy=None,
-        progress: Optional[ProgressFeed] = None,
-    ) -> SystemResult:
-        """Lockstep checkpoint-resume on the simulator.
-
-        Every rank restores the *common* minimum checkpointed stage and
-        replays from there — all ranks move together, so the replayed
-        exchange sequence is exactly the fault-free tail and the final
-        image (and the deterministic byte/message counters) land
-        bit-identical to a clean run.  ``resume=None`` means no stage is
-        checkpointed everywhere yet: the replay starts from scratch,
-        which is equally lossless.  The fault plan is not re-armed.
-        """
-        cfg = self.config
-        events = list(err.events) + [
-            {
-                "event": "detected",
-                "fault": "crash",
-                "rank": err.rank,
-                "phase": crash_phase_of(err),
-                "stage": crash_stage_of(err),
-                "backend": engine.name,
-            },
-            {
-                "event": "recovery",
-                "policy": policy.name,
-                "action": "checkpoint-resume",
-                "failed_ranks": [err.rank],
-                "resume_stage": resume,
-                "backend": engine.name,
-            },
-        ]
-        if progress is not None:
-            progress.reset_attempt()
-        resume_args: tuple = (cfg, gather_final, None, RecoveryRuntime(store, resume))
-        if progress is not None:
-            resume_args = resume_args + (progress,)
-        backend_result = engine.run(
-            cfg.num_ranks,
-            pipeline_rank_program,
-            resume_args,
-            model=cfg.machine,
-            trace=trace,
-            timeout=cfg.comm_timeout,
-            network=cfg.build_network(),
-            schedule_policy=schedule_policy,
-        )
-        return self._build_result(
-            engine,
-            scene,
-            backend_result,
-            gather_final=gather_final,
-            extra_events=events,
-            recovered=True,
-            schedule_policy=schedule_policy,
-            progress=progress,
-        )
-
-    def _run_degraded(
-        self, engine: Backend, scene, err: RankFailedError, *, gather_final: bool,
-        trace: bool, phase: Optional[str] = "render", stage: Optional[int] = None,
-        schedule_policy=None, progress: Optional[ProgressFeed] = None,
-    ) -> SystemResult:
-        """Re-fold onto the survivors of a rank loss and rerun the
-        pipeline clean (no fault injection) on the smaller folded
-        machine.  Works for render- *and* composite-phase losses: the
-        survivors re-render their merged blocks either way."""
-        cfg = self.config
-        failed = [err.rank]
+        # Re-fold onto the survivors and rerun the pipeline clean on the
+        # smaller folded machine.  Works for render- *and* composite-phase
+        # losses: the survivors re-render their merged blocks either way.
         compositor = make_compositor(cfg.method, **cfg.method_options)
         pairs_of = getattr(compositor, "refold_pairs", None)
-        pairs = pairs_of(scene.plan.num_ranks) if pairs_of is not None else None
-        folded, rank_map = refold_survivors(scene.plan, failed, pairs=pairs)
+        pairs = pairs_of(plan.num_ranks) if pairs_of is not None else None
+        folded, rank_map = refold_survivors(plan, failed, pairs=pairs)
         detected: dict[str, Any] = {
             "event": "detected",
             "fault": "crash",
@@ -601,7 +531,7 @@ class SortLastSystem:
             detected["phase"] = phase
         if stage is not None:
             detected["stage"] = stage
-        orchestrator_events = list(err.events) + [
+        events = [
             detected,
             {
                 "event": "recovery",
@@ -617,34 +547,11 @@ class SortLastSystem:
                 "core_ranks": folded.core_ranks,
             },
         ]
-        if progress is not None:
-            progress.reset_attempt()
-        degraded_args: tuple = (cfg, folded, gather_final)
-        if progress is not None:
-            degraded_args = degraded_args + (progress,)
-        backend_result = engine.run(
-            folded.num_ranks,
-            degraded_rank_program,
-            degraded_args,
-            model=cfg.machine,
-            trace=trace,
-            timeout=cfg.comm_timeout,
-            network=cfg.build_network(),
-            schedule_policy=schedule_policy,
-        )
-        degraded_scene = type(scene)(
-            scene.volume, scene.transfer, scene.camera, folded
-        )
-        return self._build_result(
-            engine,
-            degraded_scene,
-            backend_result,
-            gather_final=gather_final,
+        return dict(
+            plan=folded,
             degraded=True,
             failed_ranks=failed,
-            extra_events=orchestrator_events,
-            schedule_policy=schedule_policy,
-            progress=progress,
+            extra_events=list(err.events) + events,
         )
 
     def _build_result(
@@ -653,7 +560,6 @@ class SortLastSystem:
         scene,
         backend_result: BackendRunResult,
         *,
-        gather_final: bool,
         degraded: bool = False,
         failed_ranks: Optional[list[int]] = None,
         extra_events: Optional[list[dict]] = None,
@@ -672,22 +578,13 @@ class SortLastSystem:
         ):
             recovered = True
 
-        compositor = make_compositor(cfg.method, **cfg.method_options)
-        if isinstance(scene.plan, FoldedPartition):
-            from ..compositing.folding import FoldedCompositor
-
-            compositor = FoldedCompositor(compositor)
         compositing = CompositingRun(
-            compositor=compositor,
+            compositor=compositor_for(cfg.method, scene.plan, **cfg.method_options),
             outcomes=outcomes,
             stats=_compositing_stats(backend_result),
         )
-
-        if gather_final:
-            final = backend_result.returns[0][2]
-            assert final is not None
-        else:
-            final = assemble_final(outcomes, scene.camera.height, scene.camera.width)
+        final = backend_result.returns[0][2]
+        assert final is not None
 
         meta = {
             "dataset": cfg.dataset,
@@ -696,8 +593,7 @@ class SortLastSystem:
             "image_size": cfg.image_size,
             "machine": cfg.machine.name,
             "topology": cfg.topology,
-            "renderer": cfg.renderer,
-            "gather_final": gather_final,
+            "renderer": "raycast",
             "degraded": degraded,
             "recovered": recovered,
             "outcome": run_outcome(degraded=degraded, recovered=recovered),

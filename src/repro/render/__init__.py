@@ -4,17 +4,13 @@ from .camera import Camera, rotation_matrix
 from .image import SubImage
 from .raycast import render_full, render_subvolume
 from .reference import composite_sequential, luminance
-from .splat import dominant_axis, splat_full, splat_subvolume
 
 __all__ = [
     "Camera",
     "SubImage",
     "composite_sequential",
-    "dominant_axis",
     "luminance",
     "render_full",
     "render_subvolume",
     "rotation_matrix",
-    "splat_full",
-    "splat_subvolume",
 ]

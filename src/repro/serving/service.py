@@ -119,9 +119,7 @@ class WorkerPool:
 
     A thin, countable wrapper over :class:`ThreadPoolExecutor`: at most
     ``max_workers`` renders progress at once; excess submissions queue
-    in FIFO order.  One pool is shared by every session of a service —
-    and can also back :func:`repro.experiments.harness.run_grid`, so
-    batch sweeps ride the same admission control as interactive jobs.
+    in FIFO order.  One pool is shared by every session of a service.
     """
 
     def __init__(self, max_workers: int = 2):
@@ -614,10 +612,6 @@ class RenderService:
         for handle in handles:
             handle.session.close()
         return cancelled
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Back-compat alias: ``close(drain=wait)``."""
-        self.close(drain=wait)
 
     def __enter__(self) -> "RenderService":
         return self

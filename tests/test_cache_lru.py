@@ -12,11 +12,15 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro import cache
 from repro.cache import (
     CACHE_LIMIT_ENV,
     cache_budget,
     enforce_cache_budget,
+    entry_path,
+    load_entry,
     parse_size,
+    store_entry,
     touch,
 )
 from repro.pipeline.config import RunConfig
@@ -115,6 +119,50 @@ class TestEviction:
         with perf.scope() as registry:
             enforce_cache_budget(root, max_bytes=50)
         assert registry.counter("cache.evictions") == 2
+
+
+class TestKeyedStore:
+    def test_round_trip_and_graceful_misses(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(cache.CACHE_DIR_ENV, raising=False)
+        assert entry_path("subimage", (1, "k")) is None  # caching off
+        path = entry_path("subimage", (1, "k"), root=str(tmp_path))
+        assert path == entry_path("subimage", (1, "k"), root=str(tmp_path))
+        assert path != entry_path("subimage", (2, "k"), root=str(tmp_path))
+        assert load_entry(path) is None
+        store_entry(path, a=np.arange(4), b=np.ones((2, 2)))
+        loaded = load_entry(path)
+        assert sorted(loaded) == ["a", "b"] and np.array_equal(loaded["a"], np.arange(4))
+        with open(path, "wb") as fh:
+            fh.write(b"not an npz archive")
+        assert load_entry(path) is None
+
+    def test_interleaved_stores_of_one_key_leave_a_loadable_entry(
+        self, tmp_path, monkeypatch
+    ):
+        """Process B stores the key while process A is halfway through
+        writing its temp file: with per-process temp names neither
+        writes through the other's file, and the entry stays whole."""
+        path = entry_path("workload", ("shared",), root=str(tmp_path))
+        ours, theirs = np.random.default_rng(7).random((2, 256))
+        real_savez = np.savez_compressed
+        pids = iter((101, 202))
+
+        def savez_a_then_b_midway(tmp, **arrays):
+            monkeypatch.setattr(cache.np, "savez_compressed", real_savez)
+            real_savez(tmp, **arrays)
+            with open(tmp, "rb") as fh:
+                whole = fh.read()
+            with open(tmp, "wb") as fh:
+                fh.write(whole[: len(whole) // 2])
+                fh.flush()
+                store_entry(path, data=theirs)  # process B, start to finish
+                fh.write(whole[len(whole) // 2 :])
+
+        monkeypatch.setattr(cache.os, "getpid", lambda: next(pids))
+        monkeypatch.setattr(cache.np, "savez_compressed", savez_a_then_b_midway)
+        store_entry(path, data=ours)  # process A
+        assert np.array_equal(load_entry(path)["data"], ours)
+        assert os.listdir(tmp_path) == [os.path.basename(path)]  # no temp litter
 
 
 class TestPipelineIntegration:

@@ -260,7 +260,7 @@ class TestCrashFaults:
         )
         with pytest.raises(RankFailedError):
             SortLastSystem(_config("bsbrc")).run(
-                backend=backend, fault_plan=plan, degrade=False
+                backend=backend, fault_plan=plan, recovery="abort"
             )
 
 

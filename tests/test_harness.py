@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from repro import perf
+from repro.cache import CACHE_DIR_ENV, cache_dir
 from repro.analysis.metrics import MethodMeasurement
 from repro.cluster.model import SP2
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
-    CACHE_ENV,
     RenderedWorkload,
     clear_workload_cache,
     load_rows,
-    render_cache_dir,
     rows_from_json,
     rows_to_json,
     run_grid,
@@ -96,14 +95,14 @@ class TestDiskCache:
     KW = dict(dataset="engine_low", image_size=48, max_ranks=4, **SMALL)
 
     def test_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV, raising=False)
-        assert render_cache_dir() is None
-        monkeypatch.setenv(CACHE_ENV, "   ")
-        assert render_cache_dir() is None
+        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+        assert cache_dir() is None
+        monkeypatch.setenv(CACHE_DIR_ENV, "   ")
+        assert cache_dir() is None
 
     def test_env_var_enables(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-        assert render_cache_dir() == str(tmp_path)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        assert cache_dir() == str(tmp_path)
 
     def _blocks_equal(self, a, b):
         assert len(a.blocks) == len(b.blocks)
@@ -151,7 +150,7 @@ class TestDiskCache:
         self._blocks_equal(again, fresh)
 
     def test_env_var_used_when_no_explicit_dir(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         perf.reset()
         RenderedWorkload(**self.KW)
         assert perf.counter("harness.disk_cache_stores") == 1

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.cluster.backend import SimBackend
+from repro.cluster.faults import FaultPlan, FaultRule
 from repro.cluster.model import IDEALIZED, SP2
-from repro.errors import ConfigurationError
+from repro.cluster.progress import ProgressFeed
+from repro.cluster.schedule_policy import DeterministicPolicy
+from repro.errors import ConfigurationError, RankFailedError
 from repro.pipeline.config import RunConfig
-from repro.pipeline.system import SortLastSystem
+from repro.pipeline.system import SortLastSystem, assemble_final
 
 SMALL = dict(volume_shape=(32, 32, 16), image_size=48, num_ranks=4)
 
@@ -69,17 +73,22 @@ class TestSortLastSystem:
         result = SortLastSystem(cfg).run()
         assert result.final_image.max_abs_diff(result.reference_image()) < 1e-9
 
+    @staticmethod
+    def _gathered_equals_local(method, backend="sim"):
+        cfg = RunConfig(dataset="head", method=method, **SMALL)
+        result = SortLastSystem(cfg).run(backend=backend)
+        side = cfg.image_size
+        local = assemble_final(result.compositing.outcomes, side, side)
+        assert result.final_image.max_abs_diff(local) == 0.0
+
     def test_gather_path_equals_local_assembly(self):
-        cfg = RunConfig(dataset="head", method="bsbrc", **SMALL)
-        gathered = SortLastSystem(cfg).run(gather_final=True)
-        local = SortLastSystem(cfg).run(gather_final=False)
-        assert gathered.final_image.max_abs_diff(local.final_image) == 0.0
+        self._gathered_equals_local("bsbrc")
 
     def test_gather_path_for_index_ownership(self):
-        cfg = RunConfig(dataset="head", method="bslc", **SMALL)
-        gathered = SortLastSystem(cfg).run(gather_final=True)
-        local = SortLastSystem(cfg).run(gather_final=False)
-        assert gathered.final_image.max_abs_diff(local.final_image) == 0.0
+        self._gathered_equals_local("bslc")
+
+    def test_gather_path_on_real_processes(self):
+        self._gathered_equals_local("bsbrc", backend="mp")
 
     def test_result_carries_stats(self):
         cfg = RunConfig(dataset="engine_low", method="bsbrc", **SMALL)
@@ -119,3 +128,66 @@ class TestSortLastSystem:
         result = SortLastSystem(cfg).run()
         assert result.final_image.max_abs_diff(result.reference_image()) < 1e-12
         assert result.compositing.stats.t_comm == 0.0
+
+
+class _RecordingBackend(SimBackend):
+    """The simulator, remembering what every ``run`` call was handed."""
+
+    def __init__(self):
+        self.calls = []
+
+    def run(self, num_ranks, program, args=(), **options):
+        self.calls.append((program, tuple(args), options))
+        return super().run(num_ranks, program, args, **options)
+
+
+class _CountingFeed(ProgressFeed):
+    resets = 0
+
+    def reset_attempt(self):
+        self.resets += 1
+        super().reset_attempt()
+
+
+class TestOneRunPath:
+    """Every engine run of one ``SortLastSystem.run`` call is the same
+    program on the same substrate options; a re-run differs only in the
+    plan, the recovery runtime, and the disarmed fault plan."""
+
+    CRASH = FaultPlan(rules=(FaultRule(kind="crash", rank=1, stage=1),), seed=5)
+
+    def _run(self, recovery):
+        backend, feed = _RecordingBackend(), _CountingFeed()
+        cfg = RunConfig(
+            dataset="engine_low", method="bsbrc", comm_timeout=7.0,
+            heartbeat_interval=0.0, topology="fat-tree:radix=4", **SMALL,
+        )
+        try:
+            result = SortLastSystem(cfg).run(
+                backend=backend, trace=True, fault_plan=self.CRASH, recovery=recovery,
+                schedule_policy=DeterministicPolicy(), progress=feed,
+            )
+        except RankFailedError:
+            result = None
+        return backend.calls, feed, result
+
+    @pytest.mark.parametrize("recovery", ["checkpoint-resume", "degrade"])
+    def test_rerun_keeps_program_and_substrate_options(self, recovery):
+        calls, feed, result = self._run(recovery)
+        assert len(calls) == 2 and feed.resets == 1
+        (prog_a, args_a, opts_a), (prog_b, args_b, opts_b) = calls
+        assert prog_a is prog_b and len(args_a) == len(args_b)
+        assert opts_a.keys() == opts_b.keys()
+        for name in ("model", "timeout", "heartbeat", "network", "trace", "schedule_policy"):
+            assert opts_a[name] is opts_b[name] or opts_a[name] == opts_b[name], name
+        assert (opts_a["timeout"], opts_a["heartbeat"], opts_a["trace"]) == (7.0, 0.0, True)
+        assert opts_a["network"] is not None and opts_a["schedule_policy"] is not None
+        # Only the first attempt is armed; the feed rides along on both.
+        assert self.CRASH in args_a and self.CRASH not in args_b
+        assert feed in args_a and feed in args_b
+        assert result.recovered == (recovery == "checkpoint-resume")
+        assert result.degraded == (recovery == "degrade")
+
+    def test_abort_reraises_without_a_rerun(self):
+        calls, feed, result = self._run("abort")
+        assert result is None and len(calls) == 1 and feed.resets == 0 and feed.closed

@@ -6,6 +6,7 @@ version is written.
 """
 
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -14,12 +15,14 @@ import pytest
 
 import repro
 import repro.compositing
+import repro.serving
 
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Public names removed with the hand-written method classes, the second
-#: wire-kernel family, the hypercube schedule helpers and the mp shim
-#: (CHANGELOG "Unreleased" lists each with its replacement).
+#: wire-kernel family, the hypercube schedule helpers, the mp shim, the
+#: splatting renderer and the second rank program (CHANGELOG lists each
+#: with its replacement).
 REMOVED_NAMES = {
     "BinarySwap",
     "BinarySwapBoundingRect",
@@ -40,6 +43,14 @@ REMOVED_NAMES = {
     "ring_next",
     "ring_prev",
     "run_compositing_mp",
+    "splat_subvolume",
+    "splat_full",
+    "dominant_axis",
+    "psnr",
+    "image_delta",
+    "ImageDelta",
+    "mean_abs_error",
+    "degraded_rank_program",
 }
 
 #: Every module but the ``python -m`` entry scripts, which run on import.
@@ -64,12 +75,31 @@ def test_module_imports_and_all_resolves(name):
 
 
 @pytest.mark.parametrize(
-    "package", ["repro", "repro.compositing", "repro.cluster", "repro.pipeline"]
+    "package",
+    [
+        "repro", "repro.compositing", "repro.cluster", "repro.pipeline",
+        "repro.pipeline.phases", "repro.render", "repro.analysis",
+    ],
 )
 def test_removed_names_stay_removed(package):
     module = importlib.import_module(package)
     assert not REMOVED_NAMES & set(module.__all__)
     assert not [name for name in REMOVED_NAMES if hasattr(module, name)]
+
+
+def test_run_path_options_stay_removed():
+    """One way to run a frame: it always gathers, ``recovery="abort"`` is
+    the one spelling of no-degrade, and the ray caster is the renderer."""
+    from repro.experiments.harness import run_grid, run_method
+    from repro.pipeline import RenderJob, RunConfig, SortLastSystem
+
+    gone = {"gather_final", "degrade", "renderer"}
+    for accepts in (SortLastSystem.run, RenderJob, RunConfig):
+        assert not gone & set(inspect.signature(accepts).parameters), accepts
+    for accepts in (run_method, run_grid):
+        params = inspect.signature(accepts).parameters
+        assert "pool" not in params and "engine" not in params, accepts
+    assert not hasattr(repro.serving.RenderService, "shutdown")  # close() is the one name
 
 
 def test_version_has_one_source():

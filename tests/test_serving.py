@@ -690,23 +690,6 @@ class TestTornSpoolWrites:
 
 
 class TestWorkerPool:
-    def test_grid_rides_the_shared_pool(self):
-        from repro.experiments.harness import run_grid
-
-        pool = WorkerPool(3)
-        try:
-            pooled = run_grid(
-                ["sphere"], 48, [2, 4], ["bs", "bsbrc"],
-                volume_shape=(32, 32, 16), pool=pool,
-            )
-            inline = run_grid(
-                ["sphere"], 48, [2, 4], ["bs", "bsbrc"],
-                volume_shape=(32, 32, 16),
-            )
-        finally:
-            pool.shutdown()
-        assert [r.as_dict() for r in pooled] == [r.as_dict() for r in inline]
-
     def test_pool_requires_a_worker(self):
         with pytest.raises(ConfigurationError):
             WorkerPool(0)
