@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick bench-scale bench-tile bench-e2e bench-e2e-smoke chaos explore explore-smoke grid serve-smoke serve-chaos soak verify lint results quick clean
+.PHONY: install test bench bench-quick bench-scale bench-tile bench-e2e bench-e2e-smoke bench-pairs chaos explore explore-smoke grid serve-smoke serve-chaos soak verify lint results quick clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -41,6 +41,15 @@ bench-e2e:
 # golden digests and modelled clocks, span accounting, the driver form.
 bench-e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
+
+# Before/after claim: alternating parent/change pairs of the driver form
+# of one workload (medians, quartiles, wins; ~0.5 min per pair).
+#   make bench-pairs REV=HEAD~1 WORKLOAD=oneshot_sparse [PAIRS=10] [SEED=0]
+PAIRS ?= 10
+SEED ?= 0
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --against $(REV) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seed $(SEED)
 
 # Randomized fault-injection suite (seeded, so failures reproduce).
 # Uses pytest-timeout's per-test kill switch when installed; the suite

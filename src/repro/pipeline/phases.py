@@ -13,7 +13,7 @@ Phase semantics:
   setup: dataset, camera, bisection (or folded) plan.  Runs identically
   on every rank; results are memoized in-process.
 * **render** (:func:`render_phase`) — embarrassingly parallel, no
-  communication; uses the chunked ray marcher and an optional
+  communication; uses the batched ray marcher and an optional
   ``REPRO_CACHE_DIR`` on-disk per-rank subimage cache.  No model time
   is charged: the paper measures compositing only.
 * **composite** (:func:`composite_phase`) — the measured phase; runs the

@@ -86,17 +86,24 @@ class VolumeGrid:
         plus one block of dilation in every direction).  A sample whose
         block bound is below the transfer function's zero-opacity
         threshold contributes exactly nothing, so the renderer skips
-        interpolating it.  Cached per instance and block size — the
+        interpolating it.
+
+        ``block`` is a power of two: the levels are one pyramid, each the
+        pairwise maximum of the one below, and a request caches every
+        level it passes through — the renderer's coarse (8) request also
+        leaves its fine (2) level behind.  Cached per instance; the
         harness renders 64 subvolumes of the same grid.
         """
-        if block < 1:
-            raise ConfigurationError(f"block must be >= 1, got {block}")
+        if block < 2 or block & (block - 1):
+            raise ConfigurationError(f"block must be a power of two >= 2, got {block}")
         cache: dict[int, np.ndarray] = self.__dict__.setdefault("_occupancy_cache", {})
-        occ = cache.get(block)
-        if occ is None:
-            occ = _dilated_block_max(self.data, block)
-            cache[block] = occ
-        return occ
+        if block not in cache:
+            level, size = self.data, 1
+            while size < block:
+                level, size = _halve(level), size * 2
+                if size not in cache:
+                    cache[size] = _dilate(level)
+        return cache[block]
 
     # ---- construction helpers -------------------------------------------------
     @staticmethod
@@ -113,17 +120,27 @@ class VolumeGrid:
         )
 
 
-def _dilated_block_max(data: np.ndarray, block: int) -> np.ndarray:
-    """Per-block maximum of ``data``, dilated by one block per axis.
+def _halve(a: np.ndarray) -> np.ndarray:
+    """Maximum over 2x2x2 blocks; a trailing odd slice stands alone, which
+    is what edge-replication padding to a whole block would give."""
+    for axis in range(3):
+        index = (slice(None),) * axis
+        odd = a[index + (slice(1, None, 2),)]
+        a = np.array(a[index + (slice(0, None, 2),)])
+        paired = a[index + (slice(0, odd.shape[axis]),)]
+        np.maximum(paired, odd, out=paired)
+    return a
 
-    Edge-replication padding keeps partial boundary blocks conservative,
-    and the 3x3x3 maximum filter guarantees the bound also covers the
-    ``+1`` neighbor voxel a trilinear stencil reads across a block edge.
-    """
-    from scipy import ndimage
 
-    pads = [(0, (-n) % block) for n in data.shape]
-    padded = np.pad(data, pads, mode="edge") if any(p[1] for p in pads) else data
-    bx, by, bz = (n // block for n in padded.shape)
-    coarse = padded.reshape(bx, block, by, block, bz, block).max(axis=(1, 3, 5))
-    return ndimage.maximum_filter(coarse, size=3, mode="nearest")
+def _dilate(a: np.ndarray) -> np.ndarray:
+    """Separable 3-tap maximum: each block also bounds its 26 neighbours,
+    so the ``+1`` voxel a trilinear stencil reads across a block edge is
+    covered."""
+    for axis in range(3):
+        index = (slice(None),) * axis
+        lo, hi = index + (slice(0, -1),), index + (slice(1, None),)
+        out = a.copy()
+        np.maximum(out[lo], a[hi], out=out[lo])
+        np.maximum(out[hi], a[lo], out=out[hi])
+        a = out
+    return a

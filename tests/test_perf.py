@@ -177,5 +177,5 @@ class TestInstrumentation:
         )
         render_full(volume, transfer, camera)
         counters = perf.report()["counters"]
-        assert counters.get("raycast.chunks", 0) > 0
+        assert counters.get("raycast.batches", 0) > 0
         assert counters.get("raycast.samples", 0) > 0

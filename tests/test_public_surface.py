@@ -21,8 +21,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Public names removed with the hand-written method classes, the second
 #: wire-kernel family, the hypercube schedule helpers, the mp shim, the
-#: splatting renderer and the second rank program (CHANGELOG lists each
-#: with its replacement).
+#: splatting renderer, the second rank program and the step-chunked
+#: marcher (CHANGELOG lists each with its replacement).
 REMOVED_NAMES = {
     "BinarySwap",
     "BinarySwapBoundingRect",
@@ -51,6 +51,7 @@ REMOVED_NAMES = {
     "ImageDelta",
     "mean_abs_error",
     "degraded_rank_program",
+    "DEFAULT_CHUNK_STEPS",
 }
 
 #: Every module but the ``python -m`` entry scripts, which run on import.
@@ -78,7 +79,7 @@ def test_module_imports_and_all_resolves(name):
     "package",
     [
         "repro", "repro.compositing", "repro.cluster", "repro.pipeline",
-        "repro.pipeline.phases", "repro.render", "repro.analysis",
+        "repro.pipeline.phases", "repro.render", "repro.render.raycast", "repro.analysis",
     ],
 )
 def test_removed_names_stay_removed(package):
@@ -100,6 +101,17 @@ def test_run_path_options_stay_removed():
         params = inspect.signature(accepts).parameters
         assert "pool" not in params and "engine" not in params, accepts
     assert not hasattr(repro.serving.RenderService, "shutdown")  # close() is the one name
+
+
+def test_marcher_options_stay_removed():
+    """The ray-batched marcher samples a ray's whole span at once: there
+    is no step chunk to size and no point to cut a ray off at."""
+    from repro.render.raycast import RaySetup, render_full, render_subvolume
+
+    for accepts in (render_subvolume, render_full, RaySetup.march_into):
+        params = inspect.signature(accepts).parameters
+        assert not {"early_termination", "chunk_steps"} & set(params), accepts
+        assert not any(p.kind is p.VAR_KEYWORD for p in params.values()), accepts
 
 
 def test_version_has_one_source():

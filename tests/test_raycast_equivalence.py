@@ -1,11 +1,10 @@
-"""Bit-identity of the chunked marcher against the per-step reference.
+"""Bit-identity of the batched marcher against the per-step reference.
 
 The whole compositing test pyramid rests on renders being exactly
-reproducible, so the production marcher (chunked sampling + active-ray
-compaction + occupancy-based empty-space skipping + exact early
-termination) is pinned to the original per-step loop bit for bit — not
-approximately — across every paper dataset, viewpoint, subvolume shape
-and chunk size.
+reproducible, so the production marcher (ray batches + two-level
+occupancy-based empty-space skipping + by-rounds accumulation) is pinned
+to the original per-step loop bit for bit — not approximately — across
+every dataset, viewpoint, subvolume shape, step length and batch size.
 """
 
 import numpy as np
@@ -13,9 +12,11 @@ import pytest
 
 from repro import perf
 from repro.errors import RenderError
+from repro.render import raycast
 from repro.render.camera import Camera
-from repro.render.raycast import DEFAULT_CHUNK_STEPS, render_full, render_subvolume
-from repro.types import Extent3
+from repro.render.image import SubImage
+from repro.render.raycast import RaySetup, render_full, render_subvolume
+from repro.types import Extent3, Rect
 from repro.volume.datasets import PAPER_DATASETS, make_dataset
 from repro.volume.grid import VolumeGrid
 from repro.volume.transfer import TransferFunction
@@ -37,13 +38,32 @@ def _camera(volume, size=40, rot_x=20.0, rot_y=30.0):
 
 class TestChunkedMatchesReference:
     @pytest.mark.parametrize("dataset", PAPER_DATASETS)
-    @pytest.mark.parametrize("chunk_steps", [1, 3, DEFAULT_CHUNK_STEPS, 64])
-    def test_full_volume(self, dataset, chunk_steps):
+    @pytest.mark.parametrize("batch_cap", [1, 3, 8, 64])
+    def test_full_volume(self, dataset, batch_cap, monkeypatch):
+        """Caps below a ray's length: every ray marches alone, or a few
+        together."""
         volume, transfer = make_dataset(dataset, SHAPE)
-        camera = _camera(volume)
+        camera = _camera(volume, size=24)
         ref = render_full(volume, transfer, camera, march="reference")
-        opt = render_full(volume, transfer, camera, chunk_steps=chunk_steps)
+        monkeypatch.setattr(raycast, "_BATCH_SAMPLES", batch_cap)
+        opt = render_full(volume, transfer, camera)
         assert _identical(ref, opt)
+
+    @pytest.mark.parametrize("shape", [SHAPE, (21, 13, 9)])
+    @pytest.mark.parametrize("dataset", [*PAPER_DATASETS, "sphere"])
+    def test_steps_and_batch_caps(self, dataset, shape, monkeypatch):
+        volume, transfer = make_dataset(dataset, shape)
+        default_cap = raycast._BATCH_SAMPLES
+        for step in (0.4, 0.6, 1.0, 1.5, 2.5):
+            camera = Camera(
+                width=30, height=22, volume_shape=volume.shape,
+                rot_x=-25.0, rot_y=40.0, rot_z=10.0, step=step,
+            )
+            ref = render_full(volume, transfer, camera, march="reference")
+            for cap in (1, 50, default_cap):
+                monkeypatch.setattr(raycast, "_BATCH_SAMPLES", cap)
+                opt = render_full(volume, transfer, camera)
+                assert _identical(ref, opt), f"step {step}, batch cap {cap}"
 
     @pytest.mark.parametrize("dataset", PAPER_DATASETS)
     def test_subvolume_extents(self, dataset):
@@ -96,42 +116,17 @@ class TestChunkedMatchesReference:
 
 
 class TestEarlyTermination:
-    def _opaque_scene(self):
+    def test_exact_termination_is_bit_identical(self):
+        """Nothing is retired early: behind an opaque wall a saturated ray
+        (transmittance exactly 0) keeps adding +0.0, as the reference
+        does."""
         volume = VolumeGrid(data=np.full(SHAPE, 0.9, dtype=np.float32), name="wall")
         transfer = TransferFunction(lo=0.1, hi=0.3, max_alpha=1.0)
-        return volume, transfer
-
-    def test_exact_termination_is_bit_identical(self):
-        volume, transfer = self._opaque_scene()
         camera = _camera(volume)
         ref = render_full(volume, transfer, camera, march="reference")
-        opt = render_full(volume, transfer, camera)  # default: exact
+        opt = render_full(volume, transfer, camera)
         assert _identical(ref, opt)
-
-    def test_exact_termination_retires_rays(self):
-        volume, transfer = self._opaque_scene()
-        camera = _camera(volume)
-        perf.reset()
-        render_full(volume, transfer, camera, chunk_steps=4)
-        assert perf.counter("raycast.terminated_rays") > 0
-
-    def test_aggressive_threshold_error_is_bounded(self):
-        volume, transfer = make_dataset("head", SHAPE)
-        camera = _camera(volume)
-        exact = render_full(volume, transfer, camera)
-        threshold = 0.95
-        lossy = render_full(volume, transfer, camera, early_termination=threshold)
-        # Stopping at accumulated opacity >= T leaves at most the
-        # remaining transmittance 1 - T unaccumulated per pixel.
-        assert float(np.abs(exact.opacity - lossy.opacity).max()) <= 1.0 - threshold
-        assert float(np.abs(exact.intensity - lossy.intensity).max()) <= 1.0 - threshold
-
-    def test_threshold_one_equals_default(self):
-        volume, transfer = self._opaque_scene()
-        camera = _camera(volume)
-        a = render_full(volume, transfer, camera)
-        b = render_full(volume, transfer, camera, early_termination=1.0)
-        assert _identical(a, b)
+        assert opt.opacity.max() == 1.0
 
 
 class TestValidation:
@@ -140,37 +135,80 @@ class TestValidation:
         with pytest.raises(RenderError):
             render_full(volume, transfer, _camera(volume), march="nope")
 
-    def test_bad_chunk_steps_rejected(self):
-        volume, transfer = make_dataset("cube", SHAPE)
-        with pytest.raises(RenderError):
-            render_full(volume, transfer, _camera(volume), chunk_steps=0)
 
-    @pytest.mark.parametrize("threshold", [0.0, -0.5, 1.5])
-    def test_bad_early_termination_rejected(self, threshold):
-        volume, transfer = make_dataset("cube", SHAPE)
-        with pytest.raises(RenderError):
-            render_full(volume, transfer, _camera(volume), early_termination=threshold)
+class TestBatches:
+    """Working memory is bounded by the batch cap, not the image size."""
+
+    def _render(self, size, monkeypatch):
+        """``(rays, steps)`` of every expansion (span pre-pass included)
+        and the counters of one ``render_full``."""
+        batches = []
+        real_expand = raycast._expand
+
+        def recording_expand(origins, view_dir, step, t_half, first, counts, *stride):
+            batches.append((counts.size, int(counts.sum())))
+            return real_expand(origins, view_dir, step, t_half, first, counts, *stride)
+
+        monkeypatch.setattr(raycast, "_expand", recording_expand)
+        volume, transfer = make_dataset("head", SHAPE)
+        with perf.scope() as work:
+            render_full(volume, transfer, _camera(volume, size=size))
+        return batches, work
+
+    def test_a_large_frame_marches_in_capped_batches(self, monkeypatch):
+        cap = raycast._BATCH_SAMPLES
+        batches, work = self._render(256, monkeypatch)
+        assert all(steps <= cap for _, steps in batches)
+        in_span = work.counter("raycast.samples") + work.counter("raycast.samples_skipped")
+        assert work.counter("raycast.batches") >= -(-in_span // cap) > 1
+
+    def test_a_ray_longer_than_the_cap_marches_alone(self, monkeypatch):
+        monkeypatch.setattr(raycast, "_BATCH_SAMPLES", 7)
+        batches, _ = self._render(40, monkeypatch)
+        assert any(steps > 7 for _, steps in batches)
+        assert all(steps <= 7 or rays == 1 for rays, steps in batches)
 
 
 class TestOccupancyGrid:
     def test_bound_is_conservative(self):
         """occ at a voxel's block bounds every voxel of the block and its
         full one-block neighbourhood — the empty-space-skip soundness
-        invariant."""
+        invariant, at every level of the pyramid."""
         rng = np.random.default_rng(11)
         data = rng.random((21, 13, 9)).astype(np.float32)
         volume = VolumeGrid(data=data, name="rand")
-        block = 4
-        occ = volume.occupancy_max(block)
-        for _ in range(300):
-            x, y, z = (int(rng.integers(0, n)) for n in data.shape)
-            lo = [max(0, (v // block) * block - block) for v in (x, y, z)]
-            hi = [
-                min(n, (v // block) * block + 2 * block)
-                for v, n in zip((x, y, z), data.shape)
-            ]
-            neighbourhood_max = data[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]].max()
-            assert occ[x // block, y // block, z // block] >= neighbourhood_max
+        for block in (2, 4, 8):
+            occ = volume.occupancy_max(block)
+            for _ in range(300):
+                x, y, z = (int(rng.integers(0, n)) for n in data.shape)
+                lo = [max(0, (v // block) * block - block) for v in (x, y, z)]
+                hi = [
+                    min(n, (v // block) * block + 2 * block)
+                    for v, n in zip((x, y, z), data.shape)
+                ]
+                neighbourhood_max = data[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]].max()
+                assert occ[x // block, y // block, z // block] >= neighbourhood_max
+
+    @pytest.mark.parametrize("shape", [(21, 13, 9), (37, 19, 11), (5, 1, 3)])
+    def test_pyramid_levels_equal_the_reshape_max_definition(self, shape):
+        """The recorded definition of a level: edge-pad to whole blocks,
+        block maximum, 3x3x3 maximum filter.  Pairwise halving must give
+        exactly that, on shapes no block size divides and whichever
+        level is asked for first."""
+        from scipy import ndimage
+
+        def defined(data, block):
+            pads = [(0, (-n) % block) for n in data.shape]
+            padded = np.pad(data, pads, mode="edge")
+            bx, by, bz = (n // block for n in padded.shape)
+            coarse = padded.reshape(bx, block, by, block, bz, block).max(axis=(1, 3, 5))
+            return ndimage.maximum_filter(coarse, size=3, mode="nearest")
+
+        data = np.random.default_rng(5).random(shape).astype(np.float32)
+        for order in ((8, 2, 4), (2, 4, 8)):
+            volume = VolumeGrid(data=data, name="rand")
+            for block in order:
+                assert np.array_equal(volume.occupancy_max(block), defined(data, block))
 
     def test_cached_per_block_size(self):
         volume = make_dataset("cube", SHAPE)[0]
@@ -181,8 +219,9 @@ class TestOccupancyGrid:
         from repro.errors import ConfigurationError
 
         volume = make_dataset("cube", SHAPE)[0]
-        with pytest.raises(ConfigurationError):
-            volume.occupancy_max(0)
+        for block in (0, 1, 6):
+            with pytest.raises(ConfigurationError):
+                volume.occupancy_max(block)
 
     def test_sparse_volume_skips_samples(self):
         volume, transfer = make_dataset("engine_high", SHAPE)
@@ -191,6 +230,25 @@ class TestOccupancyGrid:
         render_full(volume, transfer, camera)
         report = perf.report()["counters"]
         assert report.get("raycast.samples_skipped", 0) > 0
+
+    def test_skip_counter_is_a_per_ray_count(self):
+        """``samples_skipped`` counts in-span samples proven empty, so
+        with ``samples`` it adds up to the rays' spans — however the rays
+        are selected and batched."""
+        volume, transfer = make_dataset("engine_high", SHAPE)
+        setup = RaySetup(volume, transfer, _camera(volume))
+        in_span = int((setup.kmax - setup.kmin + 1).sum())
+        counts = []
+        for band in (40, 14):  # the whole frame at once, then three row bands
+            image = SubImage.blank(40, 40)
+            with perf.scope() as work:
+                for y in range(0, 40, band):
+                    setup.march_into(image.intensity, image.opacity, Rect(y, 0, y + band, 40))
+            counts.append(
+                (work.counter("raycast.samples"), work.counter("raycast.samples_skipped"))
+            )
+            assert sum(counts[-1]) == in_span
+        assert counts[0] == counts[1] and 0 < counts[0][0] < in_span
 
     def test_isolated_blob_drops_empty_rays(self):
         """Rays that only cross empty space are retired before sampling,
