@@ -43,8 +43,9 @@ bench-e2e-smoke:
 	$(PYTHON) -m pytest benchmarks/e2e -q
 
 # Before/after claim: alternating parent/change pairs of the driver form
-# of one workload (medians, quartiles, wins; ~0.5 min per pair).
-#   make bench-pairs REV=HEAD~1 WORKLOAD=oneshot_sparse [PAIRS=10] [SEED=0]
+# of each named workload (medians, quartiles, wins, and a regress verdict
+# against the BENCHMARK.json bound; ~0.5 min per pair).
+#   make bench-pairs REV=HEAD~1 WORKLOAD="oneshot_sparse serve_spool" [PAIRS=10] [SEED=0]
 PAIRS ?= 10
 SEED ?= 0
 bench-pairs:

@@ -14,7 +14,6 @@ from .backend import (
     Backend,
     BackendRunResult,
     MPBackend,
-    MPIBackend,
     SimBackend,
     make_backend,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "IDEALIZED",
     "MODERN_CLUSTER",
     "MPBackend",
-    "MPIBackend",
     "MachineModel",
     "Op",
     "PRESETS",

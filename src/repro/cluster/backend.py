@@ -1,4 +1,4 @@
-"""Pluggable execution backends: one rank program, three substrates.
+"""Pluggable execution backends: one rank program, two substrates.
 
 A *rank program* is a picklable module-level ``async def program(ctx,
 *args)`` written against :class:`~repro.cluster.protocol.BaseRankContext`.
@@ -10,10 +10,8 @@ A :class:`Backend` runs ``num_ranks`` copies of it and returns a uniform
   virtual time (deterministic, bit-identical traces).
 * :class:`MPBackend` — real OS processes over multiprocessing queues;
   reports *wall-clock* time and :mod:`repro.perf` reports per rank.
-* :class:`MPIBackend` — real MPI via mpi4py (SPMD: call it from inside
-  an ``mpiexec`` job); wall-clock like MPBackend.
 
-All three fill the same per-stage byte/message counters, so a program's
+Both fill the same per-stage byte/message counters, so a program's
 communication volume can be cross-checked across substrates.  Pick a
 backend by name with :func:`make_backend`.
 """
@@ -21,7 +19,6 @@ backend by name with :func:`make_backend`.
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
@@ -36,7 +33,6 @@ __all__ = [
     "BackendRunResult",
     "SimBackend",
     "MPBackend",
-    "MPIBackend",
     "BACKENDS",
     "make_backend",
 ]
@@ -46,7 +42,7 @@ __all__ = [
 class BackendRunResult:
     """Uniform outcome of running a rank program on any backend."""
 
-    #: Backend short name: "sim" | "mp" | "mpi".
+    #: Backend short name: "sim" | "mp".
     backend: str
     #: What ``makespan`` measures: "modelled" virtual seconds or "wall".
     clock: str
@@ -61,9 +57,6 @@ class BackendRunResult:
     wall_times: list[float] = field(default_factory=list)
     #: Per-rank :func:`repro.perf.report` snapshots (empty on the simulator).
     rank_perf: list[dict] = field(default_factory=list)
-    #: On SPMD backends (MPI) the rank this process ran as; ``None`` when
-    #: the calling process orchestrated all ranks (sim, mp).
-    local_rank: Optional[int] = None
     #: Supervisor-level recovery events (worker respawns on mp); empty
     #: elsewhere.  Merged into :meth:`timeline` output automatically.
     events: list[dict] = field(default_factory=list)
@@ -128,7 +121,6 @@ class Backend(abc.ABC):
         respawn=None,
         heartbeat: Optional[float] = None,
         network=None,
-        engine: Optional[str] = None,
         schedule_policy=None,
     ) -> BackendRunResult:
         """Run ``program(ctx, *args)`` on ``num_ranks`` ranks.
@@ -138,11 +130,9 @@ class Backend(abc.ABC):
         ``timeout`` bounds per-receive blocking on real transports.
         ``respawn`` (a :class:`~repro.cluster.recovery.RespawnPlan`) and
         ``heartbeat`` (liveness-stamp interval in seconds) configure the
-        multiprocessing supervisor's recovery machinery; other
-        substrates ignore them (the simulator recovers by lockstep
-        re-run, MPI cannot respawn ranks mid-job).  ``network`` (a
-        :class:`~repro.cluster.model.Network` topology) and ``engine``
-        (``"event"``/``"lockstep"`` scheduler choice) are
+        multiprocessing supervisor's recovery machinery; the simulator
+        ignores them (it recovers by lockstep re-run).  ``network`` (a
+        :class:`~repro.cluster.model.Network` topology) is
         simulator-only; real transports reject a non-flat network since
         they cannot model one.  ``schedule_policy`` (a
         :class:`~repro.cluster.schedule_policy.SchedulePolicy`) hands
@@ -174,7 +164,6 @@ class SimBackend(Backend):
         respawn=None,
         heartbeat: Optional[float] = None,
         network=None,
-        engine: Optional[str] = None,
         schedule_policy=None,
     ) -> BackendRunResult:
         if model is None:
@@ -186,7 +175,6 @@ class SimBackend(Backend):
             model,
             trace=trace,
             network=network,
-            engine="event" if engine is None else engine,
             policy=schedule_policy,
         )
         result = simulator.run(lambda ctx: program(ctx, *args))
@@ -221,7 +209,6 @@ class MPBackend(Backend):
         respawn=None,
         heartbeat: Optional[float] = None,
         network=None,
-        engine: Optional[str] = None,
         schedule_policy=None,
     ) -> BackendRunResult:
         from .mp_backend import DEFAULT_TIMEOUT, HEARTBEAT_INTERVAL, run_rank_programs_mp
@@ -247,62 +234,6 @@ class MPBackend(Backend):
             wall_times=result.wall_times,
             rank_perf=result.perf_reports,
             events=list(result.events),
-        )
-
-
-class MPIBackend(Backend):
-    """Real MPI via mpi4py.  SPMD: every process of an ``mpiexec`` job
-    calls :meth:`run`; results are allgathered so each process returns
-    the same uniform :class:`BackendRunResult` (``local_rank`` tells a
-    process which rank it ran as)."""
-
-    name = "mpi"
-    clock = "wall"
-
-    def run(
-        self,
-        num_ranks: int,
-        program,
-        args: Sequence[Any] = (),
-        *,
-        model: Optional[MachineModel] = None,
-        trace: bool = False,
-        timeout: Optional[float] = None,
-        respawn=None,
-        heartbeat: Optional[float] = None,
-        network=None,
-        engine: Optional[str] = None,
-        schedule_policy=None,
-    ) -> BackendRunResult:
-        from .. import perf
-        from .mpi_backend import MPIRankContext, require_mpi
-        from .protocol import drive
-
-        _require_flat_network(self.name, network)
-        _require_deterministic_schedule(self.name, schedule_policy)
-        require_mpi()
-        ctx = MPIRankContext()
-        if ctx.size != num_ranks:
-            raise ConfigurationError(
-                f"MPI job has {ctx.size} ranks but the run asked for {num_ranks}; "
-                "launch with mpiexec -n matching num_ranks"
-            )
-        perf.reset()
-        start = time.perf_counter()
-        with perf.timer("backend.mpi.rank_program"):
-            value = drive(program(ctx, *args))
-        wall = time.perf_counter() - start
-        gathered = ctx.comm.allgather((value, ctx.stats, wall, perf.report()))
-        return BackendRunResult(
-            backend=self.name,
-            clock=self.clock,
-            num_ranks=num_ranks,
-            returns=[g[0] for g in gathered],
-            rank_stats=[g[1] for g in gathered],
-            makespan=max((g[2] for g in gathered), default=0.0),
-            wall_times=[g[2] for g in gathered],
-            rank_perf=[g[3] for g in gathered],
-            local_rank=ctx.rank,
         )
 
 
@@ -347,12 +278,11 @@ def _require_deterministic_schedule(backend_name: str, policy) -> None:
 BACKENDS: dict[str, type[Backend]] = {
     SimBackend.name: SimBackend,
     MPBackend.name: MPBackend,
-    MPIBackend.name: MPIBackend,
 }
 
 
 def make_backend(name: str) -> Backend:
-    """Instantiate a backend by short name ("sim", "mp", "mpi")."""
+    """Instantiate a backend by short name ("sim", "mp")."""
     try:
         cls = BACKENDS[name]
     except KeyError:

@@ -9,7 +9,7 @@ and it is injected through the shared
 :class:`~repro.cluster.protocol.BaseRankContext` hooks — never through
 substrate internals — so the *identical* plan replays the identical
 per-rank fault sequence on the simulator and on the real
-multiprocessing/MPI transports.
+multiprocessing transport.
 
 Determinism
 -----------

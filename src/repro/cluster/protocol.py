@@ -5,14 +5,12 @@ algorithms and the machine they run on.  A rank program is an ``async
 def`` coroutine taking a context; the context exposes MPI-flavoured
 verbs (``send``/``recv``/``sendrecv``/``isend``/``irecv``/``wait``/
 ``barrier``), staging and accounting hooks, and modelled-computation
-charging.  Three substrates implement it:
+charging.  Two substrates implement it:
 
 * :class:`~repro.cluster.context.RankContext` — the discrete-event
   simulator (modelled virtual time),
 * :class:`~repro.cluster.mp_backend.MPRankContext` — real OS processes
-  over multiprocessing queues (wall-clock time),
-* :class:`~repro.cluster.mpi_backend.MPIRankContext` — real MPI via
-  mpi4py (wall-clock time).
+  over multiprocessing queues (wall-clock time).
 
 Because the surface is an ABC, a substrate that forgets a verb fails at
 class-instantiation time instead of deep inside a compositing stage —

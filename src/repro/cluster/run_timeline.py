@@ -12,7 +12,7 @@ backend that produced it.
 Schema (top-level keys of the JSON object)::
 
     schema       "repro.run-timeline/1"
-    backend      "sim" | "mp" | "mpi"
+    backend      "sim" | "mp"
     clock        "modelled" (simulator) | "wall" (real transports)
     num_ranks    int
     makespan     float — virtual seconds (sim) or max rank wall (real)

@@ -14,7 +14,7 @@ Subcommands regenerate each paper artifact::
     methods   list every addressable compositing method with a one-line
               description (registry names plus schedule:codec combos)
     run       one full pipeline run on a chosen backend
-              (``--backend {sim,mp,mpi}``, ``--trace-out timeline.json``;
+              (``--backend {sim,mp}``, ``--trace-out timeline.json``;
               fault injection via ``--fault-plan plan.json`` with
               ``--comm-timeout``; recovery via ``--recovery
               {abort,degrade,respawn,checkpoint-resume}`` and
@@ -44,6 +44,7 @@ import argparse
 import os
 import sys
 
+from ..cluster.backend import BACKENDS
 from ..compositing.registry import available_methods, method_catalog
 from .compare import compare_to_paper, format_fidelity
 from .figures import format_figure, render_figure7, run_figures
@@ -143,9 +144,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--image-size", type=int, default=384)
     run.add_argument("--machine", default="sp2",
                      help="machine-model preset (simulator pricing)")
-    run.add_argument("--backend", default="sim", choices=("sim", "mp", "mpi"),
-                     help="execution substrate: simulator (modelled time), "
-                          "multiprocessing or MPI (wall clock)")
+    run.add_argument("--backend", default="sim", choices=sorted(BACKENDS),
+                     help="execution substrate: sim (simulator, modelled "
+                          "time) or mp (multiprocessing, wall clock)")
     run.add_argument("--trace-out", default=None,
                      help="write the unified run-timeline JSON here")
     run.add_argument("--out-image", default=None,
@@ -236,9 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exit after this many seconds with no pending "
                             "or in-flight work (default: serve forever; "
                             "SIGTERM drains gracefully either way)")
-    serve.add_argument("--backend", default="sim",
+    serve.add_argument("--backend", default="sim", choices=sorted(BACKENDS),
                        help="execution substrate for the service's "
-                            "sessions: sim | mp | mpi (default: sim)")
+                            "sessions: sim or mp (default: sim)")
     serve.add_argument("--queue-limit", type=int, default=None,
                        help="bound on jobs admitted but not yet running "
                             "(default: unbounded)")

@@ -3,9 +3,8 @@
 A compositing outcome gives each rank a disjoint *owned* portion of the
 final image, either as a contiguous rect or as a flat index set (BSLC).
 Exactly one scatter loop in the codebase turns a collection of owned
-tiles back into a display image — the simulator gather, the
-multiprocessing cross-check, and the MPI entry point all funnel through
-:func:`assemble_tiles` (previously each carried its own copy).
+tiles back into a display image — the simulator gather and the
+multiprocessing cross-check both funnel through :func:`assemble_tiles`.
 """
 
 from __future__ import annotations

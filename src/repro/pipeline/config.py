@@ -45,8 +45,8 @@ class RunConfig:
         ``{"section": 64}`` for BSLC ablations).
     backend:
         Execution substrate for :class:`~repro.pipeline.system.SortLastSystem`:
-        ``"sim"`` (discrete-event simulator, modelled time), ``"mp"``
-        (real OS processes, wall clock) or ``"mpi"`` (real MPI job).
+        ``"sim"`` (discrete-event simulator, modelled time) or ``"mp"``
+        (real OS processes, wall clock).
     """
 
     dataset: str = "engine_low"
@@ -63,7 +63,7 @@ class RunConfig:
     #: across ranks (the paper's future-work load-balancing scheme).
     balance_render_load: bool = False
     method_options: dict[str, Any] = field(default_factory=dict)
-    #: Execution backend: "sim" | "mp" | "mpi" (see repro.cluster.backend).
+    #: Execution backend: "sim" | "mp" (see repro.cluster.backend).
     backend: str = "sim"
     #: Per-receive blocking timeout (seconds) on real transports before a
     #: rank declares deadlock; ``None`` uses the backend default.  The

@@ -3,7 +3,7 @@
 Each phase is a function parameterized by a
 :class:`~repro.cluster.protocol.BaseRankContext`, so the *entire*
 sort-last-sparse pipeline — not just compositing — runs unchanged on the
-simulator, on multiprocessing, and on MPI.
+simulator and on multiprocessing.
 :func:`pipeline_rank_program` chains the phases into the single
 module-level (hence picklable) rank program that every backend executes.
 

@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from ..cache import cache_dir
-from ..cluster.backend import Backend, BackendRunResult, SimBackend, make_backend
+from ..cluster.backend import Backend, BackendRunResult, make_backend
 from ..cluster.faults import FaultPlan, crash_phase_of, crash_stage_of
 from ..cluster.model import MachineModel
 from ..cluster.recovery import (
@@ -46,6 +46,7 @@ from ..cluster.run_timeline import (
     schedule_meta,
     tile_latency_metrics,
 )
+from ..cluster.simulator import Simulator
 from ..cluster.stats import RankStats, RunResult
 from ..compositing.base import CompositeOutcome, Compositor
 from ..compositing.registry import make_compositor
@@ -123,14 +124,12 @@ def run_compositing(
         local = images[ctx.rank].copy()
         outcomes[ctx.rank] = await compositor.run(ctx, local, plan, view_dir)
 
-    result = SimBackend().run(
-        num_ranks, program, model=model, network=network, engine=engine
-    )
+    stats = Simulator(num_ranks, model, network=network, engine=engine).run(program)
     assert all(o is not None for o in outcomes)
     return CompositingRun(
         compositor=compositor,
         outcomes=outcomes,  # type: ignore[arg-type]
-        stats=result.to_run_result(),
+        stats=stats,
     )
 
 
@@ -215,7 +214,7 @@ class SystemResult:
     subimages: list[SubImage]
     compositing: CompositingRun
     final_image: SubImage
-    #: Short name of the backend that executed the run ("sim"/"mp"/"mpi").
+    #: Short name of the backend that executed the run ("sim"/"mp").
     backend_name: str = "sim"
     #: Unified run timeline (all phases, including the gather stage).
     timeline: Optional[RunTimeline] = field(default=None, repr=False)
@@ -260,7 +259,7 @@ class SortLastSystem:
         """Execute partition → render → composite → gather & assemble.
 
         ``backend`` overrides the config's ``backend`` field; pass a
-        short name ("sim", "mp", "mpi") or a
+        short name ("sim", "mp") or a
         :class:`~repro.cluster.backend.Backend` instance.  ``trace``
         records the simulator's event trace into the timeline.
 
@@ -297,7 +296,7 @@ class SortLastSystem:
         a flagged ``final`` event; the feed is closed when this call
         returns (or raises).  A re-run resets the feed's per-attempt
         accounting, so coverage stays monotone across a degraded
-        restart.  Feeds cannot cross the mp/mpi process boundary, so
+        restart.  Feeds cannot cross the mp process boundary, so
         real transports reject one up front.
 
         ``checkpoint_store`` (requires a resume-capable ``recovery``
@@ -429,21 +428,19 @@ class SortLastSystem:
         if engine.name == "sim":
             store: CheckpointStore = MemoryCheckpointStore()
             return store, store.clear
-        if engine.name == "mp":
-            root = cache_dir()
-            tmp_root = None
-            if root is None:
-                tmp_root = tempfile.mkdtemp(prefix="repro-ckpt-")
-                root = tmp_root
-            disk = DiskCheckpointStore(root)
+        root = cache_dir()
+        tmp_root = None
+        if root is None:
+            tmp_root = tempfile.mkdtemp(prefix="repro-ckpt-")
+            root = tmp_root
+        disk = DiskCheckpointStore(root)
 
-            def _cleanup() -> None:
-                disk.clear()
-                if tmp_root is not None:
-                    shutil.rmtree(tmp_root, ignore_errors=True)
+        def _cleanup() -> None:
+            disk.clear()
+            if tmp_root is not None:
+                shutil.rmtree(tmp_root, ignore_errors=True)
 
-            return disk, _cleanup
-        return None, None  # MPI: no mid-job respawn/resume substrate yet
+        return disk, _cleanup
 
     def _recover(
         self,
@@ -466,11 +463,7 @@ class SortLastSystem:
         phase = crash_phase_of(err)
         stage = crash_stage_of(err)
         failed = [err.rank]
-        if (
-            policy.allows_resume
-            and engine.name in ("sim", "mp")
-            and store is not None
-        ):
+        if policy.allows_resume and store is not None:
             # Every rank restores the *common* minimum checkpointed
             # stage and replays from there — all ranks move together
             # (protocol-safe on mp too, unlike in-place respawn), so the

@@ -170,12 +170,16 @@ class _Doorbell:
     an idle server blocks in ``select`` instead of spinning on EOF.
     Where the FIFO cannot be had (no ``os.mkfifo``, a filesystem that
     refuses it, something else squatting on the name) :meth:`wait` is
-    the plain timeout.
+    the plain timeout.  A server sharing the spool unlinks the FIFO on a
+    clean exit; the survivor's next :meth:`wait` hangs a fresh one, so
+    it loses at most one poll period, not every later ring.
     """
 
     def __init__(self, root: str):
         self._path = os.path.join(root, _DOORBELL)
-        self._fd: Optional[int] = None
+        self._fd = self._open()
+
+    def _open(self) -> Optional[int]:
         try:
             try:
                 os.mkfifo(self._path)
@@ -183,14 +187,24 @@ class _Doorbell:
                 pass  # left by a killed server, or a live one sharing the spool
             fd = os.open(self._path, os.O_RDWR | os.O_NONBLOCK)
         except (AttributeError, OSError):
-            return
+            return None
         if stat.S_ISFIFO(os.fstat(fd).st_mode):
-            self._fd = fd
-        else:
-            os.close(fd)
+            return fd
+        os.close(fd)
+        return None
+
+    def _hung(self) -> bool:
+        """Whether the path still names the pipe this end holds."""
+        try:
+            return os.path.samestat(os.fstat(self._fd), os.stat(self._path))
+        except OSError:
+            return False
 
     def wait(self, timeout: float) -> None:
         """Return once the bell has rung (drained here) or ``timeout`` passed."""
+        if self._fd is not None and not self._hung():
+            os.close(self._fd)
+            self._fd = self._open()
         if self._fd is None:
             time.sleep(timeout)
         elif select.select([self._fd], [], [], timeout)[0]:

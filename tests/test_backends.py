@@ -6,7 +6,6 @@ from repro.cluster.backend import (
     BACKENDS,
     BackendRunResult,
     MPBackend,
-    MPIBackend,
     SimBackend,
     make_backend,
 )
@@ -102,15 +101,15 @@ class TestMPBackend:
 
 
 class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert set(BACKENDS) == {"sim", "mp", "mpi"}
+    def test_both_backends_registered(self):
+        assert set(BACKENDS) == {"sim", "mp"}
         assert isinstance(make_backend("sim"), SimBackend)
         assert isinstance(make_backend("mp"), MPBackend)
-        assert isinstance(make_backend("mpi"), MPIBackend)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            make_backend("threads")
+        for name in ("threads", "mpi"):
+            with pytest.raises(ConfigurationError, match="unknown backend"):
+                make_backend(name)
 
 
 class TestTimelineExport:

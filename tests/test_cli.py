@@ -28,6 +28,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figures", "--figure", "5"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--backend", "mpi"],
+            ["serve", "--spool", "spool", "--backend", "threads"],
+        ],
+    )
+    def test_backend_choices_come_from_the_registry(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'mp'" in err and "'sim'" in err
+
 
 class TestCommands:
     def test_table1_quick(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.cluster.backend import MPBackend, MPIBackend
+from repro.cluster.backend import MPBackend
 from repro.cluster.model import (
     IDEALIZED,
     SP2,
@@ -214,13 +214,13 @@ class TestRunConfigIntegration:
 
 
 class TestHardwareBackendsRejectTopologies:
-    @pytest.mark.parametrize("backend_cls", [MPBackend, MPIBackend])
+    @pytest.mark.parametrize("backend_cls", [MPBackend])
     def test_non_flat_network_rejected(self, backend_cls):
         net = FatTreeNetwork(IDEALIZED, radix=2)
         with pytest.raises(ConfigurationError, match="--backend 'sim'"):
             backend_cls().run(2, lambda ctx: None, network=net)
 
-    @pytest.mark.parametrize("backend_cls", [MPBackend, MPIBackend])
+    @pytest.mark.parametrize("backend_cls", [MPBackend])
     def test_flat_network_accepted_by_validator(self, backend_cls):
         from repro.cluster.backend import _require_flat_network
 

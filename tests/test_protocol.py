@@ -9,7 +9,6 @@ from repro.cluster.backend import MPBackend, SimBackend
 from repro.cluster.context import RankContext
 from repro.cluster.model import SP2
 from repro.cluster.mp_backend import MPRankContext
-from repro.cluster.mpi_backend import MPIRankContext
 from repro.cluster.protocol import (
     BaseRankContext,
     decode_payload,
@@ -25,7 +24,7 @@ class TestAbcCompleteness:
     runtime deep inside a compositing stage."""
 
     @pytest.mark.parametrize(
-        "cls", [RankContext, MPRankContext, MPIRankContext], ids=lambda c: c.__name__
+        "cls", [RankContext, MPRankContext], ids=lambda c: c.__name__
     )
     def test_every_substrate_implements_the_full_surface(self, cls):
         assert issubclass(cls, BaseRankContext)
@@ -45,9 +44,8 @@ class TestAbcCompleteness:
         names = {
             RankContext.backend_name,
             MPRankContext.backend_name,
-            MPIRankContext.backend_name,
         }
-        assert len(names) == 3
+        assert len(names) == 2
         assert BaseRankContext.backend_name not in names
 
 

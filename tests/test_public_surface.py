@@ -5,6 +5,7 @@ Deleting or renaming a module must leave no dangling import, no
 version is written.
 """
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -21,8 +22,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: Public names removed with the hand-written method classes, the second
 #: wire-kernel family, the hypercube schedule helpers, the mp shim, the
-#: splatting renderer, the second rank program and the step-chunked
-#: marcher (CHANGELOG lists each with its replacement).
+#: splatting renderer, the second rank program, the step-chunked
+#: marcher and the MPI substrate (CHANGELOG lists each with its
+#: replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
     "BinarySwapBoundingRect",
@@ -52,7 +54,14 @@ REMOVED_NAMES = {
     "mean_abs_error",
     "degraded_rank_program",
     "DEFAULT_CHUNK_STEPS",
+    "MPIBackend",
+    "MPIRankContext",
+    "MPIRequest",
+    "require_mpi",
 }
+
+#: Modules deleted with the MPI substrate.
+REMOVED_MODULES = ("repro.cluster.mpi_backend", "repro.pipeline.mpi_main")
 
 #: Every module but the ``python -m`` entry scripts, which run on import.
 MODULES = sorted(
@@ -112,6 +121,23 @@ def test_marcher_options_stay_removed():
         params = inspect.signature(accepts).parameters
         assert not {"early_termination", "chunk_steps"} & set(params), accepts
         assert not any(p.kind is p.VAR_KEYWORD for p in params.values()), accepts
+
+
+@pytest.mark.parametrize("name", REMOVED_MODULES)
+def test_removed_modules_stay_removed(name):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(name)
+
+
+def test_backend_interface_has_no_engine_switch_and_no_spmd_rank():
+    """The simulator's engine is chosen on ``Simulator`` (or through
+    ``run_compositing``), never through the backend interface, and no
+    backend runs as one SPMD rank of a job it did not launch."""
+    from repro.cluster.backend import Backend, BackendRunResult, MPBackend, SimBackend
+
+    assert "local_rank" not in {f.name for f in dataclasses.fields(BackendRunResult)}
+    for accepts in (Backend.run, SimBackend.run, MPBackend.run):
+        assert "engine" not in inspect.signature(accepts).parameters, accepts
 
 
 def test_version_has_one_source():

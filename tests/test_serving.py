@@ -393,6 +393,27 @@ class TestDoorbell:
         )
         assert os.listdir(os.path.join(spool, "work")) == []
 
+    def test_survivor_rehangs_the_bell_a_clean_exit_unlinked(self, tmp_path):
+        """Two servers share one FIFO; the first to exit cleanly unlinks
+        it.  The survivor's next wait hangs a new one, so later rings
+        still wake it instead of each waiting out a poll period."""
+        from repro.serving.spool import _Doorbell, _ring_doorbell
+
+        spool = str(tmp_path)
+        first, survivor = _Doorbell(spool), _Doorbell(spool)
+        try:
+            first.close()
+            assert not os.path.lexists(_doorbell(spool))
+            survivor.wait(0)
+            for _ in range(2):
+                _ring_doorbell(spool)
+                t0 = time.monotonic()
+                survivor.wait(5.0)
+                assert time.monotonic() - t0 < 1.0
+        finally:
+            survivor.close()
+        assert not os.path.lexists(_doorbell(spool))
+
     @pytest.mark.parametrize("squatter", [False, True])
     def test_wait_blocks_until_rung_and_never_spins(self, tmp_path, squatter):
         """With no submitter connected the wait sleeps out its timeout
