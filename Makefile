@@ -114,9 +114,11 @@ soak:
 # Schedule x codec equivalence grid: every combo vs the sequential
 # oracle, plus bit-parity of the paper aliases and bslcv against what
 # the hand-written classes they replaced produced — pixels, counters,
-# modelled clocks — as recorded in tests/data/seed_counters.json.
+# modelled clocks — as recorded in tests/data/seed_counters.json; and
+# the definition of BSLC's interleaved part with its pinned runs.
 grid:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_grid_equivalence.py tests/test_schedule_codec.py -q
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_grid_equivalence.py tests/test_schedule_codec.py \
+		tests/test_interleave.py -q
 
 # What CI gates on: the tier-1 suite, then the end-to-end harness's own
 # tests (19 tests, ~21 s: golden digests and modelled clocks — the

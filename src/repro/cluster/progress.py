@@ -402,7 +402,6 @@ class ProgressFeed:
         ``part`` is the schedule's keep part (rect- or index-shaped).
         """
         part_rect = getattr(part, "rect", None)
-        part_indices = getattr(part, "indices", None)
         with self._cond:
             self._stage_total = int(num_stages)
             self._num_ranks = int(num_ranks)
@@ -415,7 +414,7 @@ class ProgressFeed:
             ordinal=int(ordinal),
             num_stages=int(num_stages),
             part_rect=part_rect,
-            part_indices=None if part_indices is None else np.array(part_indices),
+            part_indices=getattr(part, "indices", None),
             intensity=image.intensity.copy(),
             opacity=image.opacity.copy(),
             t=float(t),

@@ -46,7 +46,6 @@ from .value_rle import (
     value_rle_decode,
     value_rle_encode,
 )
-from .interleave import DEFAULT_SECTION, initial_indices, split_interleaved
 from .over import is_blank, nonblank_mask, over, over_inplace, over_scalar
 from .rect import clip_rect, find_bounding_rect, split_rect_by_centerline
 from .registry import (
@@ -59,9 +58,9 @@ from .registry import (
     make_scheduled,
     method_catalog,
     register,
-    validate_method,
 )
 from .schedule import (
+    DEFAULT_SECTION,
     BinarySwapSchedule,
     DirectSendSchedule,
     IndexPart,
@@ -123,7 +122,6 @@ __all__ = [
     "composite_rect_pixels",
     "count_nonblank",
     "find_bounding_rect",
-    "initial_indices",
     "is_blank",
     "make_compositor",
     "make_scheduled",
@@ -144,7 +142,6 @@ __all__ = [
     "rle_decode_mask",
     "rle_encode_mask",
     "split_axis_for",
-    "split_interleaved",
     "split_rect_by_centerline",
     "strip_rect",
     "unpack_bs",
@@ -154,7 +151,6 @@ __all__ = [
     "unpack_pixels",
     "unpack_rle",
     "unpack_value_runs",
-    "validate_method",
     "value_rle_decode",
     "value_rle_encode",
 ]

@@ -123,6 +123,10 @@ class Compositor(abc.ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
+#: The split policies :func:`split_axis_for` knows.
+SPLIT_POLICIES = ("longest", "alternate", "rows")
+
+
 def split_axis_for(region: Rect, stage: int, policy: str) -> int:
     """Image-space split axis for the current region.
 

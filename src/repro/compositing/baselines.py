@@ -32,7 +32,7 @@ from ..types import PIXEL_BYTES, RECT_INFO_BYTES, Rect
 from ..volume.partition import PartitionPlan, depth_order
 from .base import CompositeOutcome, Compositor, composite_rect_pixels
 from .rect import find_bounding_rect
-from .wire import pack_bsbr, pack_bslc, unpack_bsbr, unpack_bslc
+from .wire import pack_bsbr, pack_rle, unpack_bsbr, unpack_rle
 from .over import over
 
 __all__ = ["DirectSend", "DirectSendAsync", "BinaryTreeCompression", "ParallelPipeline", "strip_rect"]
@@ -47,13 +47,50 @@ def strip_rect(height: int, width: int, rank: int, size: int) -> Rect:
     return Rect(y0, 0, y1, width).normalized()
 
 
+def _own_contribution(
+    image: SubImage, rank: int, strip: Rect
+) -> dict[int, tuple[Rect, np.ndarray, np.ndarray]]:
+    """The buffered-case contribution map, seeded with this rank's own
+    foreground in its strip (nothing when the strip is blank here)."""
+    contributions = {}
+    own_rect = find_bounding_rect(image.intensity, image.opacity, strip)
+    if not own_rect.is_empty:
+        rows, cols = own_rect.slices()
+        contributions[rank] = (
+            own_rect,
+            image.intensity[rows, cols].copy(),
+            image.opacity[rows, cols].copy(),
+        )
+    return contributions
+
+
+async def _fold_buffered(
+    ctx: RankContext,
+    contributions: dict[int, tuple[Rect, np.ndarray, np.ndarray]],
+    plan: PartitionPlan,
+    view_dir: np.ndarray,
+    shape: tuple[int, int],
+) -> SubImage:
+    """Composite the buffered contributions back-to-front into a blank
+    frame, then charge ``T_over`` once for every folded pixel."""
+    result = SubImage.blank(*shape)
+    composited = 0
+    for src in reversed(depth_order(plan, view_dir)):  # depth_order is front first
+        entry = contributions.get(src)
+        if entry is None:
+            continue
+        rect, block_i, block_a = entry
+        # Every new contribution sits in front of everything folded so far.
+        composite_rect_pixels(result, rect, block_i, block_a, local_in_front=False)
+        composited += rect.area
+    await ctx.charge_over(composited)
+    return result
+
+
 class DirectSend(Compositor):
     """Buffered-case direct send with bounding-rectangle packing."""
 
     name = "direct"
-
-    def __init__(self, *, charge_pack: bool = True):
-        self.charge_pack = charge_pack
 
     async def run(
         self,
@@ -70,15 +107,7 @@ class DirectSend(Compositor):
         ctx.begin_stage(PRE_STAGE)
         await ctx.charge_bound(image.num_pixels)  # one classification scan
 
-        contributions: dict[int, tuple[Rect, np.ndarray, np.ndarray]] = {}
-        own_rect = find_bounding_rect(image.intensity, image.opacity, my_strip)
-        if not own_rect.is_empty:
-            rows, cols = own_rect.slices()
-            contributions[rank] = (
-                own_rect,
-                image.intensity[rows, cols].copy(),
-                image.opacity[rows, cols].copy(),
-            )
+        contributions = _own_contribution(image, rank, my_strip)
 
         # P-1 pairwise exchange rounds (XOR schedule = perfect matchings).
         for rnd in range(1, size):
@@ -87,8 +116,7 @@ class DirectSend(Compositor):
             partner_strip = strip_rect(height, width, partner, size)
             send_rect = find_bounding_rect(image.intensity, image.opacity, partner_strip)
             msg = pack_bsbr(image.intensity, image.opacity, send_rect)
-            if self.charge_pack:
-                await ctx.charge_pack(len(msg.buffer))
+            await ctx.charge_pack(len(msg.buffer))
             raw = await ctx.sendrecv(partner, msg.buffer, nbytes=msg.accounted_bytes, tag=rnd)
             recv_rect, recv_i, recv_a = unpack_bsbr(raw)
             if not my_strip.contains(recv_rect):
@@ -98,21 +126,8 @@ class DirectSend(Compositor):
             if not recv_rect.is_empty:
                 contributions[partner] = (recv_rect, recv_i, recv_a)  # type: ignore[arg-type]
 
-        # Composite the buffered contributions back-to-front.
         ctx.begin_stage(size - 1)
-        result = SubImage.blank(height, width)
-        order = depth_order(plan, view_dir)  # front first
-        composited = 0
-        for src in reversed(order):
-            entry = contributions.get(src)
-            if entry is None:
-                continue
-            rect, block_i, block_a = entry
-            # Folding back-to-front: every new contribution sits in front
-            # of everything accumulated so far.
-            composite_rect_pixels(result, rect, block_i, block_a, local_in_front=False)
-            composited += rect.area
-        await ctx.charge_over(composited)
+        result = await _fold_buffered(ctx, contributions, plan, view_dir, image.shape)
         return CompositeOutcome(image=result, owned_rect=my_strip)
 
 
@@ -128,9 +143,6 @@ class DirectSendAsync(Compositor):
     """
 
     name = "direct-async"
-
-    def __init__(self, *, charge_pack: bool = True):
-        self.charge_pack = charge_pack
 
     async def run(
         self,
@@ -151,15 +163,7 @@ class DirectSendAsync(Compositor):
         }
 
         await ctx.charge_bound(image.num_pixels)
-        contributions: dict[int, tuple[Rect, np.ndarray, np.ndarray]] = {}
-        own_rect = find_bounding_rect(image.intensity, image.opacity, my_strip)
-        if not own_rect.is_empty:
-            rows, cols = own_rect.slices()
-            contributions[rank] = (
-                own_rect,
-                image.intensity[rows, cols].copy(),
-                image.opacity[rows, cols].copy(),
-            )
+        contributions = _own_contribution(image, rank, my_strip)
 
         ctx.begin_stage(0)
         send_requests = []
@@ -169,8 +173,7 @@ class DirectSendAsync(Compositor):
             dst_strip = strip_rect(height, width, dst, size)
             send_rect = find_bounding_rect(image.intensity, image.opacity, dst_strip)
             msg = pack_bsbr(image.intensity, image.opacity, send_rect)
-            if self.charge_pack:
-                await ctx.charge_pack(len(msg.buffer))
+            await ctx.charge_pack(len(msg.buffer))
             send_requests.append(
                 await ctx.isend(dst, msg.buffer, nbytes=msg.accounted_bytes, tag=rank)
             )
@@ -188,17 +191,7 @@ class DirectSendAsync(Compositor):
                 contributions[src] = (recv_rect, recv_i, recv_a)  # type: ignore[arg-type]
 
         ctx.begin_stage(2)
-        result = SubImage.blank(height, width)
-        order = depth_order(plan, view_dir)
-        composited = 0
-        for src in reversed(order):
-            entry = contributions.get(src)
-            if entry is None:
-                continue
-            rect, block_i, block_a = entry
-            composite_rect_pixels(result, rect, block_i, block_a, local_in_front=False)
-            composited += rect.area
-        await ctx.charge_over(composited)
+        result = await _fold_buffered(ctx, contributions, plan, view_dir, image.shape)
         return CompositeOutcome(image=result, owned_rect=my_strip)
 
 
@@ -206,9 +199,6 @@ class BinaryTreeCompression(Compositor):
     """Ahrens & Painter binary-tree combining with mask-RLE messages."""
 
     name = "tree"
-
-    def __init__(self, *, charge_pack: bool = True):
-        self.charge_pack = charge_pack
 
     async def run(
         self,
@@ -220,7 +210,6 @@ class BinaryTreeCompression(Compositor):
         stages = self.check_plan(ctx, plan)
         rank = ctx.rank
         num_pixels = image.num_pixels
-        all_indices = np.arange(num_pixels, dtype=np.int64)
         flat_i = image.intensity.ravel()
         flat_a = image.opacity.ravel()
 
@@ -231,16 +220,15 @@ class BinaryTreeCompression(Compositor):
             if rank % group == span:
                 # Sender: compress the whole current image and drop out.
                 peer = rank - span
-                msg = pack_bslc(flat_i, flat_a, all_indices)
+                msg = pack_rle(flat_i, flat_a)
                 await ctx.charge_encode(num_pixels)
-                if self.charge_pack:
-                    await ctx.charge_pack(len(msg.buffer))
+                await ctx.charge_pack(len(msg.buffer))
                 await ctx.send(peer, msg.buffer, nbytes=msg.accounted_bytes, tag=stage)
                 return CompositeOutcome(image=image, owned_rect=Rect.empty())
             if rank % group == 0:
                 peer = rank + span
                 raw = await ctx.recv(peer, tag=stage)
-                positions, recv_i, recv_a = unpack_bslc(raw, num_pixels)
+                positions, recv_i, recv_a = unpack_rle(raw, num_pixels)
                 if positions.size:
                     loc_i = flat_i[positions]
                     loc_a = flat_a[positions]
@@ -258,9 +246,6 @@ class ParallelPipeline(Compositor):
     """Ring pipeline over depth-sorted ranks with dual accumulators."""
 
     name = "pipeline"
-
-    def __init__(self, *, charge_pack: bool = True):
-        self.charge_pack = charge_pack
 
     async def run(
         self,
@@ -300,8 +285,7 @@ class ParallelPipeline(Compositor):
         for step in range(1, size):
             ctx.begin_stage(step - 1)
             send_buf = current.pack()
-            if self.charge_pack:
-                await ctx.charge_pack(len(send_buf.buffer))
+            await ctx.charge_pack(len(send_buf.buffer))
             # Ring shift with blocking rendezvous: odd/even positions
             # alternate send-first / recv-first to avoid a send cycle.
             if pos % 2 == 0:

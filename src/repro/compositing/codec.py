@@ -19,9 +19,8 @@ codecs are shared across ranks; per-run mutable state (the tracked
 local bounding rectangle) lives in the object
 :meth:`PixelCodec.make_state` returns.
 
-How a part addresses the frame is looked at in exactly two places:
-:func:`part_pixels` selects a part's pixel values for the encoders, and
-:meth:`PixelCodec.composite` folds a decoded :class:`Contribution`
+A part addresses the frame itself: encoders read ``part.pixels(plane)``,
+and :meth:`PixelCodec.composite` folds a decoded :class:`Contribution`
 (rect-dense, rect-sparse or sequence) back in.
 """
 
@@ -61,7 +60,6 @@ __all__ = [
     "RunLengthCodec",
     "RectRLECodec",
     "ValueRunCodec",
-    "part_pixels",
     "composite_sparse_rect",
     "composite_sequence_pixels",
 ]
@@ -81,20 +79,6 @@ class Contribution:
     positions: np.ndarray | None = None
     values_i: np.ndarray | None = None
     values_a: np.ndarray | None = None
-
-
-def part_pixels(
-    image: SubImage, part: RectPart | IndexPart
-) -> tuple[np.ndarray, np.ndarray]:
-    """``part``'s ``(intensity, opacity)`` values in sequence order.
-
-    A rect part is the 2-D slice of its block (a view; row-major is its
-    C order), an index part the flat gather at its indices.
-    """
-    if isinstance(part, RectPart):
-        rows, cols = part.rect.slices()
-        return image.intensity[rows, cols], image.opacity[rows, cols]
-    return image.intensity.ravel()[part.indices], image.opacity.ravel()[part.indices]
 
 
 def composite_sparse_rect(
@@ -121,19 +105,19 @@ def composite_sparse_rect(
 
 def composite_sequence_pixels(
     image: SubImage,
-    indices: np.ndarray,
+    part: IndexPart,
     positions: np.ndarray | None,
     recv_i: np.ndarray,
     recv_a: np.ndarray,
     *,
     local_in_front: bool,
 ) -> int:
-    """Composite received sequence pixels at ``indices[positions]``.
+    """Composite received pixels at sequence ``positions`` of ``part``.
 
     ``positions=None`` composites the whole sequence.  Returns the pixel
     count folded (0 when the received subset is empty).
     """
-    targets = indices if positions is None else indices[positions]
+    targets = part.flat(positions)
     if targets.size == 0:
         return 0
     flat_i = image.intensity.ravel()
@@ -227,7 +211,7 @@ class PixelCodec(abc.ABC):
         if rect is None:
             return composite_sequence_pixels(
                 image,
-                keep.indices,
+                keep,
                 positions,
                 contrib.values_i,
                 contrib.values_a,
@@ -274,7 +258,7 @@ class RawCodec(PixelCodec):
     description = "raw pixels, blanks included"
 
     def encode(self, image, part, state):
-        return pack_pixels(*part_pixels(image, part)), None
+        return pack_pixels(part.pixels(image.intensity), part.pixels(image.opacity)), None
 
     def decode(self, ctx, raw, keep, meta, stage):
         recv_i, recv_a = unpack_pixels(raw, keep.num_pixels)
@@ -403,7 +387,7 @@ class RunLengthCodec(PixelCodec):
     description = "run-length encoded blank mask, non-blank pixels only"
 
     def encode(self, image, part, state):
-        return pack_rle(*part_pixels(image, part)), None
+        return pack_rle(part.pixels(image.intensity), part.pixels(image.opacity)), None
 
     async def charge_encode(self, ctx, part, meta):
         # The RLE scan touches every pixel of the sending part.
@@ -441,7 +425,7 @@ class ValueRunCodec(RunLengthCodec):
     supports = frozenset({"index"})
 
     def encode(self, image, part, state):
-        return pack_value_runs(*part_pixels(image, part)), None
+        return pack_value_runs(part.pixels(image.intensity), part.pixels(image.opacity)), None
 
     def decode(self, ctx, raw, keep, meta, stage):
         recv_i, recv_a = unpack_value_runs(raw, keep.num_pixels)

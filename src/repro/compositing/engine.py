@@ -39,14 +39,7 @@ __all__ = ["ScheduledCompositor"]
 class ScheduledCompositor(Compositor):
     """Generic compositor running a :class:`Schedule` × :class:`PixelCodec`."""
 
-    def __init__(
-        self,
-        schedule: Schedule,
-        codec: PixelCodec,
-        *,
-        name: str | None = None,
-        charge_pack: bool = True,
-    ):
+    def __init__(self, schedule: Schedule, codec: PixelCodec, *, name: str | None = None):
         if schedule.part_kind not in codec.supports:
             raise ConfigurationError(
                 f"codec {codec.name!r} cannot carry the {schedule.part_kind!r} "
@@ -56,7 +49,6 @@ class ScheduledCompositor(Compositor):
         self.schedule = schedule
         self.codec = codec
         self.name = name or f"{schedule.name}:{codec.name}"
-        self.charge_pack = charge_pack
 
     def refold_pairs(self, size: int) -> list[tuple[int, int]]:
         """Fold pairing for graceful degradation, keyed off the schedule."""
@@ -112,7 +104,7 @@ class ScheduledCompositor(Compositor):
             for step in stage.steps:
                 msg, meta = codec.encode(image, step.send_part, state)
                 await codec.charge_encode(ctx, step.send_part, meta)
-                if self.charge_pack and msg.buffer:
+                if msg.buffer:
                     # Zero-byte packs charge nothing (add_counter drops
                     # zero counts), so skipping the simulator round-trip
                     # is accounting-identical and saves a step per empty
@@ -149,6 +141,6 @@ class ScheduledCompositor(Compositor):
         final = program.final_part
         if isinstance(final, IndexPart):
             return CompositeOutcome(
-                image=image, owned_indices=final.indices, producer=self.name
+                image=image, owned_indices=final.flat(), producer=self.name
             )
         return CompositeOutcome(image=image, owned_rect=final.rect, producer=self.name)

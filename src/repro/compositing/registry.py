@@ -14,8 +14,8 @@ Methods are addressable two ways:
   compatible pair from :data:`SCHEDULES` × :data:`CODECS` works.
 
 Factories accept the method's keyword options (``split_policy``,
-``section``, ``radix``, ``charge_pack``) so ablations route through the
-same interface; unknown names get a did-you-mean suggestion.
+``section``, ``radix``, ``tile``) and reject bad ones when they are
+built; unknown names get a did-you-mean suggestion.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "make_tile_routed",
     "available_methods",
     "method_catalog",
-    "validate_method",
     "PAPER_METHODS",
     "COMBO_ALIASES",
     "SCHEDULES",
@@ -164,27 +163,20 @@ def make_scheduled(
 ) -> Compositor:
     """Build a :class:`ScheduledCompositor` for ``schedule × codec``.
 
-    Options route by introspection: ``charge_pack`` to the engine, the
-    rest to the schedule constructor (codecs take no options).
+    Options go to the schedule constructor (codecs take no options).
     """
     from .engine import ScheduledCompositor
 
     _resolve_combo(schedule_name, codec_name)
     schedule_cls = SCHEDULES[schedule_name]
-    engine_opts = {}
-    if "charge_pack" in options:
-        engine_opts["charge_pack"] = options.pop("charge_pack")
     accepted = set(inspect.signature(schedule_cls.__init__).parameters) - {"self"}
     unknown = set(options) - accepted
     if unknown:
         raise ConfigurationError(
             f"method {schedule_name}:{codec_name} does not accept option(s) "
-            f"{sorted(unknown)}; schedule options: {sorted(accepted)}, "
-            f"engine options: ['charge_pack']"
+            f"{sorted(unknown)}; schedule options: {sorted(accepted)}"
         )
-    return ScheduledCompositor(
-        schedule_cls(**options), CODECS[codec_name](), name=name, **engine_opts
-    )
+    return ScheduledCompositor(schedule_cls(**options), CODECS[codec_name](), name=name)
 
 
 def make_tile_routed(
@@ -192,12 +184,12 @@ def make_tile_routed(
 ) -> Compositor:
     """Build a :class:`~repro.compositing.tile_engine.TileRoutedCompositor`.
 
-    Engine options: ``tile`` (tile edge length) and ``charge_pack``.
+    Engine option: ``tile`` (tile edge length).
     """
     from .tile_engine import TileRoutedCompositor
 
     _resolve_tile_routed(codec_name)
-    accepted = {"tile", "charge_pack"}
+    accepted = {"tile"}
     unknown = set(options) - accepted
     if unknown:
         raise ConfigurationError(
@@ -222,23 +214,6 @@ def make_compositor(name: str, **options) -> Compositor:
             f"{available_methods()}" + _suggestion(key, available_methods())
         )
     return factory(**options)
-
-
-def validate_method(name: str) -> None:
-    """Check that ``name`` resolves, without instantiating anything."""
-    key = name.lower()
-    if ":" in key:
-        schedule_name, _, codec_name = key.partition(":")
-        if schedule_name == TILE_ROUTED:
-            _resolve_tile_routed(codec_name)
-            return
-        _resolve_combo(schedule_name, codec_name)
-        return
-    if key not in _REGISTRY:
-        raise ConfigurationError(
-            f"unknown compositing method {name!r}; available: "
-            f"{available_methods()}" + _suggestion(key, available_methods())
-        )
 
 
 def _combo_names() -> list[str]:

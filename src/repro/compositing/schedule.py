@@ -15,8 +15,8 @@ Implementations:
 * :class:`BinarySwapSchedule` — the classic pairwise halving exchange
   shared by BS/BSBR/BSBRC (partner ``rank ^ 2^k``, centerline split);
 * :class:`SectionedSchedule` — BSLC's statically load-balanced
-  *interleaved section* distribution (§3.3, Figure 6): parts are index
-  sets into the flattened frame, not contiguous rects;
+  *interleaved section* distribution (§3.3, Figure 6): parts are
+  section patterns over the flattened frame, not contiguous rects;
 * :class:`RadixKSchedule` — the radix-k generalization (Peterka et al.):
   processors are factored into rounds of group size ``k_j``; within a
   group each member keeps ``1/k`` of the region and runs ``k-1``
@@ -33,7 +33,7 @@ radix choices and the gathered image is independent of the schedule.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
@@ -42,10 +42,10 @@ from ..cluster.hypercube import keeps_low_half, log2_int
 from ..errors import CompositingError, ConfigurationError
 from ..types import Rect
 from ..volume.partition import PartitionPlan
-from .base import split_axis_for
-from .interleave import DEFAULT_SECTION, initial_indices, split_interleaved
+from .base import SPLIT_POLICIES, split_axis_for
 
 __all__ = [
+    "DEFAULT_SECTION",
     "RectPart",
     "IndexPart",
     "ExchangeStep",
@@ -58,6 +58,10 @@ __all__ = [
     "RadixKSchedule",
     "parse_radix",
 ]
+
+#: Default BSLC section length in pixels: long enough to keep RLE
+#: coherence, short enough to interleave finely and balance the pair.
+DEFAULT_SECTION = 128
 
 
 # --------------------------------------------------------------------------
@@ -74,19 +78,78 @@ class RectPart:
     def num_pixels(self) -> int:
         return self.rect.area
 
+    def pixels(self, plane: np.ndarray) -> np.ndarray:
+        """The part's values of a full-frame ``plane`` (a 2-D view whose
+        C order is row-major over the rect)."""
+        rows, cols = self.rect.slices()
+        return plane[rows, cols]
+
 
 @dataclass(frozen=True, eq=False)
 class IndexPart:
-    """An interleaved set of flat pixel indices (sectioned schedules)."""
+    """Every ``stride``-th section of the flattened frame (sectioned schedules).
 
-    indices: np.ndarray
+    The frame's ``frame_pixels`` flat pixels fall into consecutive
+    sections of ``section`` pixels, of which only the last may be short.
+    The part is the sections ``j ≡ offset (mod stride)`` in frame order:
+    a pattern, so it is four integers, and it addresses the frame itself.
+    """
+
+    frame_pixels: int
+    section: int
+    stride: int = 1
+    offset: int = 0
     kind: ClassVar[str] = "index"
     #: No rectangular geometry (the counterpart of :attr:`RectPart.rect`).
     rect: ClassVar[None] = None
 
+    def split(self, keep_first: bool) -> tuple["IndexPart", "IndexPart"]:
+        """``(kept, sent)``: section ``j`` of this part goes to half ``j % 2``.
+
+        Both partners of a pair own the same part at stage entry, so
+        their splits are complementary without communication (§3.3,
+        Figure 6).
+        """
+        first = replace(self, stride=2 * self.stride)
+        second = replace(first, offset=self.offset + self.stride)
+        return (first, second) if keep_first else (second, first)
+
+    def _layout(self) -> tuple[int, int]:
+        """``(full sections owned, tail pixels owned)``."""
+        full, tail = divmod(self.frame_pixels, self.section)
+        owned = max(0, -(-(full - self.offset) // self.stride))
+        owns_tail = full >= self.offset and (full - self.offset) % self.stride == 0
+        return owned, tail if owns_tail else 0
+
     @property
     def num_pixels(self) -> int:
-        return int(self.indices.shape[0])
+        owned, tail = self._layout()
+        return owned * self.section + tail
+
+    def flat(self, positions: np.ndarray | None = None) -> np.ndarray:
+        """Frame indices of sequence ``positions`` (all of them by default)."""
+        if positions is None:
+            positions = np.arange(self.num_pixels, dtype=np.int64)
+        sections = self.offset + (positions // self.section) * self.stride
+        return sections * self.section + positions % self.section
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The part as a flat index list (for edges that need one)."""
+        return self.flat()
+
+    def pixels(self, plane: np.ndarray) -> np.ndarray:
+        """The part's values of a full-frame ``plane``, in sequence order.
+
+        The full sections are a strided ``(sections, section)`` view; a
+        part owning the frame's short last section gets it appended.
+        """
+        flat = plane.reshape(-1)
+        full = self.frame_pixels // self.section * self.section
+        sections = flat[:full].reshape(-1, self.section)[self.offset :: self.stride]
+        if not self._layout()[1]:
+            return sections
+        return np.concatenate((sections.reshape(-1), flat[full:]))
 
 
 # --------------------------------------------------------------------------
@@ -226,6 +289,10 @@ class RadixKSchedule(Schedule):
                     raise ConfigurationError(
                         f"radix factors must be powers of two >= 2, got {k}"
                     )
+        if split_policy not in SPLIT_POLICIES:
+            raise ConfigurationError(
+                f"unknown split policy {split_policy!r}; choose from {SPLIT_POLICIES}"
+            )
         self.radix = radix
         self.split_policy = split_policy
 
@@ -381,11 +448,11 @@ class DirectSendSchedule(RadixKSchedule):
 class SectionedSchedule(Schedule):
     """BSLC's load-balanced distribution: interleaved index sections.
 
-    Parts are index sets into the flattened frame.  At stage ``k`` the
-    pair ``rank ^ 2^k`` splits the owned sequence into interleaved
-    sections of ``section`` pixels (Figure 6); both partners derive the
-    identical index sets, so sent subsets travel positionally and the
-    receiver addresses its kept array directly.
+    Parts are :class:`IndexPart` patterns over the flattened frame.  At
+    stage ``k`` the pair ``rank ^ 2^k`` splits the owned sequence into
+    interleaved sections of ``section`` pixels (Figure 6); both partners
+    derive the identical parts, so sent subsets travel positionally and
+    the receiver addresses its kept part directly.
     """
 
     name = "sectioned"
@@ -394,7 +461,7 @@ class SectionedSchedule(Schedule):
 
     def __init__(self, *, section: int = DEFAULT_SECTION):
         if section < 1:
-            raise CompositingError(f"section must be >= 1, got {section}")
+            raise ConfigurationError(f"section must be >= 1, got {section}")
         self.section = int(section)
 
     def build(
@@ -406,22 +473,17 @@ class SectionedSchedule(Schedule):
         plan: PartitionPlan,
         view_dir: np.ndarray,
     ) -> RankProgram:
-        num_stages = log2_int(size)
-        indices = initial_indices(num_pixels)
+        part = IndexPart(num_pixels, self.section)
         stages: list[ScheduleStage] = []
-        for stage in range(num_stages):
-            partner = rank ^ (1 << stage)
-            kept, sent = split_interleaved(
-                indices, self.section, keeps_low_half(rank, stage)
-            )
-            local_in_front = plan.local_in_front(rank, stage, view_dir)
+        for stage in range(log2_int(size)):
+            kept, sent = part.split(keeps_low_half(rank, stage))
             stages.append(
                 ScheduleStage(
                     index=stage,
-                    keep_part=IndexPart(kept),
-                    steps=(ExchangeStep(peer=partner, send_part=IndexPart(sent)),),
-                    composite_order=((0, local_in_front),),
+                    keep_part=kept,
+                    steps=(ExchangeStep(peer=rank ^ (1 << stage), send_part=sent),),
+                    composite_order=((0, plan.local_in_front(rank, stage, view_dir)),),
                 )
             )
-            indices = kept
-        return RankProgram(stages=tuple(stages), final_part=IndexPart(indices))
+            part = kept
+        return RankProgram(stages=tuple(stages), final_part=part)

@@ -76,14 +76,7 @@ def _contribution_pixels(contrib, tile_rect: Rect) -> int:
 class TileRoutedCompositor(Compositor):
     """Composite by routing per-tile contributions to tile owners."""
 
-    def __init__(
-        self,
-        codec: PixelCodec,
-        *,
-        tile: int = DEFAULT_TILE,
-        name: str | None = None,
-        charge_pack: bool = True,
-    ):
+    def __init__(self, codec: PixelCodec, *, tile: int = DEFAULT_TILE, name: str | None = None):
         if "rect" not in codec.supports:
             raise ConfigurationError(
                 f"codec {codec.name!r} cannot carry rect-shaped tiles "
@@ -94,7 +87,6 @@ class TileRoutedCompositor(Compositor):
         self.codec = codec
         self.tile = int(tile)
         self.name = name or f"tile-routed:{codec.name}"
-        self.charge_pack = charge_pack
 
     def refold_pairs(self, size: int) -> list[tuple[int, int]]:
         """Fold pairing for graceful degradation (bisection buddies).
@@ -206,7 +198,7 @@ class TileRoutedCompositor(Compositor):
         part = RectPart(tile_map.rect(tile_id))
         msg, meta = self.codec.encode(image, part, state)
         await self.codec.charge_encode(ctx, part, meta)
-        if self.charge_pack and msg.buffer:
+        if msg.buffer:
             await ctx.charge_pack(len(msg.buffer))
         await router.push(tile_id, msg.buffer, msg.accounted_bytes)
 

@@ -111,9 +111,11 @@ class RunConfig:
             object.__setattr__(self, "machine", preset)
         elif not isinstance(self.machine, MachineModel):
             raise ConfigurationError(f"machine must be a MachineModel or preset name")
-        from ..compositing.registry import validate_method
+        from ..compositing.registry import make_compositor
 
-        validate_method(self.method)
+        # Build (and drop) the compositor so a bad method or option fails
+        # here, not inside a rank program.
+        make_compositor(self.method, **self.method_options)
         if self.step <= 0:
             raise ConfigurationError(f"step must be > 0, got {self.step}")
         from ..cluster.backend import BACKENDS

@@ -11,7 +11,7 @@ import pytest
 from conftest import SMALL_IMAGE, random_subimages, rendered_workload, reference_image
 from repro.cluster.model import IDEALIZED, SP2
 from repro.compositing.registry import available_methods, make_compositor
-from repro.errors import CompositingError
+from repro.errors import CompositingError, ConfigurationError
 from repro.pipeline.system import assemble_final, run_compositing, validate_ownership
 from repro.render.reference import composite_sequential
 from repro.volume.partition import depth_order, recursive_bisect
@@ -157,9 +157,9 @@ class TestMethodOptions:
     def test_bslc_invalid_section(self):
         from repro.compositing.schedule import SectionedSchedule
 
-        with pytest.raises(CompositingError):
+        with pytest.raises(ConfigurationError):
             SectionedSchedule(section=0)
-        with pytest.raises(CompositingError):
+        with pytest.raises(ConfigurationError):
             make_compositor("bslc", section=0)
 
     def test_plan_size_mismatch_rejected(self):

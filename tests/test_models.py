@@ -46,9 +46,9 @@ def workload():
 
 
 def run_without_pack(subimages, method, plan, camera):
-    """charge_pack=False isolates the equations' exact terms."""
+    """A free pack (``tpack=0``) isolates the equations' exact terms."""
     return run_compositing(
-        list(subimages), method, plan, camera.view_dir, SP2, charge_pack=False
+        list(subimages), method, plan, camera.view_dir, SP2.with_overrides(tpack=0.0)
     )
 
 

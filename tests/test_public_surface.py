@@ -17,14 +17,15 @@ import pytest
 import repro
 import repro.compositing
 import repro.serving
+from repro.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Public names removed with the hand-written method classes, the second
 #: wire-kernel family, the hypercube schedule helpers, the mp shim, the
 #: splatting renderer, the second rank program, the step-chunked
-#: marcher and the MPI substrate (CHANGELOG lists each with its
-#: replacement, or says it has none).
+#: marcher, the MPI substrate and BSLC's index-array parts (CHANGELOG
+#: lists each with its replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
     "BinarySwapBoundingRect",
@@ -58,10 +59,18 @@ REMOVED_NAMES = {
     "MPIRankContext",
     "MPIRequest",
     "require_mpi",
+    "initial_indices",
+    "split_interleaved",
+    "validate_method",
+    "part_pixels",
 }
 
-#: Modules deleted with the MPI substrate.
-REMOVED_MODULES = ("repro.cluster.mpi_backend", "repro.pipeline.mpi_main")
+#: Modules deleted with the MPI substrate and the index-array parts.
+REMOVED_MODULES = (
+    "repro.cluster.mpi_backend",
+    "repro.pipeline.mpi_main",
+    "repro.compositing.interleave",
+)
 
 #: Every module but the ``python -m`` entry scripts, which run on import.
 MODULES = sorted(
@@ -89,6 +98,7 @@ def test_module_imports_and_all_resolves(name):
     [
         "repro", "repro.compositing", "repro.cluster", "repro.pipeline",
         "repro.pipeline.phases", "repro.render", "repro.render.raycast", "repro.analysis",
+        "repro.compositing.codec", "repro.compositing.registry",
     ],
 )
 def test_removed_names_stay_removed(package):
@@ -121,6 +131,18 @@ def test_marcher_options_stay_removed():
         params = inspect.signature(accepts).parameters
         assert not {"early_termination", "chunk_steps"} & set(params), accepts
         assert not any(p.kind is p.VAR_KEYWORD for p in params.values()), accepts
+
+
+def test_no_compositor_takes_charge_pack():
+    """Pricing a free pack is a machine-model choice (``tpack=0``), not a
+    compositor option."""
+    from repro.compositing.registry import available_methods, make_compositor
+
+    for method in available_methods():
+        compositor = make_compositor(method)
+        assert "charge_pack" not in inspect.signature(type(compositor)).parameters
+        with pytest.raises((ConfigurationError, TypeError)):
+            make_compositor(method, charge_pack=False)
 
 
 @pytest.mark.parametrize("name", REMOVED_MODULES)

@@ -29,7 +29,6 @@ from repro.compositing.registry import (
     make_compositor,
     make_scheduled,
     method_catalog,
-    validate_method,
 )
 from repro.compositing.schedule import (
     BinarySwapSchedule,
@@ -147,13 +146,38 @@ class TestRegistry:
         assert "sectoin" in str(err.value)
         assert "split_policy" in str(err.value)
 
-    def test_validate_method_no_instantiation(self):
-        validate_method("radix-k:rect-rle")
-        validate_method("BSBRC")
+    def test_make_compositor_resolves_and_rejects(self):
+        make_compositor("radix-k:rect-rle")
+        make_compositor("BSBRC")
         with pytest.raises(ConfigurationError):
-            validate_method("sectioned:rect")
+            make_compositor("sectioned:rect")
         with pytest.raises(ConfigurationError):
-            validate_method("nope")
+            make_compositor("nope")
+
+    @pytest.mark.parametrize(
+        "method,options",
+        [
+            ("bsbrc", {"split_policy": "diagonal"}),
+            ("radix-k:rect", {"split_policy": "diagonal"}),
+            ("bslc", {"section": 0}),
+        ],
+    )
+    def test_bad_option_values_fail_when_the_config_is_built(self, method, options):
+        """A bad option value is a configuration error, raised by
+        ``RunConfig`` itself rather than by a rank program mid-run."""
+        from repro.pipeline.config import RunConfig
+
+        with pytest.raises(ConfigurationError):
+            RunConfig(method=method, method_options=options)
+
+    def test_cli_reports_a_bad_section_in_one_line(self, tmp_path):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick", "--out", str(tmp_path), "run", "--method", "bslc",
+                  "--section", "0"])
+        # A string exit code is printed as-is, without a traceback.
+        assert exc.value.code == "section must be >= 1, got 0"
 
     def test_catalog_covers_every_method(self):
         catalog = method_catalog()
@@ -274,7 +298,7 @@ class TestDirectSendSchedule:
 
 class TestSectionedSchedule:
     def test_invalid_section_rejected(self):
-        with pytest.raises(CompositingError, match="section must be >= 1"):
+        with pytest.raises(ConfigurationError, match="section must be >= 1"):
             SectionedSchedule(section=0)
 
     def test_index_parts_partition_sequence(self):

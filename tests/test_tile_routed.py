@@ -22,7 +22,6 @@ from repro.compositing.registry import (
     available_methods,
     make_compositor,
     method_catalog,
-    validate_method,
 )
 from repro.compositing.schedule import IndexPart
 from repro.compositing.tiles import (
@@ -470,7 +469,7 @@ class TestRegistry:
         }
         assert expected == set(TILE_METHODS)
         for method in expected:
-            validate_method(method)
+            make_compositor(method)
 
     def test_catalog_describes_tile_methods(self):
         catalog = method_catalog()
@@ -479,7 +478,7 @@ class TestRegistry:
 
     def test_unknown_codec_and_options_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown codec"):
-            validate_method("tile-routed:nope")
+            make_compositor("tile-routed:nope")
         with pytest.raises(ConfigurationError, match="option"):
             make_compositor("tile-routed:raw", radix=[4])
         with pytest.raises(ConfigurationError):
@@ -492,7 +491,7 @@ class TestRegistry:
 
     def test_unknown_schedule_suggests_tile_routed(self):
         with pytest.raises(ConfigurationError, match="tile-routed"):
-            validate_method("tile-route:rect")
+            make_compositor("tile-route:rect")
 
 
 # ---- CLI --------------------------------------------------------------------
