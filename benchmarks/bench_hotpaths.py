@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Hot-path micro-benchmarks: before/after speedups, machine-readable.
 
-Each hot path times the kept *reference* implementation (the pre-overhaul
-per-step marcher / loop codecs / copying unpack) against the production
+Each hot path times the *reference* implementation (the pre-overhaul
+per-step marcher / loop codecs from ``tests/oracles.py``, the copying
+unpack) against the production
 one **in the same process on the same inputs**, asserting the outputs are
 bit-identical first.  Results land in ``BENCH_hotpaths.json`` at the repo
 root — the perf trajectory's seed — as ``reference_s`` / ``optimized_s``
@@ -34,11 +35,11 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(1, os.path.join(_ROOT, "tests"))  # oracles.py: the reference side
 
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_hotpaths.json"
-)
+BASELINE_PATH = os.path.join(_ROOT, "BENCH_hotpaths.json")
 
 #: Full-mode floor speedups (the PR's acceptance criteria).
 FULL_MODE_FLOORS = {
@@ -63,6 +64,7 @@ def _time(fn, repeats: int) -> float:
 # hot paths
 # --------------------------------------------------------------------------
 def bench_raycast(smoke: bool) -> dict:
+    from oracles import render_reference
     from repro.render.camera import Camera
     from repro.render.raycast import render_full
     from repro.volume.datasets import make_dataset
@@ -75,14 +77,14 @@ def bench_raycast(smoke: bool) -> dict:
     camera = Camera(
         width=size, height=size, volume_shape=volume.shape, rot_x=20.0, rot_y=30.0
     )
-    reference = render_full(volume, transfer, camera, march="reference")
+    reference = render_reference(volume, transfer, camera)
     optimized = render_full(volume, transfer, camera)
     if not (
         np.array_equal(reference.intensity, optimized.intensity)
         and np.array_equal(reference.opacity, optimized.opacity)
     ):
         raise AssertionError("chunked marcher is not bit-identical to the reference")
-    ref_s = _time(lambda: render_full(volume, transfer, camera, march="reference"), repeats)
+    ref_s = _time(lambda: render_reference(volume, transfer, camera), repeats)
     opt_s = _time(lambda: render_full(volume, transfer, camera), repeats)
     return {
         "detail": f"engine_high render_full {size}x{size}, volume {volume.shape}",
@@ -114,12 +116,8 @@ def _bench_mask(side: int) -> np.ndarray:
 
 
 def bench_rle(smoke: bool) -> tuple[dict, dict]:
-    from repro.compositing.rle import (
-        _rle_decode_mask_loop,
-        _rle_encode_mask_loop,
-        rle_decode_mask,
-        rle_encode_mask,
-    )
+    from oracles import _rle_decode_mask_loop, _rle_encode_mask_loop
+    from repro.compositing.rle import rle_decode_mask, rle_encode_mask
 
     side = 128 if smoke else 768
     repeats = 7 if smoke else 25

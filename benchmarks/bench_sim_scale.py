@@ -5,7 +5,7 @@ Three measurements, all machine-readable in ``BENCH_sim_scale.json``:
 
 ``scheduler``
     Identical multi-frame workloads run on the min-heap **event** engine
-    and on the retained round-robin **lockstep** oracle, after asserting
+    and on the round-robin **lockstep** oracle (``tests/oracles.py``), after asserting
     their virtual results agree exactly.  The ``ring`` workload is a
     pipelined ring composite (the registry's ``pipeline`` method shape):
     progress is fully serialized, so the lockstep engine pays a full
@@ -49,11 +49,11 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(1, os.path.join(_ROOT, "tests"))  # oracles.py: the lockstep side
 
-BASELINE_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_sim_scale.json"
-)
+BASELINE_PATH = os.path.join(_ROOT, "BENCH_sim_scale.json")
 
 #: A workload "regresses" when its wall time doubles versus the baseline.
 REGRESSION_FACTOR = 2.0
@@ -127,6 +127,7 @@ def swap_gather_workload(frames: int):
 
 
 def bench_scheduler(smoke: bool) -> dict:
+    from oracles import LockstepSimulator
     from repro.cluster.model import SP2
     from repro.cluster.simulator import Simulator
 
@@ -143,10 +144,8 @@ def bench_scheduler(smoke: bool) -> dict:
 
     rows: dict[str, dict] = {}
     for name, make, num_ranks, frames in cases:
-        results = {}
-        for engine in ("event", "lockstep"):
-            results[engine] = Simulator(num_ranks, SP2, engine=engine).run(make(frames))
-        ev, ls = results["event"], results["lockstep"]
+        ev = Simulator(num_ranks, SP2).run(make(frames))
+        ls = LockstepSimulator(num_ranks, SP2).run(make(frames))
         if ev.makespan != ls.makespan:
             raise AssertionError(
                 f"{name} P={num_ranks}: engines disagree on makespan "
@@ -156,10 +155,10 @@ def bench_scheduler(smoke: bool) -> dict:
             if ev.rank_stats[r].comm_time != ls.rank_stats[r].comm_time:
                 raise AssertionError(f"{name} P={num_ranks}: rank {r} comm_time differs")
         event_s = _best(
-            lambda: Simulator(num_ranks, SP2, engine="event").run(make(frames)), repeats
+            lambda: Simulator(num_ranks, SP2).run(make(frames)), repeats
         )
         lockstep_s = _best(
-            lambda: Simulator(num_ranks, SP2, engine="lockstep").run(make(frames)), repeats
+            lambda: LockstepSimulator(num_ranks, SP2).run(make(frames)), repeats
         )
         rows[f"{name}_p{num_ranks}"] = {
             "detail": f"{name} workload, P={num_ranks}, {frames} frames, identical virtual results",
@@ -210,6 +209,7 @@ def bench_composite(smoke: bool) -> dict:
 # engine identity on a real compositing run
 # --------------------------------------------------------------------------
 def bench_identity(smoke: bool) -> dict:
+    from oracles import lockstep
     from repro.cluster.model import SP2
     from repro.experiments.scale import VIEW_DIR, synthetic_subimages
     from repro.pipeline.system import run_compositing
@@ -217,13 +217,11 @@ def bench_identity(smoke: bool) -> dict:
 
     num_ranks = 64 if smoke else 256
     plan = recursive_bisect((64, 64, 64), num_ranks)
-    runs = {}
-    for engine in ("event", "lockstep"):
-        images = synthetic_subimages(num_ranks, 96, 0.2)
-        runs[engine] = run_compositing(
-            images, "bsbrc", plan, VIEW_DIR, SP2, engine=engine
+    ev = run_compositing(synthetic_subimages(num_ranks, 96, 0.2), "bsbrc", plan, VIEW_DIR, SP2)
+    with lockstep():
+        ls = run_compositing(
+            synthetic_subimages(num_ranks, 96, 0.2), "bsbrc", plan, VIEW_DIR, SP2
         )
-    ev, ls = runs["event"], runs["lockstep"]
     for oe, ol in zip(ev.outcomes, ls.outcomes):
         if not (
             np.array_equal(oe.image.intensity, ol.image.intensity)

@@ -93,7 +93,7 @@ def bench_latency(smoke: bool) -> dict:
                     t0 = time.perf_counter()
                     run = run_compositing(
                         list(images), method, plan, VIEW_DIR, SP2,
-                        network=network, engine="event", **options,
+                        network=network, **options,
                     )
                     wall_s = time.perf_counter() - t0
                     final = _final(run, IMAGE_SIZE)

@@ -17,7 +17,7 @@ from .backend import (
     SimBackend,
     make_backend,
 )
-from .collectives import allreduce, bcast, gather
+from .collectives import gather
 from .context import RankContext, payload_nbytes
 from .events import (
     ANY_TAG,
@@ -131,8 +131,6 @@ __all__ = [
     "TIMELINE_SCHEMA",
     "TraceEvent",
     "WaitOp",
-    "allreduce",
-    "bcast",
     "decode_payload",
     "drive",
     "encode_payload",

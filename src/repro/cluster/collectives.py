@@ -1,33 +1,24 @@
 """Collective operations built on the point-to-point substrate.
 
 Only what the sort-last pipeline needs: a ``gather`` of final image tiles
-to a root (the display node), a ``bcast`` of configuration from the root
-(the partitioning phase), and an ``allreduce`` used by diagnostics.  All
+to a root (the display node), the grouped pairwise exchange of radix-k
+stages, and the tag-routed tile pump of the tile-routed compositor.  All
 are implemented with explicit p2p messages so that their traffic is
 visible to the same accounting that measures the compositing phase.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..errors import ConfigurationError
-from .context import RankContext, payload_nbytes
+from .context import RankContext
 
-__all__ = [
-    "gather",
-    "bcast",
-    "allreduce",
-    "exchange_grouped",
-    "TileRouter",
-    "route_tiles",
-]
+__all__ = ["gather", "exchange_grouped", "TileRouter"]
 
 #: Tag space reserved for collectives so they never collide with
 #: compositing-stage tags (which are small non-negative stage indices).
 _GATHER_TAG = 1 << 20
-_BCAST_TAG = 1 << 21
-_ALLREDUCE_TAG = 1 << 22
 #: Base of the per-tile tag space used by :class:`TileRouter`; tile ``t``
 #: travels under tag ``_TILE_TAG + t``, above every other reserved range.
 _TILE_TAG = 1 << 23
@@ -90,52 +81,6 @@ class TileRouter:
         await self._ctx.wait_all(sends)
 
 
-async def route_tiles(
-    ctx,
-    owners,
-    outgoing: "dict[int, tuple[Any, int]]",
-    *,
-    push_order=None,
-) -> "dict[int, list]":
-    """One-shot tile routing: push ``outgoing`` tiles, collect owned ones.
-
-    ``owners[t]`` names tile ``t``'s owner; ``outgoing`` maps the tile
-    ids this rank contributes to (remote owners only) to ``(payload,
-    nbytes)``.  Returns ``{tile_id: [payload per remote rank, ascending
-    src]}`` for every tile this rank owns.  The incremental surface
-    (:class:`TileRouter`) is what the tile engine drives so encoding and
-    communication overlap; this wrapper is the collective-shaped entry
-    point for everything else.
-
-    ``push_order`` permutes the order outgoing tiles are pushed
-    (default: ascending tile id) — a callable mapping the sorted tile-id
-    list to the order to send.  On the simulator any permutation yields
-    bit-identical results (the matcher pairs by exact tag; the schedule
-    explorer's property tests exercise exactly this).  On the strictly
-    FIFO multiprocessing substrate only the default ascending order
-    honours the :class:`TileRouter` ordering contract — leave it alone
-    there.
-    """
-    owners = tuple(owners)
-    router = TileRouter(ctx, owners)
-    owned = [t for t, owner in enumerate(owners) if owner == ctx.rank]
-    await router.post_receives(owned)
-    order = sorted(outgoing)
-    if push_order is not None:
-        order = list(push_order(order))
-        if sorted(order) != sorted(outgoing):
-            raise ConfigurationError(
-                "push_order must permute the outgoing tile ids, "
-                f"got {order!r} for {sorted(outgoing)!r}"
-            )
-    for tile_id in order:
-        payload, nbytes = outgoing[tile_id]
-        await router.push(tile_id, payload, nbytes)
-    received = {tile_id: await router.collect(tile_id) for tile_id in owned}
-    await router.flush()
-    return received
-
-
 async def exchange_grouped(
     ctx: RankContext,
     sends: "list[tuple[int, Any, int]]",
@@ -166,29 +111,16 @@ async def gather(
     *,
     root: int = 0,
     nbytes: Optional[int] = None,
-    algorithm: str = "linear",
 ) -> Optional[list[Any]]:
     """Gather one payload per rank to ``root``.
 
     Returns the rank-ordered list at the root and ``None`` elsewhere.
-
-    ``algorithm="linear"`` (default) is ``P-1`` serialized receives at
-    the root: the paper's assumption that the final image is simply
-    collected after compositing, and the accounting every pinned counter
-    was recorded against.  ``algorithm="tree"`` is a binomial-tree
-    gather — ``ceil(log2 P)`` rounds where each subtree root forwards
-    its accumulated slice — which trades larger forwarded messages for
-    exponentially fewer serialized root receives (the at-scale choice
-    for ``P >= 256``).
+    ``P-1`` serialized receives at the root: the paper's assumption that
+    the final image is simply collected after compositing, and the
+    accounting every pinned counter was recorded against.
     """
     if not (0 <= root < ctx.size):
         raise ConfigurationError(f"gather root {root} out of range")
-    if algorithm == "tree":
-        return await _gather_tree(ctx, payload, root=root, nbytes=nbytes)
-    if algorithm != "linear":
-        raise ConfigurationError(
-            f"unknown gather algorithm {algorithm!r}; choose 'linear' or 'tree'"
-        )
     if ctx.rank == root:
         out: list[Any] = [None] * ctx.size
         out[root] = payload
@@ -199,124 +131,3 @@ async def gather(
         return out
     await ctx.send(root, payload, nbytes=nbytes, tag=_GATHER_TAG)
     return None
-
-
-async def _gather_tree(
-    ctx: RankContext,
-    payload: Any,
-    *,
-    root: int,
-    nbytes: Optional[int],
-) -> Optional[list[Any]]:
-    """Binomial-tree gather (the mirror image of :func:`bcast`).
-
-    Each rank accumulates ``{vrank: payload}`` from progressively larger
-    subtrees, then forwards the dict to its parent; doubling distances
-    ascend so round ``d`` merges subtrees of size ``d``.  Message cost is
-    priced per hop on the actual forwarded chunk (the sum of its members'
-    ``nbytes``), so the modelled traffic reflects the real tree volume.
-    """
-    size = ctx.size
-    vrank = (ctx.rank - root) % size
-    own_nbytes = payload_nbytes(payload) if nbytes is None else nbytes
-    chunk: dict[int, Any] = {vrank: payload}
-    chunk_nbytes = own_nbytes
-    d = 1
-    while d < size:
-        if vrank % (2 * d) == 0:
-            src_v = vrank + d
-            if src_v < size:
-                src = (src_v + root) % size
-                theirs, theirs_nbytes = await ctx.recv(src, tag=_GATHER_TAG + d)
-                chunk.update(theirs)
-                chunk_nbytes += theirs_nbytes
-        elif vrank % (2 * d) == d:
-            dst = (vrank - d + root) % size
-            await ctx.send(
-                dst, (chunk, chunk_nbytes), nbytes=chunk_nbytes, tag=_GATHER_TAG + d
-            )
-            return None
-        d <<= 1
-    out: list[Any] = [None] * size
-    for v, item in chunk.items():
-        out[(v + root) % size] = item
-    return out
-
-
-async def bcast(
-    ctx: RankContext,
-    payload: Any,
-    *,
-    root: int = 0,
-    nbytes: Optional[int] = None,
-) -> Any:
-    """Broadcast ``payload`` from ``root`` to every rank (binomial tree).
-
-    Every rank (including the root) returns the broadcast value.
-    """
-    if not (0 <= root < ctx.size):
-        raise ConfigurationError(f"bcast root {root} out of range")
-    size = ctx.size
-    # Rotate so the algorithm can assume root == 0.
-    vrank = (ctx.rank - root) % size
-    value = payload if ctx.rank == root else None
-    have = ctx.rank == root
-    span = 1
-    while span < size:
-        span <<= 1
-    span >>= 1
-    # Binomial: at round with distance d (descending), holders with
-    # vrank % (2d) == 0 send to vrank + d.
-    d = span
-    while d >= 1:
-        if have and vrank % (2 * d) == 0 and vrank + d < size:
-            dst = (vrank + d + root) % size
-            await ctx.send(dst, value, nbytes=nbytes, tag=_BCAST_TAG)
-        elif not have and vrank % (2 * d) == d:
-            src = (vrank - d + root) % size
-            value = await ctx.recv(src, tag=_BCAST_TAG)
-            have = True
-        d >>= 1
-    return value
-
-
-async def allreduce(
-    ctx: RankContext,
-    value: Any,
-    op: Callable[[Any, Any], Any],
-    *,
-    nbytes: Optional[int] = None,
-) -> Any:
-    """All-reduce with an arbitrary associative/commutative ``op``.
-
-    Recursive doubling when ``P`` is a power of two, otherwise a
-    gather-to-0/compute/broadcast fallback.  ``nbytes`` prices each hop;
-    when omitted it is inferred from the payload.
-    """
-    size = ctx.size
-    if size == 1:
-        return value
-    if size & (size - 1) == 0:
-        acc = value
-        d = 1
-        while d < size:
-            peer = ctx.rank ^ d
-            theirs = await ctx.sendrecv(
-                peer,
-                acc,
-                nbytes=payload_nbytes(acc) if nbytes is None else nbytes,
-                tag=_ALLREDUCE_TAG + d,
-            )
-            # Apply in rank-independent order so every rank computes the
-            # bit-identical result even for weakly associative ops.
-            acc = op(acc, theirs) if ctx.rank < peer else op(theirs, acc)
-            d <<= 1
-        return acc
-    gathered = await gather(ctx, value, root=0, nbytes=nbytes)
-    result = None
-    if ctx.rank == 0:
-        assert gathered is not None
-        result = gathered[0]
-        for item in gathered[1:]:
-            result = op(result, item)
-    return await bcast(ctx, result, root=0, nbytes=nbytes)

@@ -24,26 +24,15 @@ link prices exactly ``Ts + nbytes·Tc`` as above, while switched
 topologies (fat-tree, torus, dragonfly) add per-link contention queues
 on top of the same endpoint cost.
 
-Two schedulers drive the coroutines:
-
-* ``engine="event"`` (default) — a single min-heap of ready ranks keyed
-  ``(virtual clock, rank, sequence)``.  Popping the earliest entry runs
-  that rank until it blocks; a blocking operation attempts its match
-  *immediately* against the partner's posted state, and a successful
-  match re-schedules both sides at their completion clocks.  Idle ranks
-  cost zero scheduler work, so a run is ``O(events · log P)`` instead of
-  the lockstep engine's ``O(rounds · P)`` — serialized protocols such as
-  a linear gather drop from ``O(P²)`` to ``O(P log P)``.
-* ``engine="lockstep"`` — the original round-robin reference: step every
-  ready rank in rank order, then resolve all possible matches, repeat.
-  Kept as the oracle for engine-equivalence tests and benchmarks.
-
-Both engines are deterministic and — on the flat network — produce
-bit-identical results: the same images, statistics, per-stage counters
-and per-rank trace sequences.  The match timings are order-independent
-(every blocking completion is a pure function of the two posts), so the
-only freedom between the engines is *when* a match is discovered, which
-is unobservable in virtual time.
+One scheduler drives the coroutines: a min-heap of ready ranks keyed
+``(virtual clock, rank, sequence)``.  Popping the earliest entry runs
+that rank until it blocks; a blocking operation attempts its match
+*immediately* against the partner's posted state, and a successful match
+re-schedules both sides at their completion clocks.  Idle ranks cost
+zero scheduler work, so a run is ``O(events · log P)``.  Every match
+timing is a pure function of the two posts, so *when* a match is
+discovered is unobservable in virtual time; the round-robin reference
+scheduler the tests compare against lives in ``tests/oracles.py``.
 
 Schedule exploration: the engine's residual ordering freedom —
 same-clock heap ties, the ANY_TAG wildcard's choice among pending
@@ -91,10 +80,7 @@ from .model import MachineModel, Network
 from .schedule_policy import SchedulePolicy, state_digest
 from .stats import RankStats, RunResult
 
-__all__ = ["Simulator", "TraceEvent", "ENGINES"]
-
-#: Available scheduler engines (see module docstring).
-ENGINES = ("event", "lockstep")
+__all__ = ["Simulator", "TraceEvent"]
 
 
 class _State(Enum):
@@ -154,16 +140,12 @@ class Simulator:
         Optional :class:`~repro.cluster.model.Network` topology pricing
         message arrivals.  ``None`` (default) is the paper's flat link,
         ``Ts + nbytes·Tc``, with no contention state.
-    engine:
-        ``"event"`` (min-heap scheduler, default) or ``"lockstep"``
-        (round-robin reference).  Identical results on the flat network.
     policy:
         Optional :class:`~repro.cluster.schedule_policy.SchedulePolicy`
         consulted at the engine's genuine-freedom points (same-clock
         ties, multi-channel wildcard matches, probabilistic fault
         firings).  ``None`` and the deterministic policy run today's
-        order bit-identically.  Exploring policies require the event
-        engine (the lockstep reference has no policy hooks).
+        order bit-identically.
     """
 
     def __init__(
@@ -174,27 +156,16 @@ class Simulator:
         trace: bool = False,
         max_steps: int = 50_000_000,
         network: Network | None = None,
-        engine: str = "event",
         policy: SchedulePolicy | None = None,
     ):
         if num_ranks < 1:
             raise ConfigurationError(f"num_ranks must be >= 1, got {num_ranks}")
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown simulator engine {engine!r}; choose from {ENGINES}"
-            )
-        if policy is not None and policy.explores_any and engine != "event":
-            raise ConfigurationError(
-                f"schedule policy {policy.name!r} explores orderings, which "
-                f"only the event engine supports; rerun with engine='event'"
-            )
         self.num_ranks = int(num_ranks)
         self.model = model
         self.trace = bool(trace)
         self.trace_events: list[TraceEvent] = []
         self.max_steps = int(max_steps)
         self.network = network
-        self.engine = engine
         self.policy = policy
         self._procs: list[_Proc] = []
         # Nonblocking machinery: FIFO queues of unmatched requests keyed
@@ -204,9 +175,8 @@ class Simulator:
         self._pending_isends: dict[tuple[int, int, int], deque] = {}
         self._pending_irecvs: dict[tuple[int, int, int], deque] = {}
         self._link_free: list[float] = []
-        # Event-engine state: min-heap of (clock, rank, seq, proc) for
-        # READY procs; None while the lockstep engine drives the run.
-        self._heap: list | None = None
+        # Min-heap of (clock, rank, seq, proc) for READY procs.
+        self._heap: list = []
         self._seq = 0
         self._steps = 0
         self._done_count = 0
@@ -224,7 +194,7 @@ class Simulator:
         self._pending_isends.clear()
         self._pending_irecvs.clear()
         self._link_free = [0.0] * self.num_ranks
-        self._heap = None
+        self._heap = []
         self._seq = 0
         self._steps = 0
         self._done_count = 0
@@ -243,10 +213,7 @@ class Simulator:
             self._procs.append(proc)
 
         try:
-            if self.engine == "event":
-                self._event_engine()
-            else:
-                self._lockstep_engine()
+            self._drive()
         except BaseException:
             self._close_all()
             raise
@@ -259,10 +226,9 @@ class Simulator:
             makespan=makespan,
         )
 
-    # ------------------------------------------------------ min-heap engine
-    def _event_engine(self) -> None:
+    # ------------------------------------------------------------ scheduler
+    def _drive(self) -> None:
         """Pop ready ranks in (clock, rank, seq) order; match on block."""
-        self._heap = []
         for proc in self._procs:
             self._schedule(proc)
         explore_ties = self.policy is not None and self.policy.explores_ties
@@ -330,8 +296,8 @@ class Simulator:
         return state_digest((ranks, sends, recvs))
 
     def _schedule(self, proc: _Proc) -> None:
-        """Enqueue a READY proc at its current clock (event engine only)."""
-        if self._heap is None or proc.state is not _State.READY:
+        """Enqueue a READY proc at its current clock."""
+        if proc.state is not _State.READY:
             return
         self._seq += 1
         heapq.heappush(self._heap, (proc.clock, proc.rank, self._seq, proc))
@@ -352,7 +318,7 @@ class Simulator:
         elif isinstance(op, SendOp):
             # The receiver side owns recv-matching; poke it if it is
             # already blocked on us.  An out-of-range dst simply never
-            # matches (surfacing as a deadlock, like the lockstep engine).
+            # matches (surfacing as a deadlock).
             if 0 <= op.dst < self.num_ranks:
                 receiver = self._procs[op.dst]
                 if receiver.state is _State.BLOCKED and isinstance(
@@ -406,22 +372,6 @@ class Simulator:
                 sched_decisions=list(self.policy.decisions),
             )
         raise DeadlockError(blocked, last_progress=last_progress, **sched)
-
-    # ------------------------------------------------------ lockstep engine
-    def _lockstep_engine(self) -> None:
-        """Reference scheduler: step every rank, resolve matches, repeat."""
-        while True:
-            stepped = False
-            for proc in self._procs:
-                while proc.state is _State.READY:
-                    stepped = True
-                    self._count_step()
-                    self._step(proc)
-            if all(p.state is _State.DONE for p in self._procs):
-                return
-            matched = self._resolve_matches()
-            if not matched and not stepped:
-                self._raise_deadlock()
 
     def _step(self, proc: _Proc) -> None:
         value, proc.resume_value = proc.resume_value, None
@@ -582,11 +532,10 @@ class Simulator:
         recv_bucket = self._procs[dst].bucket()
         recv_bucket.bytes_recv += send_req.nbytes
         recv_bucket.msgs_recv += 1
-        if self._heap is not None:
-            self._notify_waiters(send_req, recv_req)
+        self._notify_waiters(send_req, recv_req)
 
     def _notify_waiters(self, *requests: Request) -> None:
-        """Wake event-engine procs whose WaitOp just became completable."""
+        """Wake procs whose WaitOp just became completable."""
         for request in requests:
             waiter = request.waiter
             if waiter is None:
@@ -618,22 +567,6 @@ class Simulator:
         return True
 
     # ------------------------------------------------------------- matching
-    def _resolve_matches(self) -> bool:
-        matched = False
-        for proc in self._procs:
-            if proc.state is not _State.BLOCKED:
-                continue
-            op = proc.pending
-            if isinstance(op, RecvOp):
-                matched |= self._try_match_recv(proc, op)
-            elif isinstance(op, SendRecvOp):
-                matched |= self._try_match_exchange(proc, op)
-            elif isinstance(op, WaitOp):
-                matched |= self._try_complete_wait(proc, op)
-            # SendOp is matched from the receiver's side; BarrierOp below.
-        matched |= self._try_release_barrier()
-        return matched
-
     def _partner(self, rank: int) -> _Proc:
         if not (0 <= rank < self.num_ranks):
             raise SimulationError(f"message names rank {rank}, outside 0..{self.num_ranks - 1}")

@@ -18,10 +18,8 @@ exact encoding.  Each code element costs 2 bytes on the wire
 Both directions are fully vectorized: encode derives run lengths from
 value-change positions and materializes over-long-run splits with
 arithmetic on the run-length array; decode is a single ``np.repeat`` of
-the alternating class pattern.  The original Python-loop implementations
-are kept as ``_rle_encode_mask_loop`` / ``_rle_decode_mask_loop`` — the
-byte-identity oracles for the fuzz tests and the "before" side of
-``benchmarks/bench_hotpaths.py``.
+the alternating class pattern.  The original Python-loop codecs live in
+``tests/oracles.py`` as the byte-identity oracles.
 """
 
 from __future__ import annotations
@@ -153,54 +151,3 @@ def count_nonblank(codes: np.ndarray) -> int:
     if codes.ndim != 1:
         raise WireFormatError(f"codes must be 1-D, got shape {codes.shape}")
     return int(codes[1::2].sum(dtype=np.int64))
-
-
-# --------------------------------------------------------------------------
-# loop reference implementations (oracles for tests and benchmarks)
-# --------------------------------------------------------------------------
-def _rle_encode_mask_loop(mask: np.ndarray) -> np.ndarray:
-    """Original list-append encoder; byte-identity oracle, do not optimize."""
-    mask = np.asarray(mask)
-    if mask.ndim != 1:
-        raise WireFormatError(f"mask must be 1-D, got shape {mask.shape}")
-    n = mask.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.uint16)
-    mask = mask.astype(bool, copy=False)
-    change = np.flatnonzero(mask[1:] != mask[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [n]))
-    lengths = ends - starts
-    first_is_blank = not bool(mask[0])
-
-    codes: list[int] = []
-    if not first_is_blank:
-        codes.append(0)  # leading zero-length blank run
-    for run_len in lengths:
-        run_len = int(run_len)
-        while run_len > MAX_RUN:
-            codes.append(MAX_RUN)
-            codes.append(0)  # zero run of the opposite class
-            run_len -= MAX_RUN
-        codes.append(run_len)
-    return np.asarray(codes, dtype=np.uint16)
-
-
-def _rle_decode_mask_loop(codes: np.ndarray, n: int) -> np.ndarray:
-    """Original per-run decoder; oracle for the vectorized decode."""
-    codes = np.asarray(codes, dtype=np.uint16)
-    if codes.ndim != 1:
-        raise WireFormatError(f"codes must be 1-D, got shape {codes.shape}")
-    total = int(codes.sum(dtype=np.int64))
-    if total != n:
-        raise WireFormatError(f"run lengths sum to {total}, expected {n}")
-    mask = np.zeros(n, dtype=bool)
-    pos = 0
-    blank = True
-    for code in codes:
-        run = int(code)
-        if not blank and run:
-            mask[pos : pos + run] = True
-        pos += run
-        blank = not blank
-    return mask

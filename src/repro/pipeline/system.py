@@ -92,7 +92,6 @@ def run_compositing(
     model: MachineModel,
     *,
     network=None,
-    engine: str = "event",
     **method_options: Any,
 ) -> CompositingRun:
     """Composite pre-rendered subimages on the simulated cluster.
@@ -107,9 +106,7 @@ def run_compositing(
 
     ``network`` routes message arrivals through a
     :class:`~repro.cluster.model.Network` topology (``None`` = the
-    paper's flat link); ``engine`` picks the simulator scheduler
-    (``"event"`` min-heap, or ``"lockstep"`` for the round-robin
-    reference — identical results on the flat network).
+    paper's flat link).
     """
     num_ranks = len(images)
     if plan.num_ranks != num_ranks:
@@ -124,7 +121,7 @@ def run_compositing(
         local = images[ctx.rank].copy()
         outcomes[ctx.rank] = await compositor.run(ctx, local, plan, view_dir)
 
-    stats = Simulator(num_ranks, model, network=network, engine=engine).run(program)
+    stats = Simulator(num_ranks, model, network=network).run(program)
     assert all(o is not None for o in outcomes)
     return CompositingRun(
         compositor=compositor,

@@ -55,9 +55,9 @@ not depend on which rays march with it.
   each round is a prefix slice.
 
 Per ray that is the same samples, in the same order, through the same
-float expressions as the per-step reference (:func:`_march_reference`),
-so the two produce bit-identical images;
-``tests/test_raycast_equivalence.py`` locks that in.
+float expressions as a plain per-step loop over every ray, so the two
+produce bit-identical images; ``tests/test_raycast_equivalence.py``
+locks that in against the per-step reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -96,20 +96,18 @@ class RaySetup:
     """Per-(volume, transfer, camera, extent) ray state, computed once.
 
     Holds the rays that can contribute to the image — those that hit the
-    extent's slab, cover at least one global sample step and (for the
-    batched marcher) touch an occupied block — compacted in row-major
-    pixel order, each with its origin and its step interval already
-    tightened to the occupied span.  ``rect`` is their bounding
-    rectangle: a pixel outside it is provably blank.
+    extent's slab, cover at least one global sample step and (when the
+    transfer function has a zero-opacity threshold) touch an occupied
+    block — compacted in row-major pixel order, each with its origin and
+    its step interval already tightened to the occupied span.  ``rect``
+    is their bounding rectangle: a pixel outside it is provably blank.
 
     ``clip_rect`` restricts the setup to an image-space window (the
-    rays outside it are never derived).  ``march`` picks the marcher the
-    intervals are prepared for: ``"batched"`` (production) or
-    ``"reference"`` (plain intervals for the per-step oracle).
+    rays outside it are never derived).
     """
 
     __slots__ = (
-        "volume", "transfer", "camera", "march", "rect", "rows", "cols",
+        "volume", "transfer", "camera", "rect", "rows", "cols",
         "origins", "kmin", "kmax", "occupancy", "occ_threshold",
     )
 
@@ -121,18 +119,14 @@ class RaySetup:
         extent: Extent3 | None = None,
         *,
         clip_rect: Rect | None = None,
-        march: str = "batched",
     ):
         if tuple(camera.volume_shape) != volume.shape:
             raise RenderError(
                 f"camera built for volume shape {camera.volume_shape}, got {volume.shape}"
             )
-        if march not in ("batched", "reference"):
-            raise RenderError(f"unknown marcher {march!r}; use 'batched' or 'reference'")
         self.volume = volume
         self.transfer = transfer
         self.camera = camera
-        self.march = march
         self.occupancy = None
         self.occ_threshold = 0.0
         perf.incr("raycast.setups")
@@ -185,14 +179,9 @@ class RaySetup:
 
         # Empty-space skipping needs a provable zero-opacity threshold;
         # transfer functions without one (duck-typed stand-ins) simply
-        # march unskipped, and so does the reference marcher.
+        # march unskipped.
         zero_lo = getattr(self.transfer, "zero_alpha_below", None)
-        if (
-            self.march == "batched"
-            and pixels.size
-            and zero_lo is not None
-            and zero_lo > _OCC_MARGIN
-        ):
+        if pixels.size and zero_lo is not None and zero_lo > _OCC_MARGIN:
             self.occ_threshold = float(zero_lo) - _OCC_MARGIN
             # Tighten each ray's interval to its occupied span and drop
             # rays that never touch an occupied block.  Their pixels
@@ -242,10 +231,7 @@ class RaySetup:
         )
         perf.incr("raycast.march_calls")
         with perf.timer("raycast.march"):
-            if self.march == "reference":
-                _march_reference(*rays)
-            else:
-                _march_batched(*rays, self.occupancy, self.occ_threshold)
+            _march_batched(*rays, self.occupancy, self.occ_threshold)
         pixels = (self.rows[sel], self.cols[sel])
         intensity[pixels] = acc_i
         opacity[pixels] = acc_a
@@ -272,7 +258,6 @@ def render_subvolume(
     camera: Camera,
     extent: Extent3 | None = None,
     *,
-    march: str = "batched",
     clip_rect: Rect | None = None,
 ) -> SubImage:
     """Ray-cast ``extent`` of ``volume`` into a full-frame subimage.
@@ -285,12 +270,8 @@ def render_subvolume(
     blank.  Because every pixel's ray is independent and samples the
     same global ``t`` grid, the pixels inside the window are
     bit-identical to the corresponding pixels of an unclipped render.
-
-    ``march`` selects the marcher: ``"batched"`` (production) or
-    ``"reference"`` (the plain per-step loop kept as the
-    equivalence/benchmark oracle); the two are bit-identical.
     """
-    setup = RaySetup(volume, transfer, camera, extent, clip_rect=clip_rect, march=march)
+    setup = RaySetup(volume, transfer, camera, extent, clip_rect=clip_rect)
     image = SubImage.blank(camera.height, camera.width)
     setup.march_into(image.intensity, image.opacity)
     return image
@@ -300,11 +281,9 @@ def render_full(
     volume: VolumeGrid,
     transfer: TransferFunction,
     camera: Camera,
-    *,
-    march: str = "batched",
 ) -> SubImage:
     """Render the entire volume (the sequential reference image)."""
-    return render_subvolume(volume, transfer, camera, volume.full_extent(), march=march)
+    return render_subvolume(volume, transfer, camera, volume.full_extent())
 
 
 # --------------------------------------------------------------------------
@@ -417,9 +396,9 @@ def _march_batched(
     Every ray passed in has ``kmax >= kmin`` (already tightened to its
     occupied span when ``occupancy``, the fine level, is given).
 
-    Bit-identical to :func:`_march_reference`: each ray sees the same
-    samples in the same order with the same float expressions; batching
-    only regroups *independent* per-ray work.  Samples pruned by the
+    Bit-identical to a per-step loop over all rays: each ray sees the
+    same samples in the same order with the same float expressions;
+    batching only regroups *independent* per-ray work.  Samples pruned by the
     occupancy bound would have had ``alpha`` exactly ``0``, and
     ``x + 0.0 == x`` exactly for the non-negative accumulators, so
     leaving them out is equally exact.
@@ -510,42 +489,3 @@ def _occupied_span(
     kn2 = np.maximum(kmin, first_k - (stride - 1))
     kx2 = np.minimum(kmax, last_k + (stride - 1))
     return alive, kn2, kx2
-
-
-def _march_reference(
-    data: np.ndarray,
-    transfer: TransferFunction,
-    origins: np.ndarray,
-    view_dir: np.ndarray,
-    step: float,
-    t_half: float,
-    kmin: np.ndarray,
-    kmax: np.ndarray,
-    acc_i: np.ndarray,
-    acc_a: np.ndarray,
-) -> None:
-    """Per-step reference marcher (the original implementation).
-
-    Kept as the bit-level oracle for the batched marcher and as the
-    "before" side of ``benchmarks/bench_hotpaths.py``.
-    """
-    k_lo = int(kmin.min())
-    k_hi = int(kmax.max())
-    # Per-sample opacity correction for non-unit step lengths.
-    unit_correction = step != 1.0
-    for k in range(k_lo, k_hi + 1):
-        active = (kmin <= k) & (k <= kmax)
-        if not active.any():
-            continue
-        t_k = -t_half + (k + 0.5) * step
-        points = origins[active] + t_k * view_dir
-        coords = (points - 0.5).T  # field values live at voxel centers
-        samples = ndimage.map_coordinates(
-            data, coords, order=1, mode="nearest", prefilter=False
-        ).astype(np.float64)
-        emission, alpha = transfer.classify(samples)
-        if unit_correction:
-            alpha = 1.0 - np.power(1.0 - alpha, step)
-        trans = 1.0 - acc_a[active]
-        acc_i[active] += trans * emission * alpha
-        acc_a[active] += trans * alpha

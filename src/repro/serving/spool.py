@@ -399,6 +399,44 @@ def _respool(root: str, work_path: str, job_id: str) -> bool:
 
 
 # ---- server side ------------------------------------------------------------
+def _parse_job(request: Any) -> tuple[str, str, dict, Optional[FaultPlan], Any]:
+    """``(session, qos, deltas, fault_plan, deadline_s)`` of a job request
+    document; :class:`ConfigurationError` names what is malformed."""
+    if not isinstance(request, dict):
+        raise ConfigurationError(f"job request is a JSON {type(request).__name__}, not an object")
+    if request.get("schema") != JOB_SCHEMA:
+        raise ConfigurationError(
+            f"unsupported job schema {request.get('schema')!r} (expected {JOB_SCHEMA!r})"
+        )
+    qos = str(request.get("qos", DEFAULT_QOS))
+    if qos not in QOS_POLICIES:
+        raise ConfigurationError(f"unknown QoS class {qos!r}; available: {sorted(QOS_POLICIES)}")
+    deltas = request.get("deltas") or {}
+    deadline_s = request.get("deadline_s")
+    if not isinstance(deltas, dict):
+        raise ConfigurationError(f"job deltas must be an object, got {deltas!r}")
+    if deadline_s is not None and type(deadline_s) not in (int, float):
+        raise ConfigurationError(f"deadline_s must be a number or null, got {deadline_s!r}")
+    plan_doc = request.get("fault_plan")
+    try:
+        plan = None if plan_doc is None else FaultPlan.from_dict(plan_doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigurationError(f"malformed fault_plan: {err}") from err
+    return str(request.get("session", "default")), qos, deltas, plan, deadline_s
+
+
+def _reject(root: str, work_path: str, job_id: str, attempt: int, err: Exception, **where) -> bool:
+    """Answer a claimed job that will not run with an ``ok: false``
+    result document and retire its claim; returns False (not started)."""
+    doc = {"schema": RESULT_SCHEMA, "job_id": job_id, **where, "attempt": attempt,
+           "ok": False, "error": type(err).__name__, "detail": str(err)}
+    _exclusive_write_text(
+        os.path.join(root, _OUT, f"{job_id}.result.json"), json.dumps(doc, indent=2)
+    )
+    _cleanup_work(root, work_path, job_id)
+    return False
+
+
 def _claim_next(root: str) -> Optional[tuple[str, str, int]]:
     """Atomically claim the oldest pending job file.
 
@@ -675,15 +713,13 @@ def serve(
                 request = json.load(fh)
         except (OSError, json.JSONDecodeError):
             return False  # claim raced away / torn write; reclaim later
-        if request.get("schema") != JOB_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported job schema {request.get('schema')!r} "
-                f"in {work_path!r} (expected {JOB_SCHEMA!r})"
-            )
-        session = str(request.get("session", "default"))
-        qos = str(request.get("qos", DEFAULT_QOS))
-        deltas = dict(request.get("deltas") or {})
-        plan_doc = request.get("fault_plan")
+        try:
+            session, qos, deltas, fault_plan, deadline_s = _parse_job(request)
+            # The service only closes after this loop, so a refusal here
+            # is the session's QoS clashing with an earlier job's.
+            service.open_session(session, qos=qos)
+        except ConfigurationError as err:
+            return _reject(root, work_path, job_id, attempt, err)
         store = None
         resume = None
         if QOS_POLICIES.get(qos) == "checkpoint-resume" or (
@@ -701,35 +737,19 @@ def serve(
             resume = "common"
         job = RenderJob(
             deltas=deltas,
-            fault_plan=None if plan_doc is None else FaultPlan.from_dict(plan_doc),
+            fault_plan=fault_plan,
             label=job_id,
-            deadline_s=request.get("deadline_s"),
+            deadline_s=deadline_s,
             checkpoint_store=store,
             resume=resume,
         )
-        service.open_session(session, qos=qos)
         _write_lease(root, job_id, attempt, lease_s)
         try:
             ticket = service.submit(session, job)
         except OverloadError as err:
             # reject / shed-at-the-door: the client gets a typed
             # failure document instead of hanging.
-            doc = {
-                "schema": RESULT_SCHEMA,
-                "job_id": job_id,
-                "session": session,
-                "qos": qos,
-                "attempt": attempt,
-                "ok": False,
-                "error": type(err).__name__,
-                "detail": str(err),
-            }
-            _exclusive_write_text(
-                os.path.join(root, _OUT, f"{job_id}.result.json"),
-                json.dumps(doc, indent=2),
-            )
-            _cleanup_work(root, work_path, job_id)
-            return False
+            return _reject(root, work_path, job_id, attempt, err, session=session, qos=qos)
         except ConfigurationError:
             # Service closed under us (stop raced the claim): re-spool.
             _respool(root, work_path, job_id)

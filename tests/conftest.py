@@ -98,3 +98,38 @@ def random_subimages(rng: np.random.Generator, num_ranks: int, height: int, widt
         intensity = np.where(mask, rng.uniform(0.05, 1.0, (height, width)) * opacity, 0.0)
         images.append(SubImage(intensity=intensity, opacity=opacity))
     return images
+
+
+async def route_tiles(ctx, owners, outgoing, *, push_order=None):
+    """One-shot tile routing over :class:`TileRouter`: push ``outgoing``
+    tiles, collect owned ones.
+
+    ``owners[t]`` names tile ``t``'s owner; ``outgoing`` maps the tile
+    ids this rank contributes to (remote owners only) to ``(payload,
+    nbytes)``.  Returns ``{tile_id: [payload per remote rank, ascending
+    src]}`` for every tile this rank owns.  ``push_order`` permutes the
+    order outgoing tiles are pushed (default: ascending tile id) — a
+    callable mapping the sorted tile-id list to the order to send; on
+    the simulator any permutation must give bit-identical results.
+    """
+    from repro.cluster.collectives import TileRouter
+    from repro.errors import ConfigurationError
+
+    owners = tuple(owners)
+    router = TileRouter(ctx, owners)
+    owned = [t for t, owner in enumerate(owners) if owner == ctx.rank]
+    await router.post_receives(owned)
+    order = sorted(outgoing)
+    if push_order is not None:
+        order = list(push_order(order))
+        if sorted(order) != sorted(outgoing):
+            raise ConfigurationError(
+                "push_order must permute the outgoing tile ids, "
+                f"got {order!r} for {sorted(outgoing)!r}"
+            )
+    for tile_id in order:
+        payload, nbytes = outgoing[tile_id]
+        await router.push(tile_id, payload, nbytes)
+    received = {tile_id: await router.collect(tile_id) for tile_id in owned}
+    await router.flush()
+    return received

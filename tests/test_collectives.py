@@ -1,9 +1,8 @@
-"""Tests for gather/bcast/allreduce built on the simulated network."""
+"""Tests for the root gather built on the simulated network."""
 
-import numpy as np
 import pytest
 
-from repro.cluster.collectives import allreduce, bcast, gather
+from repro.cluster.collectives import gather
 from repro.cluster.model import IDEALIZED, MachineModel
 from repro.cluster.simulator import Simulator
 from repro.errors import RankFailedError
@@ -46,72 +45,3 @@ class TestGather:
 
         result = run(4, program, model=model)
         assert result.rank_stats[0].bytes_recv == 30
-
-
-class TestBcast:
-    @pytest.mark.parametrize("num_ranks", [1, 2, 3, 4, 5, 8, 16])
-    def test_bcast_reaches_all(self, num_ranks):
-        async def program(ctx):
-            return await bcast(ctx, {"v": 42} if ctx.rank == 0 else None)
-
-        result = run(num_ranks, program)
-        assert all(r == {"v": 42} for r in result.returns)
-
-    @pytest.mark.parametrize("root", [0, 1, 3])
-    def test_bcast_any_root(self, root):
-        async def program(ctx):
-            return await bcast(ctx, "payload" if ctx.rank == root else None, root=root)
-
-        result = run(4, program)
-        assert all(r == "payload" for r in result.returns)
-
-    def test_bcast_bad_root(self):
-        async def program(ctx):
-            await bcast(ctx, 1, root=-1)
-
-        with pytest.raises(RankFailedError):
-            run(2, program)
-
-
-class TestAllreduce:
-    @pytest.mark.parametrize("num_ranks", [1, 2, 4, 8])
-    def test_sum_power_of_two(self, num_ranks):
-        async def program(ctx):
-            return await allreduce(ctx, ctx.rank + 1, lambda a, b: a + b)
-
-        result = run(num_ranks, program)
-        expected = num_ranks * (num_ranks + 1) // 2
-        assert all(r == expected for r in result.returns)
-
-    @pytest.mark.parametrize("num_ranks", [3, 5, 6, 7])
-    def test_sum_non_power_of_two(self, num_ranks):
-        async def program(ctx):
-            return await allreduce(ctx, ctx.rank + 1, lambda a, b: a + b)
-
-        result = run(num_ranks, program)
-        expected = num_ranks * (num_ranks + 1) // 2
-        assert all(r == expected for r in result.returns)
-
-    def test_max_reduction(self):
-        async def program(ctx):
-            return await allreduce(ctx, (ctx.rank * 7) % 5, max)
-
-        result = run(8, program)
-        expected = max((r * 7) % 5 for r in range(8))
-        assert all(r == expected for r in result.returns)
-
-    def test_numpy_payloads(self):
-        async def program(ctx):
-            vec = np.full(4, float(ctx.rank))
-            total = await allreduce(ctx, vec, lambda a, b: a + b)
-            return total.tolist()
-
-        result = run(4, program)
-        assert all(r == [6.0, 6.0, 6.0, 6.0] for r in result.returns)
-
-    def test_all_ranks_agree_bitwise(self):
-        async def program(ctx):
-            return await allreduce(ctx, 0.1 * (ctx.rank + 1), lambda a, b: a + b)
-
-        result = run(8, program)
-        assert len({repr(v) for v in result.returns}) == 1

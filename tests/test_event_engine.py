@@ -1,28 +1,36 @@
 """Event engine vs lockstep oracle: bit-identical results, by construction.
 
-The min-heap event engine and the retained round-robin lockstep engine
-share every matching/pricing routine; only the order in which ranks are
-*scheduled* differs, and blocking-op completions are pure functions of
-the two posts.  These tests pin that equivalence end to end: raw
-simulator programs, per-rank trace sequences, full compositing runs
-across every method family, and the deadlock diagnostics both engines
-must produce identically.
+The simulator's min-heap scheduler and the round-robin
+:class:`~oracles.LockstepSimulator` share every matching/pricing
+routine; only the order in which ranks are *scheduled* differs, and
+blocking-op completions are pure functions of the two posts.  These
+tests pin that equivalence end to end: raw simulator programs, per-rank
+trace sequences, full compositing runs across every method family, and
+the deadlock diagnostics both schedulers must produce identically.
 """
+
+import contextlib
 
 import pytest
 
+from oracles import LockstepSimulator, lockstep
 from repro.cluster.model import IDEALIZED, SP2
-from repro.cluster.simulator import ENGINES, Simulator
-from repro.errors import ConfigurationError, DeadlockError, SimulationError
+from repro.cluster.simulator import Simulator
+from repro.errors import DeadlockError, SimulationError
 from repro.experiments.scale import VIEW_DIR, synthetic_subimages
 from repro.pipeline.system import run_compositing
 from repro.volume.partition import recursive_bisect
 
 
+#: The production scheduler and the reference it is checked against.
+SIMULATORS = {"event": Simulator, "lockstep": LockstepSimulator}
+ENGINES = tuple(SIMULATORS)
+
+
 def run_both(num_ranks, program_factory, model=IDEALIZED, **kwargs):
     results = {}
-    for engine in ENGINES:
-        sim = Simulator(num_ranks, model, engine=engine, **kwargs)
+    for engine, simulator in SIMULATORS.items():
+        sim = simulator(num_ranks, model, **kwargs)
         results[engine] = (sim.run(program_factory), sim)
     return results
 
@@ -43,15 +51,6 @@ def per_rank_trace(sim):
     for ev in sim.trace_events:
         by_rank.setdefault(ev.rank, []).append((ev.time, ev.kind, ev.detail))
     return by_rank
-
-
-class TestEngineSelection:
-    def test_default_is_event(self):
-        assert Simulator(2, IDEALIZED).engine == "event"
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Simulator(2, IDEALIZED, engine="quantum")
 
 
 class TestRawPrograms:
@@ -135,7 +134,7 @@ class TestRawPrograms:
 
             return program()
 
-        sims = [Simulator(8, SP2, engine="event", trace=True) for _ in range(2)]
+        sims = [Simulator(8, SP2, trace=True) for _ in range(2)]
         runs = [sim.run(factory) for sim in sims]
         assert runs[0].makespan == runs[1].makespan
         assert [s.trace_events for s in sims][0] == [s.trace_events for s in sims][1]
@@ -149,7 +148,7 @@ class TestRawPrograms:
             return program()
 
         with pytest.raises(SimulationError, match="max_steps"):
-            Simulator(2, IDEALIZED, engine="event", max_steps=100).run(factory)
+            Simulator(2, IDEALIZED, max_steps=100).run(factory)
 
 
 class TestDeadlockDiagnostics:
@@ -163,7 +162,7 @@ class TestDeadlockDiagnostics:
             return program()
 
         with pytest.raises(DeadlockError) as info:
-            Simulator(4, IDEALIZED, engine=engine).run(factory)
+            SIMULATORS[engine](4, IDEALIZED).run(factory)
         err = info.value
         assert set(err.blocked) == {0, 1, 2, 3}
         # Each rank last progressed when it posted its recv, at t=1+rank.
@@ -179,9 +178,9 @@ class TestDeadlockDiagnostics:
             return program()
 
         diagnostics = []
-        for engine in ENGINES:
+        for simulator in SIMULATORS.values():
             with pytest.raises(DeadlockError) as info:
-                Simulator(2, IDEALIZED, engine=engine).run(factory)
+                simulator(2, IDEALIZED).run(factory)
             diagnostics.append((info.value.blocked, info.value.last_progress))
         assert diagnostics[0] == diagnostics[1]
 
@@ -208,9 +207,10 @@ class TestCompositingEquivalence:
         runs = {}
         for engine in ENGINES:
             images = synthetic_subimages(num_ranks, 32, 0.3)
-            runs[engine] = run_compositing(
-                images, method, plan, VIEW_DIR, SP2, engine=engine, **options
-            )
+            with lockstep() if engine == "lockstep" else contextlib.nullcontext():
+                runs[engine] = run_compositing(
+                    images, method, plan, VIEW_DIR, SP2, **options
+                )
         ev, ls = runs["event"], runs["lockstep"]
         assert ev.stats.makespan == ls.stats.makespan
         for oe, ol in zip(ev.outcomes, ls.outcomes):

@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.cluster.collectives import route_tiles
+from conftest import route_tiles
 from repro.cluster.explore import (
     EXPLORE_REPORT_SCHEMA,
     Explorer,
@@ -355,12 +355,6 @@ class TestEnginePlumbing:
         policy.event_budget = 10
         with pytest.raises(LivelockError, match="event budget"):
             Simulator(2, SP2, policy=policy).run(program)
-
-    def test_exploring_policy_requires_event_engine(self):
-        with pytest.raises(ConfigurationError, match="event"):
-            Simulator(2, SP2, engine="lockstep", policy=RandomPolicy(0))
-        # Non-exploring policies are fine anywhere.
-        Simulator(2, SP2, engine="lockstep", policy=DeterministicPolicy())
 
     def test_real_transports_reject_exploring_policies(self):
         async def program(ctx):

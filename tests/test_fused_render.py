@@ -18,6 +18,7 @@ what a ray computes*:
 import numpy as np
 import pytest
 
+from oracles import render_reference
 from repro import perf
 from repro.cluster.progress import ProgressFeed
 from repro.compositing.registry import make_compositor
@@ -137,10 +138,14 @@ class TestSetupEdges:
             width=WIDTH, height=HEIGHT, volume_shape=volume.shape, rot_x=20.0, rot_y=30.0
         )
         whole = render_subvolume(volume, transfer, camera)
-        setup = RaySetup(volume, transfer, camera, march="reference")
         image = SubImage.blank(HEIGHT, WIDTH)
         for y in range(0, HEIGHT, 20):
-            setup.march_into(image.intensity, image.opacity, Rect(y, 0, y + 20, WIDTH))
+            band = Rect(y, 0, y + 20, WIDTH)
+            part = render_reference(volume, transfer, camera, clip_rect=band)
+            inside = band.slices()
+            assert part.nonblank_mask()[inside].sum() == part.nonblank_count()
+            image.intensity[inside] = part.intensity[inside]
+            image.opacity[inside] = part.opacity[inside]
         assert image.max_abs_diff(whole) == 0.0
 
 

@@ -24,8 +24,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Public names removed with the hand-written method classes, the second
 #: wire-kernel family, the hypercube schedule helpers, the mp shim, the
 #: splatting renderer, the second rank program, the step-chunked
-#: marcher, the MPI substrate and BSLC's index-array parts (CHANGELOG
-#: lists each with its replacement, or says it has none).
+#: marcher, the MPI substrate, BSLC's index-array parts, and the
+#: reference implementations that moved to ``tests/oracles.py`` with the
+#: collectives nothing called (CHANGELOG lists each with its
+#: replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
     "BinarySwapBoundingRect",
@@ -63,6 +65,16 @@ REMOVED_NAMES = {
     "split_interleaved",
     "validate_method",
     "part_pixels",
+    "ENGINES",
+    "bcast",
+    "allreduce",
+    "route_tiles",
+    "_gather_tree",
+    "_lockstep_engine",
+    "_resolve_matches",
+    "_march_reference",
+    "_rle_encode_mask_loop",
+    "_rle_decode_mask_loop",
 }
 
 #: Modules deleted with the MPI substrate and the index-array parts.
@@ -98,13 +110,29 @@ def test_module_imports_and_all_resolves(name):
     [
         "repro", "repro.compositing", "repro.cluster", "repro.pipeline",
         "repro.pipeline.phases", "repro.render", "repro.render.raycast", "repro.analysis",
-        "repro.compositing.codec", "repro.compositing.registry",
+        "repro.compositing.codec", "repro.compositing.registry", "repro.compositing.rle",
+        "repro.cluster.simulator", "repro.cluster.collectives",
     ],
 )
 def test_removed_names_stay_removed(package):
     module = importlib.import_module(package)
     assert not REMOVED_NAMES & set(module.__all__)
     assert not [name for name in REMOVED_NAMES if hasattr(module, name)]
+
+
+def test_one_scheduler_one_marcher_one_gather():
+    """No switch selects a second implementation: the references the
+    tests compare against live in ``tests/oracles.py``."""
+    from repro.cluster.collectives import gather
+    from repro.cluster.simulator import Simulator
+    from repro.pipeline.system import run_compositing
+    from repro.render.raycast import RaySetup, render_full, render_subvolume
+
+    for accepts in (Simulator, run_compositing, RaySetup, render_subvolume, render_full, gather):
+        assert not {"engine", "march", "algorithm"} & set(
+            inspect.signature(accepts).parameters
+        ), accepts
+    assert not [name for name in REMOVED_NAMES if hasattr(Simulator, name)]
 
 
 def test_run_path_options_stay_removed():
@@ -152,9 +180,8 @@ def test_removed_modules_stay_removed(name):
 
 
 def test_backend_interface_has_no_engine_switch_and_no_spmd_rank():
-    """The simulator's engine is chosen on ``Simulator`` (or through
-    ``run_compositing``), never through the backend interface, and no
-    backend runs as one SPMD rank of a job it did not launch."""
+    """The backend interface selects no simulator engine (there is one),
+    and no backend runs as one SPMD rank of a job it did not launch."""
     from repro.cluster.backend import Backend, BackendRunResult, MPBackend, SimBackend
 
     assert "local_rank" not in {f.name for f in dataclasses.fields(BackendRunResult)}

@@ -10,8 +10,8 @@ every dataset, viewpoint, subvolume shape, step length and batch size.
 import numpy as np
 import pytest
 
+from oracles import render_reference
 from repro import perf
-from repro.errors import RenderError
 from repro.render import raycast
 from repro.render.camera import Camera
 from repro.render.image import SubImage
@@ -44,7 +44,7 @@ class TestChunkedMatchesReference:
         together."""
         volume, transfer = make_dataset(dataset, SHAPE)
         camera = _camera(volume, size=24)
-        ref = render_full(volume, transfer, camera, march="reference")
+        ref = render_reference(volume, transfer, camera)
         monkeypatch.setattr(raycast, "_BATCH_SAMPLES", batch_cap)
         opt = render_full(volume, transfer, camera)
         assert _identical(ref, opt)
@@ -59,7 +59,7 @@ class TestChunkedMatchesReference:
                 width=30, height=22, volume_shape=volume.shape,
                 rot_x=-25.0, rot_y=40.0, rot_z=10.0, step=step,
             )
-            ref = render_full(volume, transfer, camera, march="reference")
+            ref = render_reference(volume, transfer, camera)
             for cap in (1, 50, default_cap):
                 monkeypatch.setattr(raycast, "_BATCH_SAMPLES", cap)
                 opt = render_full(volume, transfer, camera)
@@ -77,7 +77,7 @@ class TestChunkedMatchesReference:
             volume.full_extent(),
         ]
         for extent in extents:
-            ref = render_subvolume(volume, transfer, camera, extent, march="reference")
+            ref = render_reference(volume, transfer, camera, extent)
             opt = render_subvolume(volume, transfer, camera, extent)
             assert _identical(ref, opt), f"extent {extent} diverged"
 
@@ -85,7 +85,7 @@ class TestChunkedMatchesReference:
     def test_viewpoints(self, rotation):
         volume, transfer = make_dataset("engine_high", SHAPE)
         camera = _camera(volume, rot_x=rotation[0], rot_y=rotation[1])
-        ref = render_full(volume, transfer, camera, march="reference")
+        ref = render_reference(volume, transfer, camera)
         opt = render_full(volume, transfer, camera)
         assert _identical(ref, opt)
 
@@ -101,7 +101,7 @@ class TestChunkedMatchesReference:
         volume = make_dataset("head", SHAPE)[0]
         transfer = Plain()
         camera = _camera(volume)
-        ref = render_full(volume, transfer, camera, march="reference")
+        ref = render_reference(volume, transfer, camera)
         opt = render_full(volume, transfer, camera)
         assert _identical(ref, opt)
 
@@ -110,7 +110,7 @@ class TestChunkedMatchesReference:
         bit-identical output."""
         volume, transfer = make_dataset("cube", SHAPE)
         camera = _camera(volume)
-        ref = render_full(volume, transfer, camera, march="reference")
+        ref = render_reference(volume, transfer, camera)
         opt = render_full(volume, transfer, camera)
         assert _identical(ref, opt)
 
@@ -123,17 +123,10 @@ class TestEarlyTermination:
         volume = VolumeGrid(data=np.full(SHAPE, 0.9, dtype=np.float32), name="wall")
         transfer = TransferFunction(lo=0.1, hi=0.3, max_alpha=1.0)
         camera = _camera(volume)
-        ref = render_full(volume, transfer, camera, march="reference")
+        ref = render_reference(volume, transfer, camera)
         opt = render_full(volume, transfer, camera)
         assert _identical(ref, opt)
         assert opt.opacity.max() == 1.0
-
-
-class TestValidation:
-    def test_unknown_marcher_rejected(self):
-        volume, transfer = make_dataset("cube", SHAPE)
-        with pytest.raises(RenderError):
-            render_full(volume, transfer, _camera(volume), march="nope")
 
 
 class TestBatches:
@@ -261,5 +254,5 @@ class TestOccupancyGrid:
         perf.reset()
         opt = render_full(volume, transfer, camera)
         assert perf.counter("raycast.empty_rays") > 0
-        ref = render_full(volume, transfer, camera, march="reference")
+        ref = render_reference(volume, transfer, camera)
         assert _identical(ref, opt)

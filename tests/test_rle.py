@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compositing.rle import (
-    MAX_RUN,
-    _rle_decode_mask_loop,
-    _rle_encode_mask_loop,
-    count_nonblank,
-    rle_decode_mask,
-    rle_encode_mask,
-)
+from oracles import _rle_decode_mask_loop, _rle_encode_mask_loop
+from repro.compositing.rle import MAX_RUN, count_nonblank, rle_decode_mask, rle_encode_mask
 from repro.errors import WireFormatError
 
 

@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.faults import FaultPlan, FaultRule
+from repro.cluster.faults import FAULT_PLAN_SCHEMA, FaultPlan, FaultRule
 from repro.cluster.progress import ProgressFeed
 from repro.errors import (
     ConfigurationError,
@@ -35,6 +35,7 @@ from repro.pipeline.config import RunConfig
 from repro.pipeline.session import RenderJob
 from repro.pipeline.system import SortLastSystem
 from repro.serving import (
+    JOB_SCHEMA,
     JobTicket,
     ProgressiveFrame,
     QOS_POLICIES,
@@ -289,6 +290,45 @@ class TestSpool:
     def test_submit_rejects_unknown_qos(self, tmp_path):
         with pytest.raises(ConfigurationError, match="QoS"):
             submit_job(str(tmp_path), qos="platinum")
+
+    #: One bad job file each: (field overrides, or a whole non-object
+    #: document) and a phrase of the detail it must be refused with.
+    BAD_JOBS = {
+        "qos-clash": ({"session": "s", "qos": "strict"}, "already open with QoS"),
+        "unknown-qos": ({"qos": "platinum"}, "unknown QoS class"),
+        "wrong-schema": ({"schema": "repro.serve-job/0"}, "unsupported job schema"),
+        "deadline-not-a-number": ({"deadline_s": "soon"}, "deadline_s must be a number"),
+        "malformed-fault-plan": (
+            {"fault_plan": {"schema": FAULT_PLAN_SCHEMA, "rules": [{"rank": 1}]}},
+            "malformed fault_plan",
+        ),
+        "not-an-object": ([1, 2, 3], "not an object"),
+        "deltas-not-an-object": ({"deltas": ["rot_y", 5]}, "deltas must be an object"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_JOBS))
+    def test_bad_job_is_answered_and_serving_goes_on(self, tmp_path, case):
+        """A job that cannot run gets an ``ok: false`` result; the server
+        keeps serving the jobs queued behind it."""
+        spool = str(tmp_path / "spool")
+        bad, detail = self.BAD_JOBS[case]
+        # Claims go in name order: a-first, then b-bad, then c-good.
+        submit_job(spool, session="s", qos="degrade", job_id="a-first")
+        submit_job(spool, session="other", job_id="c-good")
+        if isinstance(bad, dict):
+            bad = {"schema": JOB_SCHEMA, "job_id": "b-bad", "session": "bad",
+                   "qos": "degrade", "deltas": {}, "fault_plan": None,
+                   "deadline_s": None, **bad}
+        pathlib.Path(spool, "jobs", "b-bad.json").write_text(json.dumps(bad))
+
+        served = serve(spool, _cfg(), max_workers=1, max_jobs=2, idle_timeout=10.0)
+        assert served == 2
+        doc = wait_for_result(spool, "b-bad", timeout=5.0)
+        assert not doc["ok"] and doc["error"] == "ConfigurationError"
+        assert detail in doc["detail"]
+        assert wait_for_result(spool, "a-first", timeout=5.0)["ok"]
+        assert wait_for_result(spool, "c-good", timeout=5.0)["ok"]
+        assert not os.listdir(os.path.join(spool, "work"))  # bad claim retired
 
 
 def _doorbell(spool):

@@ -11,8 +11,8 @@ paper dataset, rank count, and substrate.
 import numpy as np
 import pytest
 
-from conftest import rendered_workload
-from repro.cluster.collectives import TileRouter, route_tiles
+from conftest import rendered_workload, route_tiles
+from repro.cluster.collectives import TileRouter
 from repro.cluster.model import IDEALIZED, SP2, make_network
 from repro.cluster.run_timeline import tile_latency_metrics
 from repro.cluster.simulator import Simulator

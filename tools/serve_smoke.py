@@ -17,13 +17,17 @@ asserts, against the on-disk artifacts:
   ``SortLastSystem.run`` of the same configuration (the crash job
   compared against a one-shot degraded run);
 * the crash-fault job came back *flagged* (``ok`` with
-  ``outcome=degraded``), not failed.
+  ``outcome=degraded``), not failed;
+* a malformed job file (unknown QoS) written straight into ``jobs/``
+  is answered with an ``ok: false`` result and does not stop the
+  server from serving the three real jobs.
 
 Exit status is non-zero on any violation, so CI can gate on it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -38,7 +42,7 @@ import numpy as np  # noqa: E402
 from repro.cluster.faults import FaultPlan, FaultRule  # noqa: E402
 from repro.pipeline.config import RunConfig  # noqa: E402
 from repro.pipeline.system import SortLastSystem  # noqa: E402
-from repro.serving import ProgressiveFrame, load_result, read_events  # noqa: E402
+from repro.serving import JOB_SCHEMA, ProgressiveFrame, load_result, read_events  # noqa: E402
 
 BASE = dict(dataset="sphere", method="bsbrc", num_ranks=4, image_size=64,
             machine="sp2")
@@ -121,6 +125,12 @@ def main() -> None:
                     "--method", "tile-routed:rle", "--fault-plan", plan_path)
     j_carol = _submit(spool, "--session", "carol", "--qos", "strict",
                       "--rot-y", "45")
+    # Sorts before the real "job-*" ids, so it is claimed first.
+    j_bad = "bad-unknown-qos"
+    with open(os.path.join(spool, "jobs", f"{j_bad}.json"), "w", encoding="utf-8") as fh:
+        json.dump({"schema": JOB_SCHEMA, "job_id": j_bad, "session": "mallory",
+                   "qos": "platinum", "deltas": {}, "fault_plan": None,
+                   "deadline_s": None}, fh)
     _cli(
         "serve", "--spool", spool,
         "--dataset", BASE["dataset"], "--method", BASE["method"],
@@ -140,6 +150,10 @@ def main() -> None:
     _verify(spool, j_alice, one_alice, degraded=False)
     _verify(spool, j_bob, one_bob, degraded=True)
     _verify(spool, j_carol, one_carol, degraded=False)
+    bad = load_result(spool, j_bad)
+    _check(f"{j_bad}: refused with a result document",
+           bad is not None and not bad["ok"] and bad["error"] == "ConfigurationError",
+           str(bad))
     print("serve-smoke: PASS")
 
 
