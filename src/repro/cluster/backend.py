@@ -26,7 +26,7 @@ from ..errors import ConfigurationError
 from .model import MachineModel
 from .run_timeline import RunTimeline
 from .simulator import Simulator, TraceEvent
-from .stats import RankStats, RunResult
+from .stats import RankStats
 
 __all__ = [
     "Backend",
@@ -60,15 +60,6 @@ class BackendRunResult:
     #: Supervisor-level recovery events (worker respawns on mp); empty
     #: elsewhere.  Merged into :meth:`timeline` output automatically.
     events: list[dict] = field(default_factory=list)
-
-    def to_run_result(self) -> RunResult:
-        """View as the classic stats container used by the tables."""
-        return RunResult(
-            num_ranks=self.num_ranks,
-            returns=self.returns,
-            rank_stats=self.rank_stats,
-            makespan=self.makespan,
-        )
 
     def timeline(
         self,

@@ -76,7 +76,7 @@ from ..errors import (
 from .events import ANY_TAG
 from .faults import frame_checksum
 from .protocol import BaseRankContext, decode_payload, drive, encode_payload
-from .stats import RankStats, merge_counters
+from .stats import RankStats
 
 __all__ = [
     "MPRankContext",
@@ -201,11 +201,6 @@ class MPRankContext(BaseRankContext):
     @property
     def current_stage(self) -> int:
         return self._current_stage
-
-    @property
-    def counters(self) -> dict[str, int]:
-        """All named counters merged across stages (back-compat view)."""
-        return merge_counters(self._stats.stages.values())
 
     def _bucket(self):
         return self._stats.stage(self._current_stage)
@@ -498,11 +493,6 @@ class MPRunResult:
     #: Supervisor-level recovery events (detected failures, respawns);
     #: empty on clean runs.
     events: list[dict] = field(default_factory=list)
-
-    @property
-    def counters(self) -> list[dict[str, int]]:
-        """Per-rank named counters merged across stages (back-compat)."""
-        return [merge_counters(rs.stages.values()) for rs in self.rank_stats]
 
 
 def _error_from_info(rank: int, info: dict, stats: Optional[RankStats]) -> Exception:

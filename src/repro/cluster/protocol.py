@@ -197,11 +197,6 @@ class BaseRankContext(abc.ABC):
         """
         self._fault_injector = injector
 
-    @property
-    def fault_injector(self):
-        """The installed injector, or ``None``."""
-        return self._fault_injector
-
     def fault_checkpoint(self, phase: str) -> None:
         """Give an installed injector a chance to crash this rank at a
         named pipeline phase boundary; a no-op without an injector.

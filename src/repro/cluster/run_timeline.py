@@ -61,7 +61,7 @@ from typing import Any, Iterable, Optional
 
 from ..errors import ConfigurationError
 from .simulator import TraceEvent
-from .stats import RankStats, RunResult, StageStats
+from .stats import RankStats, StageStats
 
 __all__ = [
     "RunTimeline",
@@ -229,17 +229,6 @@ class RunTimeline:
             trace_events=list(trace_events) if trace_events is not None else [],
             meta=dict(meta) if meta else {},
             events=harvested,
-        )
-
-    # ---- views -------------------------------------------------------------
-    def stats_view(self) -> RunResult:
-        """The timeline as a :class:`~repro.cluster.stats.RunResult`
-        (returns are not part of the timeline, so they come back ``None``)."""
-        return RunResult(
-            num_ranks=self.num_ranks,
-            returns=[None] * self.num_ranks,
-            rank_stats=self.rank_stats,
-            makespan=self.makespan,
         )
 
     # ---- serialization -----------------------------------------------------

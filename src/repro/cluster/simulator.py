@@ -63,6 +63,7 @@ from ..errors import (
     SimulationError,
     WireFormatError,
 )
+from .context import RankContext
 from .events import (
     ANY_TAG,
     BarrierOp,
@@ -182,14 +183,12 @@ class Simulator:
         self._done_count = 0
 
     # ------------------------------------------------------------------ api
-    def run(self, program_factory: Callable[["RankContext"], Coroutine]) -> RunResult:
+    def run(self, program_factory: Callable[[RankContext], Coroutine]) -> RunResult:
         """Instantiate one program per rank and run to completion.
 
         ``program_factory(ctx)`` must return a coroutine; ``ctx`` exposes
         the rank's communication API (see :class:`RankContext`).
         """
-        from .context import RankContext  # local import to avoid a cycle
-
         self._procs = []
         self._pending_isends.clear()
         self._pending_irecvs.clear()

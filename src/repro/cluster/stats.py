@@ -18,7 +18,6 @@ execution.  Stage ``-1`` collects work done outside any declared stage
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -174,18 +173,6 @@ class RunResult:
         return max((rs.comm_time for rs in self.rank_stats), default=0.0)
 
     @property
-    def t_comp_mean(self) -> float:
-        if not self.rank_stats:
-            return 0.0
-        return sum(rs.comp_time for rs in self.rank_stats) / len(self.rank_stats)
-
-    @property
-    def t_comm_mean(self) -> float:
-        if not self.rank_stats:
-            return 0.0
-        return sum(rs.comm_time for rs in self.rank_stats) / len(self.rank_stats)
-
-    @property
     def t_wait(self) -> float:
         """Synchronization-skew time of the critical rank."""
         return self.rank_stats[self.critical_rank].wait_time
@@ -196,20 +183,6 @@ class RunResult:
 
     def counter_total(self, kind: str) -> int:
         return sum(rs.counter_total(kind) for rs in self.rank_stats)
-
-    def per_stage_totals(self) -> dict[int, dict[str, float]]:
-        """Aggregate {stage: {metric: value}} across ranks (sum semantics)."""
-        agg: dict[int, dict[str, float]] = defaultdict(
-            lambda: {"comp_time": 0.0, "comm_time": 0.0, "bytes_sent": 0, "bytes_recv": 0}
-        )
-        for rs in self.rank_stats:
-            for st in rs.stages.values():
-                bucket = agg[st.stage]
-                bucket["comp_time"] += st.comp_time
-                bucket["comm_time"] += st.comm_time
-                bucket["bytes_sent"] += st.bytes_sent
-                bucket["bytes_recv"] += st.bytes_recv
-        return dict(agg)
 
 
 def merge_counters(stats: Iterable[StageStats]) -> dict[str, int]:

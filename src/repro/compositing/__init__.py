@@ -1,6 +1,6 @@
 """Core contribution: sparse binary-swap image compositing methods.
 
-Compositing factors into two orthogonal planes (see ``DESIGN.md`` §5e):
+Compositing factors into two orthogonal planes (see ``DESIGN.md`` §5.2):
 
 * a **schedule** (:mod:`~repro.compositing.schedule`) decides who
   exchanges which image part at each stage — binary-swap, sectioned,
@@ -47,7 +47,7 @@ from .value_rle import (
     value_rle_encode,
 )
 from .over import is_blank, nonblank_mask, over, over_inplace, over_scalar
-from .rect import clip_rect, find_bounding_rect, split_rect_by_centerline
+from .rect import find_bounding_rect
 from .registry import (
     CODECS,
     COMBO_ALIASES,
@@ -118,7 +118,6 @@ __all__ = [
     "ValueRunCodec",
     "WireMessage",
     "available_methods",
-    "clip_rect",
     "composite_rect_pixels",
     "count_nonblank",
     "find_bounding_rect",
@@ -142,7 +141,6 @@ __all__ = [
     "rle_decode_mask",
     "rle_encode_mask",
     "split_axis_for",
-    "split_rect_by_centerline",
     "strip_rect",
     "unpack_bs",
     "unpack_bsbr",

@@ -33,7 +33,13 @@ from ..types import Rect
 from ..volume.partition import PartitionPlan
 from .over import over
 
-__all__ = ["Compositor", "CompositeOutcome", "composite_rect_pixels", "split_axis_for"]
+__all__ = [
+    "Compositor",
+    "CompositeOutcome",
+    "composite_at",
+    "composite_rect_pixels",
+    "split_axis_for",
+]
 
 
 @dataclass
@@ -167,3 +173,29 @@ def composite_rect_pixels(
         out_i, out_a = over(recv_i, recv_a, loc_i, loc_a)
     image.intensity[rows, cols] = out_i
     image.opacity[rows, cols] = out_a
+
+
+def composite_at(
+    image: SubImage,
+    flat_targets: np.ndarray,
+    recv_i: np.ndarray,
+    recv_a: np.ndarray,
+    *,
+    local_in_front: bool,
+) -> None:
+    """Composite received pixels at frame indices ``flat_targets``, in place.
+
+    The one sparse fold: a rect codec's listed positions, an index
+    part's sequence and a whole-frame RLE message all land here as flat
+    frame indices.
+    """
+    flat_i = image.intensity.reshape(-1)
+    flat_a = image.opacity.reshape(-1)
+    loc_i = flat_i[flat_targets]
+    loc_a = flat_a[flat_targets]
+    if local_in_front:
+        out_i, out_a = over(loc_i, loc_a, recv_i, recv_a)
+    else:
+        out_i, out_a = over(recv_i, recv_a, loc_i, loc_a)
+    flat_i[flat_targets] = out_i
+    flat_a[flat_targets] = out_a

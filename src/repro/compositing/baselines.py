@@ -9,6 +9,8 @@ same harness lets the benchmarks answer "how far is BSBRC from the
   each rank owns a fixed image strip and receives every other rank's
   contribution for that strip in one shot, then composites the buffer in
   depth order.  Messages use bounding-rectangle packing (sparse-aware).
+  :class:`DirectSendAsync` is the same body with the exchanges posted
+  nonblocking up front.
 * :class:`BinaryTreeCompression` — Ahrens & Painter 1998: binary-tree
   combining where the full subimage is RLE-compressed at each hop;
   senders drop out, rank 0 ends with the whole image.
@@ -18,6 +20,16 @@ same harness lets the benchmarks answer "how far is BSBRC from the
   runs of the depth order) that merge when the partial reaches its
   target strip — the standard trick for pipelining a non-commutative
   operator around a ring.
+
+Why these stay classes rather than ``schedule:codec`` combos: no
+symmetric pairwise schedule expresses them.  ``direct`` owns row strips
+and folds a buffer back to front, so it is not bit-identical to
+``direct-send:rect`` (which owns centerline-split regions and folds each
+contribution as it arrives); ``tree`` is a one-way reduction whose
+senders drop out; ``pipeline`` is a ring with two accumulators.
+``direct`` and ``direct-async`` feed the ``ablation_async`` table;
+``direct``, ``tree`` and ``pipeline`` feed ``ablation_baselines``
+(``benchmarks/bench_ablations.py``).
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from ..errors import CompositingError, WireFormatError
 from ..render.image import SubImage
 from ..types import PIXEL_BYTES, RECT_INFO_BYTES, Rect
 from ..volume.partition import PartitionPlan, depth_order
-from .base import CompositeOutcome, Compositor, composite_rect_pixels
+from .base import CompositeOutcome, Compositor, composite_at, composite_rect_pixels
 from .rect import find_bounding_rect
 from .wire import pack_bsbr, pack_rle, unpack_bsbr, unpack_rle
 from .over import over
@@ -88,9 +100,20 @@ async def _fold_buffered(
 
 
 class DirectSend(Compositor):
-    """Buffered-case direct send with bounding-rectangle packing."""
+    """Buffered-case direct send with bounding-rectangle packing.
+
+    Every rank ships each peer the bounding rect of its foreground
+    inside that peer's strip.  ``overlapped`` picks how the ``P-1``
+    exchanges run: ``False`` runs ``P-1`` blocking XOR ``sendrecv``
+    rounds (round ``r`` in stage ``r-1``, the fold in stage ``P-1``);
+    :class:`DirectSendAsync` posts every irecv before the bound scan
+    (both ``PRE_STAGE``), every isend in stage 0, waits in stage 1 and
+    folds in stage 2.
+    """
 
     name = "direct"
+    #: Post isends/irecvs up front instead of running rendezvous rounds.
+    overlapped = False
 
     async def run(
         self,
@@ -103,35 +126,61 @@ class DirectSend(Compositor):
         size, rank = ctx.size, ctx.rank
         height, width = image.shape
         my_strip = strip_rect(height, width, rank, size)
+        peers = [p for p in range(size) if p != rank]
 
-        ctx.begin_stage(PRE_STAGE)
-        await ctx.charge_bound(image.num_pixels)  # one classification scan
-
-        contributions = _own_contribution(image, rank, my_strip)
-
-        # P-1 pairwise exchange rounds (XOR schedule = perfect matchings).
-        for rnd in range(1, size):
-            ctx.begin_stage(rnd - 1)
-            partner = rank ^ rnd
-            partner_strip = strip_rect(height, width, partner, size)
-            send_rect = find_bounding_rect(image.intensity, image.opacity, partner_strip)
+        async def pack_for(peer: int):
+            peer_strip = strip_rect(height, width, peer, size)
+            send_rect = find_bounding_rect(image.intensity, image.opacity, peer_strip)
             msg = pack_bsbr(image.intensity, image.opacity, send_rect)
             await ctx.charge_pack(len(msg.buffer))
-            raw = await ctx.sendrecv(partner, msg.buffer, nbytes=msg.accounted_bytes, tag=rnd)
+            return msg
+
+        def accept(src: int, raw: bytes) -> None:
             recv_rect, recv_i, recv_a = unpack_bsbr(raw)
             if not my_strip.contains(recv_rect):
                 raise CompositingError(
-                    f"round {rnd}: contribution rect {recv_rect} outside strip {my_strip}"
+                    f"contribution rect {recv_rect} from {src} outside strip {my_strip}"
                 )
             if not recv_rect.is_empty:
-                contributions[partner] = (recv_rect, recv_i, recv_a)  # type: ignore[arg-type]
+                contributions[src] = (recv_rect, recv_i, recv_a)
 
-        ctx.begin_stage(size - 1)
+        ctx.begin_stage(PRE_STAGE)
+        if self.overlapped:
+            # Post every receive before doing any local work.
+            recv_requests = [await ctx.irecv(src, tag=src) for src in peers]
+        await ctx.charge_bound(image.num_pixels)  # one classification scan
+        contributions = _own_contribution(image, rank, my_strip)
+
+        if self.overlapped:
+            ctx.begin_stage(0)
+            send_requests = []
+            for dst in peers:
+                msg = await pack_for(dst)
+                send_requests.append(
+                    await ctx.isend(dst, msg.buffer, nbytes=msg.accounted_bytes, tag=rank)
+                )
+            ctx.begin_stage(1)
+            payloads = await ctx.wait_all(recv_requests)
+            await ctx.wait_all(send_requests)
+            for src, raw in zip(peers, payloads):
+                accept(src, raw)
+            fold_stage = 2
+        else:
+            # P-1 pairwise exchange rounds (XOR schedule = perfect matchings).
+            for rnd in range(1, size):
+                ctx.begin_stage(rnd - 1)
+                partner = rank ^ rnd
+                msg = await pack_for(partner)
+                raw = await ctx.sendrecv(partner, msg.buffer, nbytes=msg.accounted_bytes, tag=rnd)
+                accept(partner, raw)
+            fold_stage = size - 1
+
+        ctx.begin_stage(fold_stage)
         result = await _fold_buffered(ctx, contributions, plan, view_dir, image.shape)
         return CompositeOutcome(image=result, owned_rect=my_strip)
 
 
-class DirectSendAsync(Compositor):
+class DirectSendAsync(DirectSend):
     """Direct send with nonblocking communication (latency hiding).
 
     Same buffered-case semantics as :class:`DirectSend`, but all ``P-1``
@@ -143,56 +192,7 @@ class DirectSendAsync(Compositor):
     """
 
     name = "direct-async"
-
-    async def run(
-        self,
-        ctx: RankContext,
-        image: SubImage,
-        plan: PartitionPlan,
-        view_dir: np.ndarray,
-    ) -> CompositeOutcome:
-        self.check_plan(ctx, plan)
-        size, rank = ctx.size, ctx.rank
-        height, width = image.shape
-        my_strip = strip_rect(height, width, rank, size)
-
-        ctx.begin_stage(PRE_STAGE)
-        # Post every receive before doing any local work.
-        recv_requests = {
-            src: await ctx.irecv(src, tag=src) for src in range(size) if src != rank
-        }
-
-        await ctx.charge_bound(image.num_pixels)
-        contributions = _own_contribution(image, rank, my_strip)
-
-        ctx.begin_stage(0)
-        send_requests = []
-        for dst in range(size):
-            if dst == rank:
-                continue
-            dst_strip = strip_rect(height, width, dst, size)
-            send_rect = find_bounding_rect(image.intensity, image.opacity, dst_strip)
-            msg = pack_bsbr(image.intensity, image.opacity, send_rect)
-            await ctx.charge_pack(len(msg.buffer))
-            send_requests.append(
-                await ctx.isend(dst, msg.buffer, nbytes=msg.accounted_bytes, tag=rank)
-            )
-
-        ctx.begin_stage(1)
-        payloads = await ctx.wait_all(list(recv_requests.values()))
-        await ctx.wait_all(send_requests)
-        for src, raw in zip(recv_requests.keys(), payloads):
-            recv_rect, recv_i, recv_a = unpack_bsbr(raw)
-            if not my_strip.contains(recv_rect):
-                raise CompositingError(
-                    f"contribution rect {recv_rect} from {src} outside strip {my_strip}"
-                )
-            if not recv_rect.is_empty:
-                contributions[src] = (recv_rect, recv_i, recv_a)  # type: ignore[arg-type]
-
-        ctx.begin_stage(2)
-        result = await _fold_buffered(ctx, contributions, plan, view_dir, image.shape)
-        return CompositeOutcome(image=result, owned_rect=my_strip)
+    overlapped = True
 
 
 class BinaryTreeCompression(Compositor):
@@ -230,14 +230,13 @@ class BinaryTreeCompression(Compositor):
                 raw = await ctx.recv(peer, tag=stage)
                 positions, recv_i, recv_a = unpack_rle(raw, num_pixels)
                 if positions.size:
-                    loc_i = flat_i[positions]
-                    loc_a = flat_a[positions]
-                    if plan.local_in_front(rank, stage, view_dir):
-                        out_i, out_a = over(loc_i, loc_a, recv_i, recv_a)
-                    else:
-                        out_i, out_a = over(recv_i, recv_a, loc_i, loc_a)
-                    flat_i[positions] = out_i
-                    flat_a[positions] = out_a
+                    composite_at(
+                        image,
+                        positions,
+                        recv_i,
+                        recv_a,
+                        local_in_front=plan.local_in_front(rank, stage, view_dir),
+                    )
                     await ctx.charge_over(positions.size)
         return CompositeOutcome(image=image, owned_rect=image.full_rect())
 

@@ -36,8 +36,8 @@ from ..cluster.protocol import BaseRankContext
 from ..errors import CompositingError
 from ..render.image import SubImage
 from ..types import Rect
-from .base import composite_rect_pixels
-from .over import nonblank_mask, over
+from .base import composite_at, composite_rect_pixels
+from .over import nonblank_mask
 from .schedule import IndexPart, RectPart
 from .value_rle import pack_value_runs, unpack_value_runs
 from .wire import (
@@ -60,8 +60,6 @@ __all__ = [
     "RunLengthCodec",
     "RectRLECodec",
     "ValueRunCodec",
-    "composite_sparse_rect",
-    "composite_sequence_pixels",
 ]
 
 
@@ -79,58 +77,6 @@ class Contribution:
     positions: np.ndarray | None = None
     values_i: np.ndarray | None = None
     values_a: np.ndarray | None = None
-
-
-def composite_sparse_rect(
-    image: SubImage,
-    rect: Rect,
-    positions: np.ndarray,
-    recv_i: np.ndarray,
-    recv_a: np.ndarray,
-    *,
-    local_in_front: bool,
-) -> None:
-    """Composite non-blank pixels at row-major ``positions`` of ``rect``."""
-    rows = rect.y0 + positions // rect.width
-    cols = rect.x0 + positions % rect.width
-    loc_i = image.intensity[rows, cols]
-    loc_a = image.opacity[rows, cols]
-    if local_in_front:
-        out_i, out_a = over(loc_i, loc_a, recv_i, recv_a)
-    else:
-        out_i, out_a = over(recv_i, recv_a, loc_i, loc_a)
-    image.intensity[rows, cols] = out_i
-    image.opacity[rows, cols] = out_a
-
-
-def composite_sequence_pixels(
-    image: SubImage,
-    part: IndexPart,
-    positions: np.ndarray | None,
-    recv_i: np.ndarray,
-    recv_a: np.ndarray,
-    *,
-    local_in_front: bool,
-) -> int:
-    """Composite received pixels at sequence ``positions`` of ``part``.
-
-    ``positions=None`` composites the whole sequence.  Returns the pixel
-    count folded (0 when the received subset is empty).
-    """
-    targets = part.flat(positions)
-    if targets.size == 0:
-        return 0
-    flat_i = image.intensity.ravel()
-    flat_a = image.opacity.ravel()
-    loc_i = flat_i[targets]
-    loc_a = flat_a[targets]
-    if local_in_front:
-        out_i, out_a = over(loc_i, loc_a, recv_i, recv_a)
-    else:
-        out_i, out_a = over(recv_i, recv_a, loc_i, loc_a)
-    flat_i[targets] = out_i
-    flat_a[targets] = out_a
-    return int(targets.size)
 
 
 class PixelCodec(abc.ABC):
@@ -209,17 +155,10 @@ class PixelCodec(abc.ABC):
         """
         rect, positions = contrib.rect, contrib.positions
         if rect is None:
-            return composite_sequence_pixels(
-                image,
-                keep,
-                positions,
-                contrib.values_i,
-                contrib.values_a,
-                local_in_front=local_in_front,
-            )
-        if rect.is_empty:
+            targets = keep.flat(positions)
+        elif rect.is_empty:
             return 0
-        if positions is None:
+        elif positions is None:
             composite_rect_pixels(
                 image,
                 rect,
@@ -228,16 +167,18 @@ class PixelCodec(abc.ABC):
                 local_in_front=local_in_front,
             )
             return rect.area
-        if positions.size:
-            composite_sparse_rect(
+        else:
+            rows, cols = np.divmod(positions, rect.width)
+            targets = (rect.y0 + rows) * image.width + rect.x0 + cols
+        if targets.size:
+            composite_at(
                 image,
-                rect,
-                positions,
+                targets,
                 contrib.values_i,
                 contrib.values_a,
                 local_in_front=local_in_front,
             )
-        return int(positions.size)
+        return int(targets.size)
 
     def update_state(
         self, state: Any, keep: RectPart | IndexPart, contribs: list[Contribution]

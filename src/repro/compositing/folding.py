@@ -13,7 +13,7 @@ binary-swap compositing method running on any number of processors").
 The same machinery powers graceful degradation: when ranks are lost
 before compositing, :func:`~repro.volume.folded.refold_survivors` folds
 a power-of-two bisection plan onto the survivors, and this compositor
-runs the degraded pass unchanged (see ``DESIGN.md`` §5d).
+runs the degraded pass unchanged (see ``DESIGN.md`` §5.4).
 """
 
 from __future__ import annotations

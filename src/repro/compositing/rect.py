@@ -7,9 +7,10 @@ every non-blank pixel of a (sub)image region.  The paper uses it two ways:
   rectangle* (cost ``T_bound``, paper eq. (3)/(7));
 * at each stage, the region's centerline splits the local rectangle into
   the *new local* and *sending* bounding rectangles (BSBRC algorithm,
-  line 6), and after the exchange the local rectangle is refreshed as the
-  union of the kept part and the *receiving* rectangle (line 21) — an
-  O(1) update, no rescan.
+  line 6: :meth:`Rect.split`, then :meth:`Rect.intersect`), and after the
+  exchange the local rectangle is refreshed as the union of the kept
+  part and the *receiving* rectangle (line 21) — an O(1) update, no
+  rescan.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ..types import Rect
 from .over import nonblank_mask
 
-__all__ = ["find_bounding_rect", "split_rect_by_centerline", "clip_rect"]
+__all__ = ["find_bounding_rect"]
 
 
 def find_bounding_rect(
@@ -52,22 +53,3 @@ def find_bounding_rect(
         region.y0 + int(y_idx[-1]) + 1,
         region.x0 + int(x_idx[-1]) + 1,
     )
-
-
-def split_rect_by_centerline(
-    bound: Rect, region: Rect, axis: int
-) -> tuple[Rect, Rect]:
-    """Split ``bound`` by ``region``'s centerline along ``axis``.
-
-    Returns ``(low_part, high_part)`` — the intersections of the bounding
-    rectangle with the two halves of the region.  Either part may be
-    empty; parts lie entirely inside their halves, so a rank that keeps
-    the low half ships ``high_part`` and retains ``low_part``.
-    """
-    low_half, high_half = region.split(axis)
-    return bound.intersect(low_half), bound.intersect(high_half)
-
-
-def clip_rect(bound: Rect, region: Rect) -> Rect:
-    """Clamp a bounding rectangle into a region (defensive helper)."""
-    return bound.intersect(region)

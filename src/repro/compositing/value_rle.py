@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import WireFormatError
 from .rle import MAX_RUN
+from .wire import WireMessage
 
 __all__ = [
     "value_rle_encode",
@@ -101,7 +102,7 @@ def value_rle_decode(
     )
 
 
-def pack_value_runs(intensity: np.ndarray, opacity: np.ndarray) -> "WireBlock":
+def pack_value_runs(intensity: np.ndarray, opacity: np.ndarray) -> WireMessage:
     """Serialize a pixel sequence with value RLE; see module docstring."""
     run_i, run_a, counts = value_rle_encode(intensity, opacity)
     header = np.asarray([counts.size], dtype=_LEN_DTYPE).tobytes()
@@ -109,8 +110,6 @@ def pack_value_runs(intensity: np.ndarray, opacity: np.ndarray) -> "WireBlock":
     values[:, 0] = run_i
     values[:, 1] = run_a
     buffer = header + counts.astype(_COUNT_DTYPE).tobytes() + values.tobytes()
-    from .wire import WireMessage
-
     return WireMessage(buffer=buffer, accounted_bytes=counts.size * VALUE_RUN_BYTES)
 
 

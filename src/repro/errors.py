@@ -26,6 +26,7 @@ __all__ = [
     "JobShedError",
     "JobCancelledError",
     "DeadlineExceededError",
+    "LeaseReclaimExhausted",
 ]
 
 
@@ -244,3 +245,11 @@ class DeadlineExceededError(ServingError):
         self.deadline_s = deadline_s
         self.elapsed = elapsed
         super().__init__(message)
+
+
+class LeaseReclaimExhausted(ServingError):
+    """A spooled job's lease expired on its last allowed attempt.
+
+    The spool buries the job with an ``ok: false`` result document
+    naming this error instead of reclaiming it again.
+    """

@@ -73,7 +73,7 @@ class RunConfig:
     #: :data:`repro.cluster.recovery.RECOVERY_POLICIES`
     #: ("abort" < "degrade" < "respawn" < "checkpoint-resume"); stronger
     #: policies fall back down the lattice when their mechanism does not
-    #: apply (see DESIGN.md §5f).
+    #: apply (see DESIGN.md §5.4).
     recovery: str = "degrade"
     #: Total worker restarts the mp supervisor may spend per run (only
     #: meaningful under "respawn"/"checkpoint-resume").

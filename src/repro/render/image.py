@@ -79,11 +79,6 @@ class SubImage:
 
         return nonblank_mask(self.intensity, self.opacity)
 
-    def blank_mask(self) -> np.ndarray:
-        from ..compositing.over import is_blank  # local: avoids cycle
-
-        return is_blank(self.intensity, self.opacity)
-
     def nonblank_count(self) -> int:
         return int(self.nonblank_mask().sum())
 
@@ -96,15 +91,6 @@ class SubImage:
         from ..compositing.rect import find_bounding_rect  # local: avoids cycle
 
         return find_bounding_rect(self.intensity, self.opacity, region)
-
-    # ---- compositing ------------------------------------------------------------
-    def composite_under(self, front: "SubImage") -> None:
-        """Fold ``front`` over this image, in place (this image is behind)."""
-        if front.shape != self.shape:
-            raise RenderError(f"cannot composite {front.shape} over {self.shape}")
-        from ..compositing.over import over_inplace  # local: avoids cycle
-
-        over_inplace(front.intensity, front.opacity, self.intensity, self.opacity)
 
     # ---- comparison helpers ---------------------------------------------------
     def allclose(self, other: "SubImage", *, atol: float = 1e-9, rtol: float = 1e-7) -> bool:

@@ -185,7 +185,6 @@ class SessionHandle:
     qos: str
     #: Serializes this session's jobs (its backend is single-tenant).
     lock: threading.Lock = field(default_factory=threading.Lock)
-    jobs_submitted: int = 0
 
 
 class JobTicket:
@@ -366,12 +365,6 @@ class RenderService:
             self._sessions[name] = handle
             return handle
 
-    def close_session(self, name: str) -> None:
-        with self._lock:
-            handle = self._sessions.pop(name, None)
-        if handle is not None:
-            handle.session.close()
-
     # ---- admission ---------------------------------------------------------
     def _shed_victim(self, priority: int) -> Optional[JobTicket]:
         """The queued ticket to evict for an arrival at ``priority``:
@@ -477,7 +470,6 @@ class RenderService:
             if self._closed:
                 raise ConfigurationError("render service is shut down")
             self._admit(ticket)
-        handle.jobs_submitted += 1
         try:
             self.pool.submit(self._execute, handle, ticket)
         except RuntimeError as err:

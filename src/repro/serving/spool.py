@@ -73,7 +73,12 @@ import numpy as np
 
 from ..cluster.faults import FaultPlan
 from ..cluster.recovery import DiskCheckpointStore
-from ..errors import ConfigurationError, JobCancelledError, OverloadError
+from ..errors import (
+    ConfigurationError,
+    JobCancelledError,
+    LeaseReclaimExhausted,
+    OverloadError,
+)
 from ..pipeline.config import RunConfig
 from ..pipeline.session import RenderJob
 from .service import DEFAULT_QOS, QOS_POLICIES, RenderService
@@ -512,22 +517,9 @@ def _reclaim_expired(
         if age < lease_s:
             continue
         if attempt >= max_attempts:
-            doc = {
-                "schema": RESULT_SCHEMA,
-                "job_id": job_id,
-                "ok": False,
-                "error": "LeaseReclaimExhausted",
-                "detail": (
-                    f"lease expired on attempt {attempt}/{max_attempts}; "
-                    "giving up"
-                ),
-                "attempt": attempt,
-            }
-            _exclusive_write_text(
-                os.path.join(root, _OUT, f"{job_id}.result.json"),
-                json.dumps(doc, indent=2),
-            )
-            _cleanup_work(root, path, job_id)
+            _reject(root, path, job_id, attempt, LeaseReclaimExhausted(
+                f"lease expired on attempt {attempt}/{max_attempts}; giving up"
+            ))
             continue
         new_path = os.path.join(work_dir, f"{job_id}.a{attempt + 1}.json")
         try:

@@ -144,7 +144,7 @@ def refold_survivors(
 ) -> tuple[FoldedPartition, list[int]]:
     """Refold a power-of-two bisection plan onto the survivors of ``failed``.
 
-    Graceful degradation (see ``DESIGN.md`` §5d): a ``P = 2^n`` recursive
+    Graceful degradation (see ``DESIGN.md`` §5.4): a ``P = 2^n`` recursive
     bisection *is* a fully-folded ``Q = P/2``-core partition — stage-0
     swap partners ``(2i, 2i+1)`` are the two halves of one axis-aligned
     split, exactly a (core, extra) fold pair.  When ranks die before

@@ -11,7 +11,6 @@ from repro.cluster.backend import (
 )
 from repro.cluster.model import SP2
 from repro.cluster.run_timeline import TIMELINE_SCHEMA
-from repro.cluster.stats import RunResult
 from repro.errors import ConfigurationError
 
 
@@ -62,13 +61,6 @@ class TestSimBackend:
         traced = SimBackend().run(2, _pair_program, (0,), model=SP2, trace=True)
         untraced = SimBackend().run(2, _pair_program, (0,), model=SP2)
         assert traced.trace_events and not untraced.trace_events
-
-    def test_to_run_result_view(self):
-        result = SimBackend().run(2, _pair_program, (0,), model=SP2)
-        view = result.to_run_result()
-        assert isinstance(view, RunResult)
-        assert view.makespan == result.makespan
-        assert view.mmax_bytes > 0
 
 
 class TestMPBackend:

@@ -54,23 +54,7 @@ class TestSubImage:
         image.opacity[1, 2] = 0.5
         image.intensity[3, 0] = 0.2
         assert image.nonblank_count() == 2
-        assert image.blank_mask().sum() == 14
         assert image.bounding_rect() == Rect(1, 0, 4, 3)
-
-    def test_composite_under(self):
-        back = SubImage.blank(2, 2)
-        back.intensity[:] = 0.4
-        back.opacity[:] = 0.5
-        front = SubImage.blank(2, 2)
-        front.intensity[:] = 0.2
-        front.opacity[:] = 0.5
-        back.composite_under(front)
-        assert back.intensity[0, 0] == pytest.approx(0.2 + 0.5 * 0.4)
-        assert back.opacity[0, 0] == pytest.approx(0.5 + 0.5 * 0.5)
-
-    def test_composite_under_shape_mismatch(self):
-        with pytest.raises(RenderError):
-            SubImage.blank(2, 2).composite_under(SubImage.blank(3, 3))
 
     def test_allclose_and_diff(self):
         rng = np.random.default_rng(0)

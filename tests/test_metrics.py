@@ -54,15 +54,9 @@ class TestRunResultReductions:
         result = make_result(comp=(1.0, 3.0), comm=(2.0, 0.0))
         assert result.t_comp_max == 3.0
         assert result.t_comm_max == 2.0
-        assert result.t_comp_mean == 2.0
 
     def test_counter_total(self):
         assert make_result().counter_total("over") == 30
-
-    def test_per_stage_totals(self):
-        totals = make_result().per_stage_totals()
-        assert totals[0]["comp_time"] == pytest.approx(3.0)
-        assert totals[0]["bytes_recv"] == 400
 
 
 class TestMeasure:

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import reference_image
 from repro.cluster.mp_backend import MPRankContext, run_rank_programs_mp
+from repro.cluster.stats import merge_counters
 from repro.errors import ConfigurationError, SimulationError
 from repro.pipeline.config import RunConfig
 from repro.pipeline.system import SortLastSystem
@@ -65,7 +66,8 @@ class TestRawBackend:
     def test_counters_collected(self):
         result = run_rank_programs_mp(2, _counter_program, timeout=30)
         assert result.returns == [0, 1]
-        for counters in result.counters:
+        for stats in result.rank_stats:
+            counters = merge_counters(stats.stages.values())
             assert counters["over"] == 123
             assert counters["custom"] == 7
 

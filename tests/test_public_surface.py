@@ -10,6 +10,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,10 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Public names removed with the hand-written method classes, the second
 #: wire-kernel family, the hypercube schedule helpers, the mp shim, the
 #: splatting renderer, the second rank program, the step-chunked
-#: marcher, the MPI substrate, BSLC's index-array parts, and the
+#: marcher, the MPI substrate, BSLC's index-array parts, the
 #: reference implementations that moved to ``tests/oracles.py`` with the
-#: collectives nothing called (CHANGELOG lists each with its
+#: collectives nothing called, and the second sparse folds, rect
+#: helpers and result views (CHANGELOG lists each with its
 #: replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
@@ -75,7 +77,35 @@ REMOVED_NAMES = {
     "_march_reference",
     "_rle_encode_mask_loop",
     "_rle_decode_mask_loop",
+    "composite_sparse_rect",
+    "composite_sequence_pixels",
+    "split_rect_by_centerline",
+    "clip_rect",
+    "composite_under",
+    "blank_mask",
+    "to_run_result",
+    "stats_view",
+    "counters",
+    "per_stage_totals",
+    "t_comp_mean",
+    "t_comm_mean",
+    "fault_injector",
+    "close_session",
+    "jobs_submitted",
 }
+
+#: Classes that carried one of the removed names as a second view.
+REMOVED_FROM_CLASSES = (
+    "repro.render.image.SubImage",
+    "repro.cluster.stats.RunResult",
+    "repro.cluster.backend.BackendRunResult",
+    "repro.cluster.run_timeline.RunTimeline",
+    "repro.cluster.mp_backend.MPRankContext",
+    "repro.cluster.mp_backend.MPRunResult",
+    "repro.cluster.protocol.BaseRankContext",
+    "repro.serving.service.RenderService",
+    "repro.serving.service.SessionHandle",
+)
 
 #: Modules deleted with the MPI substrate and the index-array parts.
 REMOVED_MODULES = (
@@ -171,6 +201,46 @@ def test_no_compositor_takes_charge_pack():
         assert "charge_pack" not in inspect.signature(type(compositor)).parameters
         with pytest.raises((ConfigurationError, TypeError)):
             make_compositor(method, charge_pack=False)
+
+
+@pytest.mark.parametrize("path", REMOVED_FROM_CLASSES)
+def test_removed_views_stay_removed(path):
+    """Each result has one view: the stats it holds, reduced where read."""
+    module, _, name = path.rpartition(".")
+    cls = getattr(importlib.import_module(module), name)
+    assert not [attr for attr in REMOVED_NAMES if hasattr(cls, attr)], path
+
+
+def _defined_functions():
+    """Every function and method whose source lives in the package."""
+    package_dir = str(Path(repro.__file__).parent)
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != name:
+                continue
+            members = vars(obj).items() if inspect.isclass(obj) else [("", obj)]
+            for member_name, member in members:
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member) and member.__code__.co_filename.startswith(
+                    package_dir
+                ):
+                    yield f"{name}.{attr}.{member_name}".rstrip("."), member
+
+
+def test_every_annotation_resolves():
+    """``typing.get_type_hints`` works on the whole package: no
+    annotation names a type that is missing at run time."""
+    unresolved = []
+    for qualname, func in _defined_functions():
+        try:
+            typing.get_type_hints(func)
+        except NameError as err:
+            unresolved.append(f"{qualname}: {err}")
+    assert not unresolved
 
 
 @pytest.mark.parametrize("name", REMOVED_MODULES)

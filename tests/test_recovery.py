@@ -496,7 +496,7 @@ class TestLivenessAndDiagnostics:
         message = str(err.value)
         assert "to rank 1" in message and "stage 1" in message
         # The satellite fix: attempts are accounted even on the raise.
-        assert ctx.counters.get("retransmits") == RETRANSMIT_BUDGET
+        assert ctx.stats.counter_total("retransmits") == RETRANSMIT_BUDGET
 
     def test_deadlock_error_carries_location(self):
         err = DeadlockError(

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compositing.rect import clip_rect, find_bounding_rect, split_rect_by_centerline
+from repro.compositing.rect import find_bounding_rect
 from repro.types import Rect
 
 
@@ -75,50 +75,3 @@ class TestFindBoundingRect:
         assert rect.x0 <= xs.min() and rect.x1 > xs.max()
         # ...tightly: each edge touches a foreground pixel.
         assert rect == Rect(ys.min(), xs.min(), ys.max() + 1, xs.max() + 1)
-
-
-class TestSplitByCenterline:
-    def test_split_rows(self):
-        bound = Rect(1, 1, 7, 5)
-        region = Rect(0, 0, 8, 6)
-        low, high = split_rect_by_centerline(bound, region, 0)
-        assert low == Rect(1, 1, 4, 5)
-        assert high == Rect(4, 1, 7, 5)
-
-    def test_bound_entirely_in_one_half(self):
-        bound = Rect(0, 0, 2, 2)
-        region = Rect(0, 0, 8, 8)
-        low, high = split_rect_by_centerline(bound, region, 0)
-        assert low == bound
-        assert high.is_empty
-
-    def test_empty_bound(self):
-        low, high = split_rect_by_centerline(Rect.empty(), Rect(0, 0, 8, 8), 1)
-        assert low.is_empty and high.is_empty
-
-    def test_parts_partition_bound(self):
-        bound = Rect(2, 3, 11, 9)
-        region = Rect(0, 0, 12, 10)
-        for axis in (0, 1):
-            low, high = split_rect_by_centerline(bound, region, axis)
-            assert low.area + high.area == bound.area
-            assert low.intersect(high).is_empty
-
-    def test_parts_inside_their_halves(self):
-        bound = Rect(0, 0, 10, 10)
-        region = Rect(0, 0, 10, 10)
-        low_half, high_half = region.split(1)
-        low, high = split_rect_by_centerline(bound, region, 1)
-        assert low_half.contains(low)
-        assert high_half.contains(high)
-
-
-class TestClipRect:
-    def test_clip_inside(self):
-        assert clip_rect(Rect(1, 1, 3, 3), Rect(0, 0, 8, 8)) == Rect(1, 1, 3, 3)
-
-    def test_clip_overflow(self):
-        assert clip_rect(Rect(5, 5, 12, 12), Rect(0, 0, 8, 8)) == Rect(5, 5, 8, 8)
-
-    def test_clip_disjoint(self):
-        assert clip_rect(Rect(10, 10, 12, 12), Rect(0, 0, 8, 8)).is_empty

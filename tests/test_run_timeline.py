@@ -50,13 +50,6 @@ class TestRoundTrip:
         with pytest.raises(ConfigurationError, match="schema"):
             RunTimeline.from_dict(data)
 
-    def test_stats_view_reduces_like_a_run_result(self):
-        timeline = _sim_timeline()
-        view = timeline.stats_view()
-        assert view.num_ranks == 2
-        assert view.mmax_bytes == 11  # rank 0 received rank 1's 11 bytes
-        assert view.counter_total("encode") == 66
-
 
 class TestBackendUniformity:
     def test_same_program_same_document_shape(self):

@@ -111,6 +111,21 @@ class TestRectSplit:
             assert low.intersect(high).is_empty
             assert r.contains(low) and r.contains(high)
 
+    def test_parts_partition_bound(self):
+        """A bounding rect cut by a region's centerline splits exactly."""
+        bound = Rect(2, 3, 11, 9)
+        region = Rect(0, 0, 12, 10)
+        for axis in (0, 1):
+            low, high = (bound.intersect(half) for half in region.split(axis))
+            assert low.area + high.area == bound.area
+            assert low.intersect(high).is_empty
+
+    def test_parts_inside_their_halves(self):
+        bound = Rect(0, 0, 10, 10)
+        region = Rect(0, 0, 10, 10)
+        for half in region.split(1):
+            assert half.contains(bound.intersect(half))
+
 
 class TestRectSerialization:
     def test_int16_roundtrip(self):
