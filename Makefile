@@ -88,9 +88,10 @@ explore-smoke:
 		--policy adversarial --interleavings 8
 
 # Render-service smoke: the serving/session/progress unit suites, then
-# three concurrent jobs through the real CLI spool (mixed methods incl.
-# tile-routed:rle, one crash-fault job under degrade QoS) — streamed
-# frames monotone in coverage, finals bit-identical to one-shot runs.
+# four concurrent jobs through the real CLI spool (mixed methods incl.
+# tile-routed:rle, one crash-fault job under degrade QoS and one under
+# available QoS) — streamed frames monotone in coverage, finals
+# bit-identical to one-shot runs.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_progress.py tests/test_session.py tests/test_serving.py -q
 	$(PYTHON) tools/serve_smoke.py

@@ -87,7 +87,7 @@ from .volume import (
 #: The one place the version is written: ``pyproject.toml`` reads it
 #: (``[tool.setuptools.dynamic]``) and ``CITATION.cff`` is checked
 #: against it by ``tests/test_public_surface.py``.
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "BACKENDS",

@@ -57,9 +57,6 @@ class BackendRunResult:
     wall_times: list[float] = field(default_factory=list)
     #: Per-rank :func:`repro.perf.report` snapshots (empty on the simulator).
     rank_perf: list[dict] = field(default_factory=list)
-    #: Supervisor-level recovery events (worker respawns on mp); empty
-    #: elsewhere.  Merged into :meth:`timeline` output automatically.
-    events: list[dict] = field(default_factory=list)
 
     def timeline(
         self,
@@ -70,11 +67,9 @@ class BackendRunResult:
         """Export as the unified run-timeline document.
 
         Per-rank fault events are harvested from the stats automatically;
-        the backend's own supervisor events (``self.events``) come next,
-        and ``events`` appends orchestrator-level entries (failure
-        detection, degradation) on top.
+        ``events`` appends orchestrator-level entries (failure
+        detection, recovery, degradation) on top.
         """
-        merged = list(self.events) + list(events or [])
         return RunTimeline.from_parts(
             backend=self.backend,
             clock=self.clock,
@@ -84,7 +79,7 @@ class BackendRunResult:
             rank_perf=self.rank_perf,
             trace_events=self.trace_events,
             meta=meta,
-            events=merged or None,
+            events=events or None,
         )
 
 
@@ -109,7 +104,6 @@ class Backend(abc.ABC):
         model: Optional[MachineModel] = None,
         trace: bool = False,
         timeout: Optional[float] = None,
-        respawn=None,
         heartbeat: Optional[float] = None,
         network=None,
         schedule_policy=None,
@@ -118,11 +112,10 @@ class Backend(abc.ABC):
 
         ``model`` is required by the simulator and ignored by real
         transports; ``trace`` enables the simulator's event trace;
-        ``timeout`` bounds per-receive blocking on real transports.
-        ``respawn`` (a :class:`~repro.cluster.recovery.RespawnPlan`) and
-        ``heartbeat`` (liveness-stamp interval in seconds) configure the
-        multiprocessing supervisor's recovery machinery; the simulator
-        ignores them (it recovers by lockstep re-run).  ``network`` (a
+        ``timeout`` bounds per-receive blocking on real transports and
+        ``heartbeat`` (liveness-stamp interval in seconds) spaces their
+        peer-death detection; the simulator ignores both (it detects
+        deadlock structurally).  ``network`` (a
         :class:`~repro.cluster.model.Network` topology) is
         simulator-only; real transports reject a non-flat network since
         they cannot model one.  ``schedule_policy`` (a
@@ -152,7 +145,6 @@ class SimBackend(Backend):
         model: Optional[MachineModel] = None,
         trace: bool = False,
         timeout: Optional[float] = None,
-        respawn=None,
         heartbeat: Optional[float] = None,
         network=None,
         schedule_policy=None,
@@ -197,7 +189,6 @@ class MPBackend(Backend):
         model: Optional[MachineModel] = None,
         trace: bool = False,
         timeout: Optional[float] = None,
-        respawn=None,
         heartbeat: Optional[float] = None,
         network=None,
         schedule_policy=None,
@@ -212,7 +203,6 @@ class MPBackend(Backend):
             program,
             args,
             timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
-            respawn=respawn,
             heartbeat_interval=HEARTBEAT_INTERVAL if heartbeat is None else heartbeat,
         )
         return BackendRunResult(
@@ -224,7 +214,6 @@ class MPBackend(Backend):
             makespan=max(result.wall_times, default=0.0),
             wall_times=result.wall_times,
             rank_perf=result.perf_reports,
-            events=list(result.events),
         )
 
 

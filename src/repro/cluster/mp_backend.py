@@ -43,13 +43,10 @@ peer's slot between poll slices — a dead peer surfaces as a typed
 :class:`~repro.errors.DeadlockError` after a couple of seconds instead
 of the full receive timeout, independent of how long that timeout is.
 
-Recovery (see :mod:`repro.cluster.recovery`): pass a
-:class:`~repro.cluster.recovery.RespawnPlan` and the supervisor restarts
-a dead worker in place — bounded by the plan's budget, and only when the
-replay is protocol-safe (the dead rank never sent a message, or a stage
-checkpoint pins its resume point).  Respawned ranks rerun the
-replacement args (fault injection stripped, resume at the latest
-checkpoint); every decision lands in ``MPRunResult.events``.
+Recovery is not this module's business: the supervisor fails fast on
+the first error report or dead sentinel, and
+:meth:`~repro.pipeline.system.SortLastSystem._recover` re-runs every
+rank together (see :mod:`repro.cluster.recovery`).
 """
 
 from __future__ import annotations
@@ -105,7 +102,7 @@ def _stale_after(interval: float) -> float:
     """Seconds without a heartbeat before a peer is presumed dead.
 
     Generous relative to the stamping interval so GIL scheduling hiccups
-    and the supervisor's respawn window never false-positive.
+    never false-positive.
     """
     return max(10.0 * interval, 2.5)
 
@@ -467,8 +464,8 @@ def _worker(
             "stage": getattr(exc, "stage", None),
             "peer": getattr(exc, "peer", None),
             "blocked": getattr(exc, "blocked", None),
-            # Where the *rank* was (vs where the error says it was):
-            # lets the supervisor judge whether a replay is safe.
+            # Where the *rank* was: the fallback location when the
+            # error itself names no phase or stage.
             "ctx_phase": ctx.current_phase if ctx is not None else None,
             "ctx_stage": ctx.current_stage if ctx is not None else None,
         }
@@ -490,9 +487,6 @@ class MPRunResult:
     rank_stats: list[RankStats]
     wall_times: list[float] = field(default_factory=list)
     perf_reports: list[dict] = field(default_factory=list)
-    #: Supervisor-level recovery events (detected failures, respawns);
-    #: empty on clean runs.
-    events: list[dict] = field(default_factory=list)
 
 
 def _error_from_info(rank: int, info: dict, stats: Optional[RankStats]) -> Exception:
@@ -554,20 +548,12 @@ def _release_queue(channel) -> None:
         pass
 
 
-def _total_msgs_sent(stats: Optional[RankStats]) -> Optional[int]:
-    """Messages a failed worker put on the wire (``None`` = unknown)."""
-    if stats is None:
-        return None
-    return sum(bucket.msgs_sent for bucket in stats.stages.values())
-
-
 def run_rank_programs_mp(
     num_ranks: int,
     program,
     args: Sequence[Any] = (),
     *,
     timeout: float = DEFAULT_TIMEOUT,
-    respawn=None,
     heartbeat_interval: float = HEARTBEAT_INTERVAL,
 ) -> MPRunResult:
     """Run ``program(ctx, *args)`` on ``num_ranks`` real processes.
@@ -580,18 +566,6 @@ def run_rank_programs_mp(
     worker's traceback (or :class:`~repro.errors.WireFormatError` for
     detected corruption) — rather than stalling out the full timeout.
     Teardown terminates any stragglers and releases every queue.
-
-    ``respawn`` (a :class:`~repro.cluster.recovery.RespawnPlan`) turns
-    the fail-fast supervisor into a recovering one: a crashed worker is
-    restarted in place with the plan's replacement args, bounded by its
-    budget, as long as the replay is protocol-safe — the dead rank never
-    sent a message (peers' frames still sit in its inbound queues), or a
-    stage checkpoint pins its resume point.  Protocol-level failures
-    (``DeadlockError``/``WireFormatError``) are never respawned — a
-    replay would repeat them.  Every decision is a structured event in
-    ``MPRunResult.events``; an unrecoverable failure carries the events
-    on the raised error so orchestrators can fall down the policy
-    lattice without losing the audit trail.
 
     ``heartbeat_interval`` spaces worker liveness stamps (``<= 0``
     disables heartbeats and with them fast peer-death detection).
@@ -609,17 +583,16 @@ def run_rank_programs_mp(
         mp_ctx.Array("d", num_ranks) if heartbeat_interval > 0.0 else None
     )
 
-    def _spawn(rank: int, worker_args: tuple):
-        process = mp_ctx.Process(
+    workers = [
+        mp_ctx.Process(
             target=_worker,
-            args=(rank, num_ranks, program, worker_args, queues, barrier,
+            args=(rank, num_ranks, program, tuple(args), queues, barrier,
                   timeout, result_queue, heartbeats, heartbeat_interval),
         )
-        process.start()
-        return process
-
-    workers = [_spawn(rank, tuple(args)) for rank in range(num_ranks)]
-    retired: list = []  # replaced processes, joined at teardown
+        for rank in range(num_ranks)
+    ]
+    for worker in workers:
+        worker.start()
 
     returns: list[Any] = [None] * num_ranks
     rank_stats = [RankStats(rank=r) for r in range(num_ranks)]
@@ -627,81 +600,9 @@ def run_rank_programs_mp(
     perf_reports: list[dict] = [{} for _ in range(num_ranks)]
     pending = set(range(num_ranks))
     failure: Optional[Exception] = None
-    events: list[dict] = []
-    respawns_left = respawn.budget if respawn is not None else 0
     # Workers bound their own receives by `timeout`, so honest runs
     # always report within it; the slack covers result shipping.
     deadline = time.monotonic() + timeout + 10.0
-
-    def _replay_safe(rank: int, info: Optional[dict], stats: Optional[RankStats]) -> bool:
-        """Would restarting ``rank`` keep the message protocol intact?"""
-        if info is not None and info.get("type") in ("DeadlockError", "WireFormatError"):
-            return False  # protocol-level failure: a replay repeats it
-        sent = _total_msgs_sent(stats)
-        if sent == 0:
-            # Nothing on the wire yet: peers' frames still sit in this
-            # rank's inbound queues, so a from-scratch replay re-consumes
-            # them at exactly the right points.
-            return True
-        store = respawn.store if respawn is not None else None
-        # Sent something (or unknown, e.g. a silent death): only a stage
-        # checkpoint pins the resume point precisely enough to rejoin.
-        return store is not None and store.latest_stage(rank) is not None
-
-    def _try_respawn(rank: int, info: Optional[dict], stats: Optional[RankStats]) -> bool:
-        """Restart ``rank`` in place if the plan, budget, and protocol allow."""
-        nonlocal respawns_left, deadline
-        if respawn is None:
-            return False
-        detected = {
-            "event": "detected",
-            "fault": "crash" if info is not None and info.get("type") == "InjectedCrash" else "failure",
-            "rank": rank,
-            "backend": "mp",
-        }
-        if info is not None:
-            if isinstance(info.get("phase"), str):
-                detected["phase"] = info["phase"]
-            if isinstance(info.get("stage"), int):
-                detected["stage"] = info["stage"]
-            detected["error"] = info.get("type")
-        if stats is not None:
-            # The dead incarnation's injected-fault events would vanish
-            # with its discarded stats; harvest them into the run record.
-            events.extend(dict(ev) for ev in stats.events)
-        events.append(detected)
-        if not _replay_safe(rank, info, stats):
-            events.append(
-                {"event": "respawn", "action": "refused", "rank": rank,
-                 "reason": "replay would violate the message protocol"}
-            )
-            return False
-        if respawns_left <= 0:
-            events.append(
-                {"event": "respawn", "action": "exhausted", "rank": rank,
-                 "budget": respawn.budget}
-            )
-            return False
-        respawns_left -= 1
-        old = workers[rank]
-        if old.is_alive():
-            old.terminate()
-        retired.append(old)
-        if heartbeats is not None:
-            # Re-stamp so peers don't declare the rank dead during the
-            # respawn window before its own heartbeat thread starts.
-            heartbeats[rank] = time.monotonic()
-        store = respawn.store
-        events.append(
-            {"event": "respawn", "action": "restart", "rank": rank,
-             "attempt": respawn.budget - respawns_left,
-             "budget": respawn.budget,
-             "resume_stage": store.latest_stage(rank) if store is not None else None}
-        )
-        workers[rank] = _spawn(rank, tuple(respawn.args))
-        pending.add(rank)
-        deadline = time.monotonic() + timeout + 10.0
-        return True
 
     def _drain(block_for: float = 0.0) -> bool:
         """Consume every available result; returns whether any arrived."""
@@ -725,8 +626,7 @@ def run_rank_programs_mp(
                 wall_times[rank] = wall
                 perf_reports[rank] = report
             elif failure is None:  # first failure wins (fail fast)
-                if not _try_respawn(rank, value, stats):
-                    failure = _error_from_info(rank, value, stats)
+                failure = _error_from_info(rank, value, stats)
 
     try:
         while pending and failure is None:
@@ -742,15 +642,13 @@ def run_rank_programs_mp(
                 dead = [r for r in dead if r in pending]
                 if dead and failure is None:
                     first = dead[0]
-                    exitcode = workers[first].exitcode
-                    if not _try_respawn(first, None, None):
-                        failure = RankFailedError(
-                            first,
-                            detail=(
-                                f"worker process exited with code "
-                                f"{exitcode} before reporting a result"
-                            ),
-                        )
+                    failure = RankFailedError(
+                        first,
+                        detail=(
+                            f"worker process exited with code "
+                            f"{workers[first].exitcode} before reporting a result"
+                        ),
+                    )
                 continue
             if time.monotonic() > deadline:
                 failure = SimulationError(
@@ -767,9 +665,9 @@ def run_rank_programs_mp(
             for worker in workers:
                 if worker.is_alive():
                     worker.terminate()
-        for worker in list(workers) + retired:
+        for worker in workers:
             worker.join(timeout=5.0)
-        for worker in list(workers) + retired:
+        for worker in workers:
             if worker.is_alive():  # pragma: no cover - terminate() sufficed so far
                 worker.kill()
                 worker.join(timeout=1.0)
@@ -778,14 +676,10 @@ def run_rank_programs_mp(
             for channel in row:
                 _release_queue(channel)
     if failure is not None:
-        if events:
-            merged = list(getattr(failure, "events", None) or []) + events
-            failure.events = merged  # type: ignore[attr-defined]
         raise failure
     return MPRunResult(
         returns=returns,
         rank_stats=rank_stats,
         wall_times=wall_times,
         perf_reports=perf_reports,
-        events=events,
     )

@@ -1,12 +1,12 @@
-"""The recovery subsystem: checkpoints, respawn plans, and policies.
+"""The recovery subsystem: checkpoints and the policy lattice.
 
-PR 3 taught the system to *degrade* — a rank lost in the render phase
-re-folds onto survivors.  This module upgrades the failure story to
-*recover*: a mid-compositing crash no longer throws away every rank's
-render, because each rank snapshots its partial image after every
-exchange stage and the run resumes from the last completed stage.
+A lost rank's blocks can re-fold onto the survivors (*degrade*);
+this module adds the lossless alternative.  Each rank snapshots its
+partial image after every exchange stage, and a failed run is replayed
+with every rank moving together — from stage 0, or from the last stage
+every rank checkpointed.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 **Checkpoints** — :class:`StageCheckpointer` is installed on a rank
 context (:meth:`~repro.cluster.protocol.BaseRankContext.install_checkpointer`)
@@ -24,31 +24,20 @@ never aliases a stored checkpoint.
 
     ``abort`` < ``degrade`` < ``respawn`` < ``checkpoint-resume``
 
-where each policy may *fall back* to every weaker one: a respawn whose
-budget is exhausted (or whose replay would violate the message protocol)
-degrades; a crash that cannot degrade aborts.  The lattice is resolved
-at one decision point — ``SortLastSystem._recover`` — so ``abort``,
-render-phase refolding, and the lossless mechanisms share a single code path.
-
-**Respawn plans** — :class:`RespawnPlan` tells the multiprocessing
-supervisor how to restart a dead worker in place: the replacement
-program args (fault injection stripped, resume pointed at the rank's
-latest checkpoint) and the bounded restart budget.  A replay is only
-protocol-safe when the dead rank either never sent a message (its
-peers' frames still sit in its inbound queues) or has a checkpoint
-marking exactly which stages' sends already happened; the supervisor
-checks both before burning budget.
+The paper's exchanges are lockstep pairwise ``sendrecv`` calls, so the
+one lossless recovery that survives every crash point replays *all*
+ranks together, with the fault plan disarmed: ``respawn`` replays every
+rank from stage 0, ``checkpoint-resume`` from the store's common stage.
+Both run on every backend.  The lattice is resolved at one decision
+point — ``SortLastSystem._recover`` — so ``abort``, render-phase
+refolding, and the lossless replays share a single code path.
 
 Semantics of ``resume``:
 
 * ``None`` — fresh run, restore nothing (checkpoints are still saved).
-* :data:`RESUME_LATEST` — restore this rank's newest snapshot
-  (multiprocessing respawn: the rank rejoins mid-protocol, so it must
-  resume exactly where it left off).
-* an ``int`` stage — restore that exact stage on *every* rank
-  (simulator resume: all ranks replay in lockstep from the common
-  minimum checkpointed stage, keeping the exchange sequence
-  message-consistent).
+* an ``int`` stage — restore that exact stage on *every* rank, so the
+  lockstep replay from the common minimum checkpointed stage keeps the
+  exchange sequence message-consistent.
 """
 
 from __future__ import annotations
@@ -65,7 +54,6 @@ from .stats import RankStats
 
 __all__ = [
     "RECOVERY_POLICIES",
-    "RESUME_LATEST",
     "DECLARED_OUTCOMES",
     "RecoveryPolicy",
     "CheckpointSnapshot",
@@ -74,22 +62,23 @@ __all__ = [
     "DiskCheckpointStore",
     "StageCheckpointer",
     "RecoveryRuntime",
-    "RespawnPlan",
     "run_outcome",
 ]
 
-#: The policy lattice, weakest first; each policy may fall back to any
-#: policy to its left when its own mechanism is inapplicable/exhausted.
+#: The policy lattice, weakest first; each policy adds one mechanism to
+#: the policies on its left.
 RECOVERY_POLICIES = ("abort", "degrade", "respawn", "checkpoint-resume")
 
 #: Every way a (possibly faulted) run may legally end under the lattice:
 #: ``clean`` — completed with the full-fidelity image and no recovery;
-#: ``resumed`` — a failure was absorbed losslessly (checkpoint resume or
-#: in-place respawn); ``degraded`` — survivors carry a partial-but-valid
-#: image; ``aborted`` — a typed :class:`~repro.errors.ReproError`
-#: surfaced.  The schedule explorer asserts every interleaving of a
-#: faulted scenario lands on one of these (matching the plan's declared
-#: possibilities) or flags the interleaving as a real ordering bug.
+#: ``resumed`` — a failure was absorbed losslessly by the lockstep
+#: replay (``respawn`` from stage 0, ``checkpoint-resume`` from the
+#: common stage), on every backend alike; ``degraded`` — survivors
+#: carry a partial-but-valid image; ``aborted`` — a typed
+#: :class:`~repro.errors.ReproError` surfaced.  The schedule explorer
+#: asserts every interleaving of a faulted scenario lands on one of
+#: these (matching the plan's declared possibilities) or flags the
+#: interleaving as a real ordering bug.
 DECLARED_OUTCOMES = ("clean", "resumed", "degraded", "aborted")
 
 
@@ -103,26 +92,18 @@ def run_outcome(*, degraded: bool, recovered: bool) -> str:
         return "resumed"
     return "clean"
 
-#: ``resume`` sentinel: restore the rank's newest checkpoint (mp respawn).
-RESUME_LATEST = "latest"
-
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """One point on the recovery lattice plus its knobs."""
+    """One point on the recovery lattice."""
 
     name: str = "degrade"
-    respawn_budget: int = 2
 
     def __post_init__(self) -> None:
         if self.name not in RECOVERY_POLICIES:
             raise ConfigurationError(
                 f"unknown recovery policy {self.name!r}; "
                 f"choose from {RECOVERY_POLICIES}"
-            )
-        if self.respawn_budget < 0:
-            raise ConfigurationError(
-                f"respawn_budget must be >= 0, got {self.respawn_budget}"
             )
 
     @property
@@ -142,15 +123,11 @@ class RecoveryPolicy:
         return self.level >= 3
 
     @classmethod
-    def resolve(
-        cls, value: "str | RecoveryPolicy | None", *, respawn_budget: Optional[int] = None
-    ) -> "RecoveryPolicy":
+    def resolve(cls, value: "str | RecoveryPolicy | None") -> "RecoveryPolicy":
         """Coerce a CLI/config value into a policy instance."""
         if isinstance(value, RecoveryPolicy):
             return value
-        name = "degrade" if value is None else str(value)
-        budget = 2 if respawn_budget is None else int(respawn_budget)
-        return cls(name=name, respawn_budget=budget)
+        return cls(name="degrade" if value is None else str(value))
 
 
 class CheckpointSnapshot(NamedTuple):
@@ -200,8 +177,8 @@ class CheckpointStore(abc.ABC):
     def common_stage(self, num_ranks: int) -> Optional[int]:
         """Highest stage checkpointed by *every* rank, or ``None``.
 
-        Lockstep resume on the simulator restores all ranks here so the
-        replayed exchange sequence stays message-consistent.
+        Lockstep resume restores all ranks here so the replayed
+        exchange sequence stays message-consistent.
         """
         latest: list[int] = []
         for rank in range(num_ranks):
@@ -215,11 +192,10 @@ class CheckpointStore(abc.ABC):
         """The :meth:`common_stage`, verified loadable on *every* rank.
 
         Lockstep resume is only protocol-consistent when all ranks
-        restart from the same stage; a compacting store (or a crash
-        mid-save) can leave the nominal common stage unloadable on a
-        rank that already moved past it.  Rather than resume a torn
-        state, return ``None`` — the caller replays from scratch, which
-        is equally lossless, just slower.
+        restart from the same stage; a torn or foreign file can leave
+        the nominal common stage unloadable on some rank.  Rather than
+        resume a torn state, return ``None`` — the caller replays from
+        scratch, which is equally lossless, just slower.
         """
         stage = self.common_stage(num_ranks)
         if stage is None:
@@ -260,27 +236,16 @@ class DiskCheckpointStore(CheckpointStore):
     """Cross-process store (multiprocessing): one file per snapshot.
 
     Writes are atomic (temp file + ``os.replace``) so a rank crashing
-    mid-save never leaves a torn checkpoint for the supervisor to
-    restore from.  The instance is picklable — workers inherit it via
-    program args and the supervisor consults it when deciding whether a
-    respawn is protocol-safe.
-
-    With ``compact=True`` (default), landing stage ``k`` deletes that
-    rank's snapshots for stages ``< k``, so the store holds at most one
-    file per rank instead of one per (rank, stage).  Safe because every
-    restore path reads the *latest* stage: mp respawns restore
-    ``RESUME_LATEST`` per rank, and the simulator's common-stage resume
-    uses the in-memory store.  The delete runs *after* the replace, so a
-    crash mid-compaction can only leave an extra older file — never lose
-    the newest one.
+    mid-save never leaves a torn checkpoint to restore from.  The
+    instance is picklable — workers inherit it via program args.  Every
+    stage stays on disk until :meth:`clear`, so the common stage of a
+    crashed run is loadable on every rank: at most P·log2 P snapshots
+    per run.
     """
 
-    def __init__(
-        self, root: str, run_id: Optional[str] = None, *, compact: bool = True
-    ) -> None:
+    def __init__(self, root: str, run_id: Optional[str] = None) -> None:
         self.root = root
         self.run_id = run_id or uuid.uuid4().hex[:12]
-        self.compact = bool(compact)
         os.makedirs(root, exist_ok=True)
 
     def _path(self, rank: int, stage: int) -> str:
@@ -292,28 +257,6 @@ class DiskCheckpointStore(CheckpointStore):
         with open(tmp, "wb") as fh:
             pickle.dump(snapshot, fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
-        if self.compact:
-            self._drop_older(rank, stage)
-
-    def _drop_older(self, rank: int, stage: int) -> None:
-        """Delete this rank's snapshots for stages strictly below ``stage``."""
-        prefix = f"ckpt-{self.run_id}-r{rank}-s"
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return
-        for name in names:
-            if not (name.startswith(prefix) and name.endswith(".pkl")):
-                continue
-            try:
-                old = int(name[len(prefix):-4])
-            except ValueError:
-                continue
-            if old < stage:
-                try:
-                    os.remove(os.path.join(self.root, name))
-                except OSError:
-                    pass  # best-effort: a leftover file only wastes space
 
     def load(self, rank: int, stage: int) -> Optional[CheckpointSnapshot]:
         try:
@@ -369,20 +312,13 @@ class StageCheckpointer:
         store: CheckpointStore,
         rank: int,
         *,
-        resume: "None | int | str" = None,
+        resume: Optional[int] = None,
         sink: Optional[list] = None,
     ) -> None:
         self.store = store
         self.rank = rank
         self.resume = resume
         self.events: list = sink if sink is not None else []
-
-    def _resume_stage(self) -> Optional[int]:
-        if self.resume is None:
-            return None
-        if self.resume == RESUME_LATEST:
-            return self.store.latest_stage(self.rank)
-        return int(self.resume)
 
     def restore(self, image, producer: str) -> Optional[CheckpointSnapshot]:
         """Restore this rank's resume-point snapshot into ``image``.
@@ -392,7 +328,7 @@ class StageCheckpointer:
         no snapshot at the resume stage, or a snapshot produced by a
         different compositor (stale store).
         """
-        stage = self._resume_stage()
+        stage = self.resume
         if stage is None:
             return None
         snapshot = self.store.load(self.rank, stage)
@@ -442,19 +378,5 @@ class RecoveryRuntime(NamedTuple):
     """
 
     store: Optional[CheckpointStore] = None
-    resume: "None | int | str" = None
+    resume: Optional[int] = None
 
-
-class RespawnPlan(NamedTuple):
-    """Instructions for the multiprocessing supervisor's in-place respawn.
-
-    ``budget`` bounds total restarts across the run; ``args`` replaces
-    the dead worker's program args (fault plan stripped, ``resume``
-    pointed at :data:`RESUME_LATEST`); ``store`` — when present — lets
-    the supervisor verify a checkpoint exists before replaying a rank
-    that already sent messages.
-    """
-
-    budget: int
-    args: tuple
-    store: Optional[CheckpointStore] = None

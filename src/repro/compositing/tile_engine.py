@@ -31,8 +31,10 @@ row at a time) and each finished tile enters the router while later
 ones are still rendering.
 
 Recovery: stage checkpoints do not apply (there are no stage
-boundaries to snapshot), so the ``checkpoint-resume`` policy falls back
-down the lattice; graceful degradation works unchanged —
+boundaries to snapshot), so ``checkpoint-resume`` finds no common stage
+and replays every rank from the start — the same lossless lockstep
+replay as ``respawn``, not a fall down the lattice; degradation works
+unchanged —
 :meth:`TileRoutedCompositor.refold_pairs` reports the bisection buddy
 pairing, and the rebuilt tile map over the survivor count re-folds a
 lost rank's owned tiles onto the survivors deterministically.

@@ -17,9 +17,9 @@ Subcommands regenerate each paper artifact::
               (``--backend {sim,mp}``, ``--trace-out timeline.json``;
               fault injection via ``--fault-plan plan.json`` with
               ``--comm-timeout``; recovery via ``--recovery
-              {abort,degrade,respawn,checkpoint-resume}`` and
-              ``--respawn-budget N``; interconnect topology via
-              ``--topology fat-tree:radix=16`` and ``--links CAPACITY``)
+              {abort,degrade,respawn,checkpoint-resume}``; interconnect
+              topology via ``--topology fat-tree:radix=16`` and
+              ``--links CAPACITY``)
     scale     at-scale crossover study: the paper's method ranking
               replayed at P=64 and extended to P=256/1024 on synthetic
               sparse workloads (event-driven simulator core)
@@ -45,6 +45,7 @@ import os
 import sys
 
 from ..cluster.backend import BACKENDS
+from ..cluster.recovery import RECOVERY_POLICIES
 from ..compositing.registry import available_methods, method_catalog
 from .compare import compare_to_paper, format_fidelity
 from .figures import format_figure, render_figure7, run_figures
@@ -158,18 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-receive deadlock timeout in seconds on real "
                           "transports (default: backend's 60s)")
     run.add_argument("--recovery", default=None,
-                     choices=("abort", "degrade", "respawn", "checkpoint-resume"),
+                     choices=RECOVERY_POLICIES,
                      help="recovery policy when a rank is lost: abort "
                           "(re-raise), degrade (re-fold onto survivors), "
-                          "respawn (mp: restart the dead worker in place), "
-                          "checkpoint-resume (resume from the last completed "
-                          "compositing stage); stronger policies fall back "
-                          "down this lattice when inapplicable "
-                          "(default: degrade)")
-    run.add_argument("--respawn-budget", type=int, default=2,
-                     help="total worker restarts the mp supervisor may "
-                          "spend per run (respawn/checkpoint-resume only; "
-                          "default: 2)")
+                          "respawn (replay every rank from stage 0), "
+                          "checkpoint-resume (replay every rank from the "
+                          "last stage all ranks checkpointed); both replays "
+                          "are lossless on sim and mp (default: degrade)")
     run.add_argument("--heartbeat-interval", type=float, default=None,
                      help="mp worker liveness heartbeat period in seconds; "
                           "0 disables heartbeats (default: 0.25)")
@@ -450,7 +446,6 @@ def _run_one(args, command: str) -> None:
                 backend=getattr(args, "backend", "sim"),
                 comm_timeout=getattr(args, "comm_timeout", None),
                 recovery=getattr(args, "recovery", None) or "degrade",
-                respawn_budget=getattr(args, "respawn_budget", 2),
                 heartbeat_interval=getattr(args, "heartbeat_interval", None),
                 topology=getattr(args, "topology", "flat"),
                 link_capacity=getattr(args, "links", None),
@@ -481,7 +476,7 @@ def _run_one(args, command: str) -> None:
         if result.recovered:
             lines.append(
                 "  RECOVERED: failure absorbed losslessly "
-                "(checkpoint resume / worker respawn); full-fidelity image"
+                "(lockstep replay); full-fidelity image"
             )
         if result.timeline is not None and result.timeline.events:
             lines.append(f"  fault events        = {len(result.timeline.events)}")

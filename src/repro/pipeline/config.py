@@ -71,13 +71,9 @@ class RunConfig:
     comm_timeout: float | None = None
     #: Recovery policy on rank failure: one of
     #: :data:`repro.cluster.recovery.RECOVERY_POLICIES`
-    #: ("abort" < "degrade" < "respawn" < "checkpoint-resume"); stronger
-    #: policies fall back down the lattice when their mechanism does not
-    #: apply (see DESIGN.md §5.4).
+    #: ("abort" < "degrade" < "respawn" < "checkpoint-resume"); the two
+    #: strongest replay every rank in lockstep (see DESIGN.md §5.4).
     recovery: str = "degrade"
-    #: Total worker restarts the mp supervisor may spend per run (only
-    #: meaningful under "respawn"/"checkpoint-resume").
-    respawn_budget: int = 2
     #: Worker liveness-stamp spacing in seconds on the mp backend;
     #: ``None`` uses the backend default, ``0`` disables heartbeats.
     heartbeat_interval: float | None = None
@@ -134,10 +130,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown recovery policy {self.recovery!r}; "
                 f"choose from {RECOVERY_POLICIES}"
-            )
-        if self.respawn_budget < 0:
-            raise ConfigurationError(
-                f"respawn_budget must be >= 0, got {self.respawn_budget}"
             )
         if self.heartbeat_interval is not None and self.heartbeat_interval < 0:
             raise ConfigurationError(

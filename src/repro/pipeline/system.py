@@ -30,13 +30,11 @@ from ..cluster.backend import Backend, BackendRunResult, make_backend
 from ..cluster.faults import FaultPlan, crash_phase_of, crash_stage_of
 from ..cluster.model import MachineModel
 from ..cluster.recovery import (
-    RESUME_LATEST,
     CheckpointStore,
     DiskCheckpointStore,
     MemoryCheckpointStore,
     RecoveryPolicy,
     RecoveryRuntime,
-    RespawnPlan,
     run_outcome,
 )
 from ..cluster.progress import ProgressFeed
@@ -221,8 +219,8 @@ class SystemResult:
     degraded: bool = False
     #: Original ranks lost before compositing (degraded runs only).
     failed_ranks: list[int] = field(default_factory=list)
-    #: True when a failure was absorbed *losslessly* — a checkpoint
-    #: resume or an in-place worker respawn produced the full-fidelity
+    #: True when a failure was absorbed *losslessly* — a lockstep replay
+    #: (``respawn`` or ``checkpoint-resume``) produced the full-fidelity
     #: image (contrast ``degraded``, which drops the failed rank's data).
     recovered: bool = False
 
@@ -265,12 +263,12 @@ class SortLastSystem:
         when a rank is then lost is decided by one recovery policy on
         the lattice ``abort < degrade < respawn < checkpoint-resume``
         (see :mod:`repro.cluster.recovery`): ``recovery`` overrides the
-        config's ``recovery`` field.  Stronger policies fall back down
-        the lattice when their mechanism does not apply — a respawn
-        whose replay would break the message protocol (or whose budget
-        ran out) degrades; a crash that cannot degrade re-raises the
-        typed error.  Every recovery decision lands as a structured
-        event in the result's timeline.
+        config's ``recovery`` field.  ``respawn`` and
+        ``checkpoint-resume`` replay every rank in lockstep (from stage
+        0, or from the common checkpointed stage) and are lossless on
+        every backend; ``degrade`` re-folds onto the survivors; a crash
+        that cannot degrade re-raises the typed error.  Every recovery
+        decision lands as a structured event in the result's timeline.
 
         Every engine run of this call — the first try and a recovery
         re-run — is one ``attempt`` of the same rank program with the
@@ -319,10 +317,7 @@ class SortLastSystem:
                 f"share one process); backend {engine.name!r} cannot share a "
                 "feed across process boundaries"
             )
-        policy = RecoveryPolicy.resolve(
-            cfg.recovery if recovery is None else recovery,
-            respawn_budget=cfg.respawn_budget,
-        )
+        policy = RecoveryPolicy.resolve(cfg.recovery if recovery is None else recovery)
 
         # Host-side scene build: the result mirrors what every rank
         # derives (memoized, and inherited by forked mp workers).
@@ -350,29 +345,10 @@ class SortLastSystem:
             else None
         )
 
-        def program_args(fault_plan=None, runtime=None, plan=None) -> tuple:
-            return (cfg, fault_plan, runtime, progress, plan)
-
-        respawn = None
-        if (
-            engine.name == "mp"
-            and policy.allows_respawn
-            and not isinstance(scene.plan, FoldedPartition)
-        ):
-            # Folded plans resend their fold messages on replay, which a
-            # peer that already consumed them cannot absorb — in-place
-            # respawn is gated to plain bisection plans.  A replacement
-            # never re-arms the fault plan.
-            latest = RecoveryRuntime(store, RESUME_LATEST) if store is not None else None
-            respawn = RespawnPlan(
-                budget=policy.respawn_budget,
-                args=program_args(runtime=latest),
-                store=store,
-            )
         network = cfg.build_network()
 
         def attempt(
-            plan=None, *, fault_plan=None, runtime=None, respawn=None, **result_flags
+            plan=None, *, fault_plan=None, runtime=None, **result_flags
         ) -> SystemResult:
             """One pass of the rank program over the substrate, built
             into a result.  ``plan`` overrides the scene's partition
@@ -382,11 +358,10 @@ class SortLastSystem:
             backend_result = engine.run(
                 run_scene.plan.num_ranks,
                 pipeline_rank_program,
-                program_args(fault_plan, runtime, plan),
+                (cfg, fault_plan, runtime, progress, plan),
                 model=cfg.machine,
                 trace=trace,
                 timeout=cfg.comm_timeout,
-                respawn=respawn,
                 heartbeat=cfg.heartbeat_interval,
                 network=network,
                 schedule_policy=schedule_policy,
@@ -398,7 +373,7 @@ class SortLastSystem:
 
         try:
             try:
-                return attempt(fault_plan=fault_plan, runtime=runtime, respawn=respawn)
+                return attempt(fault_plan=fault_plan, runtime=runtime)
             except RankFailedError as err:
                 rerun = self._recover(engine, scene.plan, err, policy, store)
                 if progress is not None:
@@ -447,51 +422,48 @@ class SortLastSystem:
         policy: RecoveryPolicy,
         store: Optional[CheckpointStore],
     ) -> dict[str, Any]:
-        """Walk down the policy lattice after an unrecovered rank
-        failure: what the re-run ``attempt`` changes, or re-raise.
+        """Walk down the policy lattice after a rank failure: what the
+        re-run ``attempt`` changes, or re-raise.
 
-        Order: lockstep checkpoint-resume, then refold-based
-        degradation, then re-raise (abort).  The mp backend's in-place
-        respawn already ran inside the supervisor; reaching here means
-        it was refused or exhausted, and ``err.events`` carries its
-        audit trail.
+        Order: lockstep replay (``respawn``/``checkpoint-resume``), then
+        refold-based degradation, then re-raise (abort).
         """
         cfg = self.config
         phase = crash_phase_of(err)
         stage = crash_stage_of(err)
         failed = [err.rank]
-        if policy.allows_resume and store is not None:
-            # Every rank restores the *common* minimum checkpointed
-            # stage and replays from there — all ranks move together
-            # (protocol-safe on mp too, unlike in-place respawn), so the
-            # replayed exchange sequence is exactly the fault-free tail
-            # and pixels and byte/message counters land bit-identical to
-            # a clean run.  When the crash hit before any stage was
-            # checkpointed everywhere, ``resume`` is ``None``: a full
-            # replay from stage 0, equally lossless.
-            resume = store.resumable_stage(cfg.num_ranks)
-            events = [
-                {
-                    "event": "detected",
-                    "fault": "crash",
-                    "rank": err.rank,
-                    "phase": phase,
-                    "stage": stage,
-                    "backend": engine.name,
-                },
-                {
-                    "event": "recovery",
-                    "policy": policy.name,
-                    "action": "checkpoint-resume",
-                    "failed_ranks": failed,
-                    "resume_stage": resume,
-                    "backend": engine.name,
-                },
-            ]
+        detected: dict[str, Any] = {
+            "event": "detected",
+            "fault": "crash",
+            "rank": err.rank,
+            "backend": engine.name,
+        }
+        if phase is not None:
+            detected["phase"] = phase
+        if stage is not None:
+            detected["stage"] = stage
+        if policy.allows_respawn:
+            # Every rank replays together with the fault plan disarmed:
+            # from the common checkpointed stage under checkpoint-resume,
+            # from stage 0 otherwise (``resume`` is ``None`` also when no
+            # stage was checkpointed everywhere).  The exchanges are
+            # lockstep pairwise sendrecvs, so only an all-ranks replay is
+            # protocol-safe for every crash point; its exchange sequence
+            # is the fault-free one, and pixels and byte/message counters
+            # land bit-identical to a clean run on every backend.
+            resume = store.resumable_stage(cfg.num_ranks) if store is not None else None
+            recovery = {
+                "event": "recovery",
+                "policy": policy.name,
+                "action": policy.name,
+                "failed_ranks": failed,
+                "resume_stage": resume,
+                "backend": engine.name,
+            }
             return dict(
                 runtime=RecoveryRuntime(store, resume),
                 recovered=True,
-                extra_events=list(err.events) + events,
+                extra_events=list(err.events) + [detected, recovery],
             )
         degradable = (
             policy.allows_degrade
@@ -511,16 +483,6 @@ class SortLastSystem:
         pairs_of = getattr(compositor, "refold_pairs", None)
         pairs = pairs_of(plan.num_ranks) if pairs_of is not None else None
         folded, rank_map = refold_survivors(plan, failed, pairs=pairs)
-        detected: dict[str, Any] = {
-            "event": "detected",
-            "fault": "crash",
-            "rank": err.rank,
-            "backend": engine.name,
-        }
-        if phase is not None:
-            detected["phase"] = phase
-        if stage is not None:
-            detected["stage"] = stage
         events = [
             detected,
             {
@@ -560,14 +522,6 @@ class SortLastSystem:
         cfg = self.config
         subimages = [ret[0] for ret in backend_result.returns]
         outcomes = [ret[1] for ret in backend_result.returns]
-        # An mp run that respawned a worker in place succeeded *because*
-        # of recovery; surface that even though no exception reached us.
-        if any(
-            ev.get("event") == "respawn" and ev.get("action") == "restart"
-            for ev in backend_result.events
-        ):
-            recovered = True
-
         compositing = CompositingRun(
             compositor=compositor_for(cfg.method, scene.plan, **cfg.method_options),
             outcomes=outcomes,

@@ -31,8 +31,9 @@
   a quality class that maps onto the existing recovery policies
   (:data:`QOS_POLICIES`): a ``degrade``-QoS session's job that loses a
   rank comes back *fast* as a flagged partial frame
-  (``result.degraded``), a ``lossless`` session pays for checkpoints
-  and resumes bit-identically, a ``strict`` session surfaces the typed
+  (``result.degraded``), an ``available`` session replays every rank
+  from stage 0 and a ``lossless`` one from the last common checkpoint —
+  both bit-identical — and a ``strict`` session surfaces the typed
   error.  A job may still override its own ``recovery`` explicitly.
   The same classes double as the shedding priority
   (:data:`QOS_SHED_PRIORITY`).
@@ -90,8 +91,8 @@ __all__ = [
 QOS_POLICIES = {
     "strict": "abort",  # fail loudly; never serve a partial frame
     "degrade": "degrade",  # flagged partial frame fast, never an error
-    "available": "respawn",  # replace lost workers in place (mp)
-    "lossless": "checkpoint-resume",  # bit-identical recovery, slower
+    "available": "respawn",  # bit-identical replay from stage 0, no snapshots
+    "lossless": "checkpoint-resume",  # replay from the last common snapshot
 }
 
 DEFAULT_QOS = "degrade"

@@ -43,8 +43,8 @@ Crash-survivability contract:
 * **Whole-run resume.**  A reclaimed ``checkpoint-resume`` job (QoS
   ``lossless``) re-renders from ``work/<id>.ckpt/`` via
   :class:`~repro.cluster.recovery.DiskCheckpointStore` and lockstep
-  resume — all ranks restart together, which is protocol-safe even on
-  the multiprocessing substrate (unlike in-place respawn mid-run).
+  resume — all ranks restart together, the one replay that is
+  protocol-safe on every substrate.
 * **Graceful drain.**  On SIGTERM (or a ``stop_event``) the loop stops
   claiming, lets in-flight renders finish, and re-spools queued-but-
   unstarted claims back into ``jobs/`` so nothing is lost and nothing
@@ -719,12 +719,9 @@ def serve(
         ):
             # Durable per-job store: a reclaimed attempt resumes the
             # whole run in lockstep from the highest loadable common
-            # stage (compact=False keeps that stage loadable on every
-            # rank).
+            # stage.
             store = DiskCheckpointStore(
-                os.path.join(root, _WORK, f"{job_id}.ckpt"),
-                run_id=job_id,
-                compact=False,
+                os.path.join(root, _WORK, f"{job_id}.ckpt"), run_id=job_id
             )
             resume = "common"
         job = RenderJob(

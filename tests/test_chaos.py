@@ -12,8 +12,9 @@ every faulted run either
 
 and it never hangs (a SIGALRM watchdog enforces this locally even
 without pytest-timeout) and never returns silently-wrong pixels.
-Lossless recovery (checkpoint-resume, worker respawn) has its own
-dedicated suite in ``test_recovery.py``.
+Lossless recovery (the lockstep replay under ``respawn`` and
+``checkpoint-resume``) has its own dedicated suite in
+``test_recovery.py``.
 
 Workloads are small (32³ volume, 32 px image, P=4) so the whole matrix
 runs in seconds; plans replay identically on the simulator and the real
@@ -46,7 +47,7 @@ pytestmark = pytest.mark.chaos
 #: and the effective radix must adapt).  The tile-routed entry runs the
 #: barrier-free engine through the same fault matrix: degradation
 #: rebuilds the tile map over the survivors, and checkpoint-resume
-#: falls back down the recovery lattice (no stage boundaries).
+#: replays every rank from the start (no stage boundaries).
 METHODS = (
     "bs", "bsbr", "bslc", "bsbrc",
     "radix-k:rect-rle", "binary-swap:rle", "sectioned:raw",

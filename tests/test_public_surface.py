@@ -27,9 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: splatting renderer, the second rank program, the step-chunked
 #: marcher, the MPI substrate, BSLC's index-array parts, the
 #: reference implementations that moved to ``tests/oracles.py`` with the
-#: collectives nothing called, and the second sparse folds, rect
-#: helpers and result views (CHANGELOG lists each with its
-#: replacement, or says it has none).
+#: collectives nothing called, the second sparse folds, rect
+#: helpers and result views, and the mp supervisor's in-place respawn
+#: (CHANGELOG lists each with its replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
     "BinarySwapBoundingRect",
@@ -92,6 +92,11 @@ REMOVED_NAMES = {
     "fault_injector",
     "close_session",
     "jobs_submitted",
+    "RespawnPlan",
+    "RESUME_LATEST",
+    "respawn_budget",
+    "_drop_older",
+    "_total_msgs_sent",
 }
 
 #: Classes that carried one of the removed names as a second view.
@@ -103,6 +108,9 @@ REMOVED_FROM_CLASSES = (
     "repro.cluster.mp_backend.MPRankContext",
     "repro.cluster.mp_backend.MPRunResult",
     "repro.cluster.protocol.BaseRankContext",
+    "repro.cluster.recovery.RecoveryPolicy",
+    "repro.cluster.recovery.DiskCheckpointStore",
+    "repro.pipeline.config.RunConfig",
     "repro.serving.service.RenderService",
     "repro.serving.service.SessionHandle",
 )
@@ -142,6 +150,7 @@ def test_module_imports_and_all_resolves(name):
         "repro.pipeline.phases", "repro.render", "repro.render.raycast", "repro.analysis",
         "repro.compositing.codec", "repro.compositing.registry", "repro.compositing.rle",
         "repro.cluster.simulator", "repro.cluster.collectives",
+        "repro.cluster.recovery", "repro.cluster.mp_backend",
     ],
 )
 def test_removed_names_stay_removed(package):
@@ -257,6 +266,35 @@ def test_backend_interface_has_no_engine_switch_and_no_spmd_rank():
     assert "local_rank" not in {f.name for f in dataclasses.fields(BackendRunResult)}
     for accepts in (Backend.run, SimBackend.run, MPBackend.run):
         assert "engine" not in inspect.signature(accepts).parameters, accepts
+
+
+def test_recovery_has_one_path(tmp_path):
+    """Lossless recovery is the lockstep re-run in ``SortLastSystem``:
+    no backend restarts a worker in place, reports supervisor events,
+    or takes a respawn plan, and no store compacts its history."""
+    from repro.cluster.backend import Backend, BackendRunResult, MPBackend, SimBackend
+    from repro.cluster.mp_backend import MPRunResult, run_rank_programs_mp
+    from repro.cluster.recovery import DiskCheckpointStore, RecoveryPolicy
+    from repro.experiments.cli import build_parser
+    from repro.pipeline import RunConfig
+
+    for result in (BackendRunResult, MPRunResult):
+        assert "events" not in {f.name for f in dataclasses.fields(result)}, result
+    assert "respawn_budget" not in {f.name for f in dataclasses.fields(RunConfig)}
+    assert "respawn_budget" not in {f.name for f in dataclasses.fields(RecoveryPolicy)}
+    assert list(inspect.signature(RecoveryPolicy.resolve).parameters) == ["value"]
+    for accepts in (Backend.run, SimBackend.run, MPBackend.run):
+        assert list(inspect.signature(accepts).parameters) == [
+            "self", "num_ranks", "program", "args", "model", "trace",
+            "timeout", "heartbeat", "network", "schedule_policy",
+        ], accepts
+    assert "respawn" not in inspect.signature(run_rank_programs_mp).parameters
+    assert list(inspect.signature(DiskCheckpointStore.__init__).parameters) == [
+        "self", "root", "run_id",
+    ]
+    assert not hasattr(DiskCheckpointStore(str(tmp_path)), "compact")
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--respawn-budget", "2"])
 
 
 def test_version_has_one_source():

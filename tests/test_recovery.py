@@ -1,17 +1,18 @@
-"""Recovery subsystem: checkpoints, respawn, and the policy lattice.
+"""Recovery subsystem: checkpoints, the lockstep replay, and the lattice.
 
-The acceptance contract (ISSUE: recovery subsystem):
+The acceptance contract:
 
 * a seeded crash at *any* compositing stage under
   ``--recovery checkpoint-resume`` produces a final image and per-rank
   byte/message counters **bit-identical** to the fault-free run, on the
   simulator and on multiprocessing;
+* every policy declares the same outcome on both backends for a render
+  crash and a stage crash; ``respawn`` and ``checkpoint-resume`` are
+  both lossless replays of every rank;
 * ``--recovery degrade`` still yields a valid degraded image when
   resume is disabled;
-* respawn-budget exhaustion (or a protocol-unsafe replay) falls back
-  down the lattice instead of hanging;
 * every recovery action lands as a structured event in the run
-  timeline.
+  timeline, and every fault event exactly once.
 
 The small pieces — stores, policies, heartbeat staleness, enriched
 ``DeadlockError`` diagnostics, the retransmit-counter accounting fix —
@@ -20,6 +21,7 @@ are unit-tested alongside.
 
 from __future__ import annotations
 
+import os
 import pickle
 import queue as queue_mod
 import signal
@@ -33,7 +35,6 @@ from repro.cluster.mp_backend import (
     RETRANSMIT_BUDGET,
     MPRankContext,
     _stale_after,
-    run_rank_programs_mp,
 )
 from repro.cluster.protocol import drive
 from repro.cluster.recovery import (
@@ -42,7 +43,6 @@ from repro.cluster.recovery import (
     DiskCheckpointStore,
     MemoryCheckpointStore,
     RecoveryPolicy,
-    RespawnPlan,
     StageCheckpointer,
 )
 from repro.cluster.stats import RankStats
@@ -167,20 +167,25 @@ class TestCheckpointResumeMatrix:
             assert _images_equal(result.final_image, clean.final_image)
             assert _comm_fingerprint(result) == _comm_fingerprint(clean)
 
-    def test_resume_restores_a_real_checkpoint_at_p8(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_resume_restores_a_real_checkpoint_at_p8(self, backend):
         """At P=8 a late-stage crash leaves a common checkpoint, so the
-        replay genuinely restores state instead of starting over."""
+        replay genuinely restores state instead of starting over.  On mp
+        the common stage depends on how far the other ranks got before
+        the supervisor stopped them; whenever there is one, every rank
+        restores it."""
         cfg = RunConfig(
             dataset="engine_low",
             image_size=32,
             num_ranks=8,
             method="bsbrc",
             volume_shape=(32, 32, 16),
+            comm_timeout=5.0,
             recovery="checkpoint-resume",
         )
-        clean = SortLastSystem(cfg).run()
+        clean = SortLastSystem(cfg).run(backend=backend)
         plan = FaultPlan(rules=(FaultRule(kind="crash", rank=1, stage=2),), seed=3)
-        result = SortLastSystem(cfg).run(fault_plan=plan)
+        result = SortLastSystem(cfg).run(backend=backend, fault_plan=plan)
         assert result.recovered
         assert _images_equal(result.final_image, clean.final_image)
         assert _comm_fingerprint(result) == _comm_fingerprint(clean)
@@ -188,13 +193,20 @@ class TestCheckpointResumeMatrix:
             e for e in result.timeline.events if e.get("event") == "recovery"
         ]
         assert recovery and recovery[0]["action"] == "checkpoint-resume"
-        assert recovery[0]["resume_stage"] is not None
+        resume_stage = recovery[0]["resume_stage"]
+        if backend == "sim":
+            assert resume_stage is not None
         restores = [
             e
             for e in result.timeline.events
             if e.get("event") == "checkpoint" and e.get("action") == "restore"
         ]
-        assert len(restores) == 8  # every rank restored the common stage
+        if resume_stage is not None:
+            # Every rank restored the common stage.
+            assert sorted(e["rank"] for e in restores) == list(range(8))
+            assert {e["stage"] for e in restores} == {resume_stage}
+        else:
+            assert not restores
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_degrade_still_works_when_resume_disabled(self, backend):
@@ -225,12 +237,72 @@ class TestCheckpointResumeMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Multiprocessing respawn: in-place worker restart
+# One recovery path on every backend
 # ---------------------------------------------------------------------------
+#: Where rank 1 crashes: before it sends anything, and mid-composite.
+CRASH_POINTS = {"render": {"phase": "render"}, "stage1": {"stage": 1}}
+
+
+def _crash_plan(where: str) -> FaultPlan:
+    return FaultPlan(
+        rules=(FaultRule(kind="crash", rank=1, **CRASH_POINTS[where]),), seed=3
+    )
+
+
+def _fault_event_counts(events) -> dict[str, int]:
+    return {
+        kind: sum(1 for e in events if e.get("event") == kind)
+        for kind in ("injected", "detected")
+    }
+
+
+class TestCrossBackendRecoveryMatrix:
+    """Every policy declares the same outcome on ``sim`` and ``mp``."""
+
+    @pytest.mark.parametrize("where", sorted(CRASH_POINTS))
+    @pytest.mark.parametrize("policy", RECOVERY_POLICIES)
+    def test_policy_outcome_is_backend_independent(self, policy, where):
+        outcomes = {}
+        for backend in BACKENDS:
+            try:
+                result = SortLastSystem(_config("bsbrc", {}, recovery=policy)).run(
+                    backend=backend, fault_plan=_crash_plan(where)
+                )
+            except RankFailedError as err:
+                assert policy == "abort", f"{backend}: {err}"
+                outcomes[backend] = "aborted"
+                assert _fault_event_counts(err.events)["injected"] == 1
+                continue
+            outcomes[backend] = result.timeline.meta["outcome"]
+            assert _fault_event_counts(result.timeline.events) == {
+                "injected": 1,
+                "detected": 1,
+            }, backend
+            if policy in ("respawn", "checkpoint-resume"):
+                clean = _baseline("bsbrc", {}, backend)
+                assert result.recovered and not result.degraded, backend
+                assert _images_equal(result.final_image, clean.final_image), backend
+                assert _comm_fingerprint(result) == _comm_fingerprint(clean), backend
+                recovery = [
+                    e for e in result.timeline.events if e.get("event") == "recovery"
+                ]
+                assert [e["action"] for e in recovery] == [policy], backend
+        assert outcomes["sim"] == outcomes["mp"], outcomes
+        expected = {
+            "abort": "aborted",
+            "degrade": "degraded",
+            "respawn": "resumed",
+            "checkpoint-resume": "resumed",
+        }
+        assert outcomes["sim"] == expected[policy]
+
+
 class TestWorkerRespawn:
+    """``respawn`` on mp is the lockstep replay, not an in-place restart."""
+
     def test_render_crash_respawns_without_checkpoints(self):
-        """A rank that dies before sending anything replays from scratch
-        under plain ``respawn`` — no checkpoint store needed."""
+        """Plain ``respawn`` replays every rank from stage 0 — no
+        checkpoint store needed."""
         clean = _baseline("bsbrc", {}, "mp")
         plan = FaultPlan(
             rules=(FaultRule(kind="crash", rank=2, phase="render"),), seed=3
@@ -240,15 +312,17 @@ class TestWorkerRespawn:
         )
         assert result.recovered and not result.degraded
         assert _images_equal(result.final_image, clean.final_image)
-        restarts = [
-            e
-            for e in result.timeline.events
-            if e.get("event") == "respawn" and e.get("action") == "restart"
-        ]
-        assert restarts and restarts[0]["rank"] == 2
-        assert restarts[0]["resume_stage"] is None
+        recovery = [e for e in result.timeline.events if e.get("event") == "recovery"]
+        assert len(recovery) == 1
+        assert recovery[0]["action"] == "respawn"
+        assert recovery[0]["failed_ranks"] == [2]
+        assert recovery[0]["resume_stage"] is None
+        assert not [e for e in result.timeline.events if e.get("event") == "checkpoint"]
 
     def test_mid_compositing_crash_respawns_from_checkpoint(self):
+        """``checkpoint-resume`` on mp restores the common stage on every
+        rank when one exists (rank 1 saved stage 0 before crashing, but
+        a slow renderer may not have), and is bit-identical either way."""
         clean = _baseline("bsbrc", {}, "mp")
         plan = FaultPlan(rules=(FaultRule(kind="crash", rank=1, stage=1),), seed=3)
         result = SortLastSystem(_config("bsbrc", {})).run(
@@ -257,56 +331,16 @@ class TestWorkerRespawn:
         assert result.recovered and not result.degraded
         assert _images_equal(result.final_image, clean.final_image)
         assert _comm_fingerprint(result) == _comm_fingerprint(clean)
-        restarts = [
+        recovery = [e for e in result.timeline.events if e.get("event") == "recovery"]
+        assert [e["action"] for e in recovery] == ["checkpoint-resume"]
+        assert recovery[0]["resume_stage"] in (None, 0)
+        restores = [
             e
             for e in result.timeline.events
-            if e.get("event") == "respawn" and e.get("action") == "restart"
+            if e.get("event") == "checkpoint" and e.get("action") == "restore"
         ]
-        assert restarts and restarts[0]["resume_stage"] == 0
-
-    def test_unsafe_replay_falls_back_to_degrade(self):
-        """Plain ``respawn`` (no checkpoints) cannot replay a rank that
-        already sent messages — the lattice drops to degrade, fast."""
-        plan = FaultPlan(rules=(FaultRule(kind="crash", rank=1, stage=1),), seed=3)
-        start = time.monotonic()
-        result = SortLastSystem(_config("bsbrc", {}, recovery="respawn")).run(
-            backend="mp", fault_plan=plan
-        )
-        assert time.monotonic() - start < 30.0  # no hang, no timeout wait
-        assert result.degraded and not result.recovered
-        refusals = [
-            e
-            for e in result.timeline.events
-            if e.get("event") == "respawn" and e.get("action") == "refused"
-        ]
-        assert refusals and refusals[0]["rank"] == 1
-
-    def test_budget_exhaustion_raises_instead_of_looping(self):
-        with pytest.raises(RankFailedError) as err:
-            run_rank_programs_mp(
-                2,
-                _always_failing_program,
-                timeout=5.0,
-                respawn=RespawnPlan(budget=2, args=()),
-            )
-        events = getattr(err.value, "events", [])
-        restarts = [
-            e
-            for e in events
-            if e.get("event") == "respawn" and e.get("action") == "restart"
-        ]
-        exhausted = [
-            e
-            for e in events
-            if e.get("event") == "respawn" and e.get("action") == "exhausted"
-        ]
-        assert len(restarts) == 2  # the full budget was spent
-        assert exhausted and exhausted[0]["budget"] == 2
-
-
-async def _always_failing_program(ctx):
-    """Crashes before any communication: replay-safe, never succeeds."""
-    raise RuntimeError("persistent failure for budget-exhaustion test")
+        expected = NUM_RANKS if recovery[0]["resume_stage"] is not None else 0
+        assert len(restores) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +364,15 @@ class TestRecoveryPolicy:
 
     def test_resolve_and_validation(self):
         assert RecoveryPolicy.resolve(None).name == "degrade"
-        assert RecoveryPolicy.resolve("respawn", respawn_budget=5).respawn_budget == 5
+        assert RecoveryPolicy.resolve("respawn").name == "respawn"
         already = RecoveryPolicy(name="abort")
         assert RecoveryPolicy.resolve(already) is already
         with pytest.raises(ConfigurationError):
             RecoveryPolicy(name="retry-forever")
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(respawn_budget=-1)
 
     def test_run_config_validates_recovery_fields(self):
         with pytest.raises(ConfigurationError):
             RunConfig(recovery="nope")
-        with pytest.raises(ConfigurationError):
-            RunConfig(respawn_budget=-2)
         with pytest.raises(ConfigurationError):
             RunConfig(heartbeat_interval=-1.0)
 
@@ -416,6 +446,50 @@ class TestCheckpointStores:
         other.clear()
         assert store.load(0, 0) is not None  # clear() scoped to run id
 
+    def test_disk_store_keeps_every_stage(self, tmp_path):
+        num_ranks, num_stages = 16, 4
+        store = DiskCheckpointStore(str(tmp_path), run_id="all")
+        for stage in range(num_stages):
+            for rank in range(num_ranks):
+                store.save(rank, stage, _snapshot(stage, float(stage)))
+        files = [n for n in os.listdir(tmp_path) if n.endswith(".pkl")]
+        assert len(files) == num_ranks * num_stages
+        assert store.load(3, 0) is not None  # history retained until clear()
+        store.clear()
+        assert not os.listdir(tmp_path)
+
+    def test_resumable_stage_survives_ranks_that_moved_on(self, tmp_path):
+        """A rank past the common stage still holds it, so the lockstep
+        replay restores instead of starting over."""
+        store = DiskCheckpointStore(str(tmp_path), run_id="lag")
+        for stage in (0, 1, 2):
+            store.save(0, stage, _snapshot(stage, 1.0))
+        for stage in (0, 1):
+            store.save(1, stage, _snapshot(stage, 2.0))
+        assert store.common_stage(2) == 1
+        assert store.resumable_stage(2) == 1
+        assert store.load(0, 1) is not None
+
+    def test_disk_store_files_scoped_to_run(self, tmp_path):
+        mine = DiskCheckpointStore(str(tmp_path), run_id="mine")
+        other = DiskCheckpointStore(str(tmp_path), run_id="other")
+        other.save(0, 0, _snapshot(0, 0.0))
+        mine.save(0, 0, _snapshot(0, 0.0))
+        mine.save(1, 0, _snapshot(0, 1.0))
+        mine.save(0, 2, _snapshot(2, 2.0))
+        assert mine.latest_stage(0) == 2 and other.latest_stage(0) == 0
+        assert other.latest_stage(1) is None
+        mine.clear()
+        assert other.load(0, 0) is not None
+
+    def test_disk_store_ignores_stray_files(self, tmp_path):
+        store = DiskCheckpointStore(str(tmp_path), run_id="x")
+        (tmp_path / "ckpt-x-r0-snotanint.pkl").write_bytes(b"junk")
+        (tmp_path / "unrelated.txt").write_text("hello")
+        store.save(0, 5, _snapshot(5, 5.0))
+        assert store.latest_stage(0) == 5
+        assert (tmp_path / "unrelated.txt").exists()
+
     def test_disk_store_is_picklable(self, tmp_path):
         store = DiskCheckpointStore(str(tmp_path), run_id="ccc")
         clone = pickle.loads(pickle.dumps(store))
@@ -428,7 +502,7 @@ class TestCheckpointStores:
         saver = StageCheckpointer(store, rank=0, sink=events)
         image = _snapshot(0, 7.0)
         saver.save(0, image, None, RankStats(rank=0), "bsbrc")
-        restorer = StageCheckpointer(store, rank=0, resume="latest", sink=events)
+        restorer = StageCheckpointer(store, rank=0, resume=0, sink=events)
         target = _snapshot(0, 0.0)
         assert restorer.restore(target, "radix-k:rect-rle") is None  # stale
         got = restorer.restore(target, "bsbrc")

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """End-to-end smoke for the file-spool render service (CI: serve-smoke).
 
-Drives the real CLI: three jobs land in one spool — mixed methods
-including ``tile-routed:rle``, one carrying a crash fault plan under
-``degrade`` QoS — and one ``serve`` invocation multiplexes their three
-sessions over a single bounded worker pool.  Afterwards the script
+Drives the real CLI: four jobs land in one spool — mixed methods
+including ``tile-routed:rle``, two carrying the same render-crash fault
+plan, one under ``degrade`` QoS and one under ``available`` QoS — and
+one ``serve`` invocation multiplexes their four sessions over a single
+bounded worker pool.  Afterwards the script
 asserts, against the on-disk artifacts:
 
 * every streamed ``repro.serve-event/2`` sequence is monotone in
@@ -14,13 +15,17 @@ asserts, against the on-disk artifacts:
   *without* its ``final`` event, from the cropped stage parts and the
   tiles alone — and its size is printed;
 * every persisted final frame is bit-identical to a one-shot
-  ``SortLastSystem.run`` of the same configuration (the crash job
-  compared against a one-shot degraded run);
-* the crash-fault job came back *flagged* (``ok`` with
+  ``SortLastSystem.run`` of the same configuration (the ``degrade``
+  crash job compared against a one-shot degraded run, the
+  ``available`` one against a clean run);
+* the ``degrade`` crash job came back *flagged* (``ok`` with
   ``outcome=degraded``), not failed;
+* the ``available`` crash job came back whole (``ok``, ``recovered``,
+  ``outcome=resumed``): the lockstep replay is lossless on the
+  simulator too;
 * a malformed job file (unknown QoS) written straight into ``jobs/``
   is answered with an ``ok: false`` result and does not stop the
-  server from serving the three real jobs.
+  server from serving the four real jobs.
 
 Exit status is non-zero on any violation, so CI can gate on it.
 """
@@ -76,14 +81,16 @@ def _check(label: str, ok: bool, detail: str = "") -> None:
         raise SystemExit(f"serve-smoke: {label} failed {detail}")
 
 
-def _verify(spool: str, job_id: str, want, *, degraded: bool) -> None:
+def _verify(spool: str, job_id: str, want, *, outcome: str = "clean") -> None:
     doc = load_result(spool, job_id)
+    degraded = outcome == "degraded"
     _check(f"{job_id}: result present", doc is not None)
     _check(f"{job_id}: ok", bool(doc["ok"]), str(doc.get("error")))
     _check(f"{job_id}: degraded flag", doc["degraded"] == degraded,
            f"want {degraded}, got {doc['degraded']}")
-    _check(f"{job_id}: outcome", doc["outcome"] == ("degraded" if degraded else "clean"),
-           doc["outcome"])
+    _check(f"{job_id}: recovered flag", doc["recovered"] == (outcome == "resumed"),
+           f"got {doc['recovered']}")
+    _check(f"{job_id}: outcome", doc["outcome"] == outcome, doc["outcome"])
     events = read_events(spool, job_id)
     covs = [e["coverage"] for e in events]
     _check(f"{job_id}: streamed events present", bool(events))
@@ -125,6 +132,8 @@ def main() -> None:
                     "--method", "tile-routed:rle", "--fault-plan", plan_path)
     j_carol = _submit(spool, "--session", "carol", "--qos", "strict",
                       "--rot-y", "45")
+    j_dave = _submit(spool, "--session", "dave", "--qos", "available",
+                     "--fault-plan", plan_path)
     # Sorts before the real "job-*" ids, so it is claimed first.
     j_bad = "bad-unknown-qos"
     with open(os.path.join(spool, "jobs", f"{j_bad}.json"), "w", encoding="utf-8") as fh:
@@ -136,7 +145,7 @@ def main() -> None:
         "--dataset", BASE["dataset"], "--method", BASE["method"],
         "--ranks", str(BASE["num_ranks"]),
         "--image-size", str(BASE["image_size"]), "--machine", BASE["machine"],
-        "--max-workers", "3", "--max-jobs", "3", "--idle-timeout", "60",
+        "--max-workers", "3", "--max-jobs", "4", "--idle-timeout", "60",
     )
 
     print("serve-smoke: checking artifacts")
@@ -147,9 +156,11 @@ def main() -> None:
         RunConfig(**{**BASE, "method": "tile-routed:rle"})
     ).run(fault_plan=plan, recovery="degrade")
     one_carol = SortLastSystem(RunConfig(**BASE, rot_y=45.0)).run()
-    _verify(spool, j_alice, one_alice, degraded=False)
-    _verify(spool, j_bob, one_bob, degraded=True)
-    _verify(spool, j_carol, one_carol, degraded=False)
+    one_dave = SortLastSystem(RunConfig(**BASE)).run()
+    _verify(spool, j_alice, one_alice)
+    _verify(spool, j_bob, one_bob, outcome="degraded")
+    _verify(spool, j_carol, one_carol)
+    _verify(spool, j_dave, one_dave, outcome="resumed")
     bad = load_result(spool, j_bad)
     _check(f"{j_bad}: refused with a result document",
            bad is not None and not bad["ok"] and bad["error"] == "ConfigurationError",
