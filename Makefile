@@ -52,11 +52,12 @@ bench-pairs:
 	$(PYTHON) tools/bench_pairs.py --against $(REV) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seed $(SEED)
 
-# Randomized fault-injection suite (seeded, so failures reproduce).
+# Randomized fault-injection suite (seeded, so failures reproduce), plus
+# the render pool's killed-worker and parent-death tests.
 # Uses pytest-timeout's per-test kill switch when installed; the suite
 # also carries its own SIGALRM watchdog so it never hangs without it.
 chaos:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/test_chaos.py -q \
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_chaos.py tests/test_render_pool.py -q \
 		$(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo --timeout=120 --timeout-method=signal)
 
 # Schedule exploration: 200 seeded random interleavings of the canonical

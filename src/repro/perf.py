@@ -113,6 +113,17 @@ class PerfRegistry:
             },
         }
 
+    def merge(self, report: dict) -> None:
+        """Add another registry's :meth:`report` into this one (how a
+        render worker's counts reach the run that issued its task)."""
+        for name, amount in report["counters"].items():
+            self.incr(name, amount)
+        for name, entry in report["timers"].items():
+            slot = self._timers.setdefault(name, [0.0, 0.0, 0])
+            slot[0] += entry["wall_s"]
+            slot[1] += entry["cpu_s"]
+            slot[2] += entry["calls"]
+
     def reset(self) -> None:
         """Zero every counter and timer."""
         self._counters.clear()

@@ -11,6 +11,7 @@ from .phases import (
     pipeline_rank_program,
     render_phase,
 )
+from .render_pool import RenderPool, shared_pool
 from .session import RenderJob, RenderSession
 from .system import (
     CompositingRun,
@@ -26,6 +27,7 @@ __all__ = [
     "GATHER_STAGE",
     "OwnedTile",
     "RenderJob",
+    "RenderPool",
     "RenderSession",
     "RunConfig",
     "Scene",
@@ -39,6 +41,7 @@ __all__ = [
     "pipeline_rank_program",
     "render_phase",
     "run_compositing",
+    "shared_pool",
     "tile_from_outcome",
     "validate_ownership",
 ]

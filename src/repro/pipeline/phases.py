@@ -45,18 +45,21 @@ from ..compositing.registry import TILE_ROUTED, make_compositor
 from ..errors import RenderError
 from ..render.camera import Camera
 from ..render.image import SubImage
-from ..render.raycast import RaySetup, render_subvolume
+from ..render.raycast import RaySetup
 from ..types import Rect
 from ..volume.datasets import make_dataset
 from ..volume.folded import FoldedPartition, partition_folded
 from ..volume.partition import PartitionPlan, recursive_bisect, render_load_weights
 from .assemble import OwnedTile, assemble_tiles, tile_from_outcome
 from .config import RunConfig
+from .render_pool import Pending, RenderPool
 
 __all__ = [
     "GATHER_STAGE",
     "Scene",
     "build_scene",
+    "render_task",
+    "RankRender",
     "render_phase",
     "composite_phase",
     "fused_render_composite_phase",
@@ -174,17 +177,77 @@ def _lookup_render_cache(
     return path, cached
 
 
-async def render_phase(ctx: BaseRankContext, cfg: RunConfig, scene: Scene) -> SubImage:
-    """Render this rank's subvolume (no communication, no model time)."""
-    extent = scene.plan.extent(ctx.rank)
-    cache_path, cached = _lookup_render_cache(cfg, ctx.rank, extent)
-    if cached is not None:
-        return cached
-    with perf.timer("pipeline.render"):
-        image = render_subvolume(scene.volume, scene.transfer, scene.camera, extent)
-    if cache_path is not None:
-        store_entry(cache_path, intensity=image.intensity, opacity=image.opacity)
-    return image
+def render_task(cfg: RunConfig, extent) -> tuple[Rect, np.ndarray, np.ndarray, dict]:
+    """The render phase's unit of work, run by a pool worker or inline.
+
+    Casts ``extent`` of ``cfg``'s scene and returns the rays' bounding
+    rect, the intensity and opacity planes cropped to it (every pixel
+    outside is blank), and the ``perf`` report of the work — a worker's
+    counters stay in the worker unless shipped.
+    """
+    scene = build_scene(cfg)
+    camera = scene.camera
+    with perf.scope() as work, perf.timer("pipeline.render"):
+        setup = RaySetup(scene.volume, scene.transfer, camera, extent)
+        intensity = np.zeros((camera.height, camera.width))
+        opacity = np.zeros_like(intensity)
+        setup.march_into(intensity, opacity)
+    rows, cols = setup.rect.slices()
+    return setup.rect, intensity[rows, cols].copy(), opacity[rows, cols].copy(), work.report()
+
+
+class RankRender:
+    """One rank's subimage on its way: a render-cache hit, or a
+    :func:`render_task` issued to a :class:`RenderPool` (``None`` defers
+    it inline).  The task's ``perf`` counts land in the registry that was
+    current when it was issued, so a run accounts its renders wherever
+    they ran."""
+
+    __slots__ = ("_cached", "_pending", "_cache_path", "_registry", "_shape")
+
+    def __init__(
+        self, pool: Optional[RenderPool], cfg: RunConfig, rank: int, extent
+    ):
+        self._cache_path, self._cached = _lookup_render_cache(cfg, rank, extent)
+        self._pending = None
+        if self._cached is None:
+            self._registry = perf.current()
+            self._shape = (cfg.image_size, cfg.image_size)
+            self._pending = (
+                pool.submit(render_task, cfg, extent)
+                if pool is not None
+                else Pending(render_task, (cfg, extent))
+            )
+
+    def result(self) -> SubImage:
+        if self._cached is not None:
+            return self._cached
+        rect, intensity, opacity, report = self._pending.result()
+        self._registry.merge(report)
+        image = SubImage.blank(*self._shape)
+        rows, cols = rect.slices()
+        image.intensity[rows, cols] = intensity
+        image.opacity[rows, cols] = opacity
+        if self._cache_path is not None:
+            store_entry(self._cache_path, intensity=image.intensity, opacity=image.opacity)
+        return image
+
+    def cancel(self) -> None:
+        if self._pending is not None:
+            self._pending.cancel()
+
+
+async def render_phase(
+    ctx: BaseRankContext,
+    cfg: RunConfig,
+    scene: Scene,
+    render: Optional[RankRender] = None,
+) -> SubImage:
+    """This rank's subimage (no communication, no model time): the
+    ``render`` issued ahead of the run, or one rendered here."""
+    if render is None:
+        render = RankRender(None, cfg, ctx.rank, scene.plan.extent(ctx.rank))
+    return render.result()
 
 
 # ---- composite phase --------------------------------------------------------
@@ -317,6 +380,7 @@ async def pipeline_rank_program(
     recovery=None,
     progress=None,
     plan=None,
+    renders=None,
 ):
     """One rank's full pipeline; module-level so every backend can ship it.
 
@@ -344,6 +408,9 @@ async def pipeline_rank_program(
     :func:`~repro.volume.folded.refold_survivors`, and bereaved cores
     re-render their merged blocks (distinct render-cache entries — the
     cache key carries the extent).
+
+    ``renders`` (simulator only) holds every rank's :class:`RankRender`,
+    issued before the engine started; ``None`` renders in the rank.
     """
     if progress is not None:
         ctx.install_progress(progress)
@@ -372,7 +439,8 @@ async def pipeline_rank_program(
         # them any more); results are bit-identical to the split path.
         subimage, outcome = await fused_render_composite_phase(ctx, cfg, scene)
     else:
-        subimage = await render_phase(ctx, cfg, scene)
+        render = None if renders is None else renders[ctx.rank]
+        subimage = await render_phase(ctx, cfg, scene, render)
         ctx.fault_checkpoint("composite")
         outcome = await composite_phase(ctx, cfg, subimage.copy(), scene)
     ctx.fault_checkpoint("gather")

@@ -55,8 +55,16 @@ from ..render.reference import composite_sequential
 from ..volume.folded import FoldedPartition, folded_depth_order, refold_survivors
 from ..volume.partition import PartitionPlan, depth_order
 from .assemble import assemble_outcomes
+from . import phases
 from .config import RunConfig
-from .phases import GATHER_STAGE, build_scene, compositor_for, pipeline_rank_program
+from .phases import (
+    GATHER_STAGE,
+    RankRender,
+    build_scene,
+    compositor_for,
+    pipeline_rank_program,
+)
+from .render_pool import RenderPool, shared_pool
 
 __all__ = [
     "CompositingRun",
@@ -234,10 +242,17 @@ class SystemResult:
 
 
 class SortLastSystem:
-    """Full sort-last-sparse pipeline on a pluggable execution backend."""
+    """Full sort-last-sparse pipeline on a pluggable execution backend.
 
-    def __init__(self, config: RunConfig):
+    On the simulator the ranks' subimages render in ``render_pool`` (a
+    :class:`~repro.pipeline.render_pool.RenderPool`; default: the
+    process-wide :func:`~repro.pipeline.render_pool.shared_pool`) while
+    the engine composites.
+    """
+
+    def __init__(self, config: RunConfig, *, render_pool: Optional[RenderPool] = None):
         self.config = config
+        self.render_pool = render_pool
 
     def run(
         self,
@@ -355,17 +370,23 @@ class SortLastSystem:
             (and with it the rank count); ``result_flags`` are the
             events/flags a recovery re-run stamps on its result."""
             run_scene = scene if plan is None else scene._replace(plan=plan)
-            backend_result = engine.run(
-                run_scene.plan.num_ranks,
-                pipeline_rank_program,
-                (cfg, fault_plan, runtime, progress, plan),
-                model=cfg.machine,
-                trace=trace,
-                timeout=cfg.comm_timeout,
-                heartbeat=cfg.heartbeat_interval,
-                network=network,
-                schedule_policy=schedule_policy,
-            )
+            renders = self._issue_renders(engine, run_scene)
+            try:
+                backend_result = engine.run(
+                    run_scene.plan.num_ranks,
+                    pipeline_rank_program,
+                    (cfg, fault_plan, runtime, progress, plan, renders),
+                    model=cfg.machine,
+                    trace=trace,
+                    timeout=cfg.comm_timeout,
+                    heartbeat=cfg.heartbeat_interval,
+                    network=network,
+                    schedule_policy=schedule_policy,
+                )
+            finally:
+                # A failed or deadlined run leaves renders nobody awaits.
+                for render in renders or ():
+                    render.cancel()
             return self._build_result(
                 engine, run_scene, backend_result,
                 schedule_policy=schedule_policy, progress=progress, **result_flags,
@@ -384,6 +405,18 @@ class SortLastSystem:
                 progress.close()
             if cleanup is not None:
                 cleanup()
+
+    def _issue_renders(self, engine: Backend, scene) -> Optional[list[RankRender]]:
+        """Every rank's render, issued before the simulator starts so the
+        pool renders later ranks while earlier ones composite.  ``None``
+        (each rank renders itself) on mp, whose ranks already render in
+        their own processes, and on the fused tile-routed path, which
+        marches row bands between tile exchanges."""
+        if engine.name != "sim" or phases._fusable(self.config, scene):
+            return None
+        pool = self.render_pool if self.render_pool is not None else shared_pool()
+        plan = scene.plan
+        return [RankRender(pool, self.config, r, plan.extent(r)) for r in range(plan.num_ranks)]
 
     def _make_store(
         self, engine: Backend, policy: RecoveryPolicy
