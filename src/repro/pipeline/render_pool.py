@@ -8,31 +8,30 @@ processes while the event engine composites: each rank program awaits
 its subimage through :meth:`Pending.result` and starts compositing while
 later ranks are still rendering.
 
-* **W** is the number of cores this process may run on
-  (``os.sched_getaffinity``).  ``W <= 1`` runs the same task function
-  inline, at the moment its result is asked for — one code path, not two.
-* **Fork point.**  The workers are forked once, lazily, by the first
-  :meth:`RenderPool.submit`, so they inherit the parent's warmed scene
-  and dataset memos; nothing is forked at import or construction.
-* **Queue.**  The master/worker queue of the PVM Radiance code: tasks
-  wait in the parent and each worker holds at most :data:`_DEPTH` of
-  them, topped up whenever a result is read.  There is no manager
-  thread: whichever caller is waiting for a result reads the workers'
-  pipes (one reader at a time), so the process that composites never
-  hands its interpreter lock to a bookkeeping thread, and tasks that no
-  worker has picked up yet can still be cancelled.
+* **W** is the number of cores this process may run on, capped at
+  :data:`MAX_WORKERS`; a host without ``os.sched_getaffinity`` gets 0.
+  ``W <= 1`` runs the same task function inline, at the moment its
+  result is asked for — one code path, not two.
+* **Fork point.**  The pool is a fork-context ``ProcessPoolExecutor``
+  created by the first :meth:`RenderPool.submit`, so its workers inherit
+  the parent's warmed scene and dataset memos; nothing is forked at
+  import or construction.  The fork may happen while other threads of
+  the parent (service jobs) hold locks, and a worker inherits those
+  locks held, so a task must take none another thread could hold: the
+  render path uses no ``functools.cached_property`` (a lock shared by
+  every instance before Python 3.12), for one.
 * **Failure.**  A task is a pure function, so there is no recovery
-  policy: when a worker dies, the pool retires all its workers, every
-  task they still owed re-runs inline (bit-identical), and the next
-  submit forks fresh ones.  An exception raised *by* a task surfaces
-  from :meth:`Pending.result` exactly as the inline call would raise it.
-* **Lifetime.**  Workers never outlive the parent.  Each pool owns a
-  parent-death pipe whose write end only the parent holds (every forked
-  child closes its copy); a worker thread blocks on the read end and
-  exits the worker at EOF, which the kernel delivers however the parent
-  dies — normal exit, a SIGTERM drain, or SIGKILL.  Workers point their
-  stdin/stdout/stderr at ``/dev/null``, so a reader of the parent's
-  output pipe sees EOF when the parent goes.
+  policy: when a worker dies, the executor breaks, every task it still
+  owed re-runs inline (bit-identical), and the next submit forks a fresh
+  executor.  An exception raised *by* a task surfaces from
+  :meth:`Pending.result` exactly as the inline call would raise it.
+* **Lifetime.**  Workers never outlive the parent.  Each executor comes
+  with a parent-death pipe whose write end only the parent holds (every
+  forked child closes its copy); a worker thread blocks on the read end
+  and exits the worker at EOF, which the kernel delivers however the
+  parent dies — normal exit, a SIGTERM drain, or SIGKILL.  Workers point
+  their stdin/stdout/stderr at ``/dev/null``, so a reader of the
+  parent's output pipe sees EOF when the parent goes.
 """
 
 from __future__ import annotations
@@ -41,19 +40,19 @@ import multiprocessing
 import os
 import signal
 import threading
-import traceback
-from multiprocessing.connection import wait
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Optional
 
-__all__ = ["Pending", "RenderPool", "WorkerTraceback", "shared_pool"]
+__all__ = ["MAX_WORKERS", "Pending", "RenderPool", "shared_pool"]
 
-#: Tasks one worker holds at a time: the one it renders and the next, so
-#: it never idles waiting for the parent to read a result.
-_DEPTH = 2
+#: Most workers a default pool forks.  Pairs were measured on a 2-core
+#: host only; above that, one worker per core is untested.
+MAX_WORKERS = 2
 
-#: Write ends of the live pools' parent-death pipes.  Only the process
-#: that created a pool may hold one, so every forked child (pool workers,
-#: mp backend ranks) closes them on the way in.
+#: Write ends of the live executors' parent-death pipes.  Only the
+#: process that created an executor may hold one, so every forked child
+#: (pool workers, mp backend ranks) closes them on the way in.
 _PARENT_ENDS: set[int] = set()
 
 
@@ -63,11 +62,14 @@ def _close_parent_ends() -> None:
     _PARENT_ENDS.clear()
 
 
-os.register_at_fork(after_in_child=_close_parent_ends)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_close_parent_ends)
 
 
-class WorkerTraceback(Exception):
-    """The worker-side traceback, chained as ``__cause__`` of a task's error."""
+def _default_workers() -> int:
+    if not hasattr(os, "sched_getaffinity"):
+        return 0
+    return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
 
 
 def _exit_at_eof(read_end: int) -> None:
@@ -75,10 +77,9 @@ def _exit_at_eof(read_end: int) -> None:
     os._exit(0)
 
 
-def _worker_main(conn, read_end: int) -> None:
-    """Worker loop: detach from the parent's terminal streams and
-    signals, exit as soon as the parent is gone, and answer every
-    ``(task_id, fn, args)`` with ``(task_id, ok, value, traceback)``."""
+def _detach(read_end: int) -> None:
+    """Worker initializer: leave the parent's terminal streams and
+    signals, and exit as soon as the parent is gone."""
     devnull = os.open(os.devnull, os.O_RDWR)
     for fd in (0, 1, 2):
         os.dup2(devnull, fd)
@@ -86,59 +87,6 @@ def _worker_main(conn, read_end: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent owns Ctrl-C
     signal.signal(signal.SIGTERM, signal.SIG_DFL)  # not serve's drain handler
     threading.Thread(target=_exit_at_eof, args=(read_end,), daemon=True).start()
-    while True:
-        try:
-            task_id, fn, args = conn.recv()
-        except EOFError:  # the pool shut down
-            return
-        try:
-            reply = (task_id, True, fn(*args), None)
-        except Exception as exc:  # noqa: BLE001 - shipped to the caller
-            reply = (task_id, False, exc, traceback.format_exc())
-        try:
-            conn.send(reply)
-        except Exception as exc:  # noqa: BLE001 - an unpicklable value or error
-            conn.send((task_id, False, RuntimeError(repr(exc)), traceback.format_exc()))
-
-
-class _Workers:
-    """One generation of forked workers, each on its own pipe."""
-
-    def __init__(self, count: int):
-        ctx = multiprocessing.get_context("fork")
-        read_end, self.death_pipe = os.pipe()
-        _PARENT_ENDS.add(self.death_pipe)
-        self.conns = []
-        self.procs = []
-        #: Tasks each worker holds (sent, result not read yet).
-        self.held = [0] * count
-        try:
-            for _ in range(count):
-                conn, child_conn = ctx.Pipe()
-                self.conns.append(conn)
-                proc = ctx.Process(
-                    target=_worker_main, args=(child_conn, read_end), daemon=True
-                )
-                proc.start()
-                child_conn.close()
-                self.procs.append(proc)
-        except BaseException:
-            self.stop(grace=0.0)
-            raise
-        finally:
-            os.close(read_end)
-
-    def stop(self, *, grace: float) -> None:
-        """Close the pipes (a worker exits at EOF), then make sure."""
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            proc.join(grace)
-            if proc.exitcode is None:
-                proc.kill()
-                proc.join()
-        _PARENT_ENDS.discard(self.death_pipe)
-        os.close(self.death_pipe)
 
 
 class Pending:
@@ -148,99 +96,79 @@ class Pending:
     or computed inline when the pool is off or lost the worker.
     """
 
-    __slots__ = ("_fn", "_args", "_pool", "_task_id")
+    __slots__ = ("_fn", "_args", "_future", "_pool", "_executor")
 
-    def __init__(
-        self,
-        fn: Callable[..., Any],
-        args: tuple,
-        pool: "Optional[RenderPool]" = None,
-        task_id: int = -1,
-    ):
+    def __init__(self, fn: Callable[..., Any], args: tuple, pool=None, executor=None):
         self._fn = fn
         self._args = args
         self._pool = pool
-        self._task_id = task_id
+        self._executor = executor
+        self._future = None if executor is None else executor.submit(fn, *args)
 
     def result(self) -> Any:
-        if self._pool is not None:
-            reply = self._pool._wait(self._task_id)
-            if reply is not None:
-                ok, value, trace = reply
-                if ok:
-                    return value
-                raise value from WorkerTraceback(trace)
+        if self._future is not None:
+            try:
+                return self._future.result()
+            except BrokenProcessPool:  # its worker died: run it here
+                self._pool._lost(self._executor)
         return self._fn(*self._args)
 
     def cancel(self) -> None:
         """Drop the task if no worker has picked it up yet."""
-        if self._pool is not None:
-            self._pool._cancel(self._task_id)
+        if self._future is not None and self._future.cancel():
+            with self._pool._lock:
+                self._pool.cancelled += 1
 
 
 class RenderPool:
     """W render workers forked on first use; ``W <= 1`` runs inline.
 
-    ``workers`` defaults to the cores this process may run on.  The pool
-    is thread-safe: concurrent render sessions share one.  The counters
-    (``forks``, ``submitted``, ``cancelled``, ``inline_reruns``) describe
-    the pool's own life, never a run's accounting.
+    ``workers`` defaults to the cores this process may run on, at most
+    :data:`MAX_WORKERS`.  The pool is thread-safe: concurrent render
+    sessions share one.  The counters (``forks``, ``submitted``,
+    ``cancelled``, ``inline_reruns``) describe the pool's own life,
+    never a run's accounting.
     """
 
     def __init__(self, workers: Optional[int] = None):
-        self.workers = len(os.sched_getaffinity(0)) if workers is None else int(workers)
+        self.workers = _default_workers() if workers is None else int(workers)
         self.forks = 0
         self.submitted = 0
         self.cancelled = 0
         self.inline_reruns = 0
-        self._cond = threading.Condition()
-        self._fleet: Optional[_Workers] = None
-        self._next_id = 0
-        self._queued: dict[int, tuple] = {}  # task_id -> (fn, args), in submit order
-        self._held: dict[int, int] = {}  # task_id -> index of the worker holding it
-        self._replies: dict[int, tuple] = {}  # task_id -> (ok, value, traceback)
-        self._dropped: set[int] = set()  # held tasks whose result nobody awaits
-        self._reading = False
+        self._lock = threading.RLock()
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._death_pipe: tuple[int, int] = (-1, -1)
 
     def submit(self, fn: Callable[..., Any], *args: Any) -> Pending:
         """Issue ``fn(*args)``; ``fn`` must be a module-level function."""
         if self.workers <= 1:
             return Pending(fn, args)
-        with self._cond:
-            if self._fleet is not None and not self._reading and not all(
-                proc.is_alive() for proc in self._fleet.procs
-            ):
-                self._fleet.stop(grace=0.0)  # lost a worker while idle
-                self._retire()
-            if self._fleet is None:
-                try:
-                    self._fleet = _Workers(self.workers)
-                except OSError:  # cannot fork (out of memory or processes)
-                    return Pending(fn, args)
-                self.forks += 1
-            task_id = self._next_id
-            self._next_id += 1
+        with self._lock:
             self.submitted += 1
-            self._queued[task_id] = (fn, args)
-            if not self._dispatch() and not self._reading:  # else the reader sees it
-                self._fleet.stop(grace=0.0)
-                self._retire()
-        return Pending(fn, args, self, task_id)
+            for _ in range(2):  # a second try after a worker died idle
+                executor = self._executor or self._fork()
+                try:
+                    return Pending(fn, args, self, executor)
+                except BrokenProcessPool:
+                    self._retire(executor)
+                except OSError:  # cannot fork (out of memory or processes)
+                    self._retire(executor)
+                    break
+        return Pending(fn, args)
 
     def pids(self) -> list[int]:
         """Process ids of the live workers (empty before the fork)."""
-        with self._cond:
-            fleet = self._fleet
-            return [] if fleet is None else [proc.pid for proc in fleet.procs]
+        with self._lock:
+            executor = self._executor
+            return [] if executor is None else list(executor._processes or ())
 
     def shutdown(self) -> None:
         """Stop the workers; a later :meth:`submit` forks new ones."""
-        with self._cond:
-            fleet = self._fleet
-            if fleet is not None:
-                self._retire()
-        if fleet is not None:
-            fleet.stop(grace=5.0)
+        with self._lock:
+            executor = self._executor
+        if executor is not None:
+            self._retire(executor, wait=True)
 
     def __enter__(self) -> "RenderPool":
         return self
@@ -248,83 +176,37 @@ class RenderPool:
     def __exit__(self, *exc) -> None:
         self.shutdown()
 
-    # ---- internals (callers hold ``_cond`` where noted) ---------------------
-    def _dispatch(self) -> bool:
-        """Hand queued tasks to workers below :data:`_DEPTH`; ``False``
-        when a worker's pipe is gone (holds ``_cond``)."""
-        fleet = self._fleet
-        while self._queued:
-            slot = min(range(len(fleet.held)), key=fleet.held.__getitem__)
-            if fleet.held[slot] >= _DEPTH:
-                break
-            task_id = next(iter(self._queued))
-            try:
-                fleet.conns[slot].send((task_id, *self._queued[task_id]))
-            except OSError:
-                return False
-            del self._queued[task_id]
-            fleet.held[slot] += 1
-            self._held[task_id] = slot
-        return True
+    # ---- internals ---------------------------------------------------------------
+    def _fork(self) -> ProcessPoolExecutor:
+        read_end, write_end = os.pipe()
+        _PARENT_ENDS.add(write_end)
+        self._death_pipe = (read_end, write_end)
+        self._executor = ProcessPoolExecutor(
+            self.workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_detach,
+            initargs=(read_end,),
+        )
+        self.forks += 1
+        return self._executor
 
-    def _retire(self) -> None:
-        """Forget the current workers: every task they owed or that
-        waited for them becomes the caller's to run (holds ``_cond``)."""
-        self._fleet = None
-        self._queued.clear()
-        self._held.clear()
-        self._dropped.clear()
-        self._cond.notify_all()
+    def _retire(self, executor: ProcessPoolExecutor, *, wait: bool = False) -> None:
+        """Stop ``executor`` if it is still this pool's; its workers exit
+        at the latest when the death pipe closes."""
+        with self._lock:
+            if self._executor is not executor:
+                return
+            self._executor = None
+            read_end, write_end = self._death_pipe
+            _PARENT_ENDS.discard(write_end)
+        executor.shutdown(wait=wait, cancel_futures=True)
+        os.close(read_end)
+        os.close(write_end)
 
-    def _wait(self, task_id: int) -> Optional[tuple]:
-        """``task_id``'s reply, or ``None`` when the caller must run it."""
-        while True:
-            with self._cond:
-                while True:
-                    if task_id in self._replies:
-                        return self._replies.pop(task_id)
-                    if task_id not in self._held and task_id not in self._queued:
-                        self.inline_reruns += 1
-                        return None
-                    if not self._reading:
-                        break
-                    self._cond.wait()
-                self._reading = True
-                fleet = self._fleet
-            replies, lost, retired = [], False, False
-            try:
-                ready = wait(fleet.conns + [proc.sentinel for proc in fleet.procs])
-                for slot, conn in enumerate(fleet.conns):
-                    if conn in ready:
-                        try:
-                            replies.append((slot, conn.recv()))
-                        except (EOFError, OSError):  # the worker is gone
-                            lost = True
-                lost = lost or any(proc.sentinel in ready for proc in fleet.procs)
-            finally:
-                with self._cond:
-                    self._reading = False
-                    for slot, (done_id, ok, value, trace) in replies:
-                        fleet.held[slot] -= 1
-                        self._held.pop(done_id, None)
-                        if done_id in self._dropped:
-                            self._dropped.discard(done_id)
-                        else:
-                            self._replies[done_id] = (ok, value, trace)
-                    if self._fleet is fleet and (lost or not self._dispatch()):
-                        self._retire()
-                        retired = True
-                    self._cond.notify_all()
-            if retired:
-                fleet.stop(grace=0.0)
-
-    def _cancel(self, task_id: int) -> None:
-        with self._cond:
-            self._replies.pop(task_id, None)
-            if task_id in self._held:
-                self._dropped.add(task_id)
-            elif self._queued.pop(task_id, None) is not None:
-                self.cancelled += 1
+    def _lost(self, executor: ProcessPoolExecutor) -> None:
+        with self._lock:
+            self.inline_reruns += 1
+        self._retire(executor)
 
 
 _SHARED: Optional[RenderPool] = None
@@ -332,7 +214,7 @@ _SHARED_LOCK = threading.Lock()
 
 
 def shared_pool() -> RenderPool:
-    """The process-wide pool every simulator run uses by default."""
+    """The process-wide pool every simulator run uses."""
     global _SHARED
     with _SHARED_LOCK:
         if _SHARED is None:

@@ -64,7 +64,7 @@ from .phases import (
     compositor_for,
     pipeline_rank_program,
 )
-from .render_pool import RenderPool, shared_pool
+from .render_pool import shared_pool
 
 __all__ = [
     "CompositingRun",
@@ -244,15 +244,13 @@ class SystemResult:
 class SortLastSystem:
     """Full sort-last-sparse pipeline on a pluggable execution backend.
 
-    On the simulator the ranks' subimages render in ``render_pool`` (a
-    :class:`~repro.pipeline.render_pool.RenderPool`; default: the
-    process-wide :func:`~repro.pipeline.render_pool.shared_pool`) while
-    the engine composites.
+    On the simulator the ranks' subimages render in the process-wide
+    :func:`~repro.pipeline.render_pool.shared_pool` while the engine
+    composites.
     """
 
-    def __init__(self, config: RunConfig, *, render_pool: Optional[RenderPool] = None):
+    def __init__(self, config: RunConfig):
         self.config = config
-        self.render_pool = render_pool
 
     def run(
         self,
@@ -414,7 +412,7 @@ class SortLastSystem:
         marches row bands between tile exchanges."""
         if engine.name != "sim" or phases._fusable(self.config, scene):
             return None
-        pool = self.render_pool if self.render_pool is not None else shared_pool()
+        pool = shared_pool()
         plan = scene.plan
         return [RankRender(pool, self.config, r, plan.extent(r)) for r in range(plan.num_ranks)]
 

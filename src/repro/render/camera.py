@@ -23,7 +23,6 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +47,28 @@ def rotation_matrix(rot_x: float, rot_y: float, rot_z: float) -> np.ndarray:
     ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
     rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
     return rz @ ry @ rx
+
+
+class _derived:
+    """``functools.cached_property`` without its lock.
+
+    Before Python 3.12 that lock is one ``RLock`` per attribute, shared
+    by every instance: a render worker forked while another thread held
+    it would wait on it forever.  A derived value is a pure function of
+    the frozen fields, so two threads computing it at once is harmless.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        obj.__dict__[self.name] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -80,26 +101,26 @@ class Camera:
 
     # ---- derived geometry -------------------------------------------------
     # Derived values are pure functions of the frozen fields, so each is
-    # computed once per instance (``cached_property`` stores into the
-    # instance ``__dict__``, which ``frozen=True`` does not guard) and
+    # computed once per instance (``_derived`` stores into the instance
+    # ``__dict__``, which ``frozen=True`` does not guard) and
     # ``replace``/``rotated`` start from an empty cache.  Arrays are
     # handed out read-only because every caller shares them.
-    @cached_property
+    @_derived
     def center(self) -> np.ndarray:
         return _frozen(np.asarray(self.volume_shape, dtype=np.float64) / 2.0)
 
-    @cached_property
+    @_derived
     def diagonal(self) -> float:
         return float(np.linalg.norm(self.volume_shape))
 
-    @cached_property
+    @_derived
     def pixel_scale(self) -> float:
         if self.scale is not None:
             return self.scale
         margin = 1.04
         return self.diagonal * margin / min(self.width, self.height)
 
-    @cached_property
+    @_derived
     def _basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rot = rotation_matrix(self.rot_x, self.rot_y, self.rot_z)
         right = rot @ np.array([1.0, 0.0, 0.0])
@@ -115,7 +136,7 @@ class Camera:
     def view_dir(self) -> np.ndarray:
         return self._basis[2]
 
-    @cached_property
+    @_derived
     def t_half(self) -> float:
         """Half-length of the sampled ray segment around the center."""
         return self.diagonal / 2.0 + self.step

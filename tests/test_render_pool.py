@@ -18,6 +18,7 @@ import sys
 import textwrap
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from repro.errors import DeadlineExceededError, RankFailedError, RenderError
 from repro.pipeline import render_pool
 from repro.pipeline.config import RunConfig
 from repro.pipeline.phases import RankRender, build_scene, render_task
-from repro.pipeline.render_pool import RenderPool, WorkerTraceback
+from repro.pipeline.render_pool import MAX_WORKERS, RenderPool
 from repro.pipeline.session import RenderJob
+from repro.render import camera as camera_module
+from repro.render.camera import Camera
 from repro.pipeline.system import SortLastSystem
 from repro.serving import RenderService
 
@@ -74,11 +77,12 @@ def _cfg(method="bsbrc", num_ranks=4, **overrides):
 
 
 def _run(cfg, workers_or_pool, **run_kwargs):
-    """``(result, perf report)`` of one run on a pool (or a fresh W-pool)."""
+    """``(result, perf report)`` of one run with ``workers_or_pool`` (a
+    pool, or the width of a fresh one) as the process-wide pool."""
     target = (RenderPool(workers_or_pool) if isinstance(workers_or_pool, int)
               else workers_or_pool)
-    with perf.scope() as registry:
-        result = SortLastSystem(cfg, render_pool=target).run(**run_kwargs)
+    with mock.patch.object(render_pool, "_SHARED", target), perf.scope() as registry:
+        result = SortLastSystem(cfg).run(**run_kwargs)
     return result, registry.report()
 
 
@@ -198,8 +202,14 @@ class TestPool:
             assert inline.submit(_square, 7).result() == 49
             assert inline.forks == 0 and inline.pids() == []
 
-    def test_default_width_is_the_affinity_mask(self):
-        assert RenderPool().workers == len(os.sched_getaffinity(0))
+    def test_default_width_is_the_affinity_mask_capped(self):
+        assert RenderPool().workers == min(len(os.sched_getaffinity(0)), MAX_WORKERS)
+
+    def test_no_affinity_call_runs_inline(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        inline = RenderPool()
+        assert inline.workers == 0
+        assert inline.submit(_square, 6).result() == 36 and inline.forks == 0
 
     def test_threads_sharing_a_pool_get_their_own_results(self):
         """More workers than cores, four submitting threads, a tiny
@@ -274,7 +284,6 @@ class TestFailures:
         with pytest.raises(RenderError, match="no such extent") as pooled:
             pool.submit(_raise_render_error, "no such extent").result()
         assert type(pooled.value) is type(inline.value)
-        assert isinstance(pooled.value.__cause__, WorkerTraceback)
         assert "_raise_render_error" in str(pooled.value.__cause__)
         assert pool.submit(_square, 5).result() == 25  # the pool carries on
 
@@ -319,17 +328,55 @@ class TestFailures:
         assert _observables(*_run(cfg, pool)) == _observables(*_run(cfg, 0))
 
 
+# ---- forking beside other threads ------------------------------------------------
+def test_fork_beside_a_thread_inside_a_camera_attribute(monkeypatch):
+    """The pool forks from a process whose other threads may hold locks
+    at that moment, and a worker inherits them held.  One thread is
+    paused inside a Camera attribute while the pool forks; a render in
+    the worker, whose Camera is built there, must still finish
+    (``functools.cached_property`` before 3.12 held one lock per
+    attribute across every instance while computing it)."""
+    entered, release = threading.Event(), threading.Event()
+    rotation = camera_module.rotation_matrix
+
+    def paused(*args):
+        if threading.current_thread().name == "holder":
+            entered.set()
+            release.wait(30)
+        return rotation(*args)
+
+    monkeypatch.setattr(camera_module, "rotation_matrix", paused)
+    extent = build_scene(_cfg("bsbrc", 4)).plan.extent(0)
+    holder = threading.Thread(target=lambda: Camera(8, 8, (4, 4, 4)).basis(),
+                              name="holder", daemon=True)
+    holder.start()
+    assert entered.wait(10)
+    pool = RenderPool(2)
+    try:
+        pending = pool.submit(render_task, _cfg("bsbrc", 4, rot_y=73.0), extent)
+        waiter = threading.Thread(target=pending.result, daemon=True)
+        waiter.start()
+        waiter.join(20)
+        assert not waiter.is_alive(), "the worker waits on a lock the paused thread holds"
+    finally:
+        release.set()
+        holder.join(10)
+        for pid in pool.pids():  # a deadlocked worker never exits by itself
+            os.kill(pid, signal.SIGKILL)
+        pool.shutdown()
+
+
 # ---- lifetime ------------------------------------------------------------------
 _HOLDER = textwrap.dedent("""
     import os, signal, sys, time
+    from repro.pipeline import render_pool
     from repro.pipeline.config import RunConfig
-    from repro.pipeline.render_pool import RenderPool
     from repro.pipeline.system import SortLastSystem
 
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(0))  # a drain-then-exit server
-    pool = RenderPool(2)
+    pool = render_pool._SHARED = render_pool.RenderPool(2)
     SortLastSystem(RunConfig(dataset="engine_low", volume_shape=(24, 24, 12),
-                             image_size=32, num_ranks=4), render_pool=pool).run()
+                             image_size=32, num_ranks=4)).run()
     print(" ".join(map(str, pool.pids())), flush=True)
     if sys.argv[1] == "exit":
         sys.exit(0)
