@@ -117,10 +117,12 @@ soak:
 # oracle, plus bit-parity of the paper aliases and bslcv against what
 # the hand-written classes they replaced produced — pixels, counters,
 # modelled clocks — as recorded in tests/data/seed_counters.json; and
-# the definition of BSLC's interleaved part with its pinned runs.
+# the definition of BSLC's interleaved part with its pinned runs; the
+# memoized program table against per-rank builds, and the BSBRC wire
+# path against the loop run codecs.
 grid:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_grid_equivalence.py tests/test_schedule_codec.py \
-		tests/test_interleave.py -q
+		tests/test_program_table.py tests/test_rect_rle_wire.py tests/test_interleave.py -q
 
 # What CI gates on: the tier-1 suite, then the end-to-end harness's own
 # tests (19 tests, ~21 s: golden digests and modelled clocks — the

@@ -158,7 +158,7 @@ def bench_wire(smoke: bool) -> dict:
 
     def legacy_unpack() -> None:
         # Pre-overhaul pixel block handling: defensive per-column copies.
-        _, positions, flat_i, flat_a = unpack_bsbrc(msg)
+        _, mask, flat_i, flat_a = unpack_bsbrc(msg)
         flat_i.copy(), flat_a.copy()
 
     ref_s = _time(legacy_unpack, repeats)

@@ -72,8 +72,8 @@ def test_bench_pack_bsbrc(benchmark, planes):
 def test_bench_unpack_bsbrc(benchmark, planes):
     intensity, opacity = planes
     msg = pack_bsbrc(intensity, opacity, Rect.full(SIZE, SIZE))
-    rect, positions, _, _ = benchmark(unpack_bsbrc, msg.buffer)
-    assert not rect.is_empty and positions is not None
+    rect, mask, _, _ = benchmark(unpack_bsbrc, msg.buffer)
+    assert not rect.is_empty and mask is not None
 
 
 def test_bench_pack_bslc(benchmark, planes):

@@ -180,7 +180,10 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._steps = 0
+        # Ranks that have exited, and ranks blocked in a barrier: a rank
+        # exit or barrier post compares the two in O(1).
         self._done_count = 0
+        self._barrier_count = 0
 
     # ------------------------------------------------------------------ api
     def run(self, program_factory: Callable[[RankContext], Coroutine]) -> RunResult:
@@ -197,6 +200,7 @@ class Simulator:
         self._seq = 0
         self._steps = 0
         self._done_count = 0
+        self._barrier_count = 0
         if self.network is not None:
             self.network.reset(self.num_ranks)
         for rank in range(self.num_ranks):
@@ -307,7 +311,6 @@ class Simulator:
             self._count_step()
             self._step(proc)
         if proc.state is _State.DONE:
-            self._done_count += 1
             # A rank exiting can complete (or poison) a pending barrier.
             self._try_release_barrier()
             return
@@ -379,7 +382,9 @@ class Simulator:
         except StopIteration as stop:
             proc.state = _State.DONE
             proc.return_value = stop.value
-            self._trace(proc, "done", "")
+            self._done_count += 1
+            if self.trace:
+                self._trace(proc, "done", "")
             return
         except WireFormatError:
             # Detected corruption must surface as itself (the typed
@@ -400,7 +405,8 @@ class Simulator:
             bucket = proc.bucket()
             bucket.comp_time += op.seconds
             bucket.add_counter(op.kind, op.count)
-            self._trace(proc, "compute", f"{op.kind} dt={op.seconds:.3e} count={op.count}")
+            if self.trace:
+                self._trace(proc, "compute", f"{op.kind} dt={op.seconds:.3e} count={op.count}")
             # stays READY; the driving engine resumes it immediately.
         elif isinstance(op, IsendOp):
             request = Request(
@@ -420,7 +426,10 @@ class Simulator:
             proc.state = _State.BLOCKED
             proc.pending = op
             proc.post_time = proc.clock
-            self._trace(proc, "post", repr(op))
+            if isinstance(op, BarrierOp):
+                self._barrier_count += 1
+            if self.trace:
+                self._trace(proc, "post", repr(op))
         else:
             raise SimulationError(
                 f"rank {proc.rank} awaited an unknown object {op!r}; "
@@ -468,7 +477,8 @@ class Simulator:
                 self._complete_transfer(counterpart.popleft(), request)
             else:
                 self._pending_irecvs.setdefault(key, deque()).append(request)
-        self._trace(proc, "post", repr(request))
+        if self.trace:
+            self._trace(proc, "post", repr(request))
 
     def _oldest_pending_isend(self, src: int, dst: int) -> "Request | None":
         """Pop the head of one pending ``src → dst`` isend channel.
@@ -561,7 +571,8 @@ class Simulator:
         ]
         proc.state = _State.READY
         proc.pending = None
-        self._trace(proc, "waitdone", f"{len(wop.requests)} reqs t={completion:.6f}")
+        if self.trace:
+            self._trace(proc, "waitdone", f"{len(wop.requests)} reqs t={completion:.6f}")
         self._schedule(proc)
         return True
 
@@ -586,8 +597,9 @@ class Simulator:
         self._complete_comm(receiver, start, completion, received=sop.nbytes)
         receiver.resume_value = sop.payload
         sender.resume_value = None
-        self._trace(receiver, "recv", f"from {sender.rank} {sop.nbytes}B t={completion:.6f}")
-        self._trace(sender, "send", f"to {receiver.rank} {sop.nbytes}B t={completion:.6f}")
+        if self.trace:
+            self._trace(receiver, "recv", f"from {sender.rank} {sop.nbytes}B t={completion:.6f}")
+            self._trace(sender, "send", f"to {receiver.rank} {sop.nbytes}B t={completion:.6f}")
         return True
 
     def _try_match_exchange(self, a: _Proc, aop: SendRecvOp) -> bool:
@@ -607,17 +619,17 @@ class Simulator:
         self._complete_comm(b, start, completion_b, sent=bop.nbytes, received=aop.nbytes)
         a.resume_value = bop.payload
         b.resume_value = aop.payload
-        self._trace(a, "exch", f"with {b.rank} out={aop.nbytes}B in={bop.nbytes}B")
-        self._trace(b, "exch", f"with {a.rank} out={bop.nbytes}B in={aop.nbytes}B")
+        if self.trace:
+            self._trace(a, "exch", f"with {b.rank} out={aop.nbytes}B in={bop.nbytes}B")
+            self._trace(b, "exch", f"with {a.rank} out={bop.nbytes}B in={aop.nbytes}B")
         return True
 
     def _try_release_barrier(self) -> bool:
+        waiters = self._barrier_count
+        if not waiters or waiters < self.num_ranks - self._done_count:
+            return False  # no barrier, or someone has not arrived yet
         waiting = [p for p in self._procs if isinstance(p.pending, BarrierOp)]
-        if not waiting:
-            return False
-        if len(waiting) < sum(1 for p in self._procs if p.state is not _State.DONE):
-            return False  # someone has not arrived yet
-        if len(waiting) < self.num_ranks:
+        if waiters < self.num_ranks:
             ranks = sorted(p.rank for p in waiting)
             raise SimulationError(
                 f"barrier posted by ranks {ranks} but other ranks already exited; "
@@ -626,10 +638,12 @@ class Simulator:
         depth = math.ceil(math.log2(self.num_ranks)) if self.num_ranks > 1 else 0
         arrival = max(p.post_time for p in waiting)
         release = arrival + self.model.ts * depth
+        self._barrier_count = 0
         for p in waiting:
             self._complete_comm(p, arrival, release)
             p.resume_value = None
-            self._trace(p, "barrier", f"released t={release:.6f}")
+            if self.trace:
+                self._trace(p, "barrier", f"released t={release:.6f}")
         return True
 
     def _complete_comm(
@@ -665,10 +679,11 @@ class Simulator:
 
     # --------------------------------------------------------------- helpers
     def _trace(self, proc: _Proc, kind: str, detail: str) -> None:
-        if self.trace:
-            self.trace_events.append(
-                TraceEvent(time=proc.clock, rank=proc.rank, kind=kind, detail=detail)
-            )
+        """Record one trace event; callers test :attr:`trace` first, so a
+        run without tracing never formats a detail string."""
+        self.trace_events.append(
+            TraceEvent(time=proc.clock, rank=proc.rank, kind=kind, detail=detail)
+        )
 
     def _close_all(self) -> None:
         for proc in self._procs:

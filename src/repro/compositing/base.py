@@ -31,12 +31,13 @@ from ..errors import CompositingError
 from ..render.image import SubImage
 from ..types import Rect
 from ..volume.partition import PartitionPlan
-from .over import over
+from .over import over, over_inplace
 
 __all__ = [
     "Compositor",
     "CompositeOutcome",
     "composite_at",
+    "composite_masked",
     "composite_rect_pixels",
     "split_axis_for",
 ]
@@ -161,18 +162,24 @@ def composite_rect_pixels(
     *,
     local_in_front: bool,
 ) -> None:
-    """Composite a received rect block with the local pixels, in place."""
+    """Composite a received rect block with the local pixels, in place.
+
+    The fold writes straight into the rect's view of the planes, with
+    :func:`over`'s float expression up to commuting operands of ``+``
+    and ``*`` (exact in IEEE arithmetic), so it is bit-identical to
+    ``over`` without its two full-block temporaries.
+    """
     if rect.is_empty:
         return
     rows, cols = rect.slices()
     loc_i = image.intensity[rows, cols]
     loc_a = image.opacity[rows, cols]
     if local_in_front:
-        out_i, out_a = over(loc_i, loc_a, recv_i, recv_a)
+        trans = 1.0 - loc_a
+        loc_i += trans * recv_i
+        loc_a += trans * recv_a
     else:
-        out_i, out_a = over(recv_i, recv_a, loc_i, loc_a)
-    image.intensity[rows, cols] = out_i
-    image.opacity[rows, cols] = out_a
+        over_inplace(recv_i, recv_a, loc_i, loc_a)
 
 
 def composite_at(
@@ -185,17 +192,53 @@ def composite_at(
 ) -> None:
     """Composite received pixels at frame indices ``flat_targets``, in place.
 
-    The one sparse fold: a rect codec's listed positions, an index
-    part's sequence and a whole-frame RLE message all land here as flat
-    frame indices.
+    The sparse fold of an index part's sequence and of a whole-frame RLE
+    message; a rect's run-length payload folds through
+    :func:`composite_masked`.
     """
-    flat_i = image.intensity.reshape(-1)
-    flat_a = image.opacity.reshape(-1)
-    loc_i = flat_i[flat_targets]
-    loc_a = flat_a[flat_targets]
+    _fold_selected(
+        image.intensity.reshape(-1),
+        image.opacity.reshape(-1),
+        flat_targets,
+        recv_i,
+        recv_a,
+        local_in_front,
+    )
+
+
+def composite_masked(
+    image: SubImage,
+    rect: Rect,
+    mask: np.ndarray,
+    recv_i: np.ndarray,
+    recv_a: np.ndarray,
+    *,
+    local_in_front: bool,
+) -> None:
+    """Composite received pixels at the ``True`` entries of ``mask``, in place.
+
+    ``mask`` is ``rect``'s ``(height, width)`` non-blank mask and the
+    received pixels are its entries in row-major order — a rect codec's
+    run-length payload, folded through the rect's view of the planes.
+    """
+    rows, cols = rect.slices()
+    _fold_selected(
+        image.intensity[rows, cols],
+        image.opacity[rows, cols],
+        mask,
+        recv_i,
+        recv_a,
+        local_in_front,
+    )
+
+
+def _fold_selected(plane_i, plane_a, where, recv_i, recv_a, local_in_front) -> None:
+    """Gather ``plane[where]``, fold the received pixels, scatter back."""
+    loc_i = plane_i[where]
+    loc_a = plane_a[where]
     if local_in_front:
         out_i, out_a = over(loc_i, loc_a, recv_i, recv_a)
     else:
         out_i, out_a = over(recv_i, recv_a, loc_i, loc_a)
-    flat_i[flat_targets] = out_i
-    flat_a[flat_targets] = out_a
+    plane_i[where] = out_i
+    plane_a[where] = out_a

@@ -228,7 +228,8 @@ class BinaryTreeCompression(Compositor):
             if rank % group == 0:
                 peer = rank + span
                 raw = await ctx.recv(peer, tag=stage)
-                positions, recv_i, recv_a = unpack_rle(raw, num_pixels)
+                mask, recv_i, recv_a = unpack_rle(raw, num_pixels)
+                positions = np.flatnonzero(mask)
                 if positions.size:
                     composite_at(
                         image,

@@ -36,7 +36,7 @@ from ..cluster.protocol import BaseRankContext
 from ..errors import CompositingError
 from ..render.image import SubImage
 from ..types import Rect
-from .base import composite_at, composite_rect_pixels
+from .base import composite_at, composite_masked, composite_rect_pixels
 from .over import nonblank_mask
 from .schedule import IndexPart, RectPart
 from .value_rle import pack_value_runs, unpack_value_runs
@@ -68,13 +68,15 @@ class Contribution:
     """Decoded pixels received from one peer.
 
     ``rect`` carries the geometry for rect payloads (``None``: the
-    values run over the kept index sequence).  ``positions`` are the
-    non-blank offsets (row-major inside ``rect``, or into the kept
-    sequence); ``None`` means the values are dense over the whole part.
+    values run over the kept index sequence).  A sparse payload names
+    its non-blank pixels by ``mask``, the rect's ``(height, width)``
+    boolean mask, or by ``positions``, offsets into the kept sequence;
+    neither set means the values are dense over the rect or part.
     """
 
     rect: Rect | None = None
     positions: np.ndarray | None = None
+    mask: np.ndarray | None = None
     values_i: np.ndarray | None = None
     values_a: np.ndarray | None = None
 
@@ -150,15 +152,13 @@ class PixelCodec(abc.ABC):
         """Fold a contribution into ``image``; returns pixels charged.
 
         Only pixels the message carried are folded and charged: the
-        listed positions of a sparse payload, the whole (possibly empty)
+        non-blank pixels of a sparse payload, the whole (possibly empty)
         rect of a dense one.
         """
-        rect, positions = contrib.rect, contrib.positions
-        if rect is None:
-            targets = keep.flat(positions)
-        elif rect.is_empty:
+        rect = contrib.rect
+        if rect is not None and rect.is_empty:
             return 0
-        elif positions is None:
+        if rect is not None and contrib.mask is None:
             composite_rect_pixels(
                 image,
                 rect,
@@ -167,18 +167,27 @@ class PixelCodec(abc.ABC):
                 local_in_front=local_in_front,
             )
             return rect.area
-        else:
-            rows, cols = np.divmod(positions, rect.width)
-            targets = (rect.y0 + rows) * image.width + rect.x0 + cols
-        if targets.size:
+        count = contrib.values_i.size
+        if not count:
+            return 0
+        if rect is None:
             composite_at(
                 image,
-                targets,
+                keep.flat(contrib.positions),
                 contrib.values_i,
                 contrib.values_a,
                 local_in_front=local_in_front,
             )
-        return int(targets.size)
+        else:
+            composite_masked(
+                image,
+                rect,
+                contrib.mask,
+                contrib.values_i,
+                contrib.values_a,
+                local_in_front=local_in_front,
+            )
+        return count
 
     def update_state(
         self, state: Any, keep: RectPart | IndexPart, contribs: list[Contribution]
@@ -295,20 +304,18 @@ class RectRLECodec(_TrackedRectCodec):
         await ctx.charge_encode(meta.area)
 
     def decode(self, ctx, raw, keep, meta, stage):
-        recv_rect, positions, recv_i, recv_a = unpack_bsbrc(raw)
+        recv_rect, mask, recv_i, recv_a = unpack_bsbrc(raw)
         self._check_inside(recv_rect, keep, stage)
         ctx.note("a_rec", recv_rect.area)
         ctx.note("a_send", meta.area)
-        ctx.note("a_opaque", 0 if positions is None else positions.size)
+        ctx.note("a_opaque", 0 if recv_i is None else recv_i.size)
         if not recv_rect.is_empty:
             ctx.note("r_code", int.from_bytes(raw[8:12], "little"))
         else:
             ctx.note("empty_recv_rect")
         if meta.is_empty:
             ctx.note("empty_send_rect")
-        return Contribution(
-            rect=recv_rect, positions=positions, values_i=recv_i, values_a=recv_a
-        )
+        return Contribution(rect=recv_rect, mask=mask, values_i=recv_i, values_a=recv_a)
 
 
 # --------------------------------------------------------------------------
@@ -335,12 +342,17 @@ class RunLengthCodec(PixelCodec):
         await ctx.charge_encode(part.num_pixels)
 
     def decode(self, ctx, raw, keep, meta, stage):
-        positions, recv_i, recv_a = unpack_rle(raw, keep.num_pixels)
+        mask, recv_i, recv_a = unpack_rle(raw, keep.num_pixels)
         ctx.note("r_code", int.from_bytes(raw[:4], "little"))
-        ctx.note("a_opaque", positions.size)
+        ctx.note("a_opaque", recv_i.size)
+        rect = keep.rect
+        if rect is None:
+            return Contribution(
+                positions=np.flatnonzero(mask), values_i=recv_i, values_a=recv_a
+            )
         return Contribution(
-            rect=keep.rect,
-            positions=positions,
+            rect=rect,
+            mask=mask.reshape(rect.height, rect.width),
             values_i=recv_i,
             values_a=recv_a,
         )

@@ -63,7 +63,7 @@ class ScheduledCompositor(Compositor):
     ) -> CompositeOutcome:
         self.check_plan(ctx, plan)
         codec = self.codec
-        program = self.schedule.build(
+        program = self.schedule.program(
             ctx.rank, ctx.size, image.full_rect(), image.num_pixels, plan, view_dir
         )
         # Stage-level recovery: an installed checkpointer restores the

@@ -65,11 +65,11 @@ DEFAULT_TILE = 32
 
 def _contribution_pixels(contrib, tile_rect: Rect) -> int:
     """Pixels a decoded contribution charges under *over* — the count the
-    codec's ``composite`` would report on the scheduled engine: listed
-    positions for run-length payloads, the carried (sub-)rect's area for
+    codec's ``composite`` would report on the scheduled engine: masked
+    pixels for run-length payloads, the carried (sub-)rect's area for
     dense ones."""
-    if contrib.positions is not None:
-        return int(contrib.positions.size)
+    if contrib.mask is not None:
+        return int(contrib.values_i.size)
     if contrib.rect is not None:
         return contrib.rect.area
     return tile_rect.area

@@ -136,8 +136,8 @@ def densify_contribution(
     zero-filling them keeps the tree fold's arithmetic bit-identical to
     shipping raw pixels (*over* with a blank operand is an IEEE
     identity).  Handles every rect-capable codec output: dense tile
-    blocks (raw), sub-rect blocks (rect), and position-listed sparse
-    pixels (rle / rect-rle).
+    blocks (raw), sub-rect blocks (rect), and masked sparse pixels
+    (rle / rect-rle).
     """
     if contrib.rect is None:
         raise CompositingError("tile contributions must be rect-shaped")
@@ -145,7 +145,7 @@ def densify_contribution(
     rect = contrib.rect
     if (
         rect == tile_rect
-        and contrib.positions is None
+        and contrib.mask is None
         and contrib.values_i is not None
     ):
         return (
@@ -162,17 +162,13 @@ def densify_contribution(
         )
     dy = rect.y0 - tile_rect.y0
     dx = rect.x0 - tile_rect.x0
-    if contrib.positions is None:
-        block = (slice(dy, dy + rect.height), slice(dx, dx + rect.width))
+    block = (slice(dy, dy + rect.height), slice(dx, dx + rect.width))
+    if contrib.mask is None:
         dense_i[block] = np.asarray(contrib.values_i).reshape(rect.height, rect.width)
         dense_a[block] = np.asarray(contrib.values_a).reshape(rect.height, rect.width)
-        return dense_i, dense_a
-    positions = contrib.positions
-    if positions.size:
-        rows = dy + positions // rect.width
-        cols = dx + positions % rect.width
-        dense_i[rows, cols] = contrib.values_i
-        dense_a[rows, cols] = contrib.values_a
+    else:
+        dense_i[block][contrib.mask] = contrib.values_i
+        dense_a[block][contrib.mask] = contrib.values_a
     return dense_i, dense_a
 
 

@@ -37,11 +37,15 @@ Unpackers hand back **read-only views** into the message buffer wherever
 the caller only reads the pixels (the flat paths); the rect-shaped
 paths reshape, which materializes a writable plane.  Packers avoid
 dtype round-trip copies (``astype(..., copy=False)``) — on a
-little-endian host every wire dtype is the native layout.
+little-endian host every wire dtype is the native layout.  The fixed
+headers (rect info, code count) go through :mod:`struct`: at P=256 a
+message carries a few hundred pixels, and per-message Python and numpy
+calls, not bytes, are its cost.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,7 +55,7 @@ from .. import perf
 from ..errors import WireFormatError
 from ..types import PIXEL_BYTES, RECT_INFO_BYTES, RLE_CODE_BYTES, Rect
 from .over import nonblank_mask
-from .rle import count_nonblank, rle_decode_mask, rle_encode_mask
+from .rle import rle_decode_mask, rle_encode_mask
 
 __all__ = [
     "WireMessage",
@@ -71,8 +75,11 @@ __all__ = [
 
 _PIXEL_DTYPE = np.dtype("<f8")
 _CODE_DTYPE = np.dtype("<u2")
-_RECT_DTYPE = np.dtype("<i2")
-_LEN_DTYPE = np.dtype("<u4")
+#: ``int16 rect[4]`` — ``(y0, x0, y1, x1)``.
+_RECT_INFO = struct.Struct("<4h")
+#: ``uint32 ncodes``.
+_NCODES = struct.Struct("<I")
+_EMPTY_RECT_INFO = _RECT_INFO.pack(0, 0, 0, 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,13 +141,12 @@ def pack_rle(vals_i: np.ndarray, vals_a: np.ndarray) -> WireMessage:
     vals_i = np.asarray(vals_i, dtype=np.float64)
     vals_a = np.asarray(vals_a, dtype=np.float64)
     mask = nonblank_mask(vals_i, vals_a)
-    codes = rle_encode_mask(mask.ravel())
+    codes = rle_encode_mask(mask.ravel()).astype(_CODE_DTYPE, copy=False)
     # A boolean gather yields the non-blank pixels in C order directly
     # from the (possibly 2-D, sliced) views — no flattened intermediate.
     pixels = pack_pixels(vals_i[mask], vals_a[mask])
-    header = np.asarray([codes.size], dtype=_LEN_DTYPE).tobytes()
     return WireMessage(
-        buffer=header + codes.astype(_CODE_DTYPE, copy=False).tobytes() + pixels.buffer,
+        buffer=b"".join((_NCODES.pack(codes.size), codes, pixels.buffer)),
         accounted_bytes=codes.size * RLE_CODE_BYTES + pixels.accounted_bytes,
     )
 
@@ -150,21 +156,25 @@ def unpack_rle(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode the RLE body at ``msg[offset:]`` over an ``npixels`` sequence.
 
-    Returns ``(positions, intensity, opacity)``: ``positions`` are the
-    offsets into the sequence of the non-blank pixels the body carries.
+    Returns ``(mask, intensity, opacity)``: ``mask`` is the sequence's
+    non-blank mask, and the pixels are its ``True`` entries in order.
     """
-    off = offset + _LEN_DTYPE.itemsize
+    off = offset + _NCODES.size
     if len(msg) < off:
         raise WireFormatError(f"{what} message truncated before code count")
-    ncodes = int(np.frombuffer(msg[offset:off], dtype=_LEN_DTYPE)[0])
-    code_bytes = ncodes * RLE_CODE_BYTES
-    if len(msg) < off + code_bytes:
+    (ncodes,) = _NCODES.unpack_from(msg, offset)
+    end = off + ncodes * RLE_CODE_BYTES
+    if len(msg) < end:
         raise WireFormatError(f"{what} message truncated in code block")
-    codes = np.frombuffer(msg[off : off + code_bytes], dtype=_CODE_DTYPE)
-    off += code_bytes
-    mask = rle_decode_mask(codes, npixels)
-    flat_i, flat_a = unpack_pixels(msg[off:], count_nonblank(codes))
-    return np.flatnonzero(mask), flat_i, flat_a
+    mask = rle_decode_mask(
+        np.frombuffer(msg, dtype=_CODE_DTYPE, count=ncodes, offset=off), npixels
+    )
+    # The decoded mask holds exactly the non-blank runs' pixels.  The
+    # pixel block is sliced (a copy), not viewed: measured on
+    # composite_paper, views into the received messages made every
+    # later run fault its buffers in afresh (~30k page faults a run).
+    flat_i, flat_a = unpack_pixels(msg[end:], int(np.count_nonzero(mask)))
+    return mask, flat_i, flat_a
 
 
 def _pack_in_rect(
@@ -174,14 +184,12 @@ def _pack_in_rect(
     pack_body: Callable[[np.ndarray, np.ndarray], WireMessage],
 ) -> WireMessage:
     """Rect info (always, 8 B), then ``pack_body`` of a non-empty rect's block."""
-    send_rect = send_rect.normalized()
-    header = send_rect.as_int16_array().astype(_RECT_DTYPE, copy=False).tobytes()
     if send_rect.is_empty:
-        return WireMessage(buffer=header, accounted_bytes=RECT_INFO_BYTES)
-    rows, cols = send_rect.slices()
-    body = pack_body(intensity[rows, cols], opacity[rows, cols])
+        return WireMessage(buffer=_EMPTY_RECT_INFO, accounted_bytes=RECT_INFO_BYTES)
+    y0, x0, y1, x1 = send_rect.y0, send_rect.x0, send_rect.y1, send_rect.x1
+    body = pack_body(intensity[y0:y1, x0:x1], opacity[y0:y1, x0:x1])
     return WireMessage(
-        buffer=header + body.buffer,
+        buffer=_RECT_INFO.pack(y0, x0, y1, x1) + body.buffer,
         accounted_bytes=RECT_INFO_BYTES + body.accounted_bytes,
     )
 
@@ -190,9 +198,11 @@ def _unpack_rect_info(msg: bytes, what: str) -> Rect:
     """The leading rect info; an empty rect must end the message."""
     if len(msg) < RECT_INFO_BYTES:
         raise WireFormatError(f"{what} message too short: {len(msg)} bytes")
-    rect = Rect.from_int16_array(np.frombuffer(msg[:RECT_INFO_BYTES], dtype=_RECT_DTYPE))
-    if rect.is_empty and len(msg) != RECT_INFO_BYTES:
-        raise WireFormatError(f"empty-rect {what} message has trailing bytes")
+    rect = Rect(*_RECT_INFO.unpack_from(msg))
+    if rect.is_empty:
+        if len(msg) != RECT_INFO_BYTES:
+            raise WireFormatError(f"empty-rect {what} message has trailing bytes")
+        return Rect.empty()
     return rect
 
 
@@ -242,7 +252,8 @@ def unpack_bslc(msg: bytes, seq_len: int) -> tuple[np.ndarray, np.ndarray, np.nd
     ``positions`` are offsets into the receiver's owned sequence (length
     ``seq_len``) of the non-blank pixels carried by the message.
     """
-    return unpack_rle(msg, seq_len)
+    mask, flat_i, flat_a = unpack_rle(msg, seq_len)
+    return np.flatnonzero(mask), flat_i, flat_a
 
 
 def pack_bsbrc(intensity: np.ndarray, opacity: np.ndarray, send_rect: Rect) -> WireMessage:
@@ -251,12 +262,14 @@ def pack_bsbrc(intensity: np.ndarray, opacity: np.ndarray, send_rect: Rect) -> W
 
 
 def unpack_bsbrc(msg: bytes) -> tuple[Rect, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    """Decode to ``(rect, positions, intensity, opacity)``.
+    """Decode to ``(rect, mask, intensity, opacity)``.
 
-    ``positions`` are row-major offsets inside ``rect`` of the non-blank
-    pixels; all three are ``None`` for an empty rect.
+    ``mask`` is the rect's ``(height, width)`` non-blank mask, and the
+    pixels are its ``True`` entries in row-major order; all three are
+    ``None`` for an empty rect.
     """
     rect = _unpack_rect_info(msg, "BSBRC")
     if rect.is_empty:
         return rect, None, None, None
-    return (rect, *unpack_rle(msg, rect.area, RECT_INFO_BYTES, "BSBRC"))
+    mask, flat_i, flat_a = unpack_rle(msg, rect.area, RECT_INFO_BYTES, "BSBRC")
+    return rect, mask.reshape(rect.height, rect.width), flat_i, flat_a

@@ -394,11 +394,11 @@ class TestWireKernels:
         rect = Rect(2, 3, 10, 11)
         rows, cols = rect.slices()
         msg = pack_rle(intensity[rows, cols], opacity[rows, cols])
-        positions, out_i, out_a = unpack_rle(msg.buffer, rect.area)
+        mask, out_i, out_a = unpack_rle(msg.buffer, rect.area)
         flat_i = intensity[rows, cols].ravel()
         flat_a = opacity[rows, cols].ravel()
         expected = np.flatnonzero((flat_a != 0.0) | (flat_i != 0.0))
-        np.testing.assert_array_equal(positions, expected)
+        np.testing.assert_array_equal(np.flatnonzero(mask), expected)
         np.testing.assert_array_equal(out_i, flat_i[expected])
         np.testing.assert_array_equal(out_a, flat_a[expected])
 

@@ -135,7 +135,7 @@ class TestDensify:
         inner = Rect(1, 1, 3, 3)  # 2x2 window
         contrib = self._contrib(
             rect=inner,
-            positions=np.array([0, 3]),  # corners of the window
+            mask=np.array([[True, False], [False, True]]),  # window corners
             values_i=np.array([1.0, 2.0]),
             values_a=np.array([0.25, 0.75]),
         )
