@@ -21,7 +21,6 @@ from .collectives import gather
 from .context import RankContext, payload_nbytes
 from .events import (
     ANY_TAG,
-    BarrierOp,
     ComputeOp,
     IrecvOp,
     IsendOp,
@@ -99,7 +98,6 @@ __all__ = [
     "make_policy",
     "schedule_meta",
     "BackendRunResult",
-    "BarrierOp",
     "BaseRankContext",
     "EncodedPayload",
     "ComputeOp",

@@ -104,7 +104,6 @@ class Backend(abc.ABC):
         model: Optional[MachineModel] = None,
         trace: bool = False,
         timeout: Optional[float] = None,
-        heartbeat: Optional[float] = None,
         network=None,
         schedule_policy=None,
     ) -> BackendRunResult:
@@ -112,11 +111,9 @@ class Backend(abc.ABC):
 
         ``model`` is required by the simulator and ignored by real
         transports; ``trace`` enables the simulator's event trace;
-        ``timeout`` bounds per-receive blocking on real transports and
-        ``heartbeat`` (liveness-stamp interval in seconds) spaces their
-        peer-death detection; the simulator ignores both (it detects
-        deadlock structurally).  ``network`` (a
-        :class:`~repro.cluster.model.Network` topology) is
+        ``timeout`` bounds per-receive blocking on real transports; the
+        simulator ignores it (it detects deadlock structurally).
+        ``network`` (a :class:`~repro.cluster.model.Network` topology) is
         simulator-only; real transports reject a non-flat network since
         they cannot model one.  ``schedule_policy`` (a
         :class:`~repro.cluster.schedule_policy.SchedulePolicy`) hands
@@ -145,7 +142,6 @@ class SimBackend(Backend):
         model: Optional[MachineModel] = None,
         trace: bool = False,
         timeout: Optional[float] = None,
-        heartbeat: Optional[float] = None,
         network=None,
         schedule_policy=None,
     ) -> BackendRunResult:
@@ -189,11 +185,10 @@ class MPBackend(Backend):
         model: Optional[MachineModel] = None,
         trace: bool = False,
         timeout: Optional[float] = None,
-        heartbeat: Optional[float] = None,
         network=None,
         schedule_policy=None,
     ) -> BackendRunResult:
-        from .mp_backend import DEFAULT_TIMEOUT, HEARTBEAT_INTERVAL, run_rank_programs_mp
+        from .mp_backend import DEFAULT_TIMEOUT, run_rank_programs_mp
 
         _require_flat_network(self.name, network)
         _require_deterministic_schedule(self.name, schedule_policy)
@@ -203,7 +198,6 @@ class MPBackend(Backend):
             program,
             args,
             timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
-            heartbeat_interval=HEARTBEAT_INTERVAL if heartbeat is None else heartbeat,
         )
         return BackendRunResult(
             backend=self.name,

@@ -24,7 +24,6 @@ from typing import Any, Optional
 from ..errors import ConfigurationError
 from .events import (
     ANY_TAG,
-    BarrierOp,
     ComputeOp,
     IrecvOp,
     IsendOp,
@@ -208,11 +207,6 @@ class RankContext(BaseRankContext):
             self._checked(payload, request.peer, request.tag)
             for payload, request in zip(results, requests)
         ]
-
-    # ---- collective ----------------------------------------------------------------
-    async def barrier(self) -> None:
-        """Block until every rank reaches the barrier."""
-        await BarrierOp()
 
     # ---- misc ----------------------------------------------------------------------
     def now(self) -> float:

@@ -22,7 +22,6 @@ __all__ = [
     "SendOp",
     "RecvOp",
     "SendRecvOp",
-    "BarrierOp",
     "IsendOp",
     "IrecvOp",
     "WaitOp",
@@ -127,15 +126,6 @@ class SendRecvOp(Op):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SendRecvOp(peer={self.peer}, nbytes={self.nbytes}, tag={self.tag})"
-
-
-class BarrierOp(Op):
-    """Global synchronization across every rank of the simulation."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "BarrierOp()"
 
 
 class Request:

@@ -24,24 +24,16 @@ Byte counters use the exact sizing the simulator prices
 Robustness
 ----------
 Frames carry a CRC32 of the wire payload; the receiver verifies it and
-raises :class:`~repro.errors.WireFormatError` on mismatch.  Sends retry
-transient queue pressure with exponential backoff up to
-:data:`RETRANSMIT_BUDGET` attempts; receives poll in growing slices and
-raise a typed :class:`~repro.errors.DeadlockError` naming the blocked
-``(src, tag)`` — plus the waiting rank's pipeline phase and stage — when
-the configured timeout expires.  The parent supervises worker liveness
-through process sentinels and fails fast with
+raises :class:`~repro.errors.WireFormatError` on mismatch.  Two
+detectors decide every failure.  The parent is the one detector of a
+dead rank: it watches worker process sentinels and fails fast with
 :class:`~repro.errors.RankFailedError` — carrying the worker's formatted
-traceback — the moment a rank dies, instead of blocking out the full
-receive timeout.  Teardown terminates stragglers and releases every
-queue buffer.
-
-Liveness is additionally tracked through **heartbeats**: every worker
-stamps a shared ``monotonic`` slot from a daemon thread every
-:data:`HEARTBEAT_INTERVAL` seconds, and a blocked receiver checks its
-peer's slot between poll slices — a dead peer surfaces as a typed
-:class:`~repro.errors.DeadlockError` after a couple of seconds instead
-of the full receive timeout, independent of how long that timeout is.
+traceback — about a second after a rank dies, instead of blocking out
+the full receive timeout.  The receive timeout is the one detector of a
+hung rank: a receive that waits longer raises a typed
+:class:`~repro.errors.DeadlockError` naming the blocked ``(src, tag)``,
+the waiting rank's pipeline phase and stage, and the peer.  Teardown
+terminates stragglers and releases every queue buffer.
 
 Recovery is not this module's business: the supervisor fails fast on
 the first error report or dead sentinel, and
@@ -53,7 +45,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import queue as queue_mod
-import threading
 import time
 import traceback
 import zlib
@@ -80,31 +71,10 @@ __all__ = [
     "MPRequest",
     "run_rank_programs_mp",
     "DEFAULT_TIMEOUT",
-    "RETRANSMIT_BUDGET",
-    "HEARTBEAT_INTERVAL",
 ]
 
 #: Per-receive timeout (seconds) after which a rank assumes deadlock.
 DEFAULT_TIMEOUT = 60.0
-
-#: Send attempts before the transport gives up on a message.
-RETRANSMIT_BUDGET = 8
-
-#: Seconds between worker heartbeat stamps (shared monotonic slots).
-HEARTBEAT_INTERVAL = 0.25
-
-_RETRY_BACKOFF = 0.001  # first retry sleep; doubles per attempt
-_POLL_START = 0.02  # first receive poll slice; doubles up to _POLL_MAX
-_POLL_MAX = 0.5
-
-
-def _stale_after(interval: float) -> float:
-    """Seconds without a heartbeat before a peer is presumed dead.
-
-    Generous relative to the stamping interval so GIL scheduling hiccups
-    never false-positive.
-    """
-    return max(10.0 * interval, 2.5)
 
 
 class MPRequest:
@@ -153,28 +123,13 @@ class MPRankContext(BaseRankContext):
 
     backend_name = "multiprocessing"
 
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        queues,
-        barrier,
-        timeout: float,
-        *,
-        heartbeats=None,
-        heartbeat_interval: float = HEARTBEAT_INTERVAL,
-    ):
+    def __init__(self, rank: int, size: int, queues, timeout: float):
         self._rank = rank
         self._size = size
         self._queues = queues  # queues[src][dst]
-        self._barrier = barrier
         self._timeout = timeout
         self._stats = RankStats(rank=rank)
         self._current_stage = -1
-        # Shared monotonic heartbeat slots (one per rank); None disables
-        # peer-liveness checks in blocked receives.
-        self._heartbeats = heartbeats
-        self._hb_stale = _stale_after(heartbeat_interval)
         # Unwaited irecv requests, FIFO per (src, tag).
         self._pending_irecvs: dict[tuple[int, int], deque] = {}
 
@@ -207,32 +162,6 @@ class MPRankContext(BaseRankContext):
         self._bucket().add_counter(kind, count)
 
     # ---- transport ---------------------------------------------------------
-    def _put_frame(self, dst: int, frame: tuple) -> None:
-        """Enqueue one frame, retrying transient transport pressure with
-        exponential backoff up to the retransmit budget."""
-        channel = self._queues[self._rank][dst]
-        backoff = _RETRY_BACKOFF
-        last: Optional[BaseException] = None
-        for attempt in range(RETRANSMIT_BUDGET):
-            try:
-                channel.put(frame, timeout=self._timeout)
-                if attempt:
-                    self._bucket().add_counter("retransmits", attempt)
-                return
-            except (queue_mod.Full, OSError) as exc:
-                last = exc
-                time.sleep(backoff)
-                backoff = min(backoff * 2.0, 0.25)
-        # Budget exhausted: account the attempts *before* raising so the
-        # retransmission pressure is visible in the stats the failure
-        # report ships (previously the counter vanished with the raise).
-        self._bucket().add_counter("retransmits", RETRANSMIT_BUDGET)
-        raise SimulationError(
-            f"rank {self._rank} exhausted the {RETRANSMIT_BUDGET}-attempt "
-            f"retransmit budget sending to rank {dst} "
-            f"(stage {self._current_stage}): {last!r}"
-        )
-
     def _put(
         self, dst: int, payload: Any, nbytes: Optional[int], tag: int,
         verb: str = "send",
@@ -257,7 +186,14 @@ class MPRankContext(BaseRankContext):
                     if crc is None:
                         crc = zlib.crc32(raw) & 0xFFFFFFFF
                     wire = self._fault_injector.damage_wire(raw)
-        self._put_frame(dst, (tag, wire, size, pickled, crc))
+        try:
+            # Channels are unbounded, so a put never waits for room.
+            self._queues[self._rank][dst].put((tag, wire, size, pickled, crc))
+        except OSError as exc:
+            raise SimulationError(
+                f"rank {self._rank}: transport failure sending to rank {dst} "
+                f"(stage {self._current_stage}): {exc!r}"
+            ) from exc
         bucket = self._bucket()
         bucket.bytes_sent += size
         bucket.msgs_sent += 1
@@ -267,58 +203,31 @@ class MPRankContext(BaseRankContext):
         """Blocking dequeue of one message from ``src``; returns
         ``(payload, priced_size)`` and accounts bytes/time received.
 
-        Polls in exponentially growing slices so a dead sender surfaces
+        A sender that never sends surfaces after the configured timeout
         as a typed :class:`~repro.errors.DeadlockError` naming the
         blocked ``(src, tag)``, the waiting rank's phase/stage, and the
-        peer — after the configured timeout, or much sooner when the
-        peer's heartbeat goes stale; transport errors are distinguished
-        from plain queue emptiness."""
+        peer; transport errors are distinguished from plain queue
+        emptiness.  A dead sender is the supervisor's to report."""
         start = time.perf_counter()
-        deadline = start + self._timeout
-        channel = self._queues[src][self._rank]
-        poll = _POLL_START
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0.0:
-                raise DeadlockError(
-                    {
-                        self._rank: (
-                            f"recv from rank {src} (tag {tag}) timed out after "
-                            f"{self._timeout:.1f}s on the {self.backend_name} backend"
-                        )
-                    },
-                    phase=self.current_phase,
-                    stage=self._current_stage,
-                    peer=src,
-                )
-            try:
-                frame = channel.get(timeout=min(poll, remaining))
-                break
-            except queue_mod.Empty:
-                poll = min(poll * 2.0, _POLL_MAX)
-                # Fast liveness: a peer whose heartbeat slot has gone
-                # stale is dead — no point waiting out the full timeout.
-                # Slot 0.0 means "never stamped" (still forking): skip.
-                if self._heartbeats is not None:
-                    last = self._heartbeats[src]
-                    if last > 0.0 and time.monotonic() - last > self._hb_stale:
-                        raise DeadlockError(
-                            {
-                                self._rank: (
-                                    f"peer rank {src} stopped heartbeating "
-                                    f"(>{self._hb_stale:.1f}s stale) while this "
-                                    f"rank waited on tag {tag}"
-                                )
-                            },
-                            phase=self.current_phase,
-                            stage=self._current_stage,
-                            peer=src,
-                        )
-            except (OSError, EOFError, ValueError) as exc:
-                raise SimulationError(
-                    f"rank {self._rank}: transport failure receiving from "
-                    f"rank {src}: {exc!r}"
-                ) from exc
+        try:
+            frame = self._queues[src][self._rank].get(timeout=self._timeout)
+        except queue_mod.Empty:
+            raise DeadlockError(
+                {
+                    self._rank: (
+                        f"recv from rank {src} (tag {tag}) timed out after "
+                        f"{self._timeout:.1f}s on the {self.backend_name} backend"
+                    )
+                },
+                phase=self.current_phase,
+                stage=self._current_stage,
+                peer=src,
+            ) from None
+        except (OSError, EOFError, ValueError) as exc:
+            raise SimulationError(
+                f"rank {self._rank}: transport failure receiving from "
+                f"rank {src}: {exc!r}"
+            ) from exc
         got_tag, wire, size, pickled, crc = frame
         if crc is not None:
             actual = frame_checksum(wire)
@@ -400,56 +309,17 @@ class MPRankContext(BaseRankContext):
             head.done = True
         return request.payload if request.kind == "irecv" else None
 
-    # ---- collective --------------------------------------------------------
-    async def barrier(self) -> None:
-        start = time.perf_counter()
-        try:
-            self._barrier.wait(timeout=self._timeout)
-        except threading.BrokenBarrierError as exc:
-            raise DeadlockError(
-                {
-                    self._rank: (
-                        f"barrier broken or timed out after {self._timeout:.1f}s "
-                        "(a partner rank died or never arrived)"
-                    )
-                },
-                phase=self.current_phase,
-                stage=self._current_stage,
-            ) from exc
-        self._bucket().comm_time += time.perf_counter() - start
 
-
-def _heartbeat_loop(heartbeats, rank: int, interval: float, stop: threading.Event) -> None:
-    """Daemon thread: stamp this rank's shared liveness slot."""
-    while not stop.wait(interval):
-        heartbeats[rank] = time.monotonic()
-
-
-def _worker(
-    rank, size, program, args, queues, barrier, timeout, result_queue,
-    heartbeats=None, heartbeat_interval=HEARTBEAT_INTERVAL,
-):
+def _worker(rank, size, program, args, queues, timeout, result_queue):
     """Subprocess entry: drive the rank coroutine to completion.
 
     Failures ship the exception *type name*, message, and formatted
     traceback (plus the rank's stats, whose ``events`` list records any
     injected faults) so the parent can rebuild a diagnosable error."""
     ctx = None
-    stop = None
     try:
         perf.reset()  # the fork inherits the parent's counters; start clean
-        if heartbeats is not None:
-            heartbeats[rank] = time.monotonic()
-            stop = threading.Event()
-            threading.Thread(
-                target=_heartbeat_loop,
-                args=(heartbeats, rank, heartbeat_interval, stop),
-                daemon=True,
-            ).start()
-        ctx = MPRankContext(
-            rank, size, queues, barrier, timeout,
-            heartbeats=heartbeats, heartbeat_interval=heartbeat_interval,
-        )
+        ctx = MPRankContext(rank, size, queues, timeout)
         start = time.perf_counter()
         with perf.timer("backend.mp.rank_program"):
             value = drive(program(ctx, *args))
@@ -474,9 +344,6 @@ def _worker(
             result_queue.put((rank, "error", info, stats, 0.0, {}))
         except Exception:
             pass  # the parent's liveness supervisor notices the exit
-    finally:
-        if stop is not None:
-            stop.set()
 
 
 @dataclass
@@ -554,7 +421,6 @@ def run_rank_programs_mp(
     args: Sequence[Any] = (),
     *,
     timeout: float = DEFAULT_TIMEOUT,
-    heartbeat_interval: float = HEARTBEAT_INTERVAL,
 ) -> MPRunResult:
     """Run ``program(ctx, *args)`` on ``num_ranks`` real processes.
 
@@ -566,9 +432,6 @@ def run_rank_programs_mp(
     worker's traceback (or :class:`~repro.errors.WireFormatError` for
     detected corruption) — rather than stalling out the full timeout.
     Teardown terminates any stragglers and releases every queue.
-
-    ``heartbeat_interval`` spaces worker liveness stamps (``<= 0``
-    disables heartbeats and with them fast peer-death detection).
     """
     if num_ranks < 1:
         raise ConfigurationError(f"num_ranks must be >= 1, got {num_ranks}")
@@ -577,17 +440,13 @@ def run_rank_programs_mp(
         [mp_ctx.Queue() if src != dst else None for dst in range(num_ranks)]
         for src in range(num_ranks)
     ]
-    barrier = mp_ctx.Barrier(num_ranks)
     result_queue = mp_ctx.Queue()
-    heartbeats = (
-        mp_ctx.Array("d", num_ranks) if heartbeat_interval > 0.0 else None
-    )
 
     workers = [
         mp_ctx.Process(
             target=_worker,
-            args=(rank, num_ranks, program, tuple(args), queues, barrier,
-                  timeout, result_queue, heartbeats, heartbeat_interval),
+            args=(rank, num_ranks, program, tuple(args), queues, timeout,
+                  result_queue),
         )
         for rank in range(num_ranks)
     ]

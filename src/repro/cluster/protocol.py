@@ -3,9 +3,8 @@
 :class:`BaseRankContext` is the abstract contract between compositing
 algorithms and the machine they run on.  A rank program is an ``async
 def`` coroutine taking a context; the context exposes MPI-flavoured
-verbs (``send``/``recv``/``sendrecv``/``isend``/``irecv``/``wait``/
-``barrier``), staging and accounting hooks, and modelled-computation
-charging.  Two substrates implement it:
+verbs (``send``/``recv``/``sendrecv``/``isend``/``irecv``/``wait``),
+staging and accounting hooks, and modelled-computation charging.  Two substrates implement it:
 
 * :class:`~repro.cluster.context.RankContext` — the discrete-event
   simulator (modelled virtual time),
@@ -336,11 +335,6 @@ class BaseRankContext(abc.ABC):
         together); this sequential default is timing-equivalent.
         """
         return [await self.wait(request) for request in requests]
-
-    # ---- collective --------------------------------------------------------
-    @abc.abstractmethod
-    async def barrier(self) -> None:
-        """Block until every rank reaches the barrier."""
 
     # ---- misc --------------------------------------------------------------
     def now(self) -> float:

@@ -15,8 +15,6 @@ according to the :class:`~repro.cluster.model.MachineModel`:
   completes at ``max(post times) + Ts + incoming_bytes·Tc`` (its own
   outgoing transfer overlaps), which is exactly the per-stage
   communication term of the paper's eqs. (2), (4), (6), (8).
-* ``BarrierOp``                — all ranks released at
-  ``max(post times) + Ts·ceil(log2 P)`` (tree barrier).
 
 Arrival times optionally route through a pluggable
 :class:`~repro.cluster.model.Network` (``network=``): the default flat
@@ -47,7 +45,6 @@ per-``(src, dst, tag)`` FIFO are pinned invariants no policy can break.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Coroutine, Optional
@@ -66,7 +63,6 @@ from ..errors import (
 from .context import RankContext
 from .events import (
     ANY_TAG,
-    BarrierOp,
     ComputeOp,
     IrecvOp,
     IsendOp,
@@ -180,10 +176,8 @@ class Simulator:
         self._heap: list = []
         self._seq = 0
         self._steps = 0
-        # Ranks that have exited, and ranks blocked in a barrier: a rank
-        # exit or barrier post compares the two in O(1).
+        # Ranks that have exited: the run ends when all have.
         self._done_count = 0
-        self._barrier_count = 0
 
     # ------------------------------------------------------------------ api
     def run(self, program_factory: Callable[[RankContext], Coroutine]) -> RunResult:
@@ -200,7 +194,6 @@ class Simulator:
         self._seq = 0
         self._steps = 0
         self._done_count = 0
-        self._barrier_count = 0
         if self.network is not None:
             self.network.reset(self.num_ranks)
         for rank in range(self.num_ranks):
@@ -311,8 +304,6 @@ class Simulator:
             self._count_step()
             self._step(proc)
         if proc.state is _State.DONE:
-            # A rank exiting can complete (or poison) a pending barrier.
-            self._try_release_barrier()
             return
         op = proc.pending
         if isinstance(op, RecvOp):
@@ -334,8 +325,6 @@ class Simulator:
                 for request in op.requests:
                     if not request.matched:
                         request.waiter = proc
-        elif isinstance(op, BarrierOp):
-            self._try_release_barrier()
 
     def _count_step(self) -> None:
         self._steps += 1
@@ -422,12 +411,10 @@ class Simulator:
             )
             self._post_nonblocking(proc, request)
             proc.resume_value = request  # stays READY
-        elif isinstance(op, (SendOp, RecvOp, SendRecvOp, BarrierOp, WaitOp)):
+        elif isinstance(op, (SendOp, RecvOp, SendRecvOp, WaitOp)):
             proc.state = _State.BLOCKED
             proc.pending = op
             proc.post_time = proc.clock
-            if isinstance(op, BarrierOp):
-                self._barrier_count += 1
             if self.trace:
                 self._trace(proc, "post", repr(op))
         else:
@@ -622,28 +609,6 @@ class Simulator:
         if self.trace:
             self._trace(a, "exch", f"with {b.rank} out={aop.nbytes}B in={bop.nbytes}B")
             self._trace(b, "exch", f"with {a.rank} out={bop.nbytes}B in={aop.nbytes}B")
-        return True
-
-    def _try_release_barrier(self) -> bool:
-        waiters = self._barrier_count
-        if not waiters or waiters < self.num_ranks - self._done_count:
-            return False  # no barrier, or someone has not arrived yet
-        waiting = [p for p in self._procs if isinstance(p.pending, BarrierOp)]
-        if waiters < self.num_ranks:
-            ranks = sorted(p.rank for p in waiting)
-            raise SimulationError(
-                f"barrier posted by ranks {ranks} but other ranks already exited; "
-                "every rank must reach every barrier"
-            )
-        depth = math.ceil(math.log2(self.num_ranks)) if self.num_ranks > 1 else 0
-        arrival = max(p.post_time for p in waiting)
-        release = arrival + self.model.ts * depth
-        self._barrier_count = 0
-        for p in waiting:
-            self._complete_comm(p, arrival, release)
-            p.resume_value = None
-            if self.trace:
-                self._trace(p, "barrier", f"released t={release:.6f}")
         return True
 
     def _complete_comm(

@@ -40,11 +40,11 @@ from ..cluster.context import RankContext
 from ..cluster.stats import PRE_STAGE
 from ..errors import CompositingError, WireFormatError
 from ..render.image import SubImage
-from ..types import PIXEL_BYTES, RECT_INFO_BYTES, Rect
+from ..types import Rect
 from ..volume.partition import PartitionPlan, depth_order
 from .base import CompositeOutcome, Compositor, composite_at, composite_rect_pixels
 from .rect import find_bounding_rect
-from .wire import pack_bsbr, pack_rle, unpack_bsbr, unpack_rle
+from .wire import bsbr_nbytes, pack_bsbr, pack_rle, unpack_bsbr, unpack_rle
 from .over import over
 
 __all__ = ["DirectSend", "DirectSendAsync", "BinaryTreeCompression", "ParallelPipeline", "strip_rect"]
@@ -372,13 +372,8 @@ class _Partial:
         partial = _Partial(strip)
 
         def _read(offset: int, into_i: np.ndarray, into_a: np.ndarray) -> int:
-            if len(raw) < offset + RECT_INFO_BYTES:
-                raise WireFormatError("pipeline partial truncated")
-            head = raw[offset : offset + RECT_INFO_BYTES]
-            rect = Rect.from_int16_array(np.frombuffer(head, dtype="<i2"))
-            length = RECT_INFO_BYTES + (0 if rect.is_empty else rect.area * PIXEL_BYTES)
-            rect_msg = raw[offset : offset + length]
-            got_rect, block_i, block_a = unpack_bsbr(rect_msg)
+            length = bsbr_nbytes(raw, offset)
+            got_rect, block_i, block_a = unpack_bsbr(raw[offset : offset + length])
             if not got_rect.is_empty:
                 # Accumulator planes are strip-local, and so was the rect
                 # computed by pack(): index directly.

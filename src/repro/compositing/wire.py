@@ -67,6 +67,7 @@ __all__ = [
     "unpack_bs",
     "pack_bsbr",
     "unpack_bsbr",
+    "bsbr_nbytes",
     "pack_bslc",
     "unpack_bslc",
     "pack_bsbrc",
@@ -232,6 +233,13 @@ def unpack_bsbr(msg: bytes) -> tuple[Rect, np.ndarray | None, np.ndarray | None]
     if rect.is_empty:
         return rect, None, None
     return (rect, *unpack_bs(msg[RECT_INFO_BYTES:], rect))
+
+
+def bsbr_nbytes(buf: bytes, offset: int = 0) -> int:
+    """Length of the BSBR message that starts at ``buf[offset]``, read
+    from its rect info (for BSBR messages packed back to back)."""
+    rect = _unpack_rect_info(buf[offset : offset + RECT_INFO_BYTES], "BSBR")
+    return RECT_INFO_BYTES + (0 if rect.is_empty else rect.area * PIXEL_BYTES)
 
 
 def pack_bslc(

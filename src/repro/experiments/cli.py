@@ -166,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "checkpoint-resume (replay every rank from the "
                           "last stage all ranks checkpointed); both replays "
                           "are lossless on sim and mp (default: degrade)")
-    run.add_argument("--heartbeat-interval", type=float, default=None,
-                     help="mp worker liveness heartbeat period in seconds; "
-                          "0 disables heartbeats (default: 0.25)")
     _add_topology_options(run)
     explore = sub.add_parser(
         "explore",
@@ -446,7 +443,6 @@ def _run_one(args, command: str) -> None:
                 backend=getattr(args, "backend", "sim"),
                 comm_timeout=getattr(args, "comm_timeout", None),
                 recovery=getattr(args, "recovery", None) or "degrade",
-                heartbeat_interval=getattr(args, "heartbeat_interval", None),
                 topology=getattr(args, "topology", "flat"),
                 link_capacity=getattr(args, "links", None),
             )

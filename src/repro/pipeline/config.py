@@ -74,9 +74,6 @@ class RunConfig:
     #: ("abort" < "degrade" < "respawn" < "checkpoint-resume"); the two
     #: strongest replay every rank in lockstep (see DESIGN.md §5.4).
     recovery: str = "degrade"
-    #: Worker liveness-stamp spacing in seconds on the mp backend;
-    #: ``None`` uses the backend default, ``0`` disables heartbeats.
-    heartbeat_interval: float | None = None
     #: Interconnect topology for the simulator: "flat" (the paper's
     #: contention-free link, default) or a spec string understood by
     #: :func:`repro.cluster.model.make_network` such as
@@ -130,10 +127,6 @@ class RunConfig:
             raise ConfigurationError(
                 f"unknown recovery policy {self.recovery!r}; "
                 f"choose from {RECOVERY_POLICIES}"
-            )
-        if self.heartbeat_interval is not None and self.heartbeat_interval < 0:
-            raise ConfigurationError(
-                f"heartbeat_interval must be >= 0 seconds, got {self.heartbeat_interval}"
             )
         if self.link_capacity is not None and not (self.link_capacity > 0):
             raise ConfigurationError(

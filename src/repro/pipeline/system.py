@@ -285,10 +285,9 @@ class SortLastSystem:
 
         Every engine run of this call — the first try and a recovery
         re-run — is one ``attempt`` of the same rank program with the
-        same substrate options (machine, network, timeout, heartbeat,
-        ``trace``, ``schedule_policy``, ``progress``); a re-run changes
-        only what :meth:`_recover` returns, and never re-arms the fault
-        plan.
+        same substrate options (machine, network, timeout, ``trace``,
+        ``schedule_policy``, ``progress``); a re-run changes only what
+        :meth:`_recover` returns, and never re-arms the fault plan.
 
         ``schedule_policy`` (a
         :class:`~repro.cluster.schedule_policy.SchedulePolicy`,
@@ -377,7 +376,6 @@ class SortLastSystem:
                     model=cfg.machine,
                     trace=trace,
                     timeout=cfg.comm_timeout,
-                    heartbeat=cfg.heartbeat_interval,
                     network=network,
                     schedule_policy=schedule_policy,
                 )

@@ -140,17 +140,6 @@ class Rect:
             )
         raise ValueError(f"axis must be 0 or 1, got {axis}")
 
-    def as_int16_array(self) -> np.ndarray:
-        """Pack the corner coordinates as four int16 (8 wire bytes)."""
-        return np.array([self.y0, self.x0, self.y1, self.x1], dtype=np.int16)
-
-    @staticmethod
-    def from_int16_array(arr: np.ndarray) -> "Rect":
-        if arr.shape != (4,):
-            raise ValueError(f"expected 4 coordinates, got shape {arr.shape}")
-        y0, x0, y1, x1 = (int(v) for v in arr)
-        return Rect(y0, x0, y1, x1).normalized()
-
 
 @dataclass(frozen=True, slots=True)
 class Extent3:

@@ -72,8 +72,7 @@ class LockstepSimulator(Simulator):
                 matched |= self._try_match_exchange(proc, op)
             elif isinstance(op, WaitOp):
                 matched |= self._try_complete_wait(proc, op)
-            # SendOp is matched from the receiver's side; BarrierOp below.
-        matched |= self._try_release_barrier()
+            # SendOp is matched from the receiver's side.
         return matched
 
     def _schedule(self, proc) -> None:

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import random_subimages, rendered_workload, reference_image
 from repro.cluster.model import IDEALIZED, SP2
-from repro.compositing.baselines import strip_rect
-from repro.errors import CompositingError
+from repro.compositing.baselines import _Partial, strip_rect
+from repro.errors import CompositingError, WireFormatError
 from repro.pipeline.system import assemble_final, run_compositing
+from repro.types import Rect
 
 
 class TestStripRect:
@@ -101,6 +102,26 @@ class TestParallelPipeline:
         for (y0a, y1a), (y0b, y1b) in zip(owned, owned[1:]):
             assert y1a == y0b
 
+    @pytest.mark.parametrize(
+        "num_ranks, stage_bytes",
+        [
+            (2, [0, 6176]),
+            (4, [0, 1424, 7280, 8352]),
+            (8, [0, 2592, 3248, 4816, 7568, 8976, 9408, 10592]),
+        ],
+    )
+    def test_per_stage_bytes_pinned(self, num_ranks, stage_bytes):
+        """Bytes each stage moves, summed over ranks (pre-stage first)."""
+        subimages, plan, camera = rendered_workload("engine_low", num_ranks)
+        run = run_compositing(list(subimages), "pipeline", plan, camera.view_dir, SP2)
+        stages = sorted(run.stats.rank_stats[0].stages)
+        for direction in ("bytes_sent", "bytes_recv"):
+            totals = [
+                sum(getattr(rs.stage(k), direction) for rs in run.stats.rank_stats)
+                for k in stages
+            ]
+            assert totals == stage_bytes, direction
+
     def test_p_minus_one_transfer_steps(self):
         subimages, plan, camera = rendered_workload("engine_low", 8)
         run = run_compositing(list(subimages), "pipeline", plan, camera.view_dir, SP2)
@@ -131,3 +152,33 @@ class TestParallelPipeline:
         run = run_compositing(list(subimages), "pipeline", plan, camera.view_dir, SP2)
         final = assemble_final(run.outcomes, 48, 48)
         assert final.max_abs_diff(reference) < 1e-9
+
+
+class TestPipelinePartialWire:
+    """A partial crosses the wire as two BSBR messages, front then back."""
+
+    @staticmethod
+    def _packed():
+        strip = Rect(0, 0, 4, 6)
+        partial = _Partial(strip)
+        partial.front_i[1:3, 2:4] = 0.5
+        partial.front_a[1:3, 2:4] = 0.25
+        partial.back_i[0, 0] = partial.back_a[0, 0] = 1.0
+        return strip, partial, partial.pack().buffer
+
+    def test_roundtrip(self):
+        strip, partial, raw = self._packed()
+        got = _Partial.unpack(raw, strip)
+        for plane in ("front_i", "front_a", "back_i", "back_a"):
+            assert np.array_equal(getattr(got, plane), getattr(partial, plane)), plane
+
+    @pytest.mark.parametrize("cut", [5, 20, -1])
+    def test_truncated_rejected(self, cut):
+        strip, _, raw = self._packed()
+        with pytest.raises(WireFormatError):
+            _Partial.unpack(raw[:cut], strip)
+
+    def test_trailing_bytes_rejected(self):
+        strip, _, raw = self._packed()
+        with pytest.raises(WireFormatError, match="trailing bytes"):
+            _Partial.unpack(raw + b"\x00", strip)

@@ -83,7 +83,6 @@ class TestRawPrograms:
                     nbytes //= 2
                     await ctx.sendrecv(rank ^ (1 << k), b"x", nbytes=nbytes, tag=k)
                     await ctx.compute(0.25)
-                await ctx.barrier()
 
             return program()
 
@@ -116,7 +115,6 @@ class TestRawPrograms:
                     await ctx.send(rank + 1, b"q", nbytes=64, tag=1)
                 else:
                     await ctx.recv(rank - 1, tag=1)
-                await ctx.barrier()
 
             return program()
 

@@ -331,7 +331,6 @@ class TestEnginePlumbing:
     def test_tie_decisions_recorded_and_replayable(self):
         async def program(ctx):
             await ctx.compute(1e-3)
-            await ctx.barrier()
             return ctx.rank
 
         policy = RandomPolicy(5)

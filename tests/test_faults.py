@@ -289,8 +289,19 @@ async def _sudden_death_program(ctx):
     return None
 
 
+async def _sudden_death_irecv_program(ctx):
+    """Rank 0 waits on a posted irecv, the tile router's shape."""
+    if ctx.rank == 1:
+        os._exit(17)
+    request = await ctx.irecv(1, tag=0)
+    await ctx.isend(1, b"tile", tag=0)
+    return await ctx.wait(request)
+
+
 async def _never_sent_program(ctx):
     if ctx.rank == 0:
+        ctx.fault_checkpoint("composite")
+        ctx.begin_stage(2)
         return await ctx.recv(1, tag=0)  # rank 1 never sends
     return None
 
@@ -316,9 +327,23 @@ class TestMPSupervisor:
         # Fail-fast: far below the 60 s receive timeout.
         assert elapsed < 5.0
 
+    def test_dead_worker_detected_fast_under_irecv(self):
+        start = time.monotonic()
+        with pytest.raises(RankFailedError) as err:
+            run_rank_programs_mp(2, _sudden_death_irecv_program, timeout=60)
+        elapsed = time.monotonic() - start
+        assert err.value.rank == 1
+        assert "exited with code 17" in str(err.value)
+        assert elapsed < 5.0
+
     def test_missing_sender_raises_typed_deadlock(self):
-        with pytest.raises(DeadlockError, match=r"recv from rank 1 \(tag 0\)"):
+        start = time.monotonic()
+        with pytest.raises(DeadlockError, match=r"recv from rank 1 \(tag 0\)") as err:
             run_rank_programs_mp(2, _never_sent_program, timeout=2)
+        assert time.monotonic() - start >= 2.0  # only after comm_timeout
+        assert err.value.phase == "composite"
+        assert err.value.stage == 2
+        assert err.value.peer == 1
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,6 @@ def _cfg(method, backend="sim", **overrides):
         dataset="engine_low", volume_shape=(24, 24, 12), image_size=72, num_ranks=8,
         rot_x=20.0, rot_y=30.0, method_options={"tile": 16},
     )
-    if backend == "mp":
-        kwargs["heartbeat_interval"] = 2.0
     kwargs.update(overrides)
     return RunConfig(method=method, backend=backend, **kwargs)
 

@@ -19,9 +19,7 @@ SMALL = dict(image_size=32, volume_shape=(32, 32, 16))
 # Programs must be module-level (picklable / fork-visible).
 async def _echo_program(ctx):
     peer = ctx.rank ^ 1
-    reply = await ctx.sendrecv(peer, f"hello-from-{ctx.rank}", tag=1)
-    await ctx.barrier()
-    return reply
+    return await ctx.sendrecv(peer, f"hello-from-{ctx.rank}", tag=1)
 
 
 async def _ring_program(ctx):
@@ -45,7 +43,7 @@ async def _counter_program(ctx):
 async def _failing_program(ctx):
     if ctx.rank == 1:
         raise ValueError("intentional")
-    await ctx.barrier()
+    await ctx.recv(1)
 
 
 async def _yielding_program(ctx):
@@ -55,7 +53,7 @@ async def _yielding_program(ctx):
 
 
 class TestRawBackend:
-    def test_sendrecv_and_barrier(self):
+    def test_sendrecv(self):
         result = run_rank_programs_mp(2, _echo_program, timeout=30)
         assert result.returns == ["hello-from-1", "hello-from-0"]
 
@@ -85,7 +83,7 @@ class TestRawBackend:
             run_rank_programs_mp(0, _echo_program)
 
     def test_context_validation(self):
-        ctx = MPRankContext(0, 2, None, None, 1.0)
+        ctx = MPRankContext(0, 2, None, 1.0)
         with pytest.raises(ConfigurationError):
             ctx._check_peer(5)
         with pytest.raises(ConfigurationError):

@@ -160,7 +160,7 @@ class TestOneRunPath:
         backend, feed = _RecordingBackend(), _CountingFeed()
         cfg = RunConfig(
             dataset="engine_low", method="bsbrc", comm_timeout=7.0,
-            heartbeat_interval=0.0, topology="fat-tree:radix=4", **SMALL,
+            topology="fat-tree:radix=4", **SMALL,
         )
         try:
             result = SortLastSystem(cfg).run(
@@ -178,9 +178,9 @@ class TestOneRunPath:
         (prog_a, args_a, opts_a), (prog_b, args_b, opts_b) = calls
         assert prog_a is prog_b and len(args_a) == len(args_b)
         assert opts_a.keys() == opts_b.keys()
-        for name in ("model", "timeout", "heartbeat", "network", "trace", "schedule_policy"):
+        for name in ("model", "timeout", "network", "trace", "schedule_policy"):
             assert opts_a[name] is opts_b[name] or opts_a[name] == opts_b[name], name
-        assert (opts_a["timeout"], opts_a["heartbeat"], opts_a["trace"]) == (7.0, 0.0, True)
+        assert (opts_a["timeout"], opts_a["trace"]) == (7.0, True)
         assert opts_a["network"] is not None and opts_a["schedule_policy"] is not None
         # Only the first attempt is armed; the feed rides along on both.
         assert self.CRASH in args_a and self.CRASH not in args_b

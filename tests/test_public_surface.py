@@ -28,7 +28,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: marcher, the MPI substrate, BSLC's index-array parts, the
 #: reference implementations that moved to ``tests/oracles.py`` with the
 #: collectives nothing called, the second sparse folds, rect
-#: helpers and result views, and the mp supervisor's in-place respawn
+#: helpers and result views, the mp supervisor's in-place respawn, and
+#: the transport's heartbeats, send retries and unused ``barrier`` verb
 #: (CHANGELOG lists each with its replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
@@ -97,6 +98,12 @@ REMOVED_NAMES = {
     "respawn_budget",
     "_drop_older",
     "_total_msgs_sent",
+    "heartbeat_interval",
+    "HEARTBEAT_INTERVAL",
+    "RETRANSMIT_BUDGET",
+    "BarrierOp",
+    "barrier",
+    "_try_release_barrier",
 }
 
 #: Classes that carried one of the removed names as a second view.
@@ -108,6 +115,7 @@ REMOVED_FROM_CLASSES = (
     "repro.cluster.mp_backend.MPRankContext",
     "repro.cluster.mp_backend.MPRunResult",
     "repro.cluster.protocol.BaseRankContext",
+    "repro.cluster.context.RankContext",
     "repro.cluster.recovery.RecoveryPolicy",
     "repro.cluster.recovery.DiskCheckpointStore",
     "repro.pipeline.config.RunConfig",
@@ -286,7 +294,7 @@ def test_recovery_has_one_path(tmp_path):
     for accepts in (Backend.run, SimBackend.run, MPBackend.run):
         assert list(inspect.signature(accepts).parameters) == [
             "self", "num_ranks", "program", "args", "model", "trace",
-            "timeout", "heartbeat", "network", "schedule_policy",
+            "timeout", "network", "schedule_policy",
         ], accepts
     assert "respawn" not in inspect.signature(run_rank_programs_mp).parameters
     assert list(inspect.signature(DiskCheckpointStore.__init__).parameters) == [
@@ -295,6 +303,20 @@ def test_recovery_has_one_path(tmp_path):
     assert not hasattr(DiskCheckpointStore(str(tmp_path)), "compact")
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "--respawn-budget", "2"])
+
+
+def test_mp_transport_has_one_death_detector():
+    """The supervisor's sentinels detect a dead rank and the receive
+    timeout a hung one: no worker thread stamps liveness, and no shared
+    array or barrier crosses the fork."""
+    from repro.cluster import mp_backend
+    from repro.experiments.cli import build_parser
+
+    source = inspect.getsource(mp_backend)
+    assert "threading" not in source
+    assert ".Array(" not in source and ".Barrier(" not in source
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--heartbeat-interval", "1"])
 
 
 def test_version_has_one_source():

@@ -14,9 +14,9 @@ The acceptance contract:
 * every recovery action lands as a structured event in the run
   timeline, and every fault event exactly once.
 
-The small pieces — stores, policies, heartbeat staleness, enriched
-``DeadlockError`` diagnostics, the retransmit-counter accounting fix —
-are unit-tested alongside.
+The small pieces — stores, policies, enriched ``DeadlockError``
+diagnostics, transport failures that name their peer — are unit-tested
+alongside.
 """
 
 from __future__ import annotations
@@ -25,17 +25,12 @@ import os
 import pickle
 import queue as queue_mod
 import signal
-import time
 
 import numpy as np
 import pytest
 
 from repro.cluster.faults import FaultPlan, FaultRule
-from repro.cluster.mp_backend import (
-    RETRANSMIT_BUDGET,
-    MPRankContext,
-    _stale_after,
-)
+from repro.cluster.mp_backend import MPRankContext
 from repro.cluster.protocol import drive
 from repro.cluster.recovery import (
     RECOVERY_POLICIES,
@@ -373,8 +368,6 @@ class TestRecoveryPolicy:
     def test_run_config_validates_recovery_fields(self):
         with pytest.raises(ConfigurationError):
             RunConfig(recovery="nope")
-        with pytest.raises(ConfigurationError):
-            RunConfig(heartbeat_interval=-1.0)
 
     def test_abort_policy_reraises(self):
         plan = FaultPlan(rules=(FaultRule(kind="crash", rank=1, stage=0),), seed=3)
@@ -517,60 +510,59 @@ class TestCheckpointStores:
 # Liveness and diagnosability satellites
 # ---------------------------------------------------------------------------
 class _EmptyChannel:
+    def __init__(self):
+        self.timeouts = []
+
     def get(self, timeout=None):
+        self.timeouts.append(timeout)
         raise queue_mod.Empty
 
 
-class _FullChannel:
-    def put(self, frame, timeout=None):
-        raise queue_mod.Full
+class _BrokenChannel:
+    def __init__(self):
+        self.puts = 0
+
+    def put(self, frame):
+        self.puts += 1
+        raise OSError("broken pipe")
 
 
 class TestLivenessAndDiagnostics:
-    def test_stale_heartbeat_fails_long_before_timeout(self):
+    def test_receive_timeout_names_phase_stage_and_peer(self):
         queues = [[None, None], [_EmptyChannel(), None]]
-        heartbeats = [0.0, time.monotonic() - 100.0]  # peer long dead
-        ctx = MPRankContext(
-            0, 2, queues, None, 60.0, heartbeats=heartbeats,
-            heartbeat_interval=0.25,
-        )
+        ctx = MPRankContext(0, 2, queues, 0.3)
         ctx.fault_checkpoint("composite")
         ctx.begin_stage(1)
-        start = time.monotonic()
         with pytest.raises(DeadlockError) as err:
-            drive(ctx.recv(1))
-        assert time.monotonic() - start < 10.0  # not the 60s timeout
+            drive(ctx.recv(1, tag=4))
         assert err.value.peer == 1
         assert err.value.phase == "composite"
         assert err.value.stage == 1
-        assert "stopped heartbeating" in str(err.value)
+        assert "recv from rank 1 (tag 4) timed out after 0.3s" in str(err.value)
 
-    def test_never_stamped_heartbeat_is_not_stale(self):
-        """Slot 0.0 means the peer has not started yet — the receiver
-        must wait out its normal timeout, not declare death."""
-        queues = [[None, None], [_EmptyChannel(), None]]
-        ctx = MPRankContext(
-            0, 2, queues, None, 0.3, heartbeats=[0.0, 0.0],
-            heartbeat_interval=0.25,
-        )
+    def test_silent_peer_waits_out_the_whole_timeout(self):
+        """A peer that has sent nothing yet is not declared dead early:
+        only the supervisor detects a death, so the receiver waits its
+        full ``comm_timeout`` before the plain-timeout error."""
+        channel = _EmptyChannel()
+        queues = [[None, None], [channel, None]]
+        ctx = MPRankContext(0, 2, queues, 0.3)
         with pytest.raises(DeadlockError) as err:
             drive(ctx.recv(1))
-        assert "timed out" in str(err.value)  # the plain-timeout path
+        assert channel.timeouts == [0.3]  # one wait, the whole timeout
+        assert "timed out" in str(err.value)
 
-    def test_stale_after_floor(self):
-        assert _stale_after(0.25) == 2.5
-        assert _stale_after(1.0) == 10.0
-
-    def test_retransmit_exhaustion_accounts_attempts_and_names_peer(self):
-        queues = [[None, _FullChannel()], [None, None]]
-        ctx = MPRankContext(0, 2, queues, None, 0.01)
+    def test_failed_send_names_peer_and_stage(self):
+        channel = _BrokenChannel()
+        queues = [[None, channel], [None, None]]
+        ctx = MPRankContext(0, 2, queues, 0.01)
         ctx.begin_stage(1)
         with pytest.raises(SimulationError) as err:
             drive(ctx.send(1, b"payload"))
         message = str(err.value)
         assert "to rank 1" in message and "stage 1" in message
-        # The satellite fix: attempts are accounted even on the raise.
-        assert ctx.stats.counter_total("retransmits") == RETRANSMIT_BUDGET
+        assert channel.puts == 1  # one put, no retries
+        assert ctx.stats.stage(1).msgs_sent == 0  # nothing accounted
 
     def test_deadlock_error_carries_location(self):
         err = DeadlockError(

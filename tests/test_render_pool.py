@@ -175,7 +175,7 @@ class TestEquivalence:
     def test_mp_and_fused_paths_render_in_the_rank(self, pool):
         submitted = pool.submitted
         _run(_cfg("tile-routed:rect-rle", 4, method_options={"tile": 16}), pool)
-        _run(_cfg("bsbrc", 4, backend="mp", heartbeat_interval=2.0), pool)
+        _run(_cfg("bsbrc", 4, backend="mp"), pool)
         assert pool.submitted == submitted
 
     def test_concurrent_sessions_account_separately(self, pool, monkeypatch):

@@ -175,33 +175,6 @@ class TestSendRecv:
         assert all(r == [0, 1, 2, 3] for r in result.returns)
 
 
-class TestBarrier:
-    def test_barrier_aligns_clocks(self):
-        async def program(ctx):
-            await ctx.compute(float(ctx.rank))
-            await ctx.barrier()
-            return ctx.stats.comp_time
-
-        result = run(4, program, model=IDEALIZED)
-        assert result.makespan == pytest.approx(3.0)
-
-    def test_barrier_cost_logarithmic(self):
-        async def program(ctx):
-            await ctx.barrier()
-
-        result = run(8, program, model=UNIT)
-        assert result.makespan == pytest.approx(3.0)  # Ts * log2(8)
-
-    def test_barrier_after_exit_is_error(self):
-        async def program(ctx):
-            if ctx.rank == 0:
-                return  # exits without reaching the barrier
-            await ctx.barrier()
-
-        with pytest.raises(SimulationError):
-            run(2, program)
-
-
 class TestFailureModes:
     def test_deadlock_reports_blocked_ranks(self):
         async def program(ctx):
@@ -215,7 +188,7 @@ class TestFailureModes:
         async def program(ctx):
             if ctx.rank == 1:
                 raise ValueError("boom")
-            await ctx.barrier()
+            await ctx.recv(1)
 
         with pytest.raises(RankFailedError) as excinfo:
             run(2, program)

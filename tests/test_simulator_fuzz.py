@@ -26,7 +26,7 @@ COMMON = dict(
 
 # One program step per stage: which pattern the ranks run, plus knobs.
 step_strategy = st.tuples(
-    st.sampled_from(["exchange", "ring", "compute", "nonblocking", "barrier"]),
+    st.sampled_from(["exchange", "ring", "compute", "nonblocking"]),
     st.integers(0, 2**16),  # payload-size seed
     st.integers(0, 2),      # stage-local bit (exchange distance etc.)
 )
@@ -66,7 +66,7 @@ def build_program(num_ranks, steps):
                 received.append(got[0])
             elif kind == "compute":
                 await ctx.compute((seed % 100) * 1e-6, kind="fuzz", count=1)
-            elif kind == "nonblocking":
+            else:  # nonblocking
                 peer = ctx.rank ^ 1
                 if peer < num_ranks:
                     recv_req = await ctx.irecv(peer, tag=1000 + index)
@@ -76,8 +76,6 @@ def build_program(num_ranks, steps):
                     data = await ctx.wait(recv_req)
                     await ctx.wait(send_req)
                     received.append(len(data))
-            else:  # barrier
-                await ctx.barrier()
         return received
 
     return program

@@ -51,10 +51,6 @@ SMALL = dict(dataset="engine_low", volume_shape=(24, 24, 12), image_size=32)
 
 def _pipeline(method: str, num_ranks: int, backend: str, **overrides):
     cfg_kwargs = dict(SMALL)
-    if backend == "mp":
-        # The P=16 matrix oversubscribes CI cores; a generous heartbeat
-        # keeps peer-liveness checks from false-positiving under load.
-        cfg_kwargs["heartbeat_interval"] = 2.0
     cfg_kwargs.update(overrides)
     cfg = RunConfig(method=method, num_ranks=num_ranks, backend=backend, **cfg_kwargs)
     return SortLastSystem(cfg).run()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.types import Extent3, Rect
+from repro.compositing.wire import bsbr_nbytes, pack_bsbr, unpack_bsbr
+from repro.errors import WireFormatError
+from repro.types import RECT_INFO_BYTES, Extent3, Rect
 
 
 class TestRectBasics:
@@ -128,16 +130,23 @@ class TestRectSplit:
 
 
 class TestRectSerialization:
+    """A rect crosses the wire as the 8-byte ``int16[4]`` rect info."""
+
     def test_int16_roundtrip(self):
         r = Rect(1, 2, 300, 400)
-        assert Rect.from_int16_array(r.as_int16_array()) == r
+        planes = np.zeros((300, 400)), np.zeros((300, 400))
+        msg = pack_bsbr(*planes, r).buffer
+        assert unpack_bsbr(msg)[0] == r
+        assert bsbr_nbytes(msg) == len(msg)
 
     def test_int16_empty_roundtrip(self):
-        assert Rect.from_int16_array(Rect.empty().as_int16_array()).is_empty
+        msg = pack_bsbr(np.zeros((2, 2)), np.zeros((2, 2)), Rect.empty()).buffer
+        assert unpack_bsbr(msg)[0].is_empty
+        assert bsbr_nbytes(msg) == RECT_INFO_BYTES
 
     def test_int16_bad_shape(self):
-        with pytest.raises(ValueError):
-            Rect.from_int16_array(np.zeros(3, dtype=np.int16))
+        with pytest.raises(WireFormatError):
+            bsbr_nbytes(b"\x00" * 6)  # three of the four coordinates
 
     def test_slices_index_correct_block(self):
         arr = np.arange(20).reshape(4, 5)

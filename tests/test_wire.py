@@ -1,5 +1,7 @@
 """Tests for the byte-level message formats (pack/unpack + accounting)."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -184,7 +186,7 @@ class TestBSBRC:
         assert brc.accounted_bytes <= br.accounted_bytes + ncodes * RLE_CODE_BYTES
 
     def test_truncated_rejected(self):
-        rect_bytes = Rect(0, 0, 2, 2).as_int16_array().astype("<i2").tobytes()
+        rect_bytes = struct.pack("<4h", 0, 0, 2, 2)
         with pytest.raises(WireFormatError):
             unpack_bsbrc(rect_bytes + b"\x01")
 
