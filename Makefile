@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-quick bench-scale bench-tile bench-e2e bench-e2e-smoke bench-pairs chaos explore explore-smoke grid serve-smoke serve-chaos soak verify lint results quick clean
+.PHONY: install test bench bench-e2e bench-e2e-smoke bench-pairs chaos explore explore-smoke grid serve-smoke serve-chaos soak verify lint results quick clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -12,23 +12,6 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-# Seconds-fast hot-path speedup report (no baseline write).
-bench-quick:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpaths.py --smoke
-
-# Simulator-scale smoke: reduced P=256 event-vs-lockstep + compositing
-# runs, failing when any workload takes > 2x the committed baseline in
-# BENCH_sim_scale.json (the CI wall-clock regression guard).
-bench-scale:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_sim_scale.py --smoke --check
-
-# Tile-routed latency smoke: small-P latency-to-first-pixel sweep with
-# bit-identity asserted against binary-swap:raw, failing when any
-# workload takes > 2x the committed baseline in BENCH_tile.json or the
-# P=64 first-pixel advantage drops below its 2x floor.
-bench-tile:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_tile.py --smoke --check
 
 # End-to-end benchmark (BENCHMARK.json): six workloads from a one-shot
 # frame to a spooled job, every output checked, compared against
@@ -128,13 +111,12 @@ grid:
 
 # What CI gates on: the tier-1 suite, then the end-to-end harness's own
 # tests (19 tests, ~21 s: golden digests and modelled clocks — the
-# bit-identity gate every simplicity change leans on), plus the hot-path
-# regression check.  Ends with the source line count, the before-number
-# of the next simplicity change.
+# bit-identity gate every simplicity change leans on).  Ends with the
+# source line count, the before-number of the next simplicity change.
+# Timing is the end-to-end benchmark's job (bench-e2e, bench-pairs).
 verify:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/e2e -q
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpaths.py --smoke --check
 	@echo "source lines: $$(find src -name '*.py' | xargs wc -l | tail -1)"
 
 # Static checks (config in pyproject.toml [tool.ruff]); CI runs the same.

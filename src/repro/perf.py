@@ -1,7 +1,7 @@
 """Lightweight performance counters and timers for the hot paths.
 
 The renderer, the codecs and the experiment harness account their work
-here so that benchmarks (``benchmarks/bench_hotpaths.py``) and curious
+here so that benchmarks (``benchmarks/e2e/``) and curious
 users can see *where* time and bytes go without attaching a profiler.
 
 Design constraints:

@@ -215,7 +215,8 @@ class JobTicket:
         self.deadline_at = (
             None if deadline_s is None else self.submitted_at + float(deadline_s)
         )
-        #: Lifecycle: queued -> running -> (done) | shed | cancelled.
+        #: queued -> running -> done | failed | deadline, or it ends shed
+        #: (queued) or cancelled; the service writes it under its lock.
         self.state = "queued"
 
     def stream(self, timeout: Optional[float] = None) -> Iterator[ProgressEvent]:
@@ -245,10 +246,9 @@ class JobTicket:
         except InvalidStateError:
             return False
 
-    def _abandon(self, exc: BaseException, state: str) -> None:
+    def _abandon(self, exc: BaseException) -> None:
         """Resolve + close the stream so no consumer of this ticket —
         ``result()``, ``stream()``, or a spool writer — can hang."""
-        self.state = state
         self._resolve(exc=exc)
         if self.feed is not None:
             self.feed.close()
@@ -268,7 +268,6 @@ class RenderService:
         base_config: RunConfig,
         *,
         max_workers: int = 2,
-        pool: Optional[WorkerPool] = None,
         queue_limit: Optional[int] = None,
         shed_policy: str = "block",
     ):
@@ -282,7 +281,7 @@ class RenderService:
                 f"queue_limit must be >= 1 (or None for unbounded), got {queue_limit}"
             )
         self.base_config = base_config
-        self.pool = pool if pool is not None else WorkerPool(max_workers)
+        self.pool = WorkerPool(max_workers)
         self.queue_limit = queue_limit
         self.shed_policy = shed_policy
         self._sessions: dict[str, SessionHandle] = {}
@@ -402,6 +401,7 @@ class RenderService:
                 if victim is not None:
                     self._queued.remove(victim)
                     self.shed_jobs += 1
+                    victim.state = "shed"
                     victim._abandon(
                         JobShedError(
                             f"job {victim.job_id} ({victim.qos}) shed for an "
@@ -410,7 +410,6 @@ class RenderService:
                             policy=self.shed_policy,
                             queue_limit=self.queue_limit,
                         ),
-                        "shed",
                     )
                     self._record(
                         "shed", victim,
@@ -479,10 +478,7 @@ class RenderService:
             with self._admission:
                 if ticket in self._queued:
                     self._queued.remove(ticket)
-            ticket._abandon(
-                JobCancelledError(f"job {ticket.job_id} cancelled: service closing"),
-                "cancelled",
-            )
+                self._cancel([ticket], "cancelled: service closing")
             raise ConfigurationError("render service is shut down") from err
         return ticket
 
@@ -519,16 +515,10 @@ class RenderService:
                     result = handle.session.submit(ticket.job)
                 ticket.perf_report = registry.report()
         except BaseException as err:  # noqa: BLE001 - future carries it
-            if isinstance(err, DeadlineExceededError):
-                with self._lock:
-                    self.deadline_jobs += 1
-                self._record(
-                    "deadline", ticket,
-                    deadline_s=ticket.deadline_s, detail=str(err),
-                )
-            ticket._resolve(exc=err)
+            late = isinstance(err, DeadlineExceededError)
+            self._finish(ticket, "deadline" if late else "failed", exc=err)
         else:
-            ticket._resolve(result=result)
+            self._finish(ticket, "done", result=result)
         finally:
             # The system layer closes the feed after a run; close again
             # here (idempotent) so a pre-run failure can't hang a stream.
@@ -537,6 +527,32 @@ class RenderService:
             with self._admission:
                 self._running.discard(ticket)
                 self._admission.notify_all()
+
+    def _finish(self, ticket: JobTicket, state: str, *, result=None, exc=None) -> None:
+        """End a running ticket in ``state``, then settle its future.  A
+        ticket :meth:`close` abandoned first stays ``cancelled``."""
+        with self._lock:
+            if ticket.state != "running":
+                return
+            ticket.state = state
+            if state == "deadline":
+                self.deadline_jobs += 1
+                self._record("deadline", ticket, deadline_s=ticket.deadline_s, detail=str(exc))
+        ticket._resolve(result=result, exc=exc)
+
+    def _cancel(self, tickets, reason: str, **extra: Any) -> list[JobTicket]:
+        """End every queued or running ticket in ``tickets`` as
+        ``cancelled``: counted once and recorded once under the lock,
+        then settled with :class:`~repro.errors.JobCancelledError`."""
+        with self._lock:
+            live = [t for t in tickets if t.state in ("queued", "running")]
+            for ticket in live:
+                ticket.state = "cancelled"
+                self.cancelled_jobs += 1
+                self._record("cancelled", ticket, **extra)
+        for ticket in live:
+            ticket._abandon(JobCancelledError(f"job {ticket.job_id} {reason}"))
+        return live
 
     # ---- lifecycle ---------------------------------------------------------
     def close(
@@ -558,50 +574,29 @@ class RenderService:
         with self._admission:
             already_closed = self._closed
             self._closed = True
-            cancelled = list(self._queued)
+            # Inside the lock: a pool worker reaching _execute now sees
+            # the state flip and skips, instead of racing the cancellation.
+            cancelled = self._cancel(
+                self._queued,
+                f"cancelled: service closing ({'drain' if drain else 'abandon'})",
+                drain=drain,
+            )
             self._queued.clear()
-            for ticket in cancelled:
-                # Inside the lock: a pool worker reaching _execute now
-                # sees the state flip and skips, instead of racing the
-                # cancellation below.
-                ticket.state = "cancelled"
             handles = list(self._sessions.values())
             self._sessions.clear()
             self._admission.notify_all()  # wake blocked submitters
-        for ticket in cancelled:
-            self.cancelled_jobs += 1
-            ticket._abandon(
-                JobCancelledError(
-                    f"job {ticket.job_id} cancelled: service closing "
-                    f"({'drain' if drain else 'abandon'})"
-                ),
-                "cancelled",
-            )
-            self._record("cancelled", ticket, drain=drain)
         if not already_closed:
             self._record("drain", None, drain=drain, cancelled=len(cancelled))
         if drain:
             self.pool.shutdown(wait=True, timeout=timeout)
-        else:
-            joined = self.pool.shutdown(
-                wait=True,
-                timeout=10.0 if timeout is None else timeout,
-                cancel_futures=True,
-            )
-            # Anything still unresolved after the bounded join (a wedged
-            # render, or a pool item cancel_futures dropped before
-            # _execute ran) must not leak an unsettled future.
-            leftovers = list(self._running) if not joined else []
-            with self._lock:
-                pending = [t for t in leftovers if not t.future.done()]
-            for ticket in pending:
-                ticket._abandon(
-                    JobCancelledError(
-                        f"job {ticket.job_id} abandoned: service closed "
-                        "without drain"
-                    ),
-                    "cancelled",
-                )
+        elif not self.pool.shutdown(
+            wait=True,
+            timeout=10.0 if timeout is None else timeout,
+            cancel_futures=True,
+        ):
+            # A render still running after the bounded join must not
+            # leak an unsettled future.
+            self._cancel(self._running, "abandoned: service closed without drain", drain=False)
         for handle in handles:
             handle.session.close()
         return cancelled

@@ -23,8 +23,8 @@ Crash-survivability contract:
 * **Claims are leases.**  Claiming renames ``jobs/<id>.json`` to
   ``work/<id>.a1.json`` (attempt 1) and drops a heartbeat-stamped
   ``work/<id>.a1.lease.json`` beside it, refreshed by a server-side
-  heartbeat thread every ``heartbeat_s``.  A server that dies (SIGKILL,
-  OOM, power loss) simply stops heartbeating.
+  heartbeat thread every ``lease_s / 3`` (0.2 s at least).  A server
+  that dies (SIGKILL, OOM, power loss) simply stops heartbeating.
 * **Orphan reclamation.**  Any serving process — a restart, or a
   competitor sharing the spool — reclaims a work item whose lease is
   older than ``lease_s`` by atomically renaming it to the next attempt
@@ -641,7 +641,6 @@ def serve(
     queue_limit: Optional[int] = None,
     shed_policy: str = "block",
     lease_s: float = 15.0,
-    heartbeat_s: Optional[float] = None,
     max_attempts: int = 3,
     stop_event: Optional[threading.Event] = None,
 ) -> int:
@@ -656,11 +655,11 @@ def serve(
     waits on the doorbell, ``poll`` seconds at most.  With neither bound
     the loop serves until SIGTERM/``stop_event``, then drains
     gracefully: in-flight renders finish, queued claims go back to
-    ``jobs/``.
+    ``jobs/``.  Own leases are refreshed, and expired ones looked for,
+    every ``lease_s / 3`` seconds (0.2 s at least).
     """
     _ensure_layout(root)
-    if heartbeat_s is None:
-        heartbeat_s = max(lease_s / 3.0, 0.2)
+    heartbeat_s = max(lease_s / 3.0, 0.2)
     stop = stop_event if stop_event is not None else threading.Event()
     prev_handler = None
     if threading.current_thread() is threading.main_thread():

@@ -46,6 +46,57 @@ def assert_equivalent(results):
         assert re_.msgs_sent == rl.msgs_sent
 
 
+def ring_program(frames, nbytes, compute_s):
+    """Pipelined ring composite: each frame's token circulates the ring.
+
+    Fully serialized, so exactly one rank can progress at any virtual
+    instant: the lockstep engine rescans every rank per hop."""
+
+    def factory(ctx):
+        async def program():
+            size, rank = ctx.size, ctx.rank
+            for frame in range(frames):
+                if rank == 0:
+                    if frame:
+                        await ctx.recv(size - 1, tag=frame - 1)
+                    await ctx.send(1, b"t", nbytes=nbytes, tag=frame)
+                else:
+                    await ctx.recv(rank - 1, tag=frame)
+                    await ctx.compute(compute_s)
+                    await ctx.send((rank + 1) % size, b"t", nbytes=nbytes, tag=frame)
+            if rank == 0:
+                await ctx.recv(size - 1, tag=frames - 1)
+
+        return program()
+
+    return factory
+
+
+def swap_gather_program(frames):
+    """Binary-swap rounds plus a serialized root gather, per frame."""
+
+    def factory(ctx):
+        async def program():
+            size, rank = ctx.size, ctx.rank
+            for frame in range(frames):
+                ctx.begin_stage(frame)
+                nbytes = 16384
+                for k in range(size.bit_length() - 1):
+                    nbytes //= 2
+                    await ctx.sendrecv(
+                        rank ^ (1 << k), b"x", nbytes=nbytes, tag=frame * 64 + k
+                    )
+                if rank == 0:
+                    for src in range(1, size):
+                        await ctx.recv(src, tag=frame * 64 + 63)
+                else:
+                    await ctx.send(0, b"g", nbytes=256, tag=frame * 64 + 63)
+
+        return program()
+
+    return factory
+
+
 def per_rank_trace(sim):
     by_rank = {}
     for ev in sim.trace_events:
@@ -55,24 +106,15 @@ def per_rank_trace(sim):
 
 class TestRawPrograms:
     def test_ring_pipeline(self):
-        def factory(ctx):
-            async def program():
-                size, rank = ctx.size, ctx.rank
-                for frame in range(3):
-                    if rank == 0:
-                        if frame:
-                            await ctx.recv(size - 1, tag=frame - 1)
-                        await ctx.send(1, b"t", nbytes=512, tag=frame)
-                    else:
-                        await ctx.recv(rank - 1, tag=frame)
-                        await ctx.compute(0.5)
-                        await ctx.send((rank + 1) % size, b"t", nbytes=512, tag=frame)
-                if rank == 0:
-                    await ctx.recv(size - 1, tag=2)
+        assert_equivalent(run_both(8, ring_program(3, 512, 0.5)))
 
-            return program()
-
-        assert_equivalent(run_both(8, factory))
+    @pytest.mark.parametrize(
+        "program",
+        [ring_program(12, 1024, 1e-7), swap_gather_program(4)],
+        ids=["ring", "swap+gather"],
+    )
+    def test_p256_workloads(self, program):
+        assert_equivalent(run_both(256, program, SP2))
 
     def test_binary_swap_rounds(self):
         def factory(ctx):
@@ -195,16 +237,22 @@ class TestCompositingEquivalence:
         ("direct-async", {}),
         ("radix-k:rect-rle", {"radix": (4, 2)}),
     ]
+    #: (method, options, P, image side, fill): every family on a small
+    #: scene, and bsbrc at P=64 on the 96 px, 20 % fill scene.
+    CASES = [(m, o, 8, 32, 0.3) for m, o in METHODS] + [("bsbrc", {}, 64, 96, 0.2)]
 
-    @pytest.mark.parametrize("method,options", METHODS, ids=[m for m, _ in METHODS])
-    def test_methods_identical_across_engines(self, method, options):
+    @pytest.mark.parametrize(
+        "method,options,num_ranks,size,fill",
+        CASES,
+        ids=[m for m, _ in METHODS] + ["bsbrc-p64"],
+    )
+    def test_methods_identical_across_engines(self, method, options, num_ranks, size, fill):
         import numpy as np
 
-        num_ranks = 8
         plan = recursive_bisect((16, 16, 16), num_ranks)
         runs = {}
         for engine in ENGINES:
-            images = synthetic_subimages(num_ranks, 32, 0.3)
+            images = synthetic_subimages(num_ranks, size, fill)
             with lockstep() if engine == "lockstep" else contextlib.nullcontext():
                 runs[engine] = run_compositing(
                     images, method, plan, VIEW_DIR, SP2, **options

@@ -319,6 +319,16 @@ def test_mp_transport_has_one_death_detector():
         build_parser().parse_args(["run", "--heartbeat-interval", "1"])
 
 
+def test_service_knobs_stay_removed():
+    """The service builds its one pool from ``max_workers``, and the
+    spool refreshes a lease every third of ``lease_s``: neither is an
+    option."""
+    from repro.serving import RenderService, serve
+
+    assert "pool" not in inspect.signature(RenderService).parameters
+    assert "heartbeat_s" not in inspect.signature(serve).parameters
+
+
 def test_version_has_one_source():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))

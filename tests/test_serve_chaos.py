@@ -103,7 +103,7 @@ cfg = RunConfig(
     dataset="sphere", image_size=64, num_ranks=4, method="bsbrc",
     volume_shape=(32, 32, 16), backend=backend,
 )
-serve(spool, cfg, max_workers=1, lease_s=1.0, heartbeat_s=0.25, poll=0.01)
+serve(spool, cfg, max_workers=1, lease_s=1.0, poll=0.01)
 """
 
 

@@ -132,6 +132,7 @@ class TestConcurrentSessions:
             tickets = [service.submit(f"s{i}") for i in range(3)]
             for ticket in tickets:
                 ticket.result(timeout=120)
+                assert ticket.state == "done"
             assert service.pool.peak_active == 1
             assert service.pool.jobs_submitted == 3
 
@@ -172,6 +173,7 @@ class TestQoS:
             ticket = service.submit("s", RenderJob(fault_plan=_crash_plan()))
             with pytest.raises(RankFailedError):
                 ticket.result(timeout=120)
+            assert ticket.state == "failed"
 
     def test_lossless_session_recovers_bit_identically(self):
         with RenderService(_cfg(), max_workers=1) as service:
@@ -608,6 +610,7 @@ class TestDeadlines:
             gate.set()
             with pytest.raises(DeadlineExceededError, match="in the queue"):
                 late.result(timeout=30)
+            assert late.state == "deadline"
             assert service.deadline_jobs == 1
             assert [e["kind"] for e in service.events] == ["deadline"]
         finally:
@@ -625,6 +628,7 @@ class TestDeadlines:
             )
             with pytest.raises(DeadlineExceededError, match="boundary"):
                 ticket.result(timeout=120)
+            assert ticket.state == "deadline"
             assert ticket.feed.closed
 
     def test_generous_deadline_does_not_interfere(self):
@@ -699,6 +703,34 @@ class TestDrain:
             assert outcome and outcome[0] in ("admitted", "refused")
         finally:
             gate.set()
+
+    def test_every_cancelled_ticket_is_counted_once(self):
+        """Queued tickets and the running one an abandoning close()
+        leaves behind all end ``cancelled``: one count and one event
+        each, and a render finishing late does not change that."""
+        service = RenderService(_cfg(), max_workers=1)
+        handle = service.open_session("s")
+        gate, started = threading.Event(), threading.Event()
+
+        def _stuck(job):
+            started.set()
+            gate.wait(60)
+            raise RuntimeError("render released after close")
+
+        handle.session.submit = _stuck
+        tickets = [service.submit("s", stream=False) for _ in range(3)]
+        try:
+            assert started.wait(10)
+            assert service.close(drain=False, timeout=0.2) == tickets[1:]
+        finally:
+            gate.set()
+        service.pool.shutdown(wait=True)  # the released render ends late
+        assert [t.state for t in tickets] == ["cancelled"] * 3
+        for ticket in tickets:
+            with pytest.raises(JobCancelledError):
+                ticket.result(timeout=1)
+        kinds = [e["kind"] for e in service.events]
+        assert service.cancelled_jobs == kinds.count("cancelled") == 3
 
 
 class TestTornSpoolWrites:

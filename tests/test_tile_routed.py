@@ -31,6 +31,7 @@ from repro.compositing.tiles import (
     tile_flat_indices,
 )
 from repro.errors import CompositingError, ConfigurationError
+from repro.experiments.scale import VIEW_DIR, synthetic_subimages
 from repro.pipeline.config import RunConfig
 from repro.pipeline.system import (
     SortLastSystem,
@@ -266,6 +267,29 @@ class TestCountersAndLatency:
         )
         assert got["latency_to_first_pixel"] == 1.0
         assert got["latency_to_p50_pixels"] == 2.0
+
+    @pytest.mark.parametrize("topology", ["flat", "fat-tree:radix=16"])
+    def test_p64_sparse_scene_matches_bs_and_leads_on_first_pixel(self, topology):
+        """P=64, 96 px synthetic subimages at 20 % fill: tile-routed:rect
+        is bit-identical to bs, and on the flat link its first final
+        pixel lands at least 2x sooner than binary swap's one final
+        instant (modelled clocks, so the floor is deterministic)."""
+        plan = recursive_bisect((64, 64, 64), 64)
+        runs = {
+            method: run_compositing(
+                synthetic_subimages(64, 96, 0.2), method, plan, VIEW_DIR, SP2,
+                network=make_network(topology, SP2), **options,
+            )
+            for method, options in (("bs", {}), ("tile-routed:rect", {"tile": 16}))
+        }
+        bs, tile = runs["bs"], runs["tile-routed:rect"]
+        assert assemble_final(tile.outcomes, 96, 96).max_abs_diff(
+            assemble_final(bs.outcomes, 96, 96)
+        ) == 0.0
+        if topology == "flat":
+            events = [ev for rs in tile.stats.rank_stats for ev in rs.events]
+            first = tile_latency_metrics(events)["latency_to_first_pixel"]
+            assert bs.stats.makespan >= 2.0 * first
 
 
 # ---- fused render+composite -------------------------------------------------
