@@ -20,10 +20,13 @@ Phase semantics:
   configured method (folding-wrapped on non-power-of-two plans).
 * **fused render+composite** (:func:`fused_render_composite_phase`) —
   taken instead of the two separate phases when the method is
-  tile-routed and the plan is not folded: the rank's ray setup is built
-  once, each tile row is marched once, and its tiles enter the tile
-  router while later rows are still rendering.  Per-pixel ray
-  independence makes the result bit-identical to render-then-composite.
+  tile-routed and the plan is not folded: each tile row band enters the
+  rank image once, and its tiles enter the tile router before later
+  bands do.  On the simulator the bands are copied from the rank's
+  pooled render, so the pool renders later ranks while earlier ones
+  push tiles; on mp the rank builds its ray setup once and marches each
+  band itself, between its pushes.  Per-pixel ray independence makes
+  the result bit-identical to render-then-composite.
 * **gather** (:func:`gather_phase`) — owned tiles flow to rank 0 over
   the same substrate, bucketed under :data:`GATHER_STAGE` so the
   compositing-stage stats stay separable.
@@ -42,7 +45,6 @@ from ..cluster.protocol import BaseRankContext
 from ..compositing.base import CompositeOutcome, Compositor
 from ..compositing.folding import FoldedCompositor
 from ..compositing.registry import TILE_ROUTED, make_compositor
-from ..errors import RenderError
 from ..render.camera import Camera
 from ..render.image import SubImage
 from ..render.raycast import RaySetup
@@ -75,7 +77,8 @@ GATHER_STAGE = 1_000_000
 #: Bump when the renderer's output changes intentionally (per-rank cache).
 #: v2: the cache key carries the rendered extent, so degraded reruns
 #: (survivors covering merged blocks) never collide with clean runs.
-_RENDER_CACHE_VERSION = 2
+#: v3: an entry holds the rays' bounding rect and the planes cropped to it.
+_RENDER_CACHE_VERSION = 3
 
 
 class Scene(NamedTuple):
@@ -141,11 +144,16 @@ def build_scene(cfg: RunConfig) -> Scene:
 
 
 # ---- render phase -----------------------------------------------------------
+#: A render as :func:`render_task` returns it: the rays' bounding rect
+#: and the intensity and opacity planes cropped to it.
+Planes = tuple[Rect, np.ndarray, np.ndarray]
+
+
 def _lookup_render_cache(
     cfg: RunConfig, rank: int, extent
-) -> tuple[Optional[str], Optional[SubImage]]:
-    """``(path, cached)`` for this rank's pristine render: ``path`` is
-    ``None`` with the cache off, ``cached`` is ``None`` on a miss."""
+) -> tuple[Optional[str], Optional[Planes]]:
+    """``(path, planes)`` for this rank's pristine render: ``path`` is
+    ``None`` with the cache off, ``planes`` is ``None`` on a miss."""
     key = (
         _RENDER_CACHE_VERSION,
         "raycast",
@@ -165,16 +173,24 @@ def _lookup_render_cache(
     if path is None:
         return None, None
     arrays = load_entry(path)
-    cached = None
+    planes = None
     if arrays is not None:
         try:
-            cached = SubImage(arrays["intensity"], arrays["opacity"])
-        except (KeyError, ValueError, RenderError):
+            rect = Rect(*(int(v) for v in arrays["rect"]))
+            intensity, opacity = arrays["intensity"], arrays["opacity"]
+            if intensity.shape == opacity.shape == (rect.height, rect.width):
+                planes = (rect, intensity, opacity)
+        except (KeyError, TypeError, ValueError):
             pass  # a foreign or damaged entry is a miss
     perf.incr(
-        "pipeline.render_cache_misses" if cached is None else "pipeline.render_cache_hits"
+        "pipeline.render_cache_misses" if planes is None else "pipeline.render_cache_hits"
     )
-    return path, cached
+    return path, planes
+
+
+def _store_render(path: str, rect: Rect, intensity: np.ndarray, opacity: np.ndarray) -> None:
+    rect_array = np.array([rect.y0, rect.x0, rect.y1, rect.x1])
+    store_entry(path, rect=rect_array, intensity=intensity, opacity=opacity)
 
 
 def render_task(cfg: RunConfig, extent) -> tuple[Rect, np.ndarray, np.ndarray, dict]:
@@ -197,39 +213,45 @@ def render_task(cfg: RunConfig, extent) -> tuple[Rect, np.ndarray, np.ndarray, d
 
 
 class RankRender:
-    """One rank's subimage on its way: a render-cache hit, or a
+    """One rank's render on its way: a render-cache hit, or a
     :func:`render_task` issued to a :class:`RenderPool` (``None`` defers
-    it inline).  The task's ``perf`` counts land in the registry that was
-    current when it was issued, so a run accounts its renders wherever
-    they ran."""
+    it inline).  :meth:`planes` is the render as the task returns it,
+    :meth:`result` the full-frame subimage.  The task's ``perf`` counts
+    land in the registry that was current when it was issued, so a run
+    accounts its renders wherever they ran; a miss is stored in the
+    render cache once, when its planes arrive."""
 
-    __slots__ = ("_cached", "_pending", "_cache_path", "_registry", "_shape")
+    __slots__ = ("_planes", "_pending", "_cache_path", "_registry", "_shape")
 
     def __init__(
         self, pool: Optional[RenderPool], cfg: RunConfig, rank: int, extent
     ):
-        self._cache_path, self._cached = _lookup_render_cache(cfg, rank, extent)
+        self._shape = (cfg.image_size, cfg.image_size)
+        self._cache_path, self._planes = _lookup_render_cache(cfg, rank, extent)
         self._pending = None
-        if self._cached is None:
+        if self._planes is None:
             self._registry = perf.current()
-            self._shape = (cfg.image_size, cfg.image_size)
             self._pending = (
                 pool.submit(render_task, cfg, extent)
                 if pool is not None
                 else Pending(render_task, (cfg, extent))
             )
 
+    def planes(self) -> Planes:
+        if self._planes is None:
+            rect, intensity, opacity, report = self._pending.result()
+            self._registry.merge(report)
+            if self._cache_path is not None:
+                _store_render(self._cache_path, rect, intensity, opacity)
+            self._planes = (rect, intensity, opacity)
+        return self._planes
+
     def result(self) -> SubImage:
-        if self._cached is not None:
-            return self._cached
-        rect, intensity, opacity, report = self._pending.result()
-        self._registry.merge(report)
+        rect, intensity, opacity = self.planes()
         image = SubImage.blank(*self._shape)
         rows, cols = rect.slices()
         image.intensity[rows, cols] = intensity
         image.opacity[rows, cols] = opacity
-        if self._cache_path is not None:
-            store_entry(self._cache_path, intensity=image.intensity, opacity=image.opacity)
         return image
 
     def cancel(self) -> None:
@@ -291,31 +313,38 @@ def _fusable(cfg: RunConfig, scene: Scene) -> bool:
 
 
 async def fused_render_composite_phase(
-    ctx: BaseRankContext, cfg: RunConfig, scene: Scene
+    ctx: BaseRankContext, cfg: RunConfig, scene: Scene, render: Optional[RankRender] = None
 ) -> tuple[SubImage, CompositeOutcome]:
-    """Render tile row by tile row, pushing each tile into the router as
-    its row finishes; returns ``(subimage, outcome)`` exactly like
-    running :func:`render_phase` then :func:`composite_phase`
-    (bit-identical — rays are per-pixel independent, and the tile
-    engine's fold order does not depend on arrival order).
+    """Fill the rank image tile row by tile row, pushing each tile into
+    the router as its row is filled; returns ``(subimage, outcome)``
+    exactly like running :func:`render_phase` then
+    :func:`composite_phase` (bit-identical — rays are per-pixel
+    independent, and the tile engine's fold order does not depend on
+    arrival order).
 
-    The ray setup is built once per rank.  Tile ids are row-major, so
-    the first request for a tile of a new row marches that whole row
-    band (clipped to the rays' bounding rect) into the rank image, and
-    the row's later tiles find their pixels already there.  A render
-    cache hit fills bands from the cached subimage instead; a miss
-    stores the assembled subimage under the split path's key.
+    Tile ids are row-major, so the first request for a tile of a new row
+    fills that whole row band (clipped to the rays' bounding rect, which
+    is also the blank proof) and the row's later tiles find their pixels
+    already there.  On the simulator ``render`` is the rank's pooled
+    :class:`RankRender` and bands are copied from its planes.  Without
+    one (mp) the rank builds its ray setup once and marches each band
+    between its pushes, where a real transport overlaps the two; a
+    render cache hit fills bands from the entry, and a miss stores the
+    subimage under the split path's key.
     """
     compositor = make_compositor(cfg.method, **cfg.method_options)
-    extent = scene.plan.extent(ctx.rank)
     camera = scene.camera
-    cache_path, cached = _lookup_render_cache(cfg, ctx.rank, extent)
-    if cached is None:
+    if render is None:
+        extent = scene.plan.extent(ctx.rank)
+        cache_path, planes = _lookup_render_cache(cfg, ctx.rank, extent)
+    else:
+        cache_path, planes = None, render.planes()
+    if planes is None:
         with perf.timer("pipeline.render"):
             setup = RaySetup(scene.volume, scene.transfer, camera, extent)
         nonblank = setup.rect
     else:
-        nonblank = cached.bounding_rect()
+        nonblank, intensity, opacity = planes
     band_rows = (0, 0)
 
     def render_tile(image: SubImage, rect: Rect) -> bool:
@@ -323,21 +352,25 @@ async def fused_render_composite_phase(
         if (rect.y0, rect.y1) != band_rows:
             band_rows = (rect.y0, rect.y1)
             band = nonblank.intersect(Rect(rect.y0, 0, rect.y1, camera.width))
-            if cached is None:
+            if planes is None:
                 with perf.timer("pipeline.render"):
                     setup.march_into(image.intensity, image.opacity, band)
             elif not band.is_empty:
                 rows, cols = band.slices()
-                image.intensity[rows, cols] = cached.intensity[rows, cols]
-                image.opacity[rows, cols] = cached.opacity[rows, cols]
+                cropped = band.shifted(-nonblank.y0, -nonblank.x0).slices()
+                image.intensity[rows, cols] = intensity[cropped]
+                image.opacity[rows, cols] = opacity[cropped]
         return not rect.intersect(nonblank).is_empty
 
     with perf.timer("pipeline.composite"):
         subimage, outcome = await compositor.run_fused(
             ctx, camera.height, camera.width, scene.plan, camera.view_dir, render_tile
         )
-    if cached is None and cache_path is not None:
-        store_entry(cache_path, intensity=subimage.intensity, opacity=subimage.opacity)
+    if planes is None and cache_path is not None:
+        rows, cols = nonblank.slices()
+        _store_render(
+            cache_path, nonblank, subimage.intensity[rows, cols], subimage.opacity[rows, cols]
+        )
     if outcome.producer is None:
         outcome.producer = compositor.name
     return subimage, outcome
@@ -433,13 +466,13 @@ async def pipeline_rank_program(
     if plan is not None:
         scene = scene._replace(plan=plan)
     ctx.fault_checkpoint("render")
+    render = None if renders is None else renders[ctx.rank]
     if _fusable(cfg, scene):
         # One overlapped phase: tiles enter the router mid-render.  The
         # render checkpoint covers both (there is no boundary between
         # them any more); results are bit-identical to the split path.
-        subimage, outcome = await fused_render_composite_phase(ctx, cfg, scene)
+        subimage, outcome = await fused_render_composite_phase(ctx, cfg, scene, render)
     else:
-        render = None if renders is None else renders[ctx.rank]
         subimage = await render_phase(ctx, cfg, scene, render)
         ctx.fault_checkpoint("composite")
         outcome = await composite_phase(ctx, cfg, subimage.copy(), scene)

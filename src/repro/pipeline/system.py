@@ -55,7 +55,6 @@ from ..render.reference import composite_sequential
 from ..volume.folded import FoldedPartition, folded_depth_order, refold_survivors
 from ..volume.partition import PartitionPlan, depth_order
 from .assemble import assemble_outcomes
-from . import phases
 from .config import RunConfig
 from .phases import (
     GATHER_STAGE,
@@ -246,7 +245,7 @@ class SortLastSystem:
 
     On the simulator the ranks' subimages render in the process-wide
     :func:`~repro.pipeline.render_pool.shared_pool` while the engine
-    composites.
+    composites, on the fused tile-routed path too.
     """
 
     def __init__(self, config: RunConfig):
@@ -404,11 +403,11 @@ class SortLastSystem:
 
     def _issue_renders(self, engine: Backend, scene) -> Optional[list[RankRender]]:
         """Every rank's render, issued before the simulator starts so the
-        pool renders later ranks while earlier ones composite.  ``None``
-        (each rank renders itself) on mp, whose ranks already render in
-        their own processes, and on the fused tile-routed path, which
-        marches row bands between tile exchanges."""
-        if engine.name != "sim" or phases._fusable(self.config, scene):
+        pool renders later ranks while earlier ones composite (or, on the
+        fused tile-routed path, push their tiles).  ``None`` (each rank
+        renders itself) on mp, whose ranks already render in their own
+        processes."""
+        if engine.name != "sim":
             return None
         pool = shared_pool()
         plan = scene.plan

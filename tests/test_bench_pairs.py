@@ -61,3 +61,21 @@ def test_several_workloads_each_get_the_full_protocol(pairs, monkeypatch, capsys
     out = capsys.readouterr().out
     assert out.count("3 pairs against HEAD") == 2
     assert "regress" in out and "worse" not in out and "unresolved" not in out
+
+
+def _run(values):
+    return {"metrics": {name: {"value": value} for name, value in values.items()},
+            "correct": True, "failed": 0, "attempted": 3}
+
+
+def test_first_frame_share_prints_only_where_the_first_frame_is_early(pairs):
+    metrics = [{"name": name, "unit": "ms", "better": "lower", "bound": 0.25}
+               for name in ("op_ms_p50", "first_frame_ms_p50")]
+    whole = {"parent": [_run({"op_ms_p50": 100.0, "first_frame_ms_p50": 100.0})] * 3,
+             "change": [_run({"op_ms_p50": 90.0, "first_frame_ms_p50": 90.0})] * 3}
+    assert "first frame / op" not in pairs.report(metrics, whole)
+    early = {"parent": [_run({"op_ms_p50": 200.0, "first_frame_ms_p50": 164.0})] * 3,
+             "change": [_run({"op_ms_p50": 140.0, "first_frame_ms_p50": 106.4})] * 3}
+    out = pairs.report(metrics, early)
+    assert "parent: first frame / op 0.82 (medians 164.0 / 200.0 ms)" in out
+    assert "change: first frame / op 0.76 (medians 106.4 / 140.0 ms)" in out

@@ -15,6 +15,8 @@ what a ray computes*:
   tile count (the deterministic stand-in for a wall-clock ceiling).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,9 @@ from oracles import render_reference
 from repro import perf
 from repro.cluster.progress import ProgressFeed
 from repro.compositing.registry import make_compositor
-from repro.pipeline import phases
+from repro.pipeline import phases, render_pool
 from repro.pipeline.config import RunConfig
+from repro.pipeline.render_pool import RenderPool
 from repro.pipeline.system import SortLastSystem
 from repro.render.camera import Camera
 from repro.render.image import SubImage
@@ -150,10 +153,11 @@ class TestSetupEdges:
 
 
 # ---- the fused pipeline against the per-tile oracle -------------------------
-async def _per_tile_fused_phase(ctx, cfg, scene):
+async def _per_tile_fused_phase(ctx, cfg, scene, render=None):
     """The fused phase as it was before band marching: one public clipped
     render per tile, nothing ever declared blank (so every tile is
-    scanned).  Public, independently tested code only."""
+    scanned).  Public, independently tested code only: the rank's pooled
+    ``render`` goes unused."""
     compositor = make_compositor(cfg.method, **cfg.method_options)
     extent = scene.plan.extent(ctx.rank)
     camera = scene.camera
@@ -309,6 +313,31 @@ class TestFusedRenderCache:
         assert shared.counter("raycast.setups") == 0
         _same_images(first, split)
 
+    def test_cold_run_stores_each_rank_once_and_warm_run_forks_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cfg = _cfg("tile-routed:rect-rle", num_ranks=4)
+        stored = []
+        store = phases.store_entry
+
+        def counting_store(path, **arrays):
+            stored.append(path)
+            store(path, **arrays)
+
+        monkeypatch.setattr(phases, "store_entry", counting_store)
+        with mock.patch.object(render_pool, "_SHARED", RenderPool(2)) as cold:
+            cold_run = SortLastSystem(cfg).run()
+            cold.shutdown()
+        assert cold.submitted == 4
+        assert len(stored) == len(set(stored)) == 4
+        with mock.patch.object(render_pool, "_SHARED", RenderPool(2)) as warm:
+            warm_run = SortLastSystem(cfg).run()
+        assert warm.submitted == 0 and warm.forks == 0 and warm.pids() == []
+        assert len(stored) == 4
+        _same_images(cold_run, warm_run)
+        assert _accounting(cold_run, clocks=True) == _accounting(warm_run, clocks=True)
+
     def test_fused_hits_entries_the_split_path_stored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         split = SortLastSystem(_cfg("bsbrc", num_ranks=4, method_options={})).run()
@@ -355,9 +384,12 @@ class TestFusedWorkCount:
         split, base, split_frames = self._run("binary-swap:raw", monkeypatch)
         assert fused.final_image.max_abs_diff(split.final_image) == 0.0
 
-        tile_rows = -(-self.SIZE // self.TILE)
         assert work.counter("raycast.setups") == self.RANKS
-        assert 0 < work.counter("raycast.march_calls") <= self.RANKS * tile_rows
+        # One whole march per rank that casts a ray (rank 0's block casts
+        # none here), in the render pool: the fused phase copies its
+        # tile-row bands from the rank's render, as the split path does.
+        assert work.counter("raycast.march_calls") == self.RANKS - 1
+        assert base.counter("raycast.march_calls") == self.RANKS - 1
         # One rank image each plus the assembled final, exactly what the
         # split path allocates: nothing frame-sized inside the tile loop.
         assert fused_frames == split_frames == self.RANKS + 1
@@ -375,4 +407,3 @@ class TestFusedWorkCount:
         sampled = work.counter("raycast.samples")
         assert sampled <= 0.45 * (sampled + work.counter("raycast.samples_skipped"))
         assert base.counter("raycast.setups") == self.RANKS
-        assert base.counter("raycast.march_calls") <= self.RANKS

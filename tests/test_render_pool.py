@@ -38,6 +38,8 @@ from repro.serving import RenderService
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 METHODS = ["bs", "bsbr", "bslc", "bsbrc", "radix-k:rect-rle"]
+#: The fused render+composite path: bands copied from the pooled render.
+FUSED = ["tile-routed:rect-rle", "tile-routed:rle", "tile-routed:raw", "tile-routed:rect"]
 RAYCAST = ("raycast.setups", "raycast.rays", "raycast.empty_rays",
            "raycast.march_calls", "raycast.samples", "raycast.samples_skipped")
 
@@ -104,12 +106,19 @@ def _observables(result, report):
                       for s in result.subimages],
         "ranks": ranks,
         "makespan": result.timeline.makespan,
+        "latency": {key: result.timeline.meta.get(key)
+                    for key in ("latency_to_first_pixel", "latency_to_p50_pixels")},
         "degraded": result.degraded,
         "counters": {name: counters.get(name, 0) for name in
                      RAYCAST + ("pipeline.render_cache_hits",
                                 "pipeline.render_cache_misses")},
         "render_calls": report["timers"].get("pipeline.render", {}).get("calls", 0),
     }
+
+
+def _feed_events(feed):
+    return [(e.kind, e.rank, e.tile, e.rect, e.t, e.intensity.tobytes(),
+             e.opacity.tobytes()) for e in feed.events]
 
 
 def _square(x):
@@ -123,15 +132,20 @@ def _raise_render_error(message):
 # ---- equivalence -------------------------------------------------------------
 class TestEquivalence:
     @pytest.mark.parametrize("num_ranks", [4, 16])
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method", METHODS + FUSED)
     def test_matrix(self, method, num_ranks, pool):
         cfg = _cfg(method, num_ranks)
-        inline = _observables(*_run(cfg, 0))
+        inline_feed, pooled_feed = ProgressFeed(), ProgressFeed()
+        inline = _observables(*_run(cfg, 0, progress=inline_feed))
         submitted = pool.submitted
-        pooled = _observables(*_run(cfg, pool))
+        pooled = _observables(*_run(cfg, pool, progress=pooled_feed))
         assert pooled == inline
+        assert _feed_events(pooled_feed) == _feed_events(inline_feed)
         assert pool.submitted - submitted == num_ranks
         assert inline["counters"]["raycast.setups"] == num_ranks
+        if method in FUSED:
+            assert any(kind == "tile" for kind, *_ in _feed_events(inline_feed))
+            assert inline["latency"]["latency_to_first_pixel"] is not None
 
     @pytest.mark.parametrize("rule", [
         FaultRule(kind="crash", rank=1, phase="render"),
@@ -172,11 +186,16 @@ class TestEquivalence:
             _run(cfg, fresh)
             assert fresh.forks == 0 and fresh.pids() == []
 
-    def test_mp_and_fused_paths_render_in_the_rank(self, pool):
+    def test_mp_renders_in_the_rank(self, pool):
+        submitted = pool.submitted
+        _run(_cfg("bsbrc", 4, backend="mp"), pool)
+        _run(_cfg("tile-routed:rect-rle", 4, backend="mp", method_options={"tile": 16}), pool)
+        assert pool.submitted == submitted
+
+    def test_fused_path_renders_in_the_pool(self, pool):
         submitted = pool.submitted
         _run(_cfg("tile-routed:rect-rle", 4, method_options={"tile": 16}), pool)
-        _run(_cfg("bsbrc", 4, backend="mp"), pool)
-        assert pool.submitted == submitted
+        assert pool.submitted - submitted == 4
 
     def test_concurrent_sessions_account_separately(self, pool, monkeypatch):
         """Two jobs in flight on one pool: each job's counters are its
@@ -242,23 +261,23 @@ class TestPool:
 
 # ---- failure semantics -----------------------------------------------------------
 class TestFailures:
-    def test_killed_worker_reruns_inline_then_refork(self, monkeypatch):
+    def test_killed_worker_reruns_inline_then_refork(self, monkeypatch, method="bsbrc"):
         """SIGKILL a worker as rank 0 starts awaiting its render, with
         most of the frame's renders still queued or in flight."""
-        cfg = _cfg("bsbrc", 16)
+        cfg = _cfg(method, 16)
         inline = _observables(*_run(cfg, 0))
         with RenderPool(2) as fresh:
             _run(cfg.with_(rot_y=5.0), fresh)  # warm
             first_pids = fresh.pids()
             victim = [first_pids[0]]
-            awaited = RankRender.result
+            awaited = RankRender.planes
 
             def kill_then_await(render):
                 if victim:
                     os.kill(victim.pop(), signal.SIGKILL)
                 return awaited(render)
 
-            monkeypatch.setattr(RankRender, "result", kill_then_await)
+            monkeypatch.setattr(RankRender, "planes", kill_then_await)
             hurt = _observables(*_run(cfg, fresh))
             monkeypatch.undo()
             assert hurt == inline
@@ -267,6 +286,9 @@ class TestFailures:
             assert again == inline
             assert fresh.forks == 2
             assert set(fresh.pids()).isdisjoint(first_pids)
+
+    def test_killed_worker_on_the_fused_path(self, monkeypatch):
+        self.test_killed_worker_reruns_inline_then_refork(monkeypatch, "tile-routed:rect-rle")
 
     def test_worker_killed_while_idle_is_replaced(self):
         with RenderPool(2) as fresh:
@@ -296,36 +318,47 @@ class TestFailures:
         assert np.array_equal(pooled[1], inline[1]) and np.array_equal(pooled[2], inline[2])
         assert pooled[3]["counters"] == inline[3]["counters"]
 
-    def test_failed_job_cancels_its_pending_renders(self, pool, monkeypatch):
+    def test_failed_job_cancels_its_pending_renders(self, pool, monkeypatch, method="bsbrc"):
         """A strict job whose rank 1 crashes in the render phase fails
         with rank 0's render consumed and most others still queued:
         those are cancelled, and nothing leaks into the next job."""
         monkeypatch.setattr(render_pool, "_SHARED", pool)
         crash = FaultPlan(rules=(FaultRule(kind="crash", rank=1, phase="render"),), seed=5)
         cancelled = pool.cancelled
-        with RenderService(_cfg("bsbrc", 16), max_workers=1) as service:
+        with RenderService(_cfg(method, 16), max_workers=1) as service:
             service.open_session("s", qos="strict")
             ticket = service.submit("s", RenderJob(fault_plan=crash))
             with pytest.raises(RankFailedError):
                 ticket.result(timeout=120)
             clean = service.submit("s").result(timeout=120)
         assert pool.cancelled > cancelled
-        assert clean.final_image.max_abs_diff(_run(_cfg("bsbrc", 16), 0)[0].final_image) == 0
+        assert clean.final_image.max_abs_diff(_run(_cfg(method, 16), 0)[0].final_image) == 0
 
-    def test_deadlined_service_job_leaves_no_render_behind(self, pool, monkeypatch):
-        """A running job's deadline fires at its first stage boundary,
-        after the simulator has taken every rank's render: the job
-        fails typed and the next job on the pool is exact."""
+    def test_failed_fused_job_cancels_its_pending_renders(self, pool, monkeypatch):
+        self.test_failed_job_cancels_its_pending_renders(pool, monkeypatch, "tile-routed:rect-rle")
+
+    def test_deadlined_service_job_leaves_no_render_behind(
+        self, pool, monkeypatch, method="bsbrc", boundary="stage boundary"
+    ):
+        """A running job's deadline fires at its first stage (fused path:
+        tile) boundary, after the simulator has taken every rank's
+        render: the job fails typed and the next job on the pool is
+        exact."""
         monkeypatch.setattr(render_pool, "_SHARED", pool)
         feed = ProgressFeed()
         feed.set_deadline(time.monotonic() - 1.0, 0.001)
-        cfg = _cfg("bsbrc", 16)
+        cfg = _cfg(method, 16)
         with RenderService(cfg, max_workers=1) as service:
             ticket = service.submit("s", RenderJob(progress=feed))
-            with pytest.raises(DeadlineExceededError, match="boundary"):
+            with pytest.raises(DeadlineExceededError, match=boundary):
                 ticket.result(timeout=120)
             assert service.deadline_jobs == 1
         assert _observables(*_run(cfg, pool)) == _observables(*_run(cfg, 0))
+
+    def test_deadlined_fused_job_leaves_no_render_behind(self, pool, monkeypatch):
+        self.test_deadlined_service_job_leaves_no_render_behind(
+            pool, monkeypatch, "tile-routed:rect-rle", "tile boundary"
+        )
 
 
 # ---- forking beside other threads ------------------------------------------------

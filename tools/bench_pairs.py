@@ -16,7 +16,9 @@ medians, both quartile pairs and the win count, then ``correct``/
 section 8.  A gain may be claimed when the change wins at least nine
 tenths of the pairs (ties count for neither) and the medians differ by
 more than the parent's own quartile spread; the ``gain`` column says
-whether both hold.  The ``regress`` column judges the other direction
+whether both hold.  Where the first frame is not the whole op, one more
+row per side gives the median first frame over the median op, the share
+the progressive direction tracks.  The ``regress`` column judges the other direction
 against the metric's ``bound`` in ``BENCHMARK.json``: ``worse`` when
 the change median is worse than the parent median by more than the
 bound; ``unresolved`` when the parent's quartile spread over its median
@@ -102,6 +104,15 @@ def report(metrics: list[dict], runs: dict[str, list[dict]]) -> str:
             f"{wins:3d}/{pairs:<2d}  {'yes' if gain else 'no':4s}  "
             f"{regress(sign, metric['bound'], sides['parent'], sides['change'])}"
         )
+    medians = {
+        side: [np.median([run["metrics"][name]["value"] for run in runs[side]])
+               for name in ("first_frame_ms_p50", "op_ms_p50")]
+        for side in ("parent", "change")
+    }
+    if any(first != op for first, op in medians.values()):
+        for side, (first, op) in medians.items():
+            lines.append(f"{side}: first frame / op {first / op:.2f} "
+                         f"(medians {first:.1f} / {op:.1f} ms)")
     for side in ("parent", "change"):
         lines.append(
             f"{side}: correct {sum(run['correct'] for run in runs[side])}/{pairs}, "
