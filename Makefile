@@ -36,13 +36,15 @@ bench-pairs:
 		--pairs $(PAIRS) --seed $(SEED)
 
 # Randomized fault-injection suite (seeded, so failures reproduce), plus
-# the render pool's killed-worker and parent-death tests and the mp
-# transport's tests (its supervisor is the one dead-rank detector).
+# the render pool's killed-worker and parent-death tests, the mp
+# transport's tests (its supervisor is the one dead-rank detector) and
+# the cross-backend recovery matrix (its mp cases fork rank processes).
 # Uses pytest-timeout's per-test kill switch when installed; the suite
 # also carries its own SIGALRM watchdog so it never hangs without it.
 chaos:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_chaos.py tests/test_render_pool.py \
-		tests/test_mp_backend.py "tests/test_faults.py::TestMPSupervisor" -q \
+		tests/test_mp_backend.py "tests/test_faults.py::TestMPSupervisor" \
+		"tests/test_recovery.py::TestCrossBackendRecoveryMatrix" -q \
 		$(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo --timeout=120 --timeout-method=signal)
 
 # Schedule exploration: 200 seeded random interleavings of the canonical

@@ -18,17 +18,14 @@ fold_tile_planes`, reproducing binary-swap's association bit for bit
 are IEEE identities under *over*).
 
 Accounting: the wire traffic is priced through the same Ts/Tc/To model
-as every other method — ``T_bound`` per-tile scans land in the
-pre-stage bucket, encode/pack/over charges and per-rank byte/message
-counters land in stage 0, identically on the sim and mp substrates.
-Each completed tile appends a ``tile_complete`` event (with the
-substrate time since the engine started) to the rank's stats, which the
-run-timeline layer turns into latency-to-first-pixel metrics.
-
-:meth:`TileRoutedCompositor.run_fused` is the render-overlapped entry:
-a callback finishes the rank image tile by tile (in practice one tile
-row at a time) and each finished tile enters the router while later
-ones are still rendering.
+as every other method, all of it in stage 0: each non-owned tile is
+``T_bound``-scanned (codecs that track a rect), encoded, packed and
+pushed before the next one, in tile-id order, and owned tiles fold and
+charge ``T_over`` as they complete; per-rank byte/message counters are
+identical on the sim and mp substrates.  Each completed tile appends a
+``tile_complete`` event (with the substrate time since the engine
+started) to the rank's stats, which the run-timeline layer turns into
+latency-to-first-pixel metrics.
 
 Recovery: stage checkpoints do not apply (there are no stage
 boundaries to snapshot), so ``checkpoint-resume`` finds no common stage
@@ -46,7 +43,6 @@ import numpy as np
 
 from ..cluster.collectives import TileRouter
 from ..cluster.protocol import BaseRankContext
-from ..cluster.stats import PRE_STAGE
 from ..errors import ConfigurationError
 from ..render.image import SubImage
 from ..types import Rect
@@ -110,82 +106,30 @@ class TileRoutedCompositor(Compositor):
         self.check_plan(ctx, plan)
         tile_map = build_tile_map(image.full_rect(), self.tile, ctx.size)
         start = ctx.now()
-        states: dict[int, object] = {}
-        if self.codec.needs_bound_scan:
-            ctx.begin_stage(PRE_STAGE)
-            for tile_id in range(tile_map.num_tiles):
-                if tile_map.owner(tile_id) == ctx.rank:
-                    continue
-                state = self.codec.make_state(image)
-                await self.codec.scan_region(
-                    ctx, image, state, tile_map.rect(tile_id)
-                )
-                states[tile_id] = state
+        scans = self.codec.needs_bound_scan
+        # Host-only blank proof: a tile outside the foreground's bounding
+        # rect skips its host scan (its modelled scan is charged all the
+        # same), so blank tiles cost the host nothing.
+        nonblank = image.bounding_rect() if scans else None
         ctx.begin_stage(0)
         router = TileRouter(ctx, tile_map.owners)
         await router.post_receives(tile_map.owned(ctx.rank))
         for tile_id in range(tile_map.num_tiles):
             if tile_map.owner(tile_id) == ctx.rank:
                 continue
-            await self._encode_and_push(
-                ctx, router, image, tile_map, tile_id, states.get(tile_id)
-            )
+            state = None
+            if scans:
+                rect = tile_map.rect(tile_id)
+                state = self.codec.make_state(image)
+                await self.codec.scan_region(
+                    ctx, image, state, rect, blank=rect.intersect(nonblank).is_empty
+                )
+            await self._encode_and_push(ctx, router, image, tile_map, tile_id, state)
         outcome = await self._complete_owned(
             ctx, router, image, plan, view_dir, tile_map, start
         )
         await router.flush()
         return outcome
-
-    async def run_fused(
-        self,
-        ctx: BaseRankContext,
-        height: int,
-        width: int,
-        plan: PartitionPlan,
-        view_dir: np.ndarray,
-        render_tile,
-    ) -> tuple[SubImage, CompositeOutcome]:
-        """Render-overlapped run: tiles enter the router as they render.
-
-        ``render_tile(image, rect)`` makes the rank image final inside
-        ``rect`` by writing straight into its (blank) planes, and returns
-        ``False`` when it can prove the tile blank without looking at
-        pixels.  Tiles are requested in ascending id, i.e. row-major, so
-        a renderer may finish a whole tile row on the first request of
-        that row; each tile is pushed to its owner before the next is
-        requested, so on real substrates communication overlaps the
-        remaining rendering.  Returns ``(subimage, outcome)`` where
-        ``subimage`` is the pristine assembled render (bit-identical to
-        an unfused full render — rays are per-pixel independent).
-
-        Fused accounting books everything to stage 0 (render charges no
-        model time, matching the unfused render phase; the per-tile
-        bound scans cannot precede a render that happens per tile).
-        """
-        self.check_plan(ctx, plan)
-        frame = Rect.full(height, width)
-        tile_map = build_tile_map(frame, self.tile, ctx.size)
-        start = ctx.now()
-        image = SubImage.blank(height, width)
-        ctx.begin_stage(0)
-        router = TileRouter(ctx, tile_map.owners)
-        await router.post_receives(tile_map.owned(ctx.rank))
-        for tile_id in range(tile_map.num_tiles):
-            rect = tile_map.rect(tile_id)
-            blank = not render_tile(image, rect)
-            if tile_map.owner(tile_id) == ctx.rank:
-                continue
-            state = None
-            if self.codec.needs_bound_scan:
-                state = self.codec.make_state(image)
-                await self.codec.scan_region(ctx, image, state, rect, blank=blank)
-            await self._encode_and_push(ctx, router, image, tile_map, tile_id, state)
-        subimage = image.copy()
-        outcome = await self._complete_owned(
-            ctx, router, image, plan, view_dir, tile_map, start
-        )
-        await router.flush()
-        return subimage, outcome
 
     # ---- internals ---------------------------------------------------------
     async def _encode_and_push(

@@ -9,7 +9,6 @@ from .phases import (
     composite_phase,
     gather_phase,
     pipeline_rank_program,
-    render_phase,
 )
 from .render_pool import RenderPool, shared_pool
 from .session import RenderJob, RenderSession
@@ -39,7 +38,6 @@ __all__ = [
     "composite_phase",
     "gather_phase",
     "pipeline_rank_program",
-    "render_phase",
     "run_compositing",
     "shared_pool",
     "tile_from_outcome",

@@ -12,21 +12,15 @@ Phase semantics:
 * **partition** (:func:`build_scene`) — deterministic host/rank-local
   setup: dataset, camera, bisection (or folded) plan.  Runs identically
   on every rank; results are memoized in-process.
-* **render** (:func:`render_phase`) — embarrassingly parallel, no
-  communication; uses the batched ray marcher and an optional
-  ``REPRO_CACHE_DIR`` on-disk per-rank subimage cache.  No model time
-  is charged: the paper measures compositing only.
+* **render** (:class:`RankRender`) — embarrassingly parallel, no
+  communication: one :func:`render_task` per rank (the batched ray
+  marcher, in the simulator's render pool or inline in the rank), or a
+  hit in the optional ``REPRO_CACHE_DIR`` on-disk per-rank subimage
+  cache.  No model time is charged: the paper measures compositing only.
 * **composite** (:func:`composite_phase`) — the measured phase; runs the
-  configured method (folding-wrapped on non-power-of-two plans).
-* **fused render+composite** (:func:`fused_render_composite_phase`) —
-  taken instead of the two separate phases when the method is
-  tile-routed and the plan is not folded: each tile row band enters the
-  rank image once, and its tiles enter the tile router before later
-  bands do.  On the simulator the bands are copied from the rank's
-  pooled render, so the pool renders later ranks while earlier ones
-  push tiles; on mp the rank builds its ray setup once and marches each
-  band itself, between its pushes.  Per-pixel ray independence makes
-  the result bit-identical to render-then-composite.
+  configured method (folding-wrapped on non-power-of-two plans) on the
+  rendered subimage.  Every method, tile-routed included, takes this
+  one path on every backend and plan.
 * **gather** (:func:`gather_phase`) — owned tiles flow to rank 0 over
   the same substrate, bucketed under :data:`GATHER_STAGE` so the
   compositing-stage stats stay separable.
@@ -44,7 +38,7 @@ from ..cluster.collectives import gather
 from ..cluster.protocol import BaseRankContext
 from ..compositing.base import CompositeOutcome, Compositor
 from ..compositing.folding import FoldedCompositor
-from ..compositing.registry import TILE_ROUTED, make_compositor
+from ..compositing.registry import make_compositor
 from ..render.camera import Camera
 from ..render.image import SubImage
 from ..render.raycast import RaySetup
@@ -62,9 +56,7 @@ __all__ = [
     "build_scene",
     "render_task",
     "RankRender",
-    "render_phase",
     "composite_phase",
-    "fused_render_composite_phase",
     "gather_phase",
     "compositor_for",
     "pipeline_rank_program",
@@ -202,14 +194,10 @@ def render_task(cfg: RunConfig, extent) -> tuple[Rect, np.ndarray, np.ndarray, d
     counters stay in the worker unless shipped.
     """
     scene = build_scene(cfg)
-    camera = scene.camera
     with perf.scope() as work, perf.timer("pipeline.render"):
-        setup = RaySetup(scene.volume, scene.transfer, camera, extent)
-        intensity = np.zeros((camera.height, camera.width))
-        opacity = np.zeros_like(intensity)
-        setup.march_into(intensity, opacity)
-    rows, cols = setup.rect.slices()
-    return setup.rect, intensity[rows, cols].copy(), opacity[rows, cols].copy(), work.report()
+        setup = RaySetup(scene.volume, scene.transfer, scene.camera, extent)
+        intensity, opacity = setup.march()
+    return setup.rect, intensity, opacity, work.report()
 
 
 class RankRender:
@@ -259,19 +247,6 @@ class RankRender:
             self._pending.cancel()
 
 
-async def render_phase(
-    ctx: BaseRankContext,
-    cfg: RunConfig,
-    scene: Scene,
-    render: Optional[RankRender] = None,
-) -> SubImage:
-    """This rank's subimage (no communication, no model time): the
-    ``render`` issued ahead of the run, or one rendered here."""
-    if render is None:
-        render = RankRender(None, cfg, ctx.rank, scene.plan.extent(ctx.rank))
-    return render.result()
-
-
 # ---- composite phase --------------------------------------------------------
 def compositor_for(
     method: "str | Compositor", plan: "PartitionPlan | FoldedPartition", **options
@@ -296,84 +271,6 @@ async def composite_phase(
         # Legacy methods predate the producer field; stamp for diagnostics.
         outcome.producer = compositor.name
     return outcome
-
-
-# ---- fused render + composite ----------------------------------------------
-def _fusable(cfg: RunConfig, scene: Scene) -> bool:
-    """True when render and composite can run as one overlapped phase.
-
-    Requires the tile-routed method (the only engine with a per-tile
-    entry point; the ray caster is per-pixel independent, so clipped
-    renders are bit-identical) and an unfolded plan (the folding
-    wrapper drives ``run``, not ``run_fused``).
-    """
-    return cfg.method.lower().partition(":")[0] == TILE_ROUTED and not isinstance(
-        scene.plan, FoldedPartition
-    )
-
-
-async def fused_render_composite_phase(
-    ctx: BaseRankContext, cfg: RunConfig, scene: Scene, render: Optional[RankRender] = None
-) -> tuple[SubImage, CompositeOutcome]:
-    """Fill the rank image tile row by tile row, pushing each tile into
-    the router as its row is filled; returns ``(subimage, outcome)``
-    exactly like running :func:`render_phase` then
-    :func:`composite_phase` (bit-identical — rays are per-pixel
-    independent, and the tile engine's fold order does not depend on
-    arrival order).
-
-    Tile ids are row-major, so the first request for a tile of a new row
-    fills that whole row band (clipped to the rays' bounding rect, which
-    is also the blank proof) and the row's later tiles find their pixels
-    already there.  On the simulator ``render`` is the rank's pooled
-    :class:`RankRender` and bands are copied from its planes.  Without
-    one (mp) the rank builds its ray setup once and marches each band
-    between its pushes, where a real transport overlaps the two; a
-    render cache hit fills bands from the entry, and a miss stores the
-    subimage under the split path's key.
-    """
-    compositor = make_compositor(cfg.method, **cfg.method_options)
-    camera = scene.camera
-    if render is None:
-        extent = scene.plan.extent(ctx.rank)
-        cache_path, planes = _lookup_render_cache(cfg, ctx.rank, extent)
-    else:
-        cache_path, planes = None, render.planes()
-    if planes is None:
-        with perf.timer("pipeline.render"):
-            setup = RaySetup(scene.volume, scene.transfer, camera, extent)
-        nonblank = setup.rect
-    else:
-        nonblank, intensity, opacity = planes
-    band_rows = (0, 0)
-
-    def render_tile(image: SubImage, rect: Rect) -> bool:
-        nonlocal band_rows
-        if (rect.y0, rect.y1) != band_rows:
-            band_rows = (rect.y0, rect.y1)
-            band = nonblank.intersect(Rect(rect.y0, 0, rect.y1, camera.width))
-            if planes is None:
-                with perf.timer("pipeline.render"):
-                    setup.march_into(image.intensity, image.opacity, band)
-            elif not band.is_empty:
-                rows, cols = band.slices()
-                cropped = band.shifted(-nonblank.y0, -nonblank.x0).slices()
-                image.intensity[rows, cols] = intensity[cropped]
-                image.opacity[rows, cols] = opacity[cropped]
-        return not rect.intersect(nonblank).is_empty
-
-    with perf.timer("pipeline.composite"):
-        subimage, outcome = await compositor.run_fused(
-            ctx, camera.height, camera.width, scene.plan, camera.view_dir, render_tile
-        )
-    if planes is None and cache_path is not None:
-        rows, cols = nonblank.slices()
-        _store_render(
-            cache_path, nonblank, subimage.intensity[rows, cols], subimage.opacity[rows, cols]
-        )
-    if outcome.producer is None:
-        outcome.producer = compositor.name
-    return subimage, outcome
 
 
 # ---- gather phase -----------------------------------------------------------
@@ -466,16 +363,13 @@ async def pipeline_rank_program(
     if plan is not None:
         scene = scene._replace(plan=plan)
     ctx.fault_checkpoint("render")
-    render = None if renders is None else renders[ctx.rank]
-    if _fusable(cfg, scene):
-        # One overlapped phase: tiles enter the router mid-render.  The
-        # render checkpoint covers both (there is no boundary between
-        # them any more); results are bit-identical to the split path.
-        subimage, outcome = await fused_render_composite_phase(ctx, cfg, scene, render)
+    if renders is None:
+        render = RankRender(None, cfg, ctx.rank, scene.plan.extent(ctx.rank))
     else:
-        subimage = await render_phase(ctx, cfg, scene, render)
-        ctx.fault_checkpoint("composite")
-        outcome = await composite_phase(ctx, cfg, subimage.copy(), scene)
+        render = renders[ctx.rank]
+    subimage = render.result()
+    ctx.fault_checkpoint("composite")
+    outcome = await composite_phase(ctx, cfg, subimage.copy(), scene)
     ctx.fault_checkpoint("gather")
     final = await gather_phase(
         ctx, tile_from_outcome(outcome), scene.camera.height, scene.camera.width

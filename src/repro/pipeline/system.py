@@ -245,7 +245,7 @@ class SortLastSystem:
 
     On the simulator the ranks' subimages render in the process-wide
     :func:`~repro.pipeline.render_pool.shared_pool` while the engine
-    composites, on the fused tile-routed path too.
+    composites, whatever the method.
     """
 
     def __init__(self, config: RunConfig):
@@ -403,10 +403,9 @@ class SortLastSystem:
 
     def _issue_renders(self, engine: Backend, scene) -> Optional[list[RankRender]]:
         """Every rank's render, issued before the simulator starts so the
-        pool renders later ranks while earlier ones composite (or, on the
-        fused tile-routed path, push their tiles).  ``None`` (each rank
-        renders itself) on mp, whose ranks already render in their own
-        processes."""
+        pool renders later ranks while earlier ones composite.  ``None``
+        (each rank renders itself) on mp, whose ranks already render in
+        their own processes."""
         if engine.name != "sim":
             return None
         pool = shared_pool()

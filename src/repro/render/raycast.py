@@ -15,19 +15,17 @@ slab, while interpolation near block faces may read neighbour voxels —
 the ghost-cell data a real distributed renderer exchanges during the
 partitioning phase.
 
-Setup once, march any selection
--------------------------------
-Everything about casting one extent through one camera that does not
-depend on *which* pixels are wanted lives in :class:`RaySetup`: the
-screen footprint, the slab hit mask, the compacted ray origins, each
-ray's ``[kmin, kmax]`` step interval and its occupancy-tightened span.
-All of it is per-ray elementwise, so a slice of a whole-footprint setup
-is bit-identical to a setup computed for the slice alone.
-:meth:`RaySetup.march_into` then marches any rect selection of those
-rays straight into caller-supplied planes.  :func:`render_subvolume` is
-"build the setup for the (clipped) footprint, march all of it"; the
-fused tile pipeline builds one setup per rank and marches one tile-row
-band at a time.
+Setup, then march
+-----------------
+Everything about casting one extent through one camera lives in
+:class:`RaySetup`: the screen footprint, the slab hit mask, the
+compacted ray origins, each ray's ``[kmin, kmax]`` step interval and its
+occupancy-tightened span.  All of it is per-ray elementwise, so a setup
+clipped to a window (``clip_rect``) holds exactly the whole-footprint
+setup's rays inside it.  :meth:`RaySetup.march` marches every ray into
+planes cropped to the rays' bounding rect — what the pipeline's render
+task ships — and :func:`render_subvolume` scatters those into a
+full-frame subimage.
 
 Marching strategy
 -----------------
@@ -204,52 +202,27 @@ class RaySetup:
         self.kmin = kmin
         self.kmax = kmax
 
-    def march_into(
-        self,
-        intensity: np.ndarray,
-        opacity: np.ndarray,
-        rect: Rect | None = None,
-    ) -> None:
-        """March the rays inside ``rect`` (default: all) into full-frame
-        ``intensity``/``opacity`` planes.
-
-        Only pixels a ray can reach are written, so the planes must be
-        blank inside ``rect`` beforehand.  Nothing a ray computes depends
-        on the other rays of the selection, so any selection writes the
-        pixels the whole-footprint march would.
-        """
-        sel = self._select(self.rect if rect is None else rect.intersect(self.rect))
-        if sel is None:
-            return
-        kmin = self.kmin[sel]
-        acc_i = np.zeros(kmin.size, dtype=np.float64)
-        acc_a = np.zeros(kmin.size, dtype=np.float64)
+    def march(self) -> tuple[np.ndarray, np.ndarray]:
+        """March every ray; returns the intensity and opacity planes
+        cropped to ``rect`` (a pixel no ray reaches stays blank)."""
+        intensity = np.zeros((self.rect.height, self.rect.width))
+        opacity = np.zeros_like(intensity)
+        if not self.rows.size:
+            return intensity, opacity
+        acc_i = np.zeros(self.kmin.size, dtype=np.float64)
+        acc_a = np.zeros(self.kmin.size, dtype=np.float64)
         camera = self.camera
         rays = (
-            self.volume.data, self.transfer, self.origins[sel], camera.view_dir,
-            camera.step, camera.t_half, kmin, self.kmax[sel], acc_i, acc_a,
+            self.volume.data, self.transfer, self.origins, camera.view_dir,
+            camera.step, camera.t_half, self.kmin, self.kmax, acc_i, acc_a,
         )
         perf.incr("raycast.march_calls")
         with perf.timer("raycast.march"):
             _march_batched(*rays, self.occupancy, self.occ_threshold)
-        pixels = (self.rows[sel], self.cols[sel])
+        pixels = (self.rows - self.rect.y0, self.cols - self.rect.x0)
         intensity[pixels] = acc_i
         opacity[pixels] = acc_a
-
-    def _select(self, rect: Rect) -> slice | np.ndarray | None:
-        """Positions of the rays inside ``rect`` (a subset of ``self.rect``):
-        a slice for full-width row bands, an index array otherwise,
-        ``None`` when there are none."""
-        if rect.is_empty:
-            return None
-        lo, hi = np.searchsorted(self.rows, (rect.y0, rect.y1))
-        if lo == hi:
-            return None
-        if rect.x0 <= self.rect.x0 and rect.x1 >= self.rect.x1:
-            return slice(int(lo), int(hi))
-        cols = self.cols[lo:hi]
-        inside = np.flatnonzero((cols >= rect.x0) & (cols < rect.x1))
-        return inside + lo if inside.size else None
+        return intensity, opacity
 
 
 def render_subvolume(
@@ -273,7 +246,8 @@ def render_subvolume(
     """
     setup = RaySetup(volume, transfer, camera, extent, clip_rect=clip_rect)
     image = SubImage.blank(camera.height, camera.width)
-    setup.march_into(image.intensity, image.opacity)
+    rows, cols = setup.rect.slices()
+    image.intensity[rows, cols], image.opacity[rows, cols] = setup.march()
     return image
 
 

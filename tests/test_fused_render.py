@@ -1,20 +1,25 @@
-"""Setup-once / march-any-selection ray casting and the fused tile pipeline.
+"""Setup-once ray casting and the one tile-routed pipeline path.
 
 Three layers of the same claim — *what is marched together never changes
-what a ray computes*:
+what a ray computes, and when a rank renders never changes what it
+composites*:
 
-* :class:`~repro.render.raycast.RaySetup` marched over the whole
-  footprint, an arbitrary rect, or one tile row at a time reproduces
+* :meth:`~repro.render.raycast.RaySetup.march` over the whole footprint,
+  an arbitrary clip window, or one tile row at a time reproduces
   ``render_subvolume``'s whole-frame pixels exactly;
-* the fused pipeline (one setup per rank, one march per tile row, blank
-  tiles never scanned) leaves every observable — pixels, per-rank
-  per-stage counters, modelled clocks, progress events — identical to
-  the per-tile oracle it replaced (one public clipped render per tile,
-  every tile scanned);
-* the work it does is bounded by rank and tile-row counts, not by the
-  tile count (the deterministic stand-in for a wall-clock ceiling).
+* a tile-routed run (every rank renders through ``RankRender``, then
+  ``TileRoutedCompositor.run`` composites) leaves every observable —
+  pixels, per-rank per-stage counters, modelled clocks, tile events,
+  progress events — as ``tests/data/tile_routed_parity.json`` recorded
+  it from the render-overlapped path this one replaced (commit
+  ``c60a860``, which rendered each tile row band between its pushes);
+* the work it does is bounded by the rank count, not by the tile count
+  (the deterministic stand-in for a wall-clock ceiling).
 """
 
+import hashlib
+import json
+import os
 from unittest import mock
 
 import numpy as np
@@ -23,7 +28,6 @@ import pytest
 from oracles import render_reference
 from repro import perf
 from repro.cluster.progress import ProgressFeed
-from repro.compositing.registry import make_compositor
 from repro.pipeline import phases, render_pool
 from repro.pipeline.config import RunConfig
 from repro.pipeline.render_pool import RenderPool
@@ -37,6 +41,7 @@ from repro.volume.datasets import make_dataset
 SHAPE = (32, 32, 16)
 #: Frame that no tested tile size divides.
 HEIGHT, WIDTH = 52, 70
+PARITY = os.path.join(os.path.dirname(__file__), "data", "tile_routed_parity.json")
 
 
 class _NoZeroThreshold:
@@ -73,6 +78,15 @@ def _extents(volume):
     return [volume.full_extent(), Extent3(nx // 2, nx, 0, ny // 2, nz // 4, nz)]
 
 
+def _scatter_march(image, setup):
+    """Scatter ``setup.march()``'s cropped planes into ``image``."""
+    intensity, opacity = setup.march()
+    assert intensity.shape == opacity.shape == (setup.rect.height, setup.rect.width)
+    rows, cols = setup.rect.slices()
+    image.intensity[rows, cols] = intensity
+    image.opacity[rows, cols] = opacity
+
+
 @pytest.mark.parametrize(
     "wrap,camera_kw", [c[1:] for c in _scenes()], ids=[c[0] for c in _scenes()]
 )
@@ -90,17 +104,16 @@ class TestSetupThenMarch:
         rng = np.random.RandomState(7)
         for extent in _extents(volume):
             whole = render_subvolume(volume, transfer, camera, extent)
-            setup = RaySetup(volume, transfer, camera, extent)
 
             image = SubImage.blank(HEIGHT, WIDTH)
-            setup.march_into(image.intensity, image.opacity)
+            _scatter_march(image, RaySetup(volume, transfer, camera, extent))
             assert image.max_abs_diff(whole) == 0.0
 
             y0, y1 = sorted(rng.randint(0, HEIGHT + 1, size=2))
             x0, x1 = sorted(rng.randint(0, WIDTH + 1, size=2))
             window = Rect(int(y0), int(x0), int(y1), int(x1))
             image = SubImage.blank(HEIGHT, WIDTH)
-            setup.march_into(image.intensity, image.opacity, window)
+            _scatter_march(image, RaySetup(volume, transfer, camera, extent, clip_rect=window))
             expected = SubImage.blank(HEIGHT, WIDTH)
             rows, cols = window.slices()
             expected.intensity[rows, cols] = whole.intensity[rows, cols]
@@ -111,7 +124,7 @@ class TestSetupThenMarch:
                 image = SubImage.blank(HEIGHT, WIDTH)
                 for y in range(0, HEIGHT, tile):
                     band = Rect(y, 0, min(y + tile, HEIGHT), WIDTH)
-                    setup.march_into(image.intensity, image.opacity, band)
+                    _scatter_march(image, RaySetup(volume, transfer, camera, extent, clip_rect=band))
                 assert image.max_abs_diff(whole) == 0.0, f"tile rows of {tile}"
 
     def test_setup_rect_bounds_every_nonblank_pixel(self, dataset, wrap, camera_kw):
@@ -131,9 +144,10 @@ class TestSetupEdges:
             RaySetup(volume, transfer, camera, clip_rect=Rect(0, 0, 2, 2)),
         ):
             assert setup.rect.is_empty and setup.rows.size == 0
-            image = SubImage.blank(HEIGHT, WIDTH)
-            setup.march_into(image.intensity, image.opacity)
-            assert image.nonblank_count() == 0
+            with perf.scope() as work:
+                intensity, opacity = setup.march()
+            assert intensity.size == opacity.size == 0
+            assert work.counter("raycast.march_calls") == 0
 
     def test_reference_setup_matches_chunked_over_bands(self):
         volume, transfer = make_dataset("engine_high", SHAPE)
@@ -152,31 +166,7 @@ class TestSetupEdges:
         assert image.max_abs_diff(whole) == 0.0
 
 
-# ---- the fused pipeline against the per-tile oracle -------------------------
-async def _per_tile_fused_phase(ctx, cfg, scene, render=None):
-    """The fused phase as it was before band marching: one public clipped
-    render per tile, nothing ever declared blank (so every tile is
-    scanned).  Public, independently tested code only: the rank's pooled
-    ``render`` goes unused."""
-    compositor = make_compositor(cfg.method, **cfg.method_options)
-    extent = scene.plan.extent(ctx.rank)
-    camera = scene.camera
-
-    def render_tile(image, rect):
-        part = render_subvolume(
-            scene.volume, scene.transfer, camera, extent, clip_rect=rect
-        )
-        rows, cols = rect.slices()
-        image.intensity[rows, cols] = part.intensity[rows, cols]
-        image.opacity[rows, cols] = part.opacity[rows, cols]
-        return True
-
-    subimage, outcome = await compositor.run_fused(
-        ctx, camera.height, camera.width, scene.plan, camera.view_dir, render_tile
-    )
-    return subimage, outcome
-
-
+# ---- the tile-routed path against its recorded observables -------------------
 def _cfg(method, backend="sim", **overrides):
     kwargs = dict(
         dataset="engine_low", volume_shape=(24, 24, 12), image_size=72, num_ranks=8,
@@ -199,25 +189,79 @@ def _accounting(result, *, clocks: bool):
             if clocks:
                 row.update({k: st[k] for k in ("comp_time", "comm_time", "wait_time")})
             stages.append(row)
-        ranks.append((entry["rank"], stages))
+        ranks.append([entry["rank"], stages])
     return ranks
 
 
 def _tile_events(result, *, clocks: bool):
     keys = ("rank", "tile", "pixels") + (("t",) if clocks else ())
-    return [
-        tuple(ev[k] for k in keys)
+    events = [
+        [ev[k] for k in keys]
         for ev in result.timeline.events
         if ev.get("event") == "tile_complete"
     ]
+    # Off the simulator ranks interleave freely: only the set is fixed.
+    return events if clocks else sorted(events)
 
 
-def _progress_events(feed):
-    return [
-        (e.seq, e.kind, e.rank, e.tile, e.rect, e.t, e.coverage,
-         e.intensity.tobytes(), e.opacity.tobytes())
-        for e in feed.events
-    ]
+def _pixel_digest(result):
+    digest = hashlib.sha256()
+    for image in (result.final_image, *result.subimages):
+        digest.update(image.intensity.tobytes())
+        digest.update(image.opacity.tobytes())
+    return digest.hexdigest()
+
+
+def _progress_digest(feed):
+    digest = hashlib.sha256()
+    for e in feed.events:
+        digest.update(repr((e.seq, e.kind, e.rank, e.tile, e.rect, e.t, e.coverage)).encode())
+        digest.update(e.intensity.tobytes())
+        digest.update(e.opacity.tobytes())
+    return digest.hexdigest()
+
+
+def _observed(result, feed=None):
+    """What the parity file records of one run: everything on the
+    simulator, the integer counters and pixels on mp."""
+    clocks = result.timeline.backend == "sim"
+    observed = {
+        "pixels": _pixel_digest(result),
+        "accounting": _accounting(result, clocks=clocks),
+        "tile_events": _tile_events(result, clocks=clocks),
+    }
+    if clocks:
+        observed["makespan"] = result.timeline.makespan
+        observed["latency"] = {
+            key: result.timeline.meta[key]
+            for key in ("latency_to_first_pixel", "latency_to_p50_pixels")
+        }
+    if feed is not None:
+        observed["progress"] = _progress_digest(feed)
+    # The file's JSON round trip: tuples become lists, floats stay exact.
+    return json.loads(json.dumps(observed))
+
+
+@pytest.fixture(scope="module")
+def parity():
+    with open(PARITY) as fh:
+        return json.load(fh)
+
+
+class TestTileRoutedParity:
+    @pytest.mark.parametrize("codec", ["rect-rle", "rect", "rle", "raw"])
+    def test_sim_matches_the_recorded_run(self, codec, parity):
+        feed = ProgressFeed()
+        result = SortLastSystem(_cfg(f"tile-routed:{codec}")).run(progress=feed)
+        assert _observed(result, feed) == parity["sim"][codec]
+
+    def test_mp_matches_the_recorded_run_and_the_sim_counters(self, parity):
+        mp = SortLastSystem(_cfg("tile-routed:rect-rle", "mp", num_ranks=4)).run()
+        assert _observed(mp) == parity["mp"]["rect-rle"]
+        sim = SortLastSystem(_cfg("tile-routed:rect-rle", num_ranks=4)).run()
+        assert _pixel_digest(mp) == _pixel_digest(sim)
+        assert _accounting(mp, clocks=False) == _accounting(sim, clocks=False)
+        assert _tile_events(mp, clocks=False) == _tile_events(sim, clocks=False)
 
 
 def _same_images(a, b):
@@ -226,67 +270,7 @@ def _same_images(a, b):
         assert sub_a.max_abs_diff(sub_b) == 0.0
 
 
-class TestFusedMatchesPerTileOracle:
-    @pytest.mark.parametrize("codec", ["rect-rle", "rect", "rle", "raw"])
-    def test_sim_everything_observable(self, codec, monkeypatch):
-        cfg = _cfg(f"tile-routed:{codec}")
-        feed = ProgressFeed()
-        fused = SortLastSystem(cfg).run(progress=feed)
-        monkeypatch.setattr(phases, "fused_render_composite_phase", _per_tile_fused_phase)
-        oracle_feed = ProgressFeed()
-        oracle = SortLastSystem(cfg).run(progress=oracle_feed)
-
-        _same_images(fused, oracle)
-        assert _accounting(fused, clocks=True) == _accounting(oracle, clocks=True)
-        assert fused.timeline.makespan == oracle.timeline.makespan
-        for key in ("latency_to_first_pixel", "latency_to_p50_pixels"):
-            assert fused.timeline.meta[key] == oracle.timeline.meta[key]
-        assert _tile_events(fused, clocks=True) == _tile_events(oracle, clocks=True)
-        assert _progress_events(feed) == _progress_events(oracle_feed)
-
-    def test_mp_counters_and_pixels(self, monkeypatch):
-        cfg = _cfg("tile-routed:rect-rle", backend="mp", num_ranks=4)
-        fused = SortLastSystem(cfg).run()
-        # Forked workers inherit the patched module.
-        monkeypatch.setattr(phases, "fused_render_composite_phase", _per_tile_fused_phase)
-        oracle = SortLastSystem(cfg).run()
-        _same_images(fused, oracle)
-        assert _accounting(fused, clocks=False) == _accounting(oracle, clocks=False)
-        assert sorted(_tile_events(fused, clocks=False)) == sorted(
-            _tile_events(oracle, clocks=False)
-        )
-        # ... and the mp integer counters are the sim's.
-        sim = SortLastSystem(_cfg("tile-routed:rect-rle", num_ranks=4)).run()
-        _same_images(fused, sim)
-        assert _accounting(fused, clocks=False) == _accounting(sim, clocks=False)
-
-    @pytest.mark.parametrize("backend", ["sim", "mp"])
-    def test_split_path_agrees_on_pixels_and_totals(self, backend, monkeypatch):
-        """Render-whole-then-``run`` books the bound scans to the
-        pre-stage instead of stage 0 (so its clocks differ by design);
-        pixels and every per-rank total are the fused path's."""
-        cfg = _cfg("tile-routed:rect-rle", backend=backend, num_ranks=4)
-        fused = SortLastSystem(cfg).run()
-        monkeypatch.setattr(phases, "_fusable", lambda cfg, scene: False)
-        split = SortLastSystem(cfg).run()
-        _same_images(fused, split)
-
-        def totals(result):
-            out = []
-            for rank, stages in _accounting(result, clocks=False):
-                total: dict = {}
-                for st in stages:
-                    for key in ("bytes_sent", "bytes_recv", "msgs_sent", "msgs_recv"):
-                        total[key] = total.get(key, 0) + st[key]
-                    for key, value in st["counters"].items():
-                        total[key] = total.get(key, 0) + value
-                out.append((rank, total))
-            return out
-
-        assert totals(fused) == totals(split)
-
-
-# ---- render cache on the fused path -----------------------------------------
+# ---- render cache on the tile-routed path -------------------------------------
 class TestFusedRenderCache:
     def test_fused_and_split_share_entries(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
@@ -306,7 +290,7 @@ class TestFusedRenderCache:
         _same_images(first, second)
         assert _accounting(first, clocks=True) == _accounting(second, clocks=True)
 
-        # The split path hits the entries the fused path stored ...
+        # A scheduled method hits the entries the tile-routed run stored ...
         with perf.scope() as shared:
             split = SortLastSystem(split_cfg).run()
         assert shared.counter("pipeline.render_cache_hits") == 4
@@ -354,7 +338,7 @@ class TestFusedRenderCache:
 # ---- deterministic work-count guard -----------------------------------------
 class TestFusedWorkCount:
     """The 192 px, P=16 ``engine_high`` frame of the e2e benchmark: work
-    scales with ranks and tile rows, never with the tile count."""
+    scales with ranks, never with the tile count."""
 
     RANKS = 16
     SIZE = 192
@@ -386,14 +370,14 @@ class TestFusedWorkCount:
 
         assert work.counter("raycast.setups") == self.RANKS
         # One whole march per rank that casts a ray (rank 0's block casts
-        # none here), in the render pool: the fused phase copies its
-        # tile-row bands from the rank's render, as the split path does.
+        # none here), in the render pool, whatever the method.
         assert work.counter("raycast.march_calls") == self.RANKS - 1
         assert base.counter("raycast.march_calls") == self.RANKS - 1
-        # One rank image each plus the assembled final, exactly what the
-        # split path allocates: nothing frame-sized inside the tile loop.
+        # One rank image each plus the assembled final: the renders
+        # themselves allocate only their bounding rects, and nothing
+        # frame-sized is made inside the tile loop.
         assert fused_frames == split_frames == self.RANKS + 1
-        # Per-ray pure counts: the same whichever bands the rays march in.
+        # Per-ray pure counts: the same whichever method consumes them.
         for name in ("raycast.rays", "raycast.empty_rays", "raycast.samples",
                      "raycast.samples_skipped"):
             assert work.counter(name) == base.counter(name), name

@@ -29,7 +29,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: reference implementations that moved to ``tests/oracles.py`` with the
 #: collectives nothing called, the second sparse folds, rect
 #: helpers and result views, the mp supervisor's in-place respawn, and
-#: the transport's heartbeats, send retries and unused ``barrier`` verb
+#: the transport's heartbeats, send retries and unused ``barrier`` verb,
+#: and the fused tile-routed phase with its band marcher
 #: (CHANGELOG lists each with its replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
@@ -104,9 +105,15 @@ REMOVED_NAMES = {
     "BarrierOp",
     "barrier",
     "_try_release_barrier",
+    "run_fused",
+    "fused_render_composite_phase",
+    "_fusable",
+    "render_phase",
+    "march_into",
+    "_select",
 }
 
-#: Classes that carried one of the removed names as a second view.
+#: Classes that carried one of the removed names (a second view or entry).
 REMOVED_FROM_CLASSES = (
     "repro.render.image.SubImage",
     "repro.cluster.stats.RunResult",
@@ -118,6 +125,8 @@ REMOVED_FROM_CLASSES = (
     "repro.cluster.context.RankContext",
     "repro.cluster.recovery.RecoveryPolicy",
     "repro.cluster.recovery.DiskCheckpointStore",
+    "repro.compositing.tile_engine.TileRoutedCompositor",
+    "repro.render.raycast.RaySetup",
     "repro.pipeline.config.RunConfig",
     "repro.serving.service.RenderService",
     "repro.serving.service.SessionHandle",
@@ -159,6 +168,7 @@ def test_module_imports_and_all_resolves(name):
         "repro.compositing.codec", "repro.compositing.registry", "repro.compositing.rle",
         "repro.cluster.simulator", "repro.cluster.collectives",
         "repro.cluster.recovery", "repro.cluster.mp_backend",
+        "repro.compositing.tile_engine",
     ],
 )
 def test_removed_names_stay_removed(package):
@@ -202,7 +212,7 @@ def test_marcher_options_stay_removed():
     is no step chunk to size and no point to cut a ray off at."""
     from repro.render.raycast import RaySetup, render_full, render_subvolume
 
-    for accepts in (render_subvolume, render_full, RaySetup.march_into):
+    for accepts in (render_subvolume, render_full, RaySetup.march):
         params = inspect.signature(accepts).parameters
         assert not {"early_termination", "chunk_steps"} & set(params), accepts
         assert not any(p.kind is p.VAR_KEYWORD for p in params.values()), accepts

@@ -229,14 +229,15 @@ class TestOccupancyGrid:
         with ``samples`` it adds up to the rays' spans — however the rays
         are selected and batched."""
         volume, transfer = make_dataset("engine_high", SHAPE)
-        setup = RaySetup(volume, transfer, _camera(volume))
+        camera = _camera(volume)
+        setup = RaySetup(volume, transfer, camera)
         in_span = int((setup.kmax - setup.kmin + 1).sum())
         counts = []
         for band in (40, 14):  # the whole frame at once, then three row bands
-            image = SubImage.blank(40, 40)
             with perf.scope() as work:
                 for y in range(0, 40, band):
-                    setup.march_into(image.intensity, image.opacity, Rect(y, 0, y + band, 40))
+                    window = Rect(y, 0, y + band, 40)
+                    RaySetup(volume, transfer, camera, clip_rect=window).march()
             counts.append(
                 (work.counter("raycast.samples"), work.counter("raycast.samples_skipped"))
             )

@@ -234,8 +234,24 @@ class TestCheckpointResumeMatrix:
 # ---------------------------------------------------------------------------
 # One recovery path on every backend
 # ---------------------------------------------------------------------------
-#: Where rank 1 crashes: before it sends anything, and mid-composite.
-CRASH_POINTS = {"render": {"phase": "render"}, "stage1": {"stage": 1}}
+#: Where rank 1 crashes: before it sends anything, mid-composite, and
+#: at the composite phase boundary (rendered, nothing sent yet).
+CRASH_POINTS = {
+    "render": {"phase": "render"},
+    "stage1": {"stage": 1},
+    "composite": {"phase": "composite"},
+}
+
+#: (method, options, crash point) rows of the matrix.  The scheduled
+#: method's ids are the bare crash points; tile-routed has no exchange
+#: stages, so it crashes at the two phase boundaries instead.
+TILE_ROUTED = ("tile-routed:rect-rle", {"tile": 8})
+MATRIX_CASES = [
+    pytest.param("bsbrc", {}, "render", id="render"),
+    pytest.param("bsbrc", {}, "stage1", id="stage1"),
+    pytest.param(*TILE_ROUTED, "render", id="tile-routed-render"),
+    pytest.param(*TILE_ROUTED, "composite", id="tile-routed-composite"),
+]
 
 
 def _crash_plan(where: str) -> FaultPlan:
@@ -254,13 +270,13 @@ def _fault_event_counts(events) -> dict[str, int]:
 class TestCrossBackendRecoveryMatrix:
     """Every policy declares the same outcome on ``sim`` and ``mp``."""
 
-    @pytest.mark.parametrize("where", sorted(CRASH_POINTS))
+    @pytest.mark.parametrize("method,options,where", MATRIX_CASES)
     @pytest.mark.parametrize("policy", RECOVERY_POLICIES)
-    def test_policy_outcome_is_backend_independent(self, policy, where):
+    def test_policy_outcome_is_backend_independent(self, policy, method, options, where):
         outcomes = {}
         for backend in BACKENDS:
             try:
-                result = SortLastSystem(_config("bsbrc", {}, recovery=policy)).run(
+                result = SortLastSystem(_config(method, options, recovery=policy)).run(
                     backend=backend, fault_plan=_crash_plan(where)
                 )
             except RankFailedError as err:
@@ -274,7 +290,7 @@ class TestCrossBackendRecoveryMatrix:
                 "detected": 1,
             }, backend
             if policy in ("respawn", "checkpoint-resume"):
-                clean = _baseline("bsbrc", {}, backend)
+                clean = _baseline(method, options, backend)
                 assert result.recovered and not result.degraded, backend
                 assert _images_equal(result.final_image, clean.final_image), backend
                 assert _comm_fingerprint(result) == _comm_fingerprint(clean), backend
@@ -282,6 +298,13 @@ class TestCrossBackendRecoveryMatrix:
                     e for e in result.timeline.events if e.get("event") == "recovery"
                 ]
                 assert [e["action"] for e in recovery] == [policy], backend
+            elif policy == "degrade":
+                assert result.degraded and not result.recovered, backend
+                assert [
+                    e["failed_ranks"]
+                    for e in result.timeline.events
+                    if e.get("event") == "recovery"
+                ] == [[1]], backend
         assert outcomes["sim"] == outcomes["mp"], outcomes
         expected = {
             "abort": "aborted",

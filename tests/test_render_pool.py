@@ -38,8 +38,8 @@ from repro.serving import RenderService
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 METHODS = ["bs", "bsbr", "bslc", "bsbrc", "radix-k:rect-rle"]
-#: The fused render+composite path: bands copied from the pooled render.
-FUSED = ["tile-routed:rect-rle", "tile-routed:rle", "tile-routed:raw", "tile-routed:rect"]
+#: Tile-routed methods: the pooled render feeds ``TileRoutedCompositor.run``.
+TILE_ROUTED = ["tile-routed:rect-rle", "tile-routed:rle", "tile-routed:raw", "tile-routed:rect"]
 RAYCAST = ("raycast.setups", "raycast.rays", "raycast.empty_rays",
            "raycast.march_calls", "raycast.samples", "raycast.samples_skipped")
 
@@ -132,7 +132,7 @@ def _raise_render_error(message):
 # ---- equivalence -------------------------------------------------------------
 class TestEquivalence:
     @pytest.mark.parametrize("num_ranks", [4, 16])
-    @pytest.mark.parametrize("method", METHODS + FUSED)
+    @pytest.mark.parametrize("method", METHODS + TILE_ROUTED)
     def test_matrix(self, method, num_ranks, pool):
         cfg = _cfg(method, num_ranks)
         inline_feed, pooled_feed = ProgressFeed(), ProgressFeed()
@@ -143,7 +143,7 @@ class TestEquivalence:
         assert _feed_events(pooled_feed) == _feed_events(inline_feed)
         assert pool.submitted - submitted == num_ranks
         assert inline["counters"]["raycast.setups"] == num_ranks
-        if method in FUSED:
+        if method in TILE_ROUTED:
             assert any(kind == "tile" for kind, *_ in _feed_events(inline_feed))
             assert inline["latency"]["latency_to_first_pixel"] is not None
 
@@ -340,7 +340,7 @@ class TestFailures:
     def test_deadlined_service_job_leaves_no_render_behind(
         self, pool, monkeypatch, method="bsbrc", boundary="stage boundary"
     ):
-        """A running job's deadline fires at its first stage (fused path:
+        """A running job's deadline fires at its first stage (tile-routed:
         tile) boundary, after the simulator has taken every rank's
         render: the job fails typed and the next job on the pool is
         exact."""

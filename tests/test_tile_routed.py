@@ -2,8 +2,8 @@
 
 Covers the tile grid (:mod:`repro.compositing.tiles`), the barrier-free
 engine (:mod:`repro.compositing.tile_engine`), the tag-routed message
-pump (:class:`repro.cluster.collectives.TileRouter`), the fused
-render+composite pipeline phase, and the acceptance invariant: the
+pump (:class:`repro.cluster.collectives.TileRouter`), the pipeline
+path (render, then composite), and the acceptance invariant: the
 tile-routed result is **bit-identical** to ``binary-swap:raw`` on every
 paper dataset, rank count, and substrate.
 """
@@ -292,15 +292,19 @@ class TestCountersAndLatency:
             assert bs.stats.makespan >= 2.0 * first
 
 
-# ---- fused render+composite -------------------------------------------------
+# ---- the pipeline path ------------------------------------------------------
 class TestFusedPhase:
+    """Tile-routed runs take the render → composite → gather path of
+    every other method (the class keeps the name of the fused phase it
+    once tested)."""
+
     def test_fused_matches_split_pipeline(self):
-        fused = _pipeline("tile-routed:rect-rle", 4, "sim")
+        tiled = _pipeline("tile-routed:rect-rle", 4, "sim")
         split = _pipeline("binary-swap:raw", 4, "sim")
-        assert fused.final_image.max_abs_diff(split.final_image) == 0.0
-        # The pristine per-rank renders are bit-identical to unfused ones.
-        for fused_sub, split_sub in zip(fused.subimages, split.subimages):
-            assert fused_sub.max_abs_diff(split_sub) == 0.0
+        assert tiled.final_image.max_abs_diff(split.final_image) == 0.0
+        # The pristine per-rank renders are the scheduled method's.
+        for tiled_sub, split_sub in zip(tiled.subimages, split.subimages):
+            assert tiled_sub.max_abs_diff(split_sub) == 0.0
 
     def test_clip_rect_render_is_bit_identical_inside_window(self):
         from repro.pipeline.phases import build_scene
@@ -322,7 +326,7 @@ class TestFusedPhase:
         assert not outside.any()
 
     def test_folded_plan_takes_the_unfused_path(self):
-        # Folded plans cannot fuse; they still produce the right image.
+        # Folded plans wrap the same run; they produce the right image.
         result = _pipeline("tile-routed:rect", 5, "sim")
         ref = _pipeline("bsbrc", 5, "sim")
         assert result.final_image.max_abs_diff(ref.final_image) == 0.0
