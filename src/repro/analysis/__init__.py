@@ -17,7 +17,7 @@ from .sparsity import (
     wire_cost_estimates,
 )
 from .tables import format_generic, format_mmax_table, format_paper_table
-from .timeline import Interval, ascii_gantt, intervals_from_stats, trace_to_json
+from .timeline import Interval, ascii_gantt, intervals_from_stats
 
 __all__ = [
     "Interval",
@@ -41,6 +41,5 @@ __all__ = [
     "series_summary",
     "sparsity_table",
     "speedup",
-    "trace_to_json",
     "wire_cost_estimates",
 ]

@@ -1,11 +1,10 @@
 """Execution-timeline tooling for the simulated cluster.
 
-Turns a traced :class:`~repro.cluster.simulator.Simulator` run into
-
-* a per-rank **ASCII Gantt chart** showing when each rank computed,
-  transferred, and waited (great for *seeing* the load imbalance the
-  BSLC interleaving removes), and
-* a JSON-serializable event list for external tooling.
+Turns a simulated run's stats into a per-rank **ASCII Gantt chart**
+showing when each rank computed, transferred, and waited (great for
+*seeing* the load imbalance the BSLC interleaving removes).  The raw
+event trace is the ``trace`` list of a ``repro.run-timeline/1``
+document (:class:`~repro.cluster.run_timeline.RunTimeline`).
 
 Time is bucketed into fixed columns; within a bucket, compute wins over
 transfer wins over wait for display purposes.
@@ -13,13 +12,11 @@ transfer wins over wait for display purposes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from ..cluster.simulator import TraceEvent
 from ..cluster.stats import RunResult
 
-__all__ = ["Interval", "intervals_from_stats", "ascii_gantt", "trace_to_json"]
+__all__ = ["Interval", "intervals_from_stats", "ascii_gantt"]
 
 _GLYPH = {"compute": "#", "comm": "=", "wait": "."}
 
@@ -105,13 +102,3 @@ def ascii_gantt(
     out.append("legend: # compute   = transfer   . waiting")
     return "\n".join(out)
 
-
-def trace_to_json(events: list[TraceEvent]) -> str:
-    """Serialize raw simulator trace events for external tools."""
-    return json.dumps(
-        [
-            {"time": e.time, "rank": e.rank, "kind": e.kind, "detail": e.detail}
-            for e in events
-        ],
-        indent=2,
-    )

@@ -1,11 +1,11 @@
 """The on-disk render cache: one keyed ``.npz`` store under
 ``REPRO_CACHE_DIR``, bounded by LRU eviction.
 
-Two producers share it — per-rank subimages from
-:mod:`repro.pipeline.phases` and whole rendered workloads from
-:mod:`repro.experiments.harness`.  Both go through the same four calls:
-:func:`cache_dir` (the directory, ``None`` = caching off),
-:func:`entry_path` (SHA-256 of the key fields → file name),
+One producer fills it: the render phase's per-rank subimages
+(:class:`repro.pipeline.phases.RankRender`), which every pipeline run
+and the experiment harness render through.  It goes through four
+calls: :func:`cache_dir` (the directory, ``None`` = caching off),
+:func:`entry_path` (SHA-256 of the key fields → file name under it),
 :func:`load_entry` (arrays, or ``None`` on a miss or a corrupt file; a
 hit bumps recency) and :func:`store_entry` (write a per-process temp
 file, ``os.replace`` it into place, enforce the size cap).
@@ -108,12 +108,10 @@ def cache_dir() -> Optional[str]:
     return os.environ.get(CACHE_DIR_ENV, "").strip() or None
 
 
-def entry_path(
-    prefix: str, key_fields: tuple, root: Optional[str] = None
-) -> Optional[str]:
-    """``<root>/<prefix>_<sha256 of key_fields>.npz``; ``root`` defaults
-    to :func:`cache_dir`, and ``None`` comes back when caching is off."""
-    root = root if root is not None else cache_dir()
+def entry_path(prefix: str, key_fields: tuple) -> Optional[str]:
+    """``<cache_dir()>/<prefix>_<sha256 of key_fields>.npz``, or ``None``
+    when caching is off."""
+    root = cache_dir()
     if root is None:
         return None
     digest = hashlib.sha256(repr(key_fields).encode("utf-8")).hexdigest()[:24]

@@ -300,12 +300,12 @@ class ContentionNetwork(Network):
         """Hashable keys of the shared links a message crosses, in order."""
         raise NotImplementedError
 
-    def link_capacity(self, link) -> float:
+    def capacity_of(self, link) -> float:
         """Bandwidth multiple of one link (uniform unless overridden)."""
         return self.capacity
 
     def _cross(self, link, t: float, nbytes: int) -> float:
-        capacity = self.link_capacity(link)
+        capacity = self.capacity_of(link)
         if capacity == math.inf and self.hop_latency == 0.0:
             return t  # free link: no queue, no state
         begin = self._busy.get(link, 0.0)
@@ -494,7 +494,7 @@ class DragonflyNetwork(ContentionNetwork):
             return []
         return [("exit", a), ("global", a, b), ("entry", b)]
 
-    def link_capacity(self, link) -> float:
+    def capacity_of(self, link) -> float:
         return self.global_capacity if link[0] == "global" else self.capacity
 
     def describe(self) -> dict:
@@ -532,21 +532,15 @@ def _coerce_option(raw: str):
         raise ConfigurationError(f"cannot parse topology option value {raw!r}") from None
 
 
-def make_network(
-    spec: "str | Network | None",
-    model: MachineModel,
-    **overrides,
-) -> Network:
+def make_network(spec: "str | Network | None", model: MachineModel) -> Network:
     """Build a :class:`Network` from a CLI-style spec string.
 
     ``spec`` is ``None``/``"flat"`` for the legacy flat link, a bare
     topology name (``"fat-tree"``, ``"torus"``, ``"dragonfly"``), or a
     name with options: ``"fat-tree:radix=8,capacity=2"``,
     ``"torus:dims=32x32"``, ``"dragonfly:global_capacity=0.5"``.  Option
-    values parse as int/float, ``inf``, or ``AxB`` dims tuples.
-    ``overrides`` (e.g. ``capacity=`` from ``--links``) win over the
-    spec; ``None`` overrides are ignored.  An already-built network
-    passes through unchanged.
+    values parse as int/float, ``inf``, or ``AxB`` dims tuples.  An
+    already-built network passes through unchanged.
     """
     if isinstance(spec, Network):
         return spec
@@ -566,7 +560,6 @@ def make_network(
                     f"malformed topology option {item!r} (expected key=value)"
                 )
             kwargs[key.strip().replace("-", "_")] = _coerce_option(raw)
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
     try:
         network = cls(model, **kwargs)
     except TypeError:

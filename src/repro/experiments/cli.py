@@ -18,8 +18,7 @@ Subcommands regenerate each paper artifact::
               fault injection via ``--fault-plan plan.json`` with
               ``--comm-timeout``; recovery via ``--recovery
               {abort,degrade,respawn,checkpoint-resume}``; interconnect
-              topology via ``--topology fat-tree:radix=16`` and
-              ``--links CAPACITY``)
+              topology via ``--topology fat-tree:radix=16,capacity=2.0``)
     scale     at-scale crossover study: the paper's method ranking
               replayed at P=64 and extended to P=256/1024 on synthetic
               sparse workloads (event-driven simulator core)
@@ -303,11 +302,9 @@ def _add_topology_options(sub: argparse.ArgumentParser) -> None:
                      help="simulated interconnect: 'flat' (the paper's "
                           "contention-free link), or a spec like "
                           "'fat-tree:radix=16', 'torus:dims=32x32', "
-                          "'dragonfly:global_capacity=0.5'")
-    sub.add_argument("--links", type=float, default=None, metavar="CAPACITY",
-                     help="shared-link capacity override (bandwidth as a "
-                          "multiple of the base per-byte rate; 'inf' via "
-                          "the topology spec disables contention)")
+                          "'dragonfly:global_capacity=0.5'; 'capacity=X' "
+                          "scales shared-link bandwidth ('inf' disables "
+                          "contention)")
 
 
 def _quick_kwargs(args) -> dict:
@@ -444,7 +441,6 @@ def _run_one(args, command: str) -> None:
                 comm_timeout=getattr(args, "comm_timeout", None),
                 recovery=getattr(args, "recovery", None) or "degrade",
                 topology=getattr(args, "topology", "flat"),
-                link_capacity=getattr(args, "links", None),
             )
         except ConfigurationError as exc:
             raise SystemExit(str(exc)) from exc
@@ -692,9 +688,7 @@ def _run_one(args, command: str) -> None:
             from ..errors import ConfigurationError
 
             try:
-                network = make_network(
-                    topology, machine, capacity=getattr(args, "links", None)
-                )
+                network = make_network(topology, machine)
             except ConfigurationError as exc:
                 raise SystemExit(str(exc)) from exc
         rows = run_scale_crossover(

@@ -1,25 +1,16 @@
 """Experiment harness: render once, composite many ways.
 
 Rendering dominates wall time, so the harness renders each workload
-*once* at the finest partition (``max_ranks`` blocks, cropped to their
-screen footprints) and assembles per-rank subimages for any smaller
-power-of-two ``P`` by compositing the rank's blocks front-to-back.
+*once* at the finest partition — ``max_ranks`` blocks through the
+pipeline's render path (:class:`~repro.pipeline.phases.RankRender`: the
+warm render pool and the ``REPRO_CACHE_DIR`` per-rank cache), each
+cropped to its rays' screen rect — and assembles per-rank subimages for
+any smaller power-of-two ``P`` by compositing the rank's blocks
+front-to-back.
 Because every block is sampled on the camera's global ``t`` grid and
 *over* is associative, the assembled subimage equals a direct render of
 the rank's subvolume to float rounding (property-tested in
 ``tests/test_harness.py``).
-
-Two cache levels back the render-once discipline:
-
-* an **in-process** dict (``workload(...)``), as before, and
-* an optional **on-disk** cache shared *across* processes: set the
-  ``REPRO_CACHE_DIR`` environment variable (or pass ``cache_dir=``) and
-  rendered block sets are stored as ``.npz`` keyed by a SHA-256 content
-  hash of (cache version, renderer, dataset, image size, viewpoint,
-  volume shape, step, max_ranks).  Repeat benchmark / CLI runs then skip
-  the render phase entirely.  The cache is off by default, so tests
-  never read stale pixels; bump ``_CACHE_VERSION`` when the renderer
-  output changes intentionally.
 
 Results are plain :class:`~repro.analysis.metrics.MethodMeasurement`
 rows with JSON persistence so EXPERIMENTS.md can be regenerated without
@@ -34,22 +25,19 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .. import perf
 from ..analysis.metrics import MethodMeasurement, measure
-from ..cache import entry_path, load_entry, store_entry
 from ..cluster.model import SP2, MachineModel
 from ..cluster.hypercube import is_power_of_two, log2_int
 from ..compositing.base import composite_rect_pixels
 from ..errors import ConfigurationError
+from ..pipeline.config import RunConfig
+from ..pipeline.phases import Planes, RankRender, build_scene
+from ..pipeline.render_pool import shared_pool
 from ..pipeline.system import CompositingRun, run_compositing
 from ..render.camera import Camera
 from ..render.image import SubImage
-from ..render.raycast import render_subvolume
-from ..types import Rect
-from ..volume.datasets import make_dataset
-from ..volume.partition import PartitionPlan, recursive_bisect
+from ..volume.partition import PartitionPlan
 
 __all__ = [
     "RenderedWorkload",
@@ -67,42 +55,6 @@ __all__ = [
 #: subimage footprints overlap, as in the paper's experiments).
 DEFAULT_ROTATION = (20.0, 30.0, 0.0)
 
-#: Bump whenever the renderer's output or the cache layout changes.
-_CACHE_VERSION = 1
-
-Blocks = list[tuple[Rect, np.ndarray, np.ndarray]]
-
-
-def _blocks_from_entry(arrays: dict[str, np.ndarray], max_ranks: int) -> Blocks | None:
-    """Decode a cached block set; ``None`` when it is not one."""
-    rects = arrays.get("rects")
-    if rects is None or rects.shape != (max_ranks, 4):
-        return None
-    blocks: Blocks = []
-    try:
-        for n in range(max_ranks):
-            rect = Rect(*(int(v) for v in rects[n]))
-            if rect.is_empty:
-                blocks.append((rect, np.empty((0, 0)), np.empty((0, 0))))
-            else:
-                blocks.append((rect, arrays[f"i{n}"], arrays[f"a{n}"]))
-    except (KeyError, ValueError):
-        return None
-    return blocks
-
-
-def _blocks_to_entry(blocks: Blocks) -> dict[str, np.ndarray]:
-    arrays: dict[str, np.ndarray] = {
-        "rects": np.asarray(
-            [[r.y0, r.x0, r.y1, r.x1] for r, _, _ in blocks], dtype=np.int64
-        )
-    }
-    for n, (rect, block_i, block_a) in enumerate(blocks):
-        if not rect.is_empty:
-            arrays[f"i{n}"] = block_i
-            arrays[f"a{n}"] = block_a
-    return arrays
-
 
 @dataclass
 class RenderedWorkload:
@@ -115,77 +67,47 @@ class RenderedWorkload:
     rotation: tuple[float, float, float] = DEFAULT_ROTATION
     volume_shape: tuple[int, int, int] | None = None
     step: float = 1.0
-    #: On-disk cache directory; ``None`` reads ``REPRO_CACHE_DIR``.
-    cache_dir: str | None = None
 
+    config: RunConfig = field(init=False)
     camera: Camera = field(init=False)
     plan_max: PartitionPlan = field(init=False)
-    blocks: Blocks = field(init=False)
+    blocks: list[Planes] = field(init=False)
     _subimage_cache: dict[int, list[SubImage]] = field(init=False, default_factory=dict)
     _plan_cache: dict[int, PartitionPlan] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.max_ranks):
             raise ConfigurationError(f"max_ranks must be a power of two, got {self.max_ranks}")
-        volume, transfer = make_dataset(self.dataset, self.volume_shape)
-        self.camera = Camera(
-            width=self.image_size,
-            height=self.image_size,
-            volume_shape=volume.shape,
-            rot_x=self.rotation[0],
-            rot_y=self.rotation[1],
-            rot_z=self.rotation[2],
+        rot_x, rot_y, rot_z = self.rotation
+        self.config = RunConfig(
+            dataset=self.dataset,
+            image_size=self.image_size,
+            num_ranks=self.max_ranks,
+            rot_x=rot_x,
+            rot_y=rot_y,
+            rot_z=rot_z,
+            volume_shape=self.volume_shape,
             step=self.step,
         )
-        self.plan_max = recursive_bisect(volume.shape, self.max_ranks)
-
-        key = (
-            _CACHE_VERSION,
-            "raycast",
-            self.dataset,
-            self.image_size,
-            self.max_ranks,
-            tuple(self.rotation),
-            tuple(volume.shape),
-            self.step,
-        )
-        cache_path = entry_path("workload", key, root=self.cache_dir)
-        if cache_path is not None:
-            arrays = load_entry(cache_path)
-            cached = _blocks_from_entry(arrays, self.max_ranks) if arrays else None
-            if cached is not None:
-                perf.incr("harness.disk_cache_hits")
-                self.blocks = cached
-                self._plan_cache[self.max_ranks] = self.plan_max
-                return
-            perf.incr("harness.disk_cache_misses")
-
-        self.blocks = []
-        with perf.timer("harness.render_blocks"):
-            for block in range(self.max_ranks):
-                img = render_subvolume(
-                    volume, transfer, self.camera, self.plan_max.extent(block)
-                )
-                rect = img.bounding_rect()
-                if rect.is_empty:
-                    self.blocks.append((rect, np.empty((0, 0)), np.empty((0, 0))))
-                else:
-                    rows, cols = rect.slices()
-                    self.blocks.append(
-                        (rect, img.intensity[rows, cols].copy(), img.opacity[rows, cols].copy())
-                    )
-        if cache_path is not None:
-            store_entry(cache_path, **_blocks_to_entry(self.blocks))
-            perf.incr("harness.disk_cache_stores")
+        scene = build_scene(self.config)
+        self.camera = scene.camera
+        self.plan_max = scene.plan
         self._plan_cache[self.max_ranks] = self.plan_max
+        # Issue every block before collecting any, so the pool renders
+        # them all at once; a render-cache hit never reaches the pool.
+        pool = shared_pool()
+        renders = [
+            RankRender(pool, self.config, block, self.plan_max.extent(block))
+            for block in range(self.max_ranks)
+        ]
+        self.blocks = [render.planes() for render in renders]
 
     # ---- per-P assembly ------------------------------------------------------
     def plan_for(self, num_ranks: int) -> PartitionPlan:
         """Bisection plan for ``num_ranks`` (a prefix of the finest tree)."""
         plan = self._plan_cache.get(num_ranks)
         if plan is None:
-            volume, _ = make_dataset(self.dataset, self.volume_shape)
-            plan = recursive_bisect(volume.shape, num_ranks)
+            plan = build_scene(self.config.with_(num_ranks=num_ranks)).plan
             self._plan_cache[num_ranks] = plan
         return plan
 
@@ -235,13 +157,8 @@ def workload(
     rotation: tuple[float, float, float] = DEFAULT_ROTATION,
     volume_shape: tuple[int, int, int] | None = None,
     step: float = 1.0,
-    cache_dir: str | None = None,
 ) -> RenderedWorkload:
-    """Fetch (rendering if needed) a cached :class:`RenderedWorkload`.
-
-    ``cache_dir`` opts into the cross-process on-disk cache explicitly;
-    by default the ``REPRO_CACHE_DIR`` environment variable governs it.
-    """
+    """Fetch (rendering if needed) a cached :class:`RenderedWorkload`."""
     key = (dataset, image_size, max_ranks, tuple(rotation), volume_shape, step)
     found = _WORKLOADS.get(key)
     if found is None:
@@ -252,7 +169,6 @@ def workload(
             rotation=tuple(rotation),  # type: ignore[arg-type]
             volume_shape=volume_shape,
             step=step,
-            cache_dir=cache_dir,
         )
         _WORKLOADS[key] = found
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Any
 
 from ..cluster.model import PRESETS, SP2, MachineModel, Network, make_network
@@ -36,7 +37,8 @@ class RunConfig:
         Viewpoint rotation in degrees (paper §3.2's rotation study).
     volume_shape:
         Optional override of the dataset's default voxel shape (used by
-        tests to shrink workloads).
+        tests to shrink workloads): three positive ints, stored as a
+        tuple whatever sequence (a JSON list, say) carried them.
     balance_render_load:
         When true, bisection planes fall at the visible-voxel weighted
         median instead of the midpoint, equalising render work.
@@ -77,18 +79,31 @@ class RunConfig:
     #: Interconnect topology for the simulator: "flat" (the paper's
     #: contention-free link, default) or a spec string understood by
     #: :func:`repro.cluster.model.make_network` such as
-    #: ``"fat-tree:radix=8"`` or ``"torus:dims=32x32"``.
+    #: ``"fat-tree:radix=8"`` or ``"torus:dims=32x32,capacity=2.0"``
+    #: (``capacity`` scales shared-link bandwidth; ``inf`` disables
+    #: contention).
     topology: str = "flat"
-    #: Shared-link capacity override (bandwidth as a multiple of the base
-    #: per-byte rate; ``inf`` disables contention).  ``None`` keeps the
-    #: topology's default; ignored by the flat link.
-    link_capacity: float | None = None
 
     def __post_init__(self) -> None:
         if self.dataset not in DATASETS:
             raise ConfigurationError(
                 f"unknown dataset {self.dataset!r}; available: {sorted(DATASETS)}"
             )
+        if self.volume_shape is not None:
+            shape = self.volume_shape
+            if not (
+                isinstance(shape, (tuple, list))
+                and len(shape) == 3
+                and all(
+                    isinstance(n, Integral) and not isinstance(n, bool) and n > 0
+                    for n in shape
+                )
+            ):
+                raise ConfigurationError(
+                    f"volume_shape must be three positive ints, got {shape!r}"
+                )
+            # A hashable tuple: the scene memo and the render cache key on it.
+            object.__setattr__(self, "volume_shape", tuple(int(n) for n in shape))
         if self.image_size < 2:
             raise ConfigurationError(f"image_size must be >= 2, got {self.image_size}")
         if self.num_ranks < 1:
@@ -128,10 +143,6 @@ class RunConfig:
                 f"unknown recovery policy {self.recovery!r}; "
                 f"choose from {RECOVERY_POLICIES}"
             )
-        if self.link_capacity is not None and not (self.link_capacity > 0):
-            raise ConfigurationError(
-                f"link_capacity must be > 0, got {self.link_capacity!r}"
-            )
         # Validate the topology spec eagerly so a typo fails at config
         # time, not deep inside a run.
         self.build_network()
@@ -152,8 +163,8 @@ class RunConfig:
         if name == "flat":
             if ":" in spec:
                 make_network(spec, self.machine)  # validate any options
-            return None  # flat has no shared links; link_capacity is moot
-        return make_network(spec, self.machine, capacity=self.link_capacity)
+            return None  # flat has no shared links
+        return make_network(spec, self.machine)
 
     def with_(self, **kwargs) -> "RunConfig":
         """Derive a modified copy (sweep helper)."""

@@ -125,9 +125,11 @@ class TestKeyedStore:
     def test_round_trip_and_graceful_misses(self, tmp_path, monkeypatch):
         monkeypatch.delenv(cache.CACHE_DIR_ENV, raising=False)
         assert entry_path("subimage", (1, "k")) is None  # caching off
-        path = entry_path("subimage", (1, "k"), root=str(tmp_path))
-        assert path == entry_path("subimage", (1, "k"), root=str(tmp_path))
-        assert path != entry_path("subimage", (2, "k"), root=str(tmp_path))
+        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
+        path = entry_path("subimage", (1, "k"))
+        assert os.path.dirname(path) == str(tmp_path)
+        assert path == entry_path("subimage", (1, "k"))
+        assert path != entry_path("subimage", (2, "k"))
         assert load_entry(path) is None
         store_entry(path, a=np.arange(4), b=np.ones((2, 2)))
         loaded = load_entry(path)
@@ -142,7 +144,8 @@ class TestKeyedStore:
         """Process B stores the key while process A is halfway through
         writing its temp file: with per-process temp names neither
         writes through the other's file, and the entry stays whole."""
-        path = entry_path("workload", ("shared",), root=str(tmp_path))
+        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
+        path = entry_path("subimage", ("shared",))
         ours, theirs = np.random.default_rng(7).random((2, 256))
         real_savez = np.savez_compressed
         pids = iter((101, 202))

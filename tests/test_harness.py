@@ -19,6 +19,8 @@ from repro.experiments.harness import (
     save_rows,
     workload,
 )
+from repro.pipeline.config import RunConfig
+from repro.pipeline.system import SortLastSystem
 from repro.render.raycast import render_subvolume
 from repro.volume.datasets import make_dataset
 
@@ -92,7 +94,15 @@ class TestWorkloadCache:
 
 
 class TestDiskCache:
+    """The harness renders through the pipeline's per-rank render cache:
+    one ``subimage_*.npz`` entry per block under ``REPRO_CACHE_DIR``."""
+
     KW = dict(dataset="engine_low", image_size=48, max_ranks=4, **SMALL)
+
+    @pytest.fixture
+    def cache_root(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        return tmp_path
 
     def test_off_by_default(self, monkeypatch):
         monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
@@ -112,49 +122,64 @@ class TestDiskCache:
                 assert np.array_equal(ia, ib)
                 assert np.array_equal(aa, ab)
 
-    def test_hit_returns_identical_blocks(self, tmp_path):
+    def test_hit_returns_identical_blocks(self, cache_root):
         perf.reset()
-        cold = RenderedWorkload(cache_dir=str(tmp_path), **self.KW)
-        assert perf.counter("harness.disk_cache_misses") == 1
-        assert perf.counter("harness.disk_cache_stores") == 1
-        warm = RenderedWorkload(cache_dir=str(tmp_path), **self.KW)
-        assert perf.counter("harness.disk_cache_hits") == 1
+        cold = RenderedWorkload(**self.KW)
+        assert perf.counter("pipeline.render_cache_misses") == 4
+        assert perf.counter("pipeline.render_cache_hits") == 0
+        assert len(list(cache_root.glob("subimage_*.npz"))) == 4
+        warm = RenderedWorkload(**self.KW)
+        assert perf.counter("pipeline.render_cache_hits") == 4
+        assert perf.counter("pipeline.render_cache_misses") == 4
         self._blocks_equal(cold, warm)
 
-    def test_warm_workload_composites_like_cold(self, tmp_path):
-        cold = RenderedWorkload(cache_dir=str(tmp_path), **self.KW)
-        warm = RenderedWorkload(cache_dir=str(tmp_path), **self.KW)
+    def test_warm_workload_composites_like_cold(self, cache_root):
+        cold = RenderedWorkload(**self.KW)
+        warm = RenderedWorkload(**self.KW)
         for rank, (a, b) in enumerate(
             zip(cold.subimages_for(4), warm.subimages_for(4))
         ):
             assert a.max_abs_diff(b) == 0.0, f"rank {rank} differs"
 
-    def test_key_distinguishes_parameters(self, tmp_path):
-        RenderedWorkload(cache_dir=str(tmp_path), **self.KW)
+    def test_key_distinguishes_parameters(self, cache_root):
+        RenderedWorkload(**self.KW)
         perf.reset()
         other = dict(self.KW, image_size=56)
-        RenderedWorkload(cache_dir=str(tmp_path), **other)
-        assert perf.counter("harness.disk_cache_hits") == 0
-        assert perf.counter("harness.disk_cache_misses") == 1
+        RenderedWorkload(**other)
+        assert perf.counter("pipeline.render_cache_hits") == 0
+        assert perf.counter("pipeline.render_cache_misses") == 4
 
-    def test_corrupt_entry_is_a_graceful_miss(self, tmp_path):
-        RenderedWorkload(cache_dir=str(tmp_path), **self.KW)
-        entries = list(tmp_path.glob("workload_*.npz"))
-        assert len(entries) == 1
+    def test_corrupt_entry_is_a_graceful_miss(self, cache_root):
+        RenderedWorkload(**self.KW)
+        entries = sorted(cache_root.glob("subimage_*.npz"))
+        assert len(entries) == 4
         entries[0].write_bytes(b"not an npz archive")
         perf.reset()
-        again = RenderedWorkload(cache_dir=str(tmp_path), **self.KW)
-        assert perf.counter("harness.disk_cache_misses") == 1
-        assert perf.counter("harness.disk_cache_stores") == 1
-        fresh = RenderedWorkload(cache_dir=str(tmp_path), **self.KW)
+        again = RenderedWorkload(**self.KW)
+        assert perf.counter("pipeline.render_cache_misses") == 1
+        assert perf.counter("pipeline.render_cache_hits") == 3
+        perf.reset()
+        fresh = RenderedWorkload(**self.KW)  # the damaged entry was restored
+        assert perf.counter("pipeline.render_cache_hits") == 4
         self._blocks_equal(again, fresh)
 
-    def test_env_var_used_when_no_explicit_dir(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+    def test_env_var_used_when_no_explicit_dir(self, cache_root):
         perf.reset()
         RenderedWorkload(**self.KW)
-        assert perf.counter("harness.disk_cache_stores") == 1
-        assert list(tmp_path.glob("workload_*.npz"))
+        assert perf.counter("pipeline.render_cache_misses") == 4
+        assert len(list(cache_root.glob("subimage_*.npz"))) == 4
+        assert not list(cache_root.glob("workload_*.npz"))
+
+    def test_pipeline_run_hits_the_harness_renders(self, cache_root):
+        """A harness workload and a pipeline run of the same scene share
+        the per-rank entries: the run renders nothing."""
+        shape = (16, 16, 16)
+        RenderedWorkload(dataset="sphere", image_size=48, max_ranks=4, volume_shape=shape)
+        cfg = RunConfig(dataset="sphere", image_size=48, num_ranks=4, volume_shape=shape)
+        with perf.scope() as registry:
+            SortLastSystem(cfg).run()
+        assert registry.counter("pipeline.render_cache_hits") == 4
+        assert registry.counter("pipeline.render_cache_misses") == 0
 
 
 class TestRunMethodAndGrid:

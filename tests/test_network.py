@@ -93,8 +93,8 @@ class TestContentionPricing:
     def test_dragonfly_global_links_are_slower(self):
         net = DragonflyNetwork(SP2, group_size=4, capacity=8.0, global_capacity=1.0)
         net.reset(16)
-        local = net.link_capacity(("exit", 0))
-        global_ = net.link_capacity(("global", 0, 1))
+        local = net.capacity_of(("exit", 0))
+        global_ = net.capacity_of(("global", 0, 1))
         assert local == 8.0 and global_ == 1.0
 
 
@@ -175,12 +175,6 @@ class TestMakeNetwork:
         net = make_network("torus:dims=4x8,capacity=inf", SP2)
         assert net.dims == (4, 8) and net.capacity == math.inf
 
-    def test_override_beats_default_but_not_spec(self):
-        net = make_network("fat-tree", SP2, capacity=9.0)
-        assert net.capacity == 9.0
-        none_override = make_network("fat-tree:capacity=3.0", SP2, capacity=None)
-        assert none_override.capacity == 3.0
-
     def test_unknown_topology(self):
         with pytest.raises(ConfigurationError, match="unknown topology"):
             make_network("hypercube", SP2)
@@ -200,17 +194,20 @@ class TestRunConfigIntegration:
             RunConfig(topology="hypercube")
         with pytest.raises(ConfigurationError):
             RunConfig(topology="fat-tree:bogus=1")
-        with pytest.raises(ConfigurationError):
-            RunConfig(link_capacity=0.0)
+        with pytest.raises(ConfigurationError, match="capacity must be > 0"):
+            RunConfig(topology="torus:capacity=0")
 
     def test_flat_builds_no_network(self):
         assert RunConfig().build_network() is None
-        assert RunConfig(topology="flat", link_capacity=2.0).build_network() is None
+        assert RunConfig(topology="flat").build_network() is None
 
     def test_topology_builds_network_with_capacity(self):
-        net = RunConfig(topology="torus", link_capacity=2.0).build_network()
+        net = RunConfig(topology="torus:capacity=2.0").build_network()
+        direct = TorusNetwork(SP2, capacity=2.0)
         assert isinstance(net, TorusNetwork)
+        assert (net.dims, net.capacity) == (direct.dims, direct.capacity)
         assert net.capacity == 2.0
+        assert RunConfig(topology="torus:capacity=inf").build_network().capacity == math.inf
 
 
 class TestHardwareBackendsRejectTopologies:

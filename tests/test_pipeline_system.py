@@ -1,5 +1,6 @@
 """Tests for RunConfig and the end-to-end SortLastSystem."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.backend import SimBackend
@@ -51,6 +52,24 @@ class TestRunConfig:
     def test_bad_step(self):
         with pytest.raises(ConfigurationError):
             RunConfig(step=0)
+
+    def test_volume_shape_list_renders_like_the_tuple(self):
+        """A JSON-borne list is stored as a tuple, so the scene memo and
+        the render cache can key on it."""
+        kw = dict(dataset="sphere", image_size=32, num_ranks=4)
+        as_list = RunConfig(volume_shape=[32, 32, 16], **kw)
+        assert as_list.volume_shape == (32, 32, 16)
+        a = SortLastSystem(as_list).run().final_image
+        b = SortLastSystem(RunConfig(volume_shape=(32, 32, 16), **kw)).run().final_image
+        assert np.array_equal(a.intensity, b.intensity)
+        assert np.array_equal(a.opacity, b.opacity)
+
+    @pytest.mark.parametrize(
+        "shape", [[0, 4, 4], (4, 4), (4, 4, 4, 4), (4.0, 4, 4), (4, -1, 4), "444", 16]
+    )
+    def test_bad_volume_shape(self, shape):
+        with pytest.raises(ConfigurationError, match="volume_shape"):
+            RunConfig(volume_shape=shape)
 
     def test_with_derives(self):
         cfg = RunConfig(num_ranks=4)

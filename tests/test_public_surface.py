@@ -30,7 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: collectives nothing called, the second sparse folds, rect
 #: helpers and result views, the mp supervisor's in-place respawn, and
 #: the transport's heartbeats, send retries and unused ``barrier`` verb,
-#: and the fused tile-routed phase with its band marcher
+#: the fused tile-routed phase with its band marcher, and the harness's
+#: own block cache and the raw-trace JSON writer
 #: (CHANGELOG lists each with its replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
@@ -111,6 +112,11 @@ REMOVED_NAMES = {
     "render_phase",
     "march_into",
     "_select",
+    "Blocks",
+    "_CACHE_VERSION",
+    "_blocks_to_entry",
+    "_blocks_from_entry",
+    "trace_to_json",
 }
 
 #: Classes that carried one of the removed names (a second view or entry).
@@ -337,6 +343,27 @@ def test_service_knobs_stay_removed():
 
     assert "pool" not in inspect.signature(RenderService).parameters
     assert "heartbeat_s" not in inspect.signature(serve).parameters
+
+
+def test_harness_renders_through_the_pipeline():
+    """The harness renders with ``RankRender`` into the one per-rank
+    cache that ``REPRO_CACHE_DIR`` switches on, and the topology spec
+    is the one place a link capacity is written."""
+    from repro.cache import entry_path
+    from repro.cluster.model import make_network
+    from repro.experiments import harness
+    from repro.experiments.cli import build_parser
+    from repro.pipeline import RunConfig
+
+    assert not {"render_subvolume", "make_dataset", "recursive_bisect"} & set(vars(harness))
+    for accepts in (harness.RenderedWorkload, harness.workload):
+        assert "cache_dir" not in inspect.signature(accepts).parameters, accepts
+    assert list(inspect.signature(entry_path).parameters) == ["prefix", "key_fields"]
+    assert list(inspect.signature(make_network).parameters) == ["spec", "model"]
+    assert "link_capacity" not in {f.name for f in dataclasses.fields(RunConfig)}
+    for command in ("run", "scale"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--links", "2.0"])
 
 
 def test_version_has_one_source():

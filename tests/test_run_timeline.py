@@ -34,6 +34,17 @@ class TestRoundTrip:
         assert clone.meta == {"dataset": "unit", "purpose": "roundtrip"}
         assert len(clone.trace_events) == len(timeline.trace_events) > 0
 
+    def test_trace_lists_every_simulator_event(self):
+        """The document's ``trace`` is the raw event list, four plain
+        fields per event, in the order the simulator recorded them."""
+        timeline = _sim_timeline()
+        trace = json.loads(timeline.to_json())["trace"]
+        assert trace == [
+            {"time": e.time, "rank": e.rank, "kind": e.kind, "detail": e.detail}
+            for e in timeline.trace_events
+        ]
+        assert {e["kind"] for e in trace} >= {"compute", "post"}
+
     def test_save_load(self, tmp_path):
         path = tmp_path / "timeline.json"
         timeline = _sim_timeline()

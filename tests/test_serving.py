@@ -289,6 +289,21 @@ class TestSpool:
         assert not doc["ok"]
         assert doc["error"] == "RankFailedError"
 
+    def test_volume_shape_from_json_renders(self, tmp_path):
+        """Deltas cross the spool as JSON, so a shape arrives as a list."""
+        spool = str(tmp_path / "spool")
+        good = submit_job(spool, deltas={"volume_shape": [16, 16, 16]})
+        bad = submit_job(spool, deltas={"volume_shape": [0, 4, 4]})
+        serve(spool, _cfg(), max_workers=1, max_jobs=2, idle_timeout=10.0)
+        doc = wait_for_result(spool, good, timeout=5.0)
+        assert doc["ok"], doc
+        with np.load(doc["image"]) as npz:
+            one_shot = SortLastSystem(_cfg(volume_shape=(16, 16, 16))).run()
+            assert np.array_equal(npz["intensity"], one_shot.final_image.intensity)
+        doc = wait_for_result(spool, bad, timeout=5.0)
+        assert not doc["ok"] and doc["error"] == "ConfigurationError"
+        assert "volume_shape" in doc["detail"]
+
     def test_submit_rejects_unknown_qos(self, tmp_path):
         with pytest.raises(ConfigurationError, match="QoS"):
             submit_job(str(tmp_path), qos="platinum")

@@ -5,11 +5,7 @@ import json
 import pytest
 
 from conftest import rendered_workload
-from repro.analysis.timeline import (
-    ascii_gantt,
-    intervals_from_stats,
-    trace_to_json,
-)
+from repro.analysis.timeline import ascii_gantt, intervals_from_stats
 from repro.cluster.model import (
     ETHERNET_CLUSTER,
     MODERN_CLUSTER,
@@ -17,6 +13,7 @@ from repro.cluster.model import (
     SP2,
     T3E,
 )
+from repro.cluster.run_timeline import RunTimeline
 from repro.cluster.simulator import Simulator, TraceEvent
 from repro.cluster.stats import RankStats, RunResult
 from repro.pipeline.system import run_compositing
@@ -84,10 +81,16 @@ class TestGantt:
 
 
 class TestTraceJson:
+    """A trace is exported as the ``trace`` list of the run-timeline document."""
+
     def test_roundtrip(self):
         events = [TraceEvent(time=0.5, rank=1, kind="post", detail="x")]
-        data = json.loads(trace_to_json(events))
+        timeline = RunTimeline(
+            backend="sim", clock="modelled", num_ranks=2, makespan=0.5, trace_events=events
+        )
+        data = json.loads(timeline.to_json())["trace"]
         assert data == [{"time": 0.5, "rank": 1, "kind": "post", "detail": "x"}]
+        assert RunTimeline.from_json(timeline.to_json()).trace_events == events
 
     def test_from_real_trace(self):
         async def program(ctx):
@@ -96,7 +99,11 @@ class TestTraceJson:
 
         sim = Simulator(2, SP2, trace=True)
         sim.run(program)
-        data = json.loads(trace_to_json(sim.trace_events))
+        timeline = RunTimeline(
+            backend="sim", clock="modelled", num_ranks=2, makespan=0.0,
+            trace_events=sim.trace_events,
+        )
+        data = json.loads(timeline.to_json())["trace"]
         assert len(data) > 0
         assert {e["kind"] for e in data} >= {"compute", "post"}
 
