@@ -76,10 +76,11 @@ explore-smoke:
 		--policy adversarial --interleavings 8
 
 # Render-service smoke: the serving/session/progress unit suites, then
-# four concurrent jobs through the real CLI spool (mixed methods incl.
-# tile-routed:rle, one crash-fault job under degrade QoS and one under
-# available QoS) — streamed frames monotone in coverage, finals
-# bit-identical to one-shot runs.
+# five concurrent jobs through the real CLI spool (mixed methods incl.
+# tile-routed:rle and bslc, whose event log replays index parts; one
+# crash-fault job under degrade QoS and one under available QoS) —
+# streamed frames monotone in coverage, event logs replaying to the
+# final frame, finals bit-identical to one-shot runs.
 serve-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_progress.py tests/test_session.py tests/test_serving.py -q
 	$(PYTHON) tools/serve_smoke.py

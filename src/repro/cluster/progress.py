@@ -18,12 +18,14 @@ Bit-exactness contract
 Emission copies and never charges: feeds add **zero** model time, no
 byte/message counters, and no accounting notes, so a run with a feed
 installed is bit-identical (pixels and integer counters) to the same
-run without one — that is tested.  A ``stage`` event's planes are
-bit-identical to the corresponding
-:class:`~repro.cluster.recovery.CheckpointSnapshot` image (both copy
-the engine's image at the same post-stage point), and a ``tile``
-event's pixels are the tile's *final* values (tile-routed tiles never
-change after completion).
+run without one — that is tested.  Every event carries one ``part``
+of the frame and only that part's pixels: a ``stage`` event the rank's
+keep part (a ``RectPart`` or an ``IndexPart``), bit-identical there to
+the corresponding :class:`~repro.cluster.recovery.CheckpointSnapshot`
+image (both copy the engine's image at the same post-stage point); a
+``tile`` event its tile's rect, holding the tile's *final* values
+(tile-routed tiles never change after completion); a ``final`` event
+the whole frame.
 
 Coverage
 --------
@@ -38,16 +40,14 @@ partial frame arrives *flagged*, not silently.
 
 Serialization
 -------------
-:meth:`ProgressEvent.to_dict` emits the ``repro.serve-event/2``
-document the serving layer streams to clients (arrays as base64 with
-dtype/shape, rects as ``[y0, x0, y1, x1]``).  The wire carries no pixel
-the receiver cannot use: a ``stage`` document's planes are only the
-rank's keep part — cropped to ``part_rect``, or gathered at
-``part_indices`` — beside the ``frame_shape`` they came from, and
-:func:`serve_event_from_dict` scatters them back into blank full-frame
-planes, so the rebuilt event equals the in-process one *on the keep
-part* (the only region a consumer reads).  ``tile`` and ``final``
-planes travel whole and round-trip exactly.
+:meth:`ProgressEvent.to_dict` emits the ``repro.serve-event/3``
+document the serving layer streams to clients: the planes exactly as
+the event holds them (base64 with dtype/shape) and the part's address,
+``{"rect": [y0, x0, y1, x1]}`` or ``{"index": [frame_pixels, section,
+stride, offset]}`` — four integers, never an index list.  There is
+nothing to crop or pad, so :func:`serve_event_from_dict` rebuilds the
+event exactly, and a consumer folds it with the one owned-pixel scatter
+(:class:`~repro.serving.frames.ProgressiveFrame`).
 
 Threading: the feed is locked and :meth:`ProgressFeed.stream` is a
 blocking generator, so a service thread can stream a job's frames while
@@ -66,6 +66,7 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
+from ..compositing.schedule import IndexPart, RectPart
 from ..errors import DeadlineExceededError
 from ..types import Rect
 
@@ -77,14 +78,10 @@ __all__ = [
 ]
 
 #: Schema tag of one streamed progress event document.
-SERVE_EVENT_SCHEMA = "repro.serve-event/2"
-
-#: Event kinds, in the order a clean run produces them.
-_KINDS = ("stage", "tile", "final")
+SERVE_EVENT_SCHEMA = "repro.serve-event/3"
 
 
 def _array_doc(arr: np.ndarray) -> dict[str, Any]:
-    # ``tobytes`` lays a cropped (strided) view out in C order itself.
     return {
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
@@ -99,52 +96,43 @@ def _array_from_doc(doc: dict[str, Any]) -> np.ndarray:
     ).copy()
 
 
-def _gather_part(
-    plane: np.ndarray, rect: Optional[Rect], indices: Optional[np.ndarray]
-) -> np.ndarray:
-    """The keep part of a stage event's full-frame plane."""
-    if rect is not None:
-        return plane[rect.y0 : rect.y1, rect.x0 : rect.x1]
-    if indices is not None:
-        return plane.ravel()[indices.ravel()]
-    return plane  # no part recorded: the plane travels whole
+def _part_doc(part: "RectPart | IndexPart") -> dict[str, list[int]]:
+    """A part's address: a rect's corners, or an index part's four integers."""
+    if part.kind == "rect":
+        rect = part.rect
+        return {"rect": [rect.y0, rect.x0, rect.y1, rect.x1]}
+    return {"index": [part.frame_pixels, part.section, part.stride, part.offset]}
 
 
-def _scatter_part(
-    part: np.ndarray,
-    frame_shape: tuple[int, ...],
-    rect: Optional[Rect],
-    indices: Optional[np.ndarray],
-) -> np.ndarray:
-    """Inverse of :func:`_gather_part`: a blank full-frame plane holding
-    ``part`` where it was taken from."""
-    if rect is None and indices is None:
-        return part
-    plane = np.zeros(frame_shape, dtype=part.dtype)
-    if rect is not None:
-        plane[rect.y0 : rect.y1, rect.x0 : rect.x1] = part
-    else:
-        plane.ravel()[indices.ravel()] = part
-    return plane
+def _part_from_doc(doc: dict[str, Any]) -> "RectPart | IndexPart":
+    if "rect" in doc:
+        return RectPart(Rect(*(int(v) for v in doc["rect"])))
+    return IndexPart(*(int(v) for v in doc["index"]))
 
 
-def _rect_doc(rect: Optional[Rect]) -> Optional[list[int]]:
-    return None if rect is None else [rect.y0, rect.x0, rect.y1, rect.x1]
-
-
-def _rect_from_doc(doc) -> Optional[Rect]:
-    return None if doc is None else Rect(*(int(v) for v in doc))
+def _part_planes(part: "RectPart | IndexPart", image) -> dict[str, np.ndarray]:
+    """Copies of ``image``'s values on ``part``: a rect's ``(h, w)``
+    block, or an index part's values as one row in part order."""
+    planes = {}
+    for name in ("intensity", "opacity"):
+        values = np.array(part.pixels(getattr(image, name)))
+        planes[name] = values if part.kind == "rect" else values.reshape(-1)
+    return planes
 
 
 @dataclass
 class ProgressEvent:
-    """One streamed partial-frame update.
+    """One streamed partial-frame update: final or partial pixels of one
+    ``part`` of the frame.
 
-    ``kind`` is ``"stage"`` (full-frame planes, valid on ``part_rect``
-    or ``part_indices`` — the rank's keep part after exchange stage
-    ``stage``), ``"tile"`` (tile-shaped planes holding ``rect``'s final
-    pixels), or ``"final"`` (the assembled display image, flagged with
-    the run's outcome).  ``t`` is substrate seconds since the producing
+    ``kind`` is ``"stage"`` (the rank's keep part after exchange stage
+    ``stage``: a :class:`~repro.compositing.schedule.RectPart` or
+    :class:`~repro.compositing.schedule.IndexPart`), ``"tile"`` (a
+    ``RectPart`` holding the tile's final pixels), or ``"final"`` (a
+    ``RectPart`` of the whole frame: the assembled display image,
+    flagged with the run's outcome).  The planes hold ``part``'s values
+    only — a rect's ``(h, w)`` block, or an index part's values as one
+    row in part order.  ``t`` is substrate seconds since the producing
     engine started; ``coverage`` is the feed's monotone settled-fraction
     estimate at emission time.
     """
@@ -154,6 +142,7 @@ class ProgressEvent:
     rank: int
     t: float
     coverage: float
+    part: "RectPart | IndexPart"
     intensity: np.ndarray
     opacity: np.ndarray
     stage: Optional[int] = None
@@ -161,11 +150,6 @@ class ProgressEvent:
     ordinal: Optional[int] = None
     num_stages: Optional[int] = None
     tile: Optional[int] = None
-    #: Tile events: the frame rect the planes cover.
-    rect: Optional[Rect] = None
-    #: Stage events: the keep part the planes are valid on.
-    part_rect: Optional[Rect] = None
-    part_indices: Optional[np.ndarray] = None
     #: Final events: the declared outcome and its degradation flag.
     degraded: bool = False
     outcome: Optional[str] = None
@@ -173,15 +157,7 @@ class ProgressEvent:
     def to_dict(
         self, *, job_id: Optional[str] = None, session: Optional[str] = None
     ) -> dict[str, Any]:
-        """Export as a ``repro.serve-event/2`` document.
-
-        A ``stage`` event ships only its keep part (see the module
-        docstring); the in-process event keeps its full-frame planes.
-        """
-        intensity, opacity = self.intensity, self.opacity
-        if self.kind == "stage":
-            intensity = _gather_part(intensity, self.part_rect, self.part_indices)
-            opacity = _gather_part(opacity, self.part_rect, self.part_indices)
+        """Export as a ``repro.serve-event/3`` document."""
         doc: dict[str, Any] = {
             "schema": SERVE_EVENT_SCHEMA,
             "seq": self.seq,
@@ -193,18 +169,12 @@ class ProgressEvent:
             "ordinal": self.ordinal,
             "num_stages": self.num_stages,
             "tile": self.tile,
-            "rect": _rect_doc(self.rect),
-            "part_rect": _rect_doc(self.part_rect),
-            "part_indices": (
-                None if self.part_indices is None else _array_doc(self.part_indices)
-            ),
+            "part": _part_doc(self.part),
             "degraded": self.degraded,
             "outcome": self.outcome,
-            "intensity": _array_doc(intensity),
-            "opacity": _array_doc(opacity),
+            "intensity": _array_doc(self.intensity),
+            "opacity": _array_doc(self.opacity),
         }
-        if self.kind == "stage":
-            doc["frame_shape"] = list(self.intensity.shape)
         if job_id is not None:
             doc["job_id"] = job_id
         if session is not None:
@@ -222,34 +192,21 @@ def serve_event_from_dict(doc: dict[str, Any]) -> ProgressEvent:
             f"unsupported serve-event schema {schema!r} "
             f"(expected {SERVE_EVENT_SCHEMA!r})"
         )
-    kind = str(doc["kind"])
-    part_rect = _rect_from_doc(doc.get("part_rect"))
-    part_indices = doc.get("part_indices")
-    if part_indices is not None:
-        part_indices = _array_from_doc(part_indices)
-    intensity = _array_from_doc(doc["intensity"])
-    opacity = _array_from_doc(doc["opacity"])
-    if kind == "stage":
-        frame_shape = tuple(int(v) for v in doc["frame_shape"])
-        intensity = _scatter_part(intensity, frame_shape, part_rect, part_indices)
-        opacity = _scatter_part(opacity, frame_shape, part_rect, part_indices)
     return ProgressEvent(
         seq=int(doc["seq"]),
-        kind=kind,
+        kind=str(doc["kind"]),
         rank=int(doc["rank"]),
         t=float(doc["t"]),
         coverage=float(doc["coverage"]),
-        intensity=intensity,
-        opacity=opacity,
+        part=_part_from_doc(doc["part"]),
+        intensity=_array_from_doc(doc["intensity"]),
+        opacity=_array_from_doc(doc["opacity"]),
         stage=None if doc.get("stage") is None else int(doc["stage"]),
         ordinal=None if doc.get("ordinal") is None else int(doc["ordinal"]),
         num_stages=(
             None if doc.get("num_stages") is None else int(doc["num_stages"])
         ),
         tile=None if doc.get("tile") is None else int(doc["tile"]),
-        rect=_rect_from_doc(doc.get("rect")),
-        part_rect=part_rect,
-        part_indices=part_indices,
         degraded=bool(doc.get("degraded", False)),
         outcome=doc.get("outcome"),
     )
@@ -388,20 +345,20 @@ class ProgressFeed:
         ordinal: int,
         num_stages: int,
         num_ranks: int,
-        part,
+        part: "RectPart | IndexPart",
         image,
         t: float,
     ) -> ProgressEvent:
         """One completed exchange stage on one rank (engine-driven).
 
-        ``image`` is the engine's live full-frame :class:`SubImage`;
-        the feed copies both planes *here*, at exactly the point the
+        ``image`` is the engine's live full-frame :class:`SubImage` and
+        ``part`` the schedule's keep part (rect- or index-shaped); the
+        feed copies the part's pixels *here*, at exactly the point the
         recovery layer would pickle a
         :class:`~repro.cluster.recovery.CheckpointSnapshot` — which is
-        what makes streamed stage frames bit-identical to checkpoints.
-        ``part`` is the schedule's keep part (rect- or index-shaped).
+        what makes streamed stage frames bit-identical to checkpoints
+        on their part.
         """
-        part_rect = getattr(part, "rect", None)
         with self._cond:
             self._stage_total = int(num_stages)
             self._num_ranks = int(num_ranks)
@@ -413,10 +370,8 @@ class ProgressFeed:
             stage=int(stage),
             ordinal=int(ordinal),
             num_stages=int(num_stages),
-            part_rect=part_rect,
-            part_indices=getattr(part, "indices", None),
-            intensity=image.intensity.copy(),
-            opacity=image.opacity.copy(),
+            part=part,
+            **_part_planes(part, image),
             t=float(t),
         )
 
@@ -425,27 +380,25 @@ class ProgressFeed:
         *,
         rank: int,
         tile: int,
-        rect: Rect,
-        intensity: np.ndarray,
-        opacity: np.ndarray,
+        part: RectPart,
+        image,
         frame_pixels: int,
         t: float,
     ) -> ProgressEvent:
         """One completed tile on its owner rank (tile-engine-driven).
 
-        ``intensity``/``opacity`` are the tile's final pixel planes
-        (shape ``rect.height x rect.width``); copied here.
+        ``image`` already holds the tile's final pixels on ``part``;
+        copied here.
         """
         with self._cond:
             self._frame_pixels = int(frame_pixels)
-            self._tile_pixels += rect.area
+            self._tile_pixels += part.num_pixels
         return self._append(
             "tile",
             rank=rank,
             tile=int(tile),
-            rect=rect,
-            intensity=np.array(intensity, copy=True),
-            opacity=np.array(opacity, copy=True),
+            part=part,
+            **_part_planes(part, image),
             t=float(t),
         )
 
@@ -458,14 +411,15 @@ class ProgressFeed:
         t: float = 0.0,
     ) -> ProgressEvent:
         """The assembled display image (system-layer-driven, rank 0)."""
+        part = RectPart(image.full_rect())
         return self._append(
             "final",
             coverage=1.0,
             rank=0,
             degraded=bool(degraded),
             outcome=outcome,
-            intensity=image.intensity.copy(),
-            opacity=image.opacity.copy(),
+            part=part,
+            **_part_planes(part, image),
             t=float(t),
         )
 

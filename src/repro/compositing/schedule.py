@@ -146,11 +146,6 @@ class IndexPart:
         sections = self.offset + (positions // self.section) * self.stride
         return sections * self.section + positions % self.section
 
-    @property
-    def indices(self) -> np.ndarray:
-        """The part as a flat index list (for edges that need one)."""
-        return self.flat()
-
     def pixels(self, plane: np.ndarray) -> np.ndarray:
         """The part's values of a full-frame ``plane``, in sequence order.
 

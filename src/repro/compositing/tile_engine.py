@@ -206,9 +206,8 @@ class TileRoutedCompositor(Compositor):
                 ctx.progress.emit_tile(
                     rank=ctx.rank,
                     tile=tile_id,
-                    rect=rect,
-                    intensity=folded_i,
-                    opacity=folded_a,
+                    part=part,
+                    image=image,
                     frame_pixels=image.num_pixels,
                     t=elapsed,
                 )

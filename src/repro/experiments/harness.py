@@ -159,6 +159,8 @@ def workload(
     step: float = 1.0,
 ) -> RenderedWorkload:
     """Fetch (rendering if needed) a cached :class:`RenderedWorkload`."""
+    if volume_shape is not None:
+        volume_shape = tuple(int(n) for n in volume_shape)  # a hashable key
     key = (dataset, image_size, max_ranks, tuple(rotation), volume_shape, step)
     found = _WORKLOADS.get(key)
     if found is None:

@@ -2,9 +2,10 @@
 
 A compositing outcome gives each rank a disjoint *owned* portion of the
 final image, either as a contiguous rect or as a flat index set (BSLC).
-Exactly one scatter loop in the codebase turns a collection of owned
-tiles back into a display image — the simulator gather and the
-multiprocessing cross-check both funnel through :func:`assemble_tiles`.
+Exactly one scatter in the codebase writes owned pixels into a display
+image, :func:`scatter_tile` — the simulator gather and the
+multiprocessing cross-check funnel through :func:`assemble_tiles`, and
+a progressive display folds each streamed event through it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from ..compositing.base import CompositeOutcome
 from ..render.image import SubImage
 from ..types import Rect
 
-__all__ = ["OwnedTile", "tile_from_outcome", "assemble_tiles", "assemble_outcomes"]
+__all__ = [
+    "OwnedTile",
+    "tile_from_outcome",
+    "scatter_tile",
+    "assemble_tiles",
+    "assemble_outcomes",
+]
 
 
 class OwnedTile(NamedTuple):
@@ -42,32 +49,36 @@ def tile_from_outcome(outcome: CompositeOutcome) -> OwnedTile:
     return OwnedTile(outcome.owned_rect, outcome.owned_indices, values_i, values_a)
 
 
+def scatter_tile(image: SubImage, tile: OwnedTile) -> None:
+    """Write one owned tile into ``image`` in place.
+
+    The single authoritative rect/indices scatter: a rect tile writes
+    its block, an index tile its flat positions.
+    """
+    owned_rect, owned_indices, values_i, values_a = tile
+    if owned_rect is not None:
+        if owned_rect.is_empty:
+            return
+        rows, cols = owned_rect.slices()
+        shape = (owned_rect.height, owned_rect.width)
+        image.intensity[rows, cols] = np.asarray(values_i).reshape(shape)
+        image.opacity[rows, cols] = np.asarray(values_a).reshape(shape)
+    else:
+        image.intensity.ravel()[owned_indices] = values_i
+        image.opacity.ravel()[owned_indices] = values_a
+
+
 def assemble_tiles(
     tiles: Iterable[OwnedTile], height: int, width: int
 ) -> SubImage:
     """Scatter every owned tile into a blank ``height x width`` image.
 
-    The single authoritative rect/indices scatter loop: rect tiles write
-    their block, index tiles write their flat positions.  Tiles are
-    assumed disjoint (``validate_ownership`` checks that invariant).
+    Tiles are assumed disjoint (``validate_ownership`` checks that
+    invariant).
     """
     final = SubImage.blank(height, width)
-    flat_i = final.intensity.ravel()
-    flat_a = final.opacity.ravel()
-    for owned_rect, owned_indices, values_i, values_a in tiles:
-        if owned_rect is not None:
-            if owned_rect.is_empty:
-                continue
-            rows, cols = owned_rect.slices()
-            final.intensity[rows, cols] = np.asarray(values_i).reshape(
-                owned_rect.height, owned_rect.width
-            )
-            final.opacity[rows, cols] = np.asarray(values_a).reshape(
-                owned_rect.height, owned_rect.width
-            )
-        else:
-            flat_i[owned_indices] = values_i
-            flat_a[owned_indices] = values_a
+    for tile in tiles:
+        scatter_tile(final, tile)
     return final
 
 

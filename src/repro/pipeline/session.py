@@ -58,10 +58,8 @@ class RenderJob:
     """
 
     deltas: Mapping[str, Any] = field(default_factory=dict)
-    trace: bool = False
     fault_plan: Optional[FaultPlan] = None
     recovery: Optional[str] = None
-    schedule_policy: Any = None
     #: Live partial-frame feed (sim substrate only; one feed per job).
     progress: Optional[ProgressFeed] = None
     #: Free-form tag carried through for the submitter's bookkeeping.
@@ -70,13 +68,10 @@ class RenderJob:
     #: drops queued-past-deadline jobs before execution and aborts
     #: running ones at checkpoint/tile boundaries (``None`` = no limit).
     deadline_s: Optional[float] = None
-    #: Caller-owned checkpoint store for whole-run resume (see
-    #: :meth:`~repro.pipeline.system.SortLastSystem.run`); requires a
-    #: resume-capable recovery policy.
+    #: Caller-owned checkpoint store for whole-run resume from its
+    #: common stage (see :meth:`~repro.pipeline.system.SortLastSystem.run`);
+    #: requires a resume-capable recovery policy.
     checkpoint_store: Any = None
-    #: Resume point against ``checkpoint_store``: ``None`` (fresh),
-    #: ``"common"`` (highest loadable common stage), or a stage int.
-    resume: "None | int | str" = None
 
     def config_for(self, base: RunConfig) -> RunConfig:
         """The job's effective config: ``base`` with this job's deltas."""
@@ -135,13 +130,10 @@ class RenderSession:
         cfg = job.config_for(self.config)
         result = SortLastSystem(cfg).run(
             backend=self.backend,
-            trace=job.trace,
             fault_plan=job.fault_plan,
             recovery=job.recovery,
-            schedule_policy=job.schedule_policy,
             progress=job.progress,
             checkpoint_store=job.checkpoint_store,
-            resume=job.resume,
         )
         self.jobs_completed += 1
         return result

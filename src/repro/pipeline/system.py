@@ -261,7 +261,6 @@ class SortLastSystem:
         schedule_policy=None,
         progress: Optional[ProgressFeed] = None,
         checkpoint_store: Optional[CheckpointStore] = None,
-        resume: "None | int | str" = None,
     ) -> SystemResult:
         """Execute partition → render → composite → gather & assemble.
 
@@ -311,12 +310,13 @@ class SortLastSystem:
         whole-run-resume hook: a serving process can keep a job's
         :class:`~repro.cluster.recovery.DiskCheckpointStore` in a
         crash-survivable location, and a *different* process can later
-        rerun the job against the same store with ``resume="common"``,
-        restoring the highest stage every rank checkpointed (verified
-        loadable) and replaying only the tail — on the simulator *and*
-        on mp, since all ranks restart together the lockstep replay is
-        always protocol-consistent.  ``resume`` may also be an explicit
-        stage int; ``None`` starts fresh (snapshots still saved).
+        rerun the job against the same store.  A caller-owned store
+        always resumes from its common stage: the highest stage every
+        rank checkpointed (verified loadable), replaying only the tail —
+        on the simulator *and* on mp, since all ranks restart together
+        the lockstep replay is always protocol-consistent.  An empty
+        store has no common stage, so the run starts fresh (snapshots
+        still saved).
         """
         cfg = self.config
         if backend is None:
@@ -341,20 +341,12 @@ class SortLastSystem:
                     f"policy (checkpoint-resume), got {policy.name!r}"
                 )
             store, cleanup = checkpoint_store, None  # caller owns lifecycle
+            runtime = RecoveryRuntime(
+                store=store, resume=store.resumable_stage(cfg.num_ranks)
+            )
         else:
             store, cleanup = self._make_store(engine, policy)
-        resume_stage: Optional[int] = None
-        if store is not None and resume is not None:
-            resume_stage = (
-                store.resumable_stage(cfg.num_ranks)
-                if resume == "common"
-                else int(resume)
-            )
-        runtime = (
-            RecoveryRuntime(store=store, resume=resume_stage)
-            if store is not None
-            else None
-        )
+            runtime = None if store is None else RecoveryRuntime(store=store)
 
         network = cfg.build_network()
 

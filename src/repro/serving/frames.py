@@ -1,12 +1,14 @@
 """Client-side progressive frame assembly from streamed serve events.
 
 A consumer of a :class:`~repro.cluster.progress.ProgressFeed` (or of a
-``repro.serve-event/2`` document stream) folds events into a
+``repro.serve-event/3`` document stream) folds events into a
 :class:`ProgressiveFrame`: the best currently-known approximation of
-the final display image.  Tile events scatter their rect's *final*
-pixels; stage events scatter the emitting rank's keep part (valid
-partial composites that sharpen stage by stage); the ``final`` event
-replaces the whole frame and carries the run's declared outcome.
+the final display image.  Every event carries the pixels of one part,
+and every kind folds through the one owned-pixel scatter,
+:func:`~repro.pipeline.assemble.scatter_tile`: tile events write their
+rect's *final* pixels; stage events write the emitting rank's keep part
+(valid partial composites that sharpen stage by stage); the ``final``
+event covers the whole frame and carries the run's declared outcome.
 
 The accumulator is intentionally dumb — it trusts the feed's ordering
 and monotone ``coverage`` — which is what makes it suitable both for a
@@ -19,9 +21,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ..cluster.progress import ProgressEvent, serve_event_from_dict
+from ..pipeline.assemble import OwnedTile, scatter_tile
 from ..render.image import SubImage
 
 __all__ = ["ProgressiveFrame"]
@@ -32,7 +33,7 @@ class ProgressiveFrame:
 
     @classmethod
     def replay(cls, docs, height: int, width: int) -> "ProgressiveFrame":
-        """Fold a recorded ``repro.serve-event/2`` document stream.
+        """Fold a recorded ``repro.serve-event/3`` document stream.
 
         Pairs with :func:`repro.serving.spool.read_events`, which
         already drops a torn trailing record from an interrupted
@@ -57,24 +58,12 @@ class ProgressiveFrame:
 
     def apply(self, event: ProgressEvent) -> None:
         """Fold one event into the frame (events in feed order)."""
-        if event.kind == "tile":
-            rect = event.rect
-            self.image.intensity[rect.y0 : rect.y1, rect.x0 : rect.x1] = event.intensity
-            self.image.opacity[rect.y0 : rect.y1, rect.x0 : rect.x1] = event.opacity
-        elif event.kind == "stage":
-            if event.part_rect is not None:
-                rect = event.part_rect
-                rows = slice(rect.y0, rect.y1)
-                cols = slice(rect.x0, rect.x1)
-                self.image.intensity[rows, cols] = event.intensity[rows, cols]
-                self.image.opacity[rows, cols] = event.opacity[rows, cols]
-            elif event.part_indices is not None:
-                flat = np.asarray(event.part_indices).ravel()
-                self.image.intensity.ravel()[flat] = event.intensity.ravel()[flat]
-                self.image.opacity.ravel()[flat] = event.opacity.ravel()[flat]
-        elif event.kind == "final":
-            self.image.intensity[...] = event.intensity
-            self.image.opacity[...] = event.opacity
+        part = event.part
+        indices = None if part.kind == "rect" else part.flat()
+        scatter_tile(
+            self.image, OwnedTile(part.rect, indices, event.intensity, event.opacity)
+        )
+        if event.kind == "final":
             self.finalized = True
             self.degraded = event.degraded
             self.outcome = event.outcome

@@ -6,7 +6,7 @@ job request documents (``repro.serve-job/1``) into ``<spool>/jobs/``;
 a serving process claims them (atomic rename into ``<spool>/work/``),
 renders them through a shared :class:`~repro.serving.service.
 RenderService`, streams every progress event as a
-``repro.serve-event/2`` JSON line into ``<spool>/out/<job>.events.jsonl``,
+``repro.serve-event/3`` JSON line into ``<spool>/out/<job>.events.jsonl``,
 and finishes with ``<spool>/out/<job>.result.json`` plus the final
 image planes in ``<spool>/out/<job>.final.npz``.
 
@@ -712,7 +712,6 @@ def serve(
         except ConfigurationError as err:
             return _reject(root, work_path, job_id, attempt, err)
         store = None
-        resume = None
         if QOS_POLICIES.get(qos) == "checkpoint-resume" or (
             deltas.get("recovery") == "checkpoint-resume"
         ):
@@ -722,14 +721,12 @@ def serve(
             store = DiskCheckpointStore(
                 os.path.join(root, _WORK, f"{job_id}.ckpt"), run_id=job_id
             )
-            resume = "common"
         job = RenderJob(
             deltas=deltas,
             fault_plan=fault_plan,
             label=job_id,
             deadline_s=deadline_s,
             checkpoint_store=store,
-            resume=resume,
         )
         _write_lease(root, job_id, attempt, lease_s)
         try:

@@ -215,7 +215,9 @@ def _pixel_digest(result):
 def _progress_digest(feed):
     digest = hashlib.sha256()
     for e in feed.events:
-        digest.update(repr((e.seq, e.kind, e.rank, e.tile, e.rect, e.t, e.coverage)).encode())
+        # The tile's rect, as recorded when tile events carried it alone.
+        rect = e.part.rect if e.kind == "tile" else None
+        digest.update(repr((e.seq, e.kind, e.rank, e.tile, rect, e.t, e.coverage)).encode())
         digest.update(e.intensity.tobytes())
         digest.update(e.opacity.tobytes())
     return digest.hexdigest()

@@ -77,6 +77,14 @@ class TestWorkloadCache:
         b = workload("sphere", 32, max_ranks=4, volume_shape=(16, 16, 16))
         assert a is b
 
+    def test_list_volume_shape_hits_the_tuple_entry(self):
+        """A shape read from JSON arrives as a list; it keys the memo
+        like the tuple it normalises to."""
+        clear_workload_cache()
+        a = workload("sphere", 32, max_ranks=4, volume_shape=(16, 16, 16))
+        b = workload("sphere", 32, max_ranks=4, volume_shape=[16, 16, 16])
+        assert a is b
+
     def test_cache_distinguishes_rotation(self):
         clear_workload_cache()
         a = workload("sphere", 32, max_ranks=4, volume_shape=(16, 16, 16))

@@ -18,7 +18,7 @@ def final_owned_indices(rank, size, num_pixels, **options):
         rank, size, Rect(0, 0, 1, num_pixels), num_pixels,
         recursive_bisect((32, 32, 16), size), np.array([0.0, 0.0, 1.0]),
     )
-    return program.final_part.indices
+    return program.final_part.flat()
 
 
 class TestFinalOwnedIndices:

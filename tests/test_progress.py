@@ -2,15 +2,16 @@
 
 Locks the ProgressFeed contracts the serving layer depends on:
 
-* stage events are bit-identical to the recovery layer's
-  ``CheckpointSnapshot`` images (same emission point, same pixels);
-* tile events carry the tile's *final* pixels;
+* every event carries one ``part`` and only that part's pixels: a
+  stage event its keep part, bit-identical there to the recovery
+  layer's ``CheckpointSnapshot`` image (same emission point, same
+  pixels); a tile event its tile, holding the tile's *final* pixels;
 * an installed feed changes nothing — pixels, integer byte/message
   counters, and modelled times are identical with and without one;
 * coverage is monotone, ends at 1.0, and survives degraded re-runs;
-* live feeds are simulator-only, and the ``repro.serve-event/2``
-  document carries a stage event's keep part only, round-trips it bit
-  for bit, and replays to the one-shot frame.
+* live feeds are simulator-only, and the ``repro.serve-event/3``
+  document carries the part's address and its planes as they are,
+  round-trips them bit for bit, and replays to the one-shot frame.
 """
 
 import os
@@ -53,35 +54,77 @@ def _coverages(feed):
     return [event.coverage for event in feed.events]
 
 
+def _on_part(part, plane):
+    """``plane``'s values on ``part``: a rect's block, or an index
+    part's values at its flat positions in part order."""
+    if part.kind == "rect":
+        rows, cols = part.rect.slices()
+        return plane[rows, cols]
+    return plane.ravel()[part.flat()]
+
+
+def _checkpointed_stage_events(cfg):
+    """Run ``cfg`` with a feed and a checkpointer on every rank."""
+    scene = build_scene(cfg)
+    compositor = make_compositor(cfg.method)
+    store = MemoryCheckpointStore()
+    feed = ProgressFeed()
+    view_dir = scene.camera.view_dir
+
+    async def program(ctx):
+        ctx.install_checkpointer(
+            StageCheckpointer(store, ctx.rank, sink=ctx.stats.events)
+        )
+        ctx.install_progress(feed)
+        extent = scene.plan.extent(ctx.rank)
+        local = render_subvolume(
+            scene.volume, scene.transfer, scene.camera, extent
+        )
+        await compositor.run(ctx, local, scene.plan, view_dir)
+
+    SimBackend().run(cfg.num_ranks, program, model=cfg.machine)
+    stage_events = [e for e in feed.events if e.kind == "stage"]
+    assert stage_events, "scheduled engine emitted no stage events"
+    return stage_events, store
+
+
+#: Every scheduled paper method, and radix-k on the rect-RLE wire.
+SCHEDULED = ("bs", "bsbr", "bslc", "bsbrc", "radix-k:rect-rle")
+
+
 class TestStageEvents:
     def test_stage_frames_bit_identical_to_checkpoints(self):
-        """A streamed stage frame IS the checkpoint image, byte for byte."""
-        cfg = _cfg()
-        scene = build_scene(cfg)
-        compositor = make_compositor(cfg.method)
-        store = MemoryCheckpointStore()
-        feed = ProgressFeed()
-        view_dir = scene.camera.view_dir
-
-        async def program(ctx):
-            ctx.install_checkpointer(
-                StageCheckpointer(store, ctx.rank, sink=ctx.stats.events)
-            )
-            ctx.install_progress(feed)
-            extent = scene.plan.extent(ctx.rank)
-            local = render_subvolume(
-                scene.volume, scene.transfer, scene.camera, extent
-            )
-            await compositor.run(ctx, local, scene.plan, view_dir)
-
-        SimBackend().run(cfg.num_ranks, program, model=cfg.machine)
-        stage_events = [e for e in feed.events if e.kind == "stage"]
-        assert stage_events, "scheduled engine emitted no stage events"
+        """A streamed stage frame IS the checkpoint image on its keep
+        part, byte for byte."""
+        stage_events, store = _checkpointed_stage_events(_cfg())
         for event in stage_events:
             snapshot = store.load(event.rank, event.stage)
             assert snapshot is not None
-            assert np.array_equal(event.intensity, snapshot.intensity)
-            assert np.array_equal(event.opacity, snapshot.opacity)
+            assert np.array_equal(
+                event.intensity, _on_part(event.part, snapshot.intensity)
+            )
+            assert np.array_equal(
+                event.opacity, _on_part(event.part, snapshot.opacity)
+            )
+
+    @pytest.mark.parametrize("num_ranks", [4, 8])
+    @pytest.mark.parametrize("method", SCHEDULED)
+    def test_stage_planes_hold_only_the_keep_part(self, method, num_ranks):
+        """An in-process stage event holds ``part.num_pixels`` values per
+        plane, equal to the stage's checkpoint on the part."""
+        stage_events, store = _checkpointed_stage_events(
+            _cfg(method=method, num_ranks=num_ranks)
+        )
+        for event in stage_events:
+            part = event.part
+            assert event.intensity.size == event.opacity.size == part.num_pixels
+            snapshot = store.load(event.rank, event.stage)
+            assert np.array_equal(
+                event.intensity.ravel(), _on_part(part, snapshot.intensity).ravel()
+            )
+            assert np.array_equal(
+                event.opacity.ravel(), _on_part(part, snapshot.opacity).ravel()
+            )
 
     def test_every_rank_and_stage_is_covered(self):
         cfg = _cfg()
@@ -99,9 +142,13 @@ class TestStageEvents:
         SortLastSystem(_cfg()).run(progress=feed)
         for event in feed.events:
             if event.kind == "stage":
-                assert (event.part_rect is not None) or (
-                    event.part_indices is not None
+                part = event.part
+                want = (
+                    (part.rect.height, part.rect.width)
+                    if part.kind == "rect"
+                    else (part.num_pixels,)
                 )
+                assert event.intensity.shape == event.opacity.shape == want
 
 
 class TestTileEvents:
@@ -112,7 +159,7 @@ class TestTileEvents:
         tiles = [e for e in feed.events if e.kind == "tile"]
         assert len(tiles) == 4  # 64px frame / 32px tiles
         for event in tiles:
-            rect = event.rect
+            rect = event.part.rect
             assert np.array_equal(
                 event.intensity,
                 result.final_image.intensity[rect.y0 : rect.y1, rect.x0 : rect.x1],
@@ -258,42 +305,68 @@ class TestServeEventSchema:
             assert back.coverage == event.coverage
             assert np.array_equal(back.intensity, event.intensity)
             assert np.array_equal(back.opacity, event.opacity)
-            assert back.rect == event.rect
+            assert back.part.kind == event.part.kind == "rect"
+            assert back.part.rect == event.part.rect
 
     @pytest.mark.parametrize("method", ["bsbrc", "bslc"])
     def test_stage_documents_carry_exactly_the_keep_part(self, method):
-        """Rect parts (``bsbrc``) travel cropped, index parts (``bslc``)
-        gathered; decoding puts them back bit for bit on blank planes."""
+        """Rect parts (``bsbrc``) travel as their corners, index parts
+        (``bslc``) as their four integers; the planes travel as the
+        event holds them, and decoding rebuilds the event exactly."""
         feed = ProgressFeed()
         SortLastSystem(_cfg(method=method)).run(progress=feed)
         stages = [e for e in feed.events if e.kind == "stage"]
         assert stages
         for event in stages:
             doc = event.to_dict()
-            assert doc["frame_shape"] == list(event.intensity.shape)
-            if event.part_rect is not None:
-                rect = event.part_rect
-                keep = np.zeros(event.intensity.shape, dtype=bool)
-                keep[rect.y0 : rect.y1, rect.x0 : rect.x1] = True
-                assert doc["intensity"]["shape"] == [rect.height, rect.width]
+            part = event.part
+            assert not {"frame_shape", "rect", "part_rect", "part_indices"} & set(doc)
+            if method == "bsbrc":
+                rect = part.rect
+                assert doc["part"] == {"rect": [rect.y0, rect.x0, rect.y1, rect.x1]}
+                shape = [rect.height, rect.width]
             else:
-                keep = np.zeros(event.intensity.size, dtype=bool)
-                keep[event.part_indices] = True
-                keep = keep.reshape(event.intensity.shape)
-                assert doc["intensity"]["shape"] == [event.part_indices.size]
-            assert doc["opacity"]["shape"] == doc["intensity"]["shape"]
+                assert doc["part"] == {
+                    "index": [part.frame_pixels, part.section, part.stride, part.offset]
+                }
+                assert all(type(v) is int for v in doc["part"]["index"])
+                shape = [part.num_pixels]
+            assert doc["intensity"]["shape"] == doc["opacity"]["shape"] == shape
             back = serve_event_from_dict(doc)
-            assert back.part_rect == event.part_rect
-            assert (back.part_indices is None) == (event.part_indices is None)
+            assert back.to_dict() == doc
             for got, sent in (
                 (back.intensity, event.intensity),
                 (back.opacity, event.opacity),
             ):
-                assert got.shape == sent.shape and got.dtype == sent.dtype
-                assert np.array_equal(got[keep], sent[keep])
-                assert not got[~keep].any()
-        # The sender's own events keep their full-frame planes.
-        assert all(e.intensity.shape == (64, 64) for e in stages)
+                assert got.dtype == sent.dtype
+                assert np.array_equal(got, sent)
+
+    @pytest.mark.parametrize("num_ranks", [4, 8])
+    @pytest.mark.parametrize("method", SCHEDULED + ("tile-routed:rect-rle",))
+    def test_documents_replay_to_the_one_shot_frame(self, method, num_ranks):
+        """The ``/3`` documents replay bit-identical to the one-shot
+        image, also without the ``final`` event; every tile event holds
+        the final image on its part."""
+        cfg = _cfg(method=method, num_ranks=num_ranks)
+        feed = ProgressFeed()
+        SortLastSystem(cfg).run(progress=feed)
+        one_shot = SortLastSystem(cfg).run().final_image
+        docs = [event.to_dict() for event in feed.events]
+        assert docs[-1]["kind"] == "final"
+        for doc in docs:
+            event = serve_event_from_dict(doc)
+            assert event.intensity.size == event.part.num_pixels
+            if event.kind == "tile":
+                assert np.array_equal(
+                    event.intensity, _on_part(event.part, one_shot.intensity)
+                )
+                assert np.array_equal(
+                    event.opacity, _on_part(event.part, one_shot.opacity)
+                )
+        for replayed in (docs, docs[:-1]):
+            frame = ProgressiveFrame.replay(replayed, 64, 64)
+            assert np.array_equal(frame.image.intensity, one_shot.intensity)
+            assert np.array_equal(frame.image.opacity, one_shot.opacity)
 
     def test_spooled_stage_log_replays_to_the_one_shot_frame(self, tmp_path):
         """After the last exchange the keep parts tile the frame, so the
@@ -336,4 +409,15 @@ class TestServeEventSchema:
         doc = feed.events[0].to_dict()
         doc["schema"] = "repro.serve-event/1"
         with pytest.raises(ConfigurationError, match="serve-event/1"):
+            serve_event_from_dict(doc)
+
+    def test_v2_documents_are_refused(self):
+        """``/2`` addressed stage planes by index arrays beside a frame
+        shape; there is one decoder, for ``/3``."""
+        feed = ProgressFeed()
+        SortLastSystem(_cfg(method="bslc")).run(progress=feed)
+        doc = feed.events[0].to_dict()
+        assert doc["schema"] == SERVE_EVENT_SCHEMA == "repro.serve-event/3"
+        doc["schema"] = "repro.serve-event/2"
+        with pytest.raises(ConfigurationError, match="serve-event/2"):
             serve_event_from_dict(doc)

@@ -207,6 +207,11 @@ def test_run_path_options_stay_removed():
     gone = {"gather_final", "degrade", "renderer"}
     for accepts in (SortLastSystem.run, RenderJob, RunConfig):
         assert not gone & set(inspect.signature(accepts).parameters), accepts
+    # A caller-owned checkpoint store always resumes from its common
+    # stage; tracing and schedule exploration call SortLastSystem.run.
+    assert "resume" not in inspect.signature(SortLastSystem.run).parameters
+    job_fields = set(inspect.signature(RenderJob).parameters)
+    assert not {"trace", "schedule_policy", "resume"} & job_fields
     for accepts in (run_method, run_grid):
         params = inspect.signature(accepts).parameters
         assert "pool" not in params and "engine" not in params, accepts

@@ -528,6 +528,32 @@ class TestCheckpointStores:
         actions = [(e["event"], e["action"]) for e in events]
         assert actions == [("checkpoint", "save"), ("checkpoint", "restore")]
 
+    def test_caller_owned_store_resumes_from_its_common_stage(self):
+        """An empty caller-owned store is a fresh run that fills it; a
+        second run against it restores the common stage on every rank
+        and ends bit-identical to a clean run."""
+        cfg = _config("bsbrc", {})
+        clean = _baseline("bsbrc", {}, "sim")
+        store = MemoryCheckpointStore()
+
+        def restores(result):
+            return [
+                e for e in result.timeline.events
+                if e.get("event") == "checkpoint" and e.get("action") == "restore"
+            ]
+
+        first = SortLastSystem(cfg).run(checkpoint_store=store)
+        assert not restores(first)
+        common = store.resumable_stage(NUM_RANKS)
+        assert common is not None
+        second = SortLastSystem(cfg).run(checkpoint_store=store)
+        got = restores(second)
+        assert sorted(e["rank"] for e in got) == list(range(NUM_RANKS))
+        assert {e["stage"] for e in got} == {common}
+        for result in (first, second):
+            assert _images_equal(result.final_image, clean.final_image)
+            assert _comm_fingerprint(result) == _comm_fingerprint(clean)
+
 
 # ---------------------------------------------------------------------------
 # Liveness and diagnosability satellites

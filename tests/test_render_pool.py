@@ -117,7 +117,7 @@ def _observables(result, report):
 
 
 def _feed_events(feed):
-    return [(e.kind, e.rank, e.tile, e.rect, e.t, e.intensity.tobytes(),
+    return [(e.kind, e.rank, e.tile, e.part.rect, e.t, e.intensity.tobytes(),
              e.opacity.tobytes()) for e in feed.events]
 
 

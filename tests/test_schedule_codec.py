@@ -310,10 +310,10 @@ class TestSectionedSchedule:
         stage = program.stages[0]
         assert isinstance(stage.keep_part, IndexPart)
         merged = np.sort(
-            np.concatenate([stage.keep_part.indices, stage.steps[0].send_part.indices])
+            np.concatenate([stage.keep_part.flat(), stage.steps[0].send_part.flat()])
         )
         assert np.array_equal(merged, np.arange(1600))
-        assert program.final_part.indices.shape[0] == 1600 // 4
+        assert program.final_part.flat().shape[0] == 1600 // 4
 
 
 # ---------------------------------------------------------------------------

@@ -237,7 +237,7 @@ class TestProgressiveFrame:
             if event.kind != "tile":
                 continue
             frame.apply(event)
-            rect = event.rect
+            rect = event.part.rect
             assert np.array_equal(
                 frame.image.intensity[rect.y0 : rect.y1, rect.x0 : rect.x1],
                 result.final_image.intensity[rect.y0 : rect.y1, rect.x0 : rect.x1],
@@ -554,7 +554,7 @@ class TestAdmission:
             assert service.rejected_jobs == 1
             kinds = [e["kind"] for e in service.events]
             assert kinds.count("rejected") == 1
-            assert all(e["schema"] == "repro.serve-event/2" for e in service.events)
+            assert all(e["schema"] == "repro.serve-event/3" for e in service.events)
             gate.set()
             for ticket in kept:
                 assert ticket.result(timeout=120).config is not None
@@ -786,7 +786,7 @@ class TestTornSpoolWrites:
         os.makedirs(os.path.join(spool, "out"))
         with open(self._events_path(spool, "job-x"), "w", encoding="utf-8") as fh:
             fh.write("not json\n")
-            fh.write(json.dumps({"schema": "repro.serve-event/2"}) + "\n")
+            fh.write(json.dumps({"schema": "repro.serve-event/3"}) + "\n")
         with pytest.raises(json.JSONDecodeError):
             read_events(spool, "job-x")
 

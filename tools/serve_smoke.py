@@ -1,19 +1,20 @@
 #!/usr/bin/env python
 """End-to-end smoke for the file-spool render service (CI: serve-smoke).
 
-Drives the real CLI: four jobs land in one spool — mixed methods
-including ``tile-routed:rle``, two carrying the same render-crash fault
-plan, one under ``degrade`` QoS and one under ``available`` QoS — and
-one ``serve`` invocation multiplexes their four sessions over a single
-bounded worker pool.  Afterwards the script
+Drives the real CLI: five jobs land in one spool — mixed methods
+including ``tile-routed:rle`` and ``bslc`` (whose stage events address
+index parts), two carrying the same render-crash fault plan, one under
+``degrade`` QoS and one under ``available`` QoS — and one ``serve``
+invocation multiplexes their five sessions over a single bounded worker
+pool.  Afterwards the script
 asserts, against the on-disk artifacts:
 
-* every streamed ``repro.serve-event/2`` sequence is monotone in
+* every streamed ``repro.serve-event/3`` sequence is monotone in
   coverage and ends with a ``final`` event at coverage 1.0;
 * every event log, folded through ``ProgressiveFrame.replay``, equals
   the job's ``final.npz`` bit for bit — for a clean job already
-  *without* its ``final`` event, from the cropped stage parts and the
-  tiles alone — and its size is printed;
+  *without* its ``final`` event, from the stage parts and the tiles
+  alone — and its size is printed;
 * every persisted final frame is bit-identical to a one-shot
   ``SortLastSystem.run`` of the same configuration (the ``degrade``
   crash job compared against a one-shot degraded run, the
@@ -25,7 +26,7 @@ asserts, against the on-disk artifacts:
   simulator too;
 * a malformed job file (unknown QoS) written straight into ``jobs/``
   is answered with an ``ok: false`` result and does not stop the
-  server from serving the four real jobs.
+  server from serving the five real jobs.
 
 Exit status is non-zero on any violation, so CI can gate on it.
 """
@@ -134,6 +135,8 @@ def main() -> None:
                       "--rot-y", "45")
     j_dave = _submit(spool, "--session", "dave", "--qos", "available",
                      "--fault-plan", plan_path)
+    j_erin = _submit(spool, "--session", "erin", "--qos", "strict",
+                     "--method", "bslc")
     # Sorts before the real "job-*" ids, so it is claimed first.
     j_bad = "bad-unknown-qos"
     with open(os.path.join(spool, "jobs", f"{j_bad}.json"), "w", encoding="utf-8") as fh:
@@ -145,7 +148,7 @@ def main() -> None:
         "--dataset", BASE["dataset"], "--method", BASE["method"],
         "--ranks", str(BASE["num_ranks"]),
         "--image-size", str(BASE["image_size"]), "--machine", BASE["machine"],
-        "--max-workers", "3", "--max-jobs", "4", "--idle-timeout", "60",
+        "--max-workers", "3", "--max-jobs", "5", "--idle-timeout", "60",
     )
 
     print("serve-smoke: checking artifacts")
@@ -157,10 +160,15 @@ def main() -> None:
     ).run(fault_plan=plan, recovery="degrade")
     one_carol = SortLastSystem(RunConfig(**BASE, rot_y=45.0)).run()
     one_dave = SortLastSystem(RunConfig(**BASE)).run()
+    one_erin = SortLastSystem(RunConfig(**{**BASE, "method": "bslc"})).run()
     _verify(spool, j_alice, one_alice)
     _verify(spool, j_bob, one_bob, outcome="degraded")
     _verify(spool, j_carol, one_carol)
     _verify(spool, j_dave, one_dave, outcome="resumed")
+    _verify(spool, j_erin, one_erin)
+    stages = [e for e in read_events(spool, j_erin) if e["kind"] == "stage"]
+    _check(f"{j_erin}: stage events address index parts",
+           bool(stages) and all("index" in e["part"] for e in stages))
     bad = load_result(spool, j_bad)
     _check(f"{j_bad}: refused with a result document",
            bad is not None and not bad["ok"] and bad["error"] == "ConfigurationError",
