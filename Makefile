@@ -57,8 +57,8 @@ explore:
 		--policy random --interleavings 200
 
 # Bounded CI variant: random walks + the adversarial rotation over both
-# the stage-structured and the tile-routed planes (~64 interleavings
-# total), plus the exploration unit suite.
+# the stage-structured and the tile-routed planes, plus a bounded DFS
+# enumeration (~72 interleavings total), plus the exploration unit suite.
 explore-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_explore.py -q \
 		$(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo --timeout=300 --timeout-method=signal)
@@ -68,6 +68,9 @@ explore-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --out results explore \
 		--method binary-swap:raw --ranks 8 --fault-plan default \
 		--policy adversarial --interleavings 8
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --out results explore \
+		--method binary-swap:raw --ranks 8 --fault-plan default \
+		--policy dfs --interleavings 8
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --out results explore \
 		--method tile-routed:rle --ranks 8 --fault-plan default \
 		--policy random --interleavings 24

@@ -54,7 +54,6 @@ from .explore import (
     EXPLORE_REPORT_SCHEMA,
     Explorer,
     ExploreReport,
-    ExploreScenario,
     InterleavingResult,
     default_fault_plan,
 )
@@ -64,7 +63,6 @@ from .schedule_policy import (
     POLICIES,
     SCHED_TRACE_SCHEMA,
     AdversarialPolicy,
-    DeterministicPolicy,
     ForcedPrefixPolicy,
     RandomPolicy,
     ReplayPolicy,
@@ -81,10 +79,8 @@ __all__ = [
     "AdversarialPolicy",
     "BACKENDS",
     "Backend",
-    "DeterministicPolicy",
     "EXPLORE_REPORT_SCHEMA",
     "ExploreReport",
-    "ExploreScenario",
     "Explorer",
     "ForcedPrefixPolicy",
     "InterleavingResult",

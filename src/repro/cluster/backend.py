@@ -235,7 +235,7 @@ def _require_deterministic_schedule(backend_name: str, policy) -> None:
     non-exploring (deterministic) policies pass through — they change
     nothing anywhere.
     """
-    if policy is not None and getattr(policy, "explores_any", False):
+    if policy is not None and policy.explores:
         supported = sorted(
             name for name, cls in BACKENDS.items() if cls.name == "sim"
         )

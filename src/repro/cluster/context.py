@@ -74,7 +74,7 @@ class RankContext(BaseRankContext):
         fault freedom (see :attr:`RankFaultInjector.decider`)."""
         super().install_fault_injector(injector)
         policy = getattr(self._simulator, "policy", None)
-        if injector is not None and policy is not None and policy.explores_faults:
+        if injector is not None and policy is not None and policy.explores:
             injector.decider = policy.fault_decision
 
     # ---- staging ------------------------------------------------------------

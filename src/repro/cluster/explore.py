@@ -5,10 +5,10 @@ test of *one* interleaving.  Real clusters do not schedule that kindly:
 same-time events race, ANY_TAG receives match whichever message the
 fabric delivered first, and probabilistic faults fire or don't.  This
 module searches that residual freedom.  An :class:`Explorer` runs N
-interleavings of one *scenario* (a compositing method × a fault plan ×
-a rank count), each driven by a
-:class:`~repro.cluster.schedule_policy.SchedulePolicy`, and classifies
-every run against a deterministic baseline:
+interleavings of one *scenario* (a
+:class:`~repro.pipeline.config.RunConfig` × a fault plan), each driven
+by a :class:`~repro.cluster.schedule_policy.SchedulePolicy`, and
+classifies every run against a deterministic baseline:
 
 * a completed non-degraded run must be **bit-identical** — pixels and
   the integer protocol counters (bytes/messages per stage) must equal
@@ -26,22 +26,26 @@ every run against a deterministic baseline:
   the run's decision trace (schema ``repro.sched-trace/1``) is saved
   and :func:`Explorer.replay` reproduces the exact interleaving from it.
 
-Drivers: ``random`` walks (one seeded
-:class:`~repro.cluster.schedule_policy.RandomPolicy` per interleaving),
-the ``adversarial`` rotation (every mode in
-:data:`~repro.cluster.schedule_policy.ADVERSARIAL_MODES`), and ``dfs``
-— bounded systematic enumeration that re-runs with progressively longer
-forced decision prefixes
-(:class:`~repro.cluster.schedule_policy.ForcedPrefixPolicy`), expanding
-unexplored siblings depth-first and deduplicating revisited decision
-states by digest.
+:meth:`Explorer.run` takes one policy spec: interleaving ``i`` runs
+under :func:`~repro.cluster.schedule_policy.make_policy` ``(spec,
+seed=seed, index=i)`` — seeded ``random`` walks, the ``adversarial``
+rotation, or one fixed policy — except ``dfs``, bounded systematic
+enumeration that re-runs with progressively longer forced decision
+prefixes (:class:`~repro.cluster.schedule_policy.ForcedPrefixPolicy`),
+expanding unexplored siblings depth-first and deduplicating revisited
+decision states by digest.
+
+Every saved trace embeds its scenario as ``meta["scenario"]``:
+``{"config": <the config's non-default fields as RunConfig keyword
+arguments, the machine by preset name>, "fault_plan": <plan document,
+when armed>}`` — the file alone rebuilds the run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 import numpy as np
@@ -54,13 +58,10 @@ from ..errors import (
     ReproError,
 )
 from .faults import FaultPlan, FaultRule
+from .model import PRESETS
 from .recovery import DECLARED_OUTCOMES
 from .schedule_policy import (
-    ADVERSARIAL_MODES,
-    AdversarialPolicy,
-    DeterministicPolicy,
     ForcedPrefixPolicy,
-    RandomPolicy,
     ReplayPolicy,
     SchedulePolicy,
     load_trace,
@@ -70,7 +71,6 @@ from .schedule_policy import (
 __all__ = [
     "EXPLORE_REPORT_SCHEMA",
     "DEFAULT_EVENT_BUDGET",
-    "ExploreScenario",
     "InterleavingResult",
     "ExploreReport",
     "Explorer",
@@ -126,74 +126,31 @@ def default_fault_plan(num_ranks: int = 8, *, seed: int = 7) -> FaultPlan:
     )
 
 
-@dataclass(frozen=True)
-class ExploreScenario:
-    """What to explore: one method × fault plan × cluster size."""
+def _destructive(plan: Optional[FaultPlan]) -> bool:
+    """Whether ``plan`` can legitimately abort/degrade a run."""
+    return plan is not None and any(r.kind in _DESTRUCTIVE_KINDS for r in plan.rules)
 
-    method: str = "binary-swap:raw"
-    num_ranks: int = 8
-    fault_plan: Optional[FaultPlan] = None
-    dataset: str = "engine_low"
-    image_size: int = 32
-    volume_shape: tuple[int, int, int] = (32, 32, 16)
-    recovery: str = "degrade"
-    method_options: dict[str, Any] = field(default_factory=dict)
 
-    def label(self) -> str:
-        plan = "clean"
-        if self.fault_plan is not None and self.fault_plan.rules:
-            plan = "+".join(sorted({r.kind for r in self.fault_plan.rules}))
-        return f"{self.method}@P{self.num_ranks}/{plan}"
+def _config_doc(config) -> dict[str, Any]:
+    """``config``'s non-default fields as ``RunConfig`` keyword arguments
+    (the shape of a spool job's ``deltas``), the machine by preset name."""
+    from ..pipeline.config import RunConfig
 
-    def to_meta(self) -> dict[str, Any]:
-        """Self-contained scenario record embedded in every saved trace,
-        so ``--replay-trace`` needs nothing but the trace file."""
-        meta: dict[str, Any] = {
-            "method": self.method,
-            "num_ranks": self.num_ranks,
-            "dataset": self.dataset,
-            "image_size": self.image_size,
-            "volume_shape": list(self.volume_shape),
-            "recovery": self.recovery,
-            "method_options": dict(self.method_options),
-        }
-        if self.fault_plan is not None:
-            meta["fault_plan"] = self.fault_plan.to_dict()
-        return meta
-
-    @classmethod
-    def from_meta(cls, meta: dict[str, Any]) -> "ExploreScenario":
-        plan = meta.get("fault_plan")
-        return cls(
-            method=str(meta.get("method", "binary-swap:raw")),
-            num_ranks=int(meta.get("num_ranks", 8)),
-            fault_plan=FaultPlan.from_dict(plan) if plan else None,
-            dataset=str(meta.get("dataset", "engine_low")),
-            image_size=int(meta.get("image_size", 32)),
-            volume_shape=tuple(meta.get("volume_shape", (32, 32, 16))),
-            recovery=str(meta.get("recovery", "degrade")),
-            method_options=dict(meta.get("method_options", {})),
-        )
-
-    def run_config(self):
-        from ..pipeline.config import RunConfig
-
-        return RunConfig(
-            dataset=self.dataset,
-            image_size=self.image_size,
-            num_ranks=self.num_ranks,
-            method=self.method,
-            volume_shape=self.volume_shape,
-            recovery=self.recovery,
-            method_options=dict(self.method_options),
-        )
-
-    @property
-    def destructive(self) -> bool:
-        """Whether the plan can legitimately abort/degrade a run."""
-        return self.fault_plan is not None and any(
-            r.kind in _DESTRUCTIVE_KINDS for r in self.fault_plan.rules
-        )
+    default = RunConfig()
+    doc: dict[str, Any] = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if value == getattr(default, f.name):
+            continue
+        if f.name == "machine":
+            if PRESETS.get(value.name) != value:
+                raise ConfigurationError(
+                    f"machine {value.name!r} is not a preset; an explored "
+                    "scenario records its machine by preset name"
+                )
+            value = value.name
+        doc[f.name] = value
+    return doc
 
 
 @dataclass
@@ -232,7 +189,7 @@ class InterleavingResult:
 class ExploreReport:
     """Aggregate of one exploration sweep (JSON: ``repro.explore-report/1``)."""
 
-    scenario: ExploreScenario
+    scenario: dict[str, Any]
     results: list[InterleavingResult] = field(default_factory=list)
 
     @property
@@ -252,7 +209,7 @@ class ExploreReport:
     def to_dict(self) -> dict[str, Any]:
         return {
             "schema": EXPLORE_REPORT_SCHEMA,
-            "scenario": self.scenario.to_meta(),
+            "scenario": self.scenario,
             "interleavings": len(self.results),
             "ok": self.ok,
             "counts": self.counts(),
@@ -301,7 +258,6 @@ class _Baseline:
     pixels: np.ndarray
     counters: list[tuple]
     outcome: str
-    decisions: int
 
 
 class Explorer:
@@ -309,8 +265,10 @@ class Explorer:
 
     Parameters
     ----------
-    scenario:
-        What to explore.
+    config:
+        The run to explore; its backend must be ``"sim"``.
+    fault_plan:
+        Faults armed on every interleaving (``None``: a clean run).
     trace_dir:
         Directory for saved decision traces.  Failing interleavings
         always save a trace here (created on demand); pass
@@ -324,18 +282,32 @@ class Explorer:
 
     def __init__(
         self,
-        scenario: ExploreScenario,
+        config,
+        fault_plan: Optional[FaultPlan] = None,
         *,
         trace_dir: Optional[str] = None,
         event_budget: int = DEFAULT_EVENT_BUDGET,
         keep_all: bool = False,
     ):
-        self.scenario = scenario
+        if config.backend != "sim":
+            raise ConfigurationError(f"the explorer drives the simulator, not {config.backend!r}")
+        self.config = config
+        self.fault_plan = fault_plan
+        #: ``meta["scenario"]`` of every saved trace and the report.
+        self.scenario: dict[str, Any] = {"config": _config_doc(config)}
+        if fault_plan is not None:
+            self.scenario["fault_plan"] = fault_plan.to_dict()
         self.trace_dir = trace_dir
         self.event_budget = int(event_budget)
         self.keep_all = bool(keep_all)
         self._baseline: Optional[_Baseline] = None
         self._reference_pixels: Optional[np.ndarray] = None
+
+    def label(self) -> str:
+        plan = "clean"
+        if self.fault_plan is not None and self.fault_plan.rules:
+            plan = "+".join(sorted({r.kind for r in self.fault_plan.rules}))
+        return f"{self.config.method}@P{self.config.num_ranks}/{plan}"
 
     # ---- plumbing ----------------------------------------------------------
     def _execute(self, policy: SchedulePolicy):
@@ -343,10 +315,8 @@ class Explorer:
         from ..pipeline.system import SortLastSystem
 
         policy.event_budget = self.event_budget
-        system = SortLastSystem(self.scenario.run_config())
-        return system.run(
-            fault_plan=self.scenario.fault_plan,
-            schedule_policy=policy,
+        return SortLastSystem(self.config).run(
+            fault_plan=self.fault_plan, schedule_policy=policy
         )
 
     def baseline(self) -> _Baseline:
@@ -360,8 +330,7 @@ class Explorer:
         """
         if self._baseline is not None:
             return self._baseline
-        policy = DeterministicPolicy()
-        result = self._execute(policy)
+        result = self._execute(SchedulePolicy())
         outcome = result.timeline.meta["outcome"]
         if outcome == "clean":
             clean_pixels = _pixels(result.final_image)
@@ -371,7 +340,6 @@ class Explorer:
             pixels=clean_pixels,
             counters=_int_counters(result.timeline),
             outcome=outcome,
-            decisions=len(policy.decisions),
         )
         return self._baseline
 
@@ -380,7 +348,7 @@ class Explorer:
         if self._reference_pixels is None:
             from ..pipeline.system import SortLastSystem
 
-            clean = SortLastSystem(self.scenario.run_config()).run()
+            clean = SortLastSystem(self.config).run()
             self._reference_pixels = _pixels(clean.final_image)
         return self._reference_pixels
 
@@ -396,7 +364,7 @@ class Explorer:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         return policy.save_trace(
             path,
-            meta={"scenario": self.scenario.to_meta(), "event_budget": self.event_budget},
+            meta={"scenario": self.scenario, "event_budget": self.event_budget},
         )
 
     # ---- classification ----------------------------------------------------
@@ -416,26 +384,24 @@ class Explorer:
             policy.trace_path = trace_path
 
         classification, outcome, detail = self._run_classified(policy, base)
-        failed = classification not in ("identical",) + DECLARED_OUTCOMES
-        saved = None
-        if failed or self.keep_all:
-            saved = self._save_trace(policy, trace_path)
-        elif trace_path is not None:
-            policy.trace_path = None  # nothing written; drop the stale path
-        return InterleavingResult(
+        result = InterleavingResult(
             index=index,
             policy=policy.name,
             classification=classification,
             decisions=len(policy.decisions),
             outcome=outcome,
             detail=detail,
-            trace_path=saved,
         )
+        if not result.ok or self.keep_all:
+            result.trace_path = self._save_trace(policy, trace_path)
+        elif trace_path is not None:
+            policy.trace_path = None  # nothing written; drop the stale path
+        return result
 
     def _run_classified(
         self, policy: SchedulePolicy, base: _Baseline
     ) -> tuple[str, Optional[str], str]:
-        destructive = self.scenario.destructive
+        destructive = _destructive(self.fault_plan)
         try:
             result = self._execute(policy)
         except DeadlockError as err:
@@ -479,23 +445,19 @@ class Explorer:
         return ("identical" if outcome == "clean" else outcome), outcome, ""
 
     # ---- drivers -----------------------------------------------------------
-    def run_random(self, interleavings: int, *, seed: int = 0) -> ExploreReport:
-        """Seeded random walks: interleaving ``i`` uses seed ``seed+i``."""
+    def run(self, spec: str, interleavings: int, *, seed: int = 0) -> ExploreReport:
+        """Classify interleaving ``i`` under ``make_policy(spec, seed=seed,
+        index=i)`` for ``i < interleavings``; ``dfs`` enumerates instead
+        (:meth:`_run_dfs`)."""
+        if isinstance(make_policy(spec), ForcedPrefixPolicy):  # also rejects a bad spec
+            return self._run_dfs(interleavings)
         report = ExploreReport(scenario=self.scenario)
         for i in range(int(interleavings)):
-            report.results.append(self.classify(RandomPolicy(seed + i), index=i))
+            policy = make_policy(spec, seed=seed, index=i)
+            report.results.append(self.classify(policy, index=i))
         return report
 
-    def run_adversarial(self, interleavings: Optional[int] = None) -> ExploreReport:
-        """Rotate through the adversarial modes (default: one run each)."""
-        count = len(ADVERSARIAL_MODES) if interleavings is None else int(interleavings)
-        report = ExploreReport(scenario=self.scenario)
-        for i in range(count):
-            mode = ADVERSARIAL_MODES[i % len(ADVERSARIAL_MODES)]
-            report.results.append(self.classify(AdversarialPolicy(mode), index=i))
-        return report
-
-    def run_dfs(self, interleavings: int) -> ExploreReport:
+    def _run_dfs(self, interleavings: int) -> ExploreReport:
         """Bounded systematic enumeration of decision prefixes.
 
         Depth-first over the decision tree: run the default order, then
@@ -534,60 +496,29 @@ class Explorer:
                     frontier.append(forced)
         return report
 
-    def run_policy_spec(
-        self, spec: str, interleavings: int, *, seed: int = 0
-    ) -> ExploreReport:
-        """Dispatch on a CLI-style policy spec (see
-        :func:`~repro.cluster.schedule_policy.make_policy`)."""
-        head = str(spec).partition(":")[0]
-        if head == "random":
-            base_seed = seed
-            _, _, arg = str(spec).partition(":")
-            if arg:
-                base_seed = int(arg)
-            return self.run_random(interleavings, seed=base_seed)
-        if head == "adversarial":
-            _, _, arg = str(spec).partition(":")
-            if arg:
-                report = ExploreReport(scenario=self.scenario)
-                for i in range(int(interleavings)):
-                    report.results.append(
-                        self.classify(AdversarialPolicy(arg), index=i)
-                    )
-                return report
-            return self.run_adversarial(interleavings)
-        if head == "dfs":
-            return self.run_dfs(interleavings)
-        if head == "deterministic":
-            report = ExploreReport(scenario=self.scenario)
-            for i in range(int(interleavings)):
-                report.results.append(self.classify(DeterministicPolicy(), index=i))
-            return report
-        # Unknown spec: let make_policy raise the canonical error.
-        make_policy(spec)
-        raise ConfigurationError(f"policy {spec!r} has no exploration driver")
-
     # ---- replay ------------------------------------------------------------
-    def replay(self, trace_path: str, *, strict: bool = True) -> InterleavingResult:
+    def replay(self, trace_path: str) -> InterleavingResult:
         """Re-run the exact interleaving a saved trace records."""
-        policy = ReplayPolicy(load_trace(trace_path), strict=strict)
-        return self.classify(policy, index=0)
+        return self.classify(ReplayPolicy(load_trace(trace_path)), index=0)
 
     @classmethod
     def from_trace(
         cls, trace_path: str, *, trace_dir: Optional[str] = None, **kwargs
     ) -> "Explorer":
         """Build an explorer for the scenario a saved trace embeds."""
-        trace = load_trace(trace_path)
-        meta = trace.get("meta", {})
-        scenario_meta = meta.get("scenario")
-        if not scenario_meta:
+        from ..pipeline.config import RunConfig
+
+        meta = load_trace(trace_path).get("meta", {})
+        scenario = meta.get("scenario") or {}
+        if "config" not in scenario:
             raise ConfigurationError(
                 f"trace {trace_path!r} carries no scenario metadata; "
                 "pass the scenario explicitly"
             )
+        plan = scenario.get("fault_plan")
         explorer = cls(
-            ExploreScenario.from_meta(scenario_meta),
+            RunConfig(**scenario["config"]),
+            FaultPlan.from_dict(plan) if plan else None,
             trace_dir=trace_dir,
             **kwargs,
         )

@@ -365,7 +365,7 @@ class RankFaultInjector:
         #: whatever the decider answers, and deterministic rules stay
         #: deterministic.  Wired by the simulator's rank context when a
         #: :class:`~repro.cluster.schedule_policy.SchedulePolicy`
-        #: explores faults.
+        #: explores.
         self.decider = None
         self._slots = [
             _Slot(index, rule, plan.seed, rank)

@@ -40,7 +40,9 @@ always carry ``meta["outcome"]`` — one of
 ``"resumed"``, ``"degraded"``; ``"aborted"`` runs raise instead of
 returning a timeline).  When the run was driven by a
 :class:`~repro.cluster.schedule_policy.SchedulePolicy` (the explorer's
-ordering hook), :func:`schedule_meta` adds:
+ordering hook — the base class is the deterministic order, so its runs
+carry ``"deterministic"`` and zero decisions), :func:`schedule_meta`
+adds:
 
 * ``meta["schedule_policy"]`` — the policy name (``"random:17"``,
   ``"adversarial:lifo"``, ...);

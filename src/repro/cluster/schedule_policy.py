@@ -33,6 +33,12 @@ wildcards, per-channel queues stay FIFO, rendezvous match timings are
 pure functions of the two posts, and probability-1.0 / exhausted rules
 are not freedom at all.
 
+One class attribute, :attr:`SchedulePolicy.explores`, switches the
+engine between its default order and consulting the policy at all three
+kinds.  The base :class:`SchedulePolicy` is that default order (name
+``"deterministic"``, never consulted, bit-identical to no policy); every
+subclass explores.
+
 Every consulted decision is appended to :attr:`SchedulePolicy.decisions`
 — a compact trace (schema ``repro.sched-trace/1``) that
 :class:`ReplayPolicy` feeds back to reproduce the exact interleaving
@@ -55,7 +61,6 @@ from ..errors import ConfigurationError
 __all__ = [
     "SCHED_TRACE_SCHEMA",
     "SchedulePolicy",
-    "DeterministicPolicy",
     "RandomPolicy",
     "AdversarialPolicy",
     "ForcedPrefixPolicy",
@@ -87,22 +92,19 @@ def state_digest(parts: Any) -> str:
 
 
 class SchedulePolicy:
-    """Base class: answers the engine's three decision kinds.
+    """The default order, and the base class of every exploring policy.
 
-    Subclasses set the ``explores_*`` gates and override
-    :meth:`choose_index` (and optionally :meth:`fault_override`).  A
-    policy whose gates are all ``False`` is never consulted and the
-    engine runs its default order with zero overhead.
+    An instance of this class is never consulted: the engine runs its
+    default order with zero overhead (the explorer's oracle).  Subclasses
+    set :attr:`explores` and override :meth:`choose_index` (and
+    optionally :meth:`fault_override`).
     """
 
     #: Short name recorded in traces, errors, and the run-timeline meta.
-    name = "base"
-    #: Consult the policy on same-clock heap ties.
-    explores_ties = False
-    #: Consult the policy on multi-channel ANY_TAG wildcard matches.
-    explores_wildcards = False
-    #: Consult the policy on probabilistic fault-rule firing points.
-    explores_faults = False
+    name = "deterministic"
+    #: Consult the policy on same-clock heap ties, multi-channel ANY_TAG
+    #: wildcard matches and probabilistic fault-rule firing points.
+    explores = False
 
     def __init__(self) -> None:
         #: Recorded decisions, in consultation order.
@@ -113,11 +115,6 @@ class SchedulePolicy:
         #: Where a failing trace will be (or was) saved; embedded into
         #: :class:`~repro.errors.DeadlockError` for reproducibility.
         self.trace_path: Optional[str] = None
-
-    @property
-    def explores_any(self) -> bool:
-        """True when the engine must consult this policy anywhere."""
-        return self.explores_ties or self.explores_wildcards or self.explores_faults
 
     # ---- decision hooks (called by the engine) -----------------------------
     def decide(self, kind: str, candidates: list[dict], digest: str) -> int:
@@ -165,16 +162,6 @@ class SchedulePolicy:
         return default
 
     # ---- trace serialization -----------------------------------------------
-    def reset(self) -> None:
-        """Clear the decision log (reuse across independent runs)."""
-        self.decisions.clear()
-
-    def compact(self) -> str:
-        """One-line rendering of the decision list, e.g. ``tie:2,fault:1``."""
-        return ",".join(
-            f"{d['kind'][:4]}:{d['choice']}" for d in self.decisions
-        )
-
     def trace_dict(self, meta: Optional[dict] = None) -> dict:
         return {
             "schema": SCHED_TRACE_SCHEMA,
@@ -195,19 +182,11 @@ class SchedulePolicy:
         return f"{type(self).__name__}(name={self.name!r}, decisions={len(self.decisions)})"
 
 
-class DeterministicPolicy(SchedulePolicy):
-    """Today's order — the oracle.  Never consulted, identical to no policy."""
-
-    name = "deterministic"
-
-
 class RandomPolicy(SchedulePolicy):
     """Seeded uniform random walk over every decision point."""
 
     name = "random"
-    explores_ties = True
-    explores_wildcards = True
-    explores_faults = True
+    explores = True
 
     def __init__(self, seed: int = 0):
         super().__init__()
@@ -248,9 +227,7 @@ class AdversarialPolicy(SchedulePolicy):
     """
 
     name = "adversarial"
-    explores_ties = True
-    explores_wildcards = True
-    explores_faults = True
+    explores = True
 
     def __init__(self, mode: str = "starve-low"):
         super().__init__()
@@ -299,9 +276,7 @@ class ForcedPrefixPolicy(SchedulePolicy):
     """
 
     name = "dfs"
-    explores_ties = True
-    explores_wildcards = True
-    explores_faults = True
+    explores = True
 
     def __init__(self, prefix: "list[int] | tuple[int, ...]" = ()):
         super().__init__()
@@ -330,7 +305,8 @@ class ForcedPrefixPolicy(SchedulePolicy):
 
 
 class ReplayPolicy(SchedulePolicy):
-    """Feed a recorded ``repro.sched-trace/1`` back through the engine.
+    """Feed a recorded ``repro.sched-trace/1`` (as :func:`load_trace`
+    reads and schema-checks it) back through the engine.
 
     Every decision point consumes the next recorded decision; kind and
     candidate-count mismatches (and, for tie/wildcard points, state
@@ -342,23 +318,12 @@ class ReplayPolicy(SchedulePolicy):
     """
 
     name = "replay"
-    explores_ties = True
-    explores_wildcards = True
-    explores_faults = True
+    explores = True
 
-    def __init__(self, trace: dict, *, strict: bool = True):
+    def __init__(self, trace: dict):
         super().__init__()
-        schema = trace.get("schema")
-        if schema != SCHED_TRACE_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported schedule-trace schema {schema!r} "
-                f"(expected {SCHED_TRACE_SCHEMA!r})"
-            )
         self.recorded = [dict(d) for d in trace.get("decisions", [])]
-        self.source_policy = str(trace.get("policy", "?"))
-        self.meta = dict(trace.get("meta", {}))
-        self.strict = bool(strict)
-        self.name = f"replay:{self.source_policy}"
+        self.name = f"replay:{trace.get('policy', '?')}"
 
     def _next(self, kind: str, depth: int) -> Optional[dict]:
         if depth >= len(self.recorded):
@@ -382,7 +347,7 @@ class ReplayPolicy(SchedulePolicy):
                 f"schedule-trace replay diverged at decision {depth}: "
                 f"{rec.get('n')} candidates recorded, {len(candidates)} live"
             )
-        if self.strict and rec.get("state") and rec["state"] != digest:
+        if rec.get("state") and rec["state"] != digest:
             raise ConfigurationError(
                 f"schedule-trace replay diverged at decision {depth}: "
                 f"state digest {digest} != recorded {rec['state']}"
@@ -411,19 +376,23 @@ def load_trace(path: str) -> dict:
     return trace
 
 
-def make_policy(spec: str, *, seed: int = 0) -> SchedulePolicy:
-    """Build a policy from a CLI-style spec string.
+def make_policy(spec: str, *, seed: int = 0, index: int = 0) -> SchedulePolicy:
+    """Build walk ``index`` of a sweep from a CLI-style spec string.
 
     ``"deterministic"`` | ``"random"`` | ``"random:SEED"`` |
-    ``"adversarial"`` | ``"adversarial:MODE"`` | ``"dfs"``.
+    ``"adversarial"`` | ``"adversarial:MODE"`` | ``"dfs"``.  A random
+    walk uses seed ``SEED + index`` (``SEED`` defaults to ``seed``); a
+    bare ``adversarial`` rotates :data:`ADVERSARIAL_MODES` by ``index``.
     """
     head, _, arg = str(spec).partition(":")
     if head == "deterministic":
-        return DeterministicPolicy()
+        return SchedulePolicy()
     if head == "random":
-        return RandomPolicy(int(arg) if arg else seed)
+        return RandomPolicy((int(arg) if arg else seed) + index)
     if head == "adversarial":
-        return AdversarialPolicy(arg or "starve-low")
+        return AdversarialPolicy(
+            arg or ADVERSARIAL_MODES[index % len(ADVERSARIAL_MODES)]
+        )
     if head == "dfs":
         return ForcedPrefixPolicy()
     raise ConfigurationError(

@@ -227,7 +227,7 @@ class Simulator:
         """Pop ready ranks in (clock, rank, seq) order; match on block."""
         for proc in self._procs:
             self._schedule(proc)
-        explore_ties = self.policy is not None and self.policy.explores_ties
+        explore_ties = self.policy is not None and self.policy.explores
         while self._heap:
             if explore_ties:
                 proc = self._pop_with_tie_choice()
@@ -353,7 +353,7 @@ class Simulator:
                 blocked[p.rank] = f"{p.pending!r} (stage {p.current_stage})"
                 last_progress[p.rank] = p.post_time
         sched: dict = {}
-        if self.policy is not None and self.policy.explores_any:
+        if self.policy is not None and self.policy.explores:
             # Embed the explored schedule so the hang reproduces from
             # the error message alone (path when a trace file is
             # arranged, the inline decision list otherwise).
@@ -498,7 +498,7 @@ class Simulator:
         candidates.sort(key=lambda c: (c[0], c[1]))
         index = 0
         policy = self.policy
-        if policy is not None and policy.explores_wildcards and len(candidates) > 1:
+        if policy is not None and policy.explores and len(candidates) > 1:
             index = policy.decide(
                 "wildcard",
                 [

@@ -490,11 +490,11 @@ def _run_one(args, command: str) -> None:
         from ..cluster.explore import (
             DEFAULT_EVENT_BUDGET,
             Explorer,
-            ExploreScenario,
             default_fault_plan,
         )
         from ..cluster.faults import FaultPlan
         from ..errors import ConfigurationError
+        from ..pipeline.config import RunConfig
 
         budget = getattr(args, "event_budget", None) or DEFAULT_EVENT_BUDGET
         trace_dir = getattr(args, "trace_dir", None) or os.path.join(
@@ -511,7 +511,7 @@ def _run_one(args, command: str) -> None:
                 outcome = explorer.replay(replay_path)
                 lines = [
                     f"Replayed schedule trace {replay_path}",
-                    f"  scenario       = {explorer.scenario.label()}",
+                    f"  scenario       = {explorer.label()}",
                     f"  policy         = {outcome.policy}",
                     f"  classification = {outcome.classification}",
                     f"  decisions      = {outcome.decisions}",
@@ -530,24 +530,25 @@ def _run_one(args, command: str) -> None:
                 fault_plan = FaultPlan.load(plan_arg)
             else:
                 fault_plan = None
-            scenario = ExploreScenario(
+            config = RunConfig(
                 method=getattr(args, "method", "binary-swap:raw"),
                 num_ranks=ranks,
-                fault_plan=fault_plan,
                 dataset=getattr(args, "dataset", "engine_low"),
                 image_size=(
                     _QUICK["image_size"] if args.quick
                     else getattr(args, "image_size", 32)
                 ),
+                volume_shape=(32, 32, 16),
                 method_options=_method_options_from(args),
             )
             explorer = Explorer(
-                scenario,
+                config,
+                fault_plan,
                 trace_dir=trace_dir,
                 event_budget=budget,
                 keep_all=getattr(args, "keep_all_traces", False),
             )
-            report = explorer.run_policy_spec(
+            report = explorer.run(
                 getattr(args, "policy", "random"),
                 getattr(args, "interleavings", 16),
                 seed=getattr(args, "seed", 0),
@@ -556,7 +557,7 @@ def _run_one(args, command: str) -> None:
             raise SystemExit(str(exc)) from exc
         counts = report.counts()
         lines = [
-            f"Schedule exploration: {scenario.label()} "
+            f"Schedule exploration: {explorer.label()} "
             f"({len(report.results)} interleavings, policy "
             f"{getattr(args, 'policy', 'random')})",
             "  " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items())),

@@ -19,17 +19,17 @@ from conftest import route_tiles
 from repro.cluster.explore import (
     EXPLORE_REPORT_SCHEMA,
     Explorer,
-    ExploreScenario,
+    _destructive,
     default_fault_plan,
 )
 from repro.cluster.backend import MPBackend
 from repro.cluster.events import ANY_TAG
+from repro.cluster.faults import FaultPlan, FaultRule
 from repro.cluster.model import SP2
 from repro.cluster.schedule_policy import (
     ADVERSARIAL_MODES,
     SCHED_TRACE_SCHEMA,
     AdversarialPolicy,
-    DeterministicPolicy,
     ForcedPrefixPolicy,
     RandomPolicy,
     ReplayPolicy,
@@ -84,10 +84,22 @@ class TestPolicyBasics:
         assert make_policy("adversarial:lifo").name == "adversarial:lifo"
         assert make_policy("dfs").name == "dfs:0"
         assert isinstance(make_policy("dfs"), ForcedPrefixPolicy)
+        assert type(make_policy("deterministic")) is SchedulePolicy
+
+    def test_make_policy_walk_index(self):
+        assert make_policy("random", seed=5, index=2).name == "random:7"
+        assert make_policy("random:17", seed=5, index=2).name == "random:19"
+        assert [
+            make_policy("adversarial", index=i).name for i in range(5)
+        ] == [f"adversarial:{m}" for m in ADVERSARIAL_MODES + ADVERSARIAL_MODES[:1]]
+        assert make_policy("adversarial:lifo", index=3).name == "adversarial:lifo"
+        assert make_policy("deterministic", index=3).name == "deterministic"
 
     def test_make_policy_rejects_unknown(self):
         with pytest.raises(ConfigurationError, match="unknown schedule policy"):
             make_policy("fifo")
+        with pytest.raises(ConfigurationError, match="unknown schedule policy"):
+            _explorer().run("fifo", 0)
 
     def test_adversarial_rejects_unknown_mode(self):
         with pytest.raises(ConfigurationError, match="unknown adversarial mode"):
@@ -95,7 +107,7 @@ class TestPolicyBasics:
 
     def test_decide_validates_choice(self):
         class Bad(SchedulePolicy):
-            explores_ties = True
+            explores = True
 
             def choose_index(self, kind, candidates, digest):
                 return 99
@@ -103,14 +115,12 @@ class TestPolicyBasics:
         with pytest.raises(ConfigurationError, match="chose index 99"):
             Bad().decide("tie", [{"rank": 0, "seq": 0}], "digest")
 
-    def test_decisions_and_compact(self):
+    def test_decisions_recorded(self):
         policy = RandomPolicy(0)
         policy.decide("tie", [{"rank": 0, "seq": 0}, {"rank": 1, "seq": 1}], "d")
         policy.fault_decision(2, 0, "crash", 0.5, default=False)
         assert [d["kind"] for d in policy.decisions] == ["tie", "fault"]
-        assert policy.compact().startswith("tie:")
-        policy.reset()
-        assert policy.decisions == []
+        assert policy.decisions[1]["rank"] == 2 and policy.decisions[1]["n"] == 2
 
     def test_trace_roundtrip(self, tmp_path):
         policy = RandomPolicy(3)
@@ -130,8 +140,6 @@ class TestPolicyBasics:
         path.write_text(json.dumps({"schema": "repro.fault-plan/1"}))
         with pytest.raises(ConfigurationError, match="unsupported schedule-trace"):
             load_trace(str(path))
-        with pytest.raises(ConfigurationError, match="unsupported schedule-trace"):
-            ReplayPolicy({"schema": "nope"})
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +148,7 @@ class TestPolicyBasics:
 class TestDeterministicOracle:
     def test_bit_identical_to_no_policy(self):
         base = _system().run()
-        policy = DeterministicPolicy()
+        policy = SchedulePolicy()
         explored = _system().run(schedule_policy=policy)
         assert policy.decisions == []  # never consulted
         assert np.array_equal(_pixels(base.final_image), _pixels(explored.final_image))
@@ -170,7 +178,7 @@ class TestDeterministicOracle:
 # Pinned matching invariants (satellite: wildcard-tie documentation fix)
 # ---------------------------------------------------------------------------
 def _all_policies():
-    return [DeterministicPolicy(), RandomPolicy(1), RandomPolicy(2)] + [
+    return [SchedulePolicy(), RandomPolicy(1), RandomPolicy(2)] + [
         AdversarialPolicy(mode) for mode in ADVERSARIAL_MODES
     ]
 
@@ -275,7 +283,7 @@ def _buggy_wildcard_program():
 
 class TestSeededOrderingBug:
     def test_deterministic_order_hides_the_bug(self):
-        result = Simulator(2, SP2, policy=DeterministicPolicy()).run(
+        result = Simulator(2, SP2, policy=SchedulePolicy()).run(
             _buggy_wildcard_program()
         )
         assert result.returns == ["src", (b"five", b"six")]
@@ -409,21 +417,16 @@ class TestTimelineMeta:
 # ---------------------------------------------------------------------------
 # The Explorer harness
 # ---------------------------------------------------------------------------
-def _scenario(method="binary-swap:raw", num_ranks=4, fault_plan="default"):
+def _explorer(method="binary-swap:raw", num_ranks=4, fault_plan="default", **kwargs):
     plan = default_fault_plan(num_ranks) if fault_plan == "default" else fault_plan
-    return ExploreScenario(
-        method=method,
-        num_ranks=num_ranks,
-        fault_plan=plan,
-        image_size=16,
-        volume_shape=(16, 16, 8),
-    )
+    cfg = RunConfig(method=method, num_ranks=num_ranks, **SMALL)
+    return Explorer(cfg, plan, **kwargs)
 
 
 class TestExplorer:
     def test_random_sweep_classifies_every_interleaving(self, tmp_path):
-        explorer = Explorer(_scenario(), trace_dir=str(tmp_path))
-        report = explorer.run_random(8, seed=0)
+        explorer = _explorer(trace_dir=str(tmp_path))
+        report = explorer.run("random", 8, seed=0)
         assert len(report.results) == 8
         assert report.ok, report.counts()
         assert set(report.counts()) <= {"identical", "degraded", "resumed", "aborted"}
@@ -433,27 +436,27 @@ class TestExplorer:
         assert not os.path.exists(str(tmp_path)) or not os.listdir(str(tmp_path))
 
     def test_adversarial_rotation(self, tmp_path):
-        explorer = Explorer(_scenario(), trace_dir=str(tmp_path))
-        report = explorer.run_adversarial()
+        explorer = _explorer(trace_dir=str(tmp_path))
+        report = explorer.run("adversarial", len(ADVERSARIAL_MODES))
         assert len(report.results) == len(ADVERSARIAL_MODES)
         assert report.ok, report.counts()
         assert report.counts().get("degraded", 0) >= 1  # forced-fault modes
 
     def test_tile_routed_scenario(self, tmp_path):
-        explorer = Explorer(_scenario(method="tile-routed:rle"), trace_dir=str(tmp_path))
-        report = explorer.run_random(4, seed=3)
+        explorer = _explorer(method="tile-routed:rle", trace_dir=str(tmp_path))
+        report = explorer.run("random", 4, seed=3)
         assert report.ok, [r.to_dict() for r in report.failures]
 
     def test_dfs_enumerates_multiple_interleavings(self):
-        explorer = Explorer(_scenario())
-        report = explorer.run_dfs(6)
+        explorer = _explorer()
+        report = explorer.run("dfs", 6)
         assert 1 < len(report.results) <= 6
         assert report.ok, report.counts()
         # The fault decision's sibling branch was explored.
         assert len(report.counts()) >= 2
 
     def test_replay_reproduces_bit_for_bit(self, tmp_path):
-        explorer = Explorer(_scenario(), trace_dir=str(tmp_path), keep_all=True)
+        explorer = _explorer(trace_dir=str(tmp_path), keep_all=True)
         first = explorer.classify(RandomPolicy(42), index=0)
         assert first.ok and first.trace_path
         replayed = explorer.replay(first.trace_path)
@@ -462,26 +465,27 @@ class TestExplorer:
         assert replayed.decisions == first.decisions
 
     def test_trace_is_self_contained(self, tmp_path):
-        explorer = Explorer(_scenario(), trace_dir=str(tmp_path), keep_all=True)
+        explorer = _explorer(trace_dir=str(tmp_path), keep_all=True)
         first = explorer.classify(RandomPolicy(9), index=0)
         rebuilt = Explorer.from_trace(first.trace_path)
-        assert rebuilt.scenario == explorer.scenario
+        assert rebuilt.config == explorer.config
+        assert rebuilt.fault_plan == explorer.fault_plan
         replayed = rebuilt.replay(first.trace_path)
         assert replayed.classification == first.classification
 
     def test_livelock_classification_saves_trace(self, tmp_path):
-        explorer = Explorer(_scenario(), trace_dir=str(tmp_path))
+        explorer = _explorer(trace_dir=str(tmp_path))
         explorer.baseline()  # memoize before shrinking the budget
         explorer.event_budget = 5
         outcome = explorer.classify(RandomPolicy(1), index=0)
         assert outcome.classification == "livelock"
         assert outcome.trace_path and os.path.exists(outcome.trace_path)
         trace = load_trace(outcome.trace_path)
-        assert trace["meta"]["scenario"]["method"] == "binary-swap:raw"
+        assert trace["meta"]["scenario"]["config"]["method"] == "binary-swap:raw"
 
     def test_report_document(self, tmp_path):
-        explorer = Explorer(_scenario())
-        report = explorer.run_random(2, seed=1)
+        explorer = _explorer()
+        report = explorer.run("random", 2, seed=1)
         path = tmp_path / "report.json"
         report.save(str(path))
         doc = json.loads(path.read_text())
@@ -491,12 +495,72 @@ class TestExplorer:
         assert doc["scenario"]["fault_plan"]["schema"] == "repro.fault-plan/1"
 
     def test_scenario_meta_roundtrip(self):
-        scenario = _scenario(method="tile-routed:rle")
-        assert ExploreScenario.from_meta(scenario.to_meta()) == scenario
-        clean = _scenario(fault_plan=None)
-        assert ExploreScenario.from_meta(clean.to_meta()) == clean
-        assert not clean.destructive
-        assert scenario.destructive
+        explorer = _explorer(method="tile-routed:rle")
+        doc = json.loads(json.dumps(explorer.scenario))
+        assert RunConfig(**doc["config"]) == explorer.config
+        assert FaultPlan.from_dict(doc["fault_plan"]) == explorer.fault_plan
+        # Only non-default fields travel; the machine by preset name.
+        assert doc["config"] == {
+            "method": "tile-routed:rle", "num_ranks": 4, "image_size": 16,
+            "volume_shape": [16, 16, 8],
+        }
+        slow = RunConfig(machine="sp2-slow-net", **SMALL)
+        assert Explorer(slow).scenario == {"config": {
+            "image_size": 16, "volume_shape": (16, 16, 8), "machine": "sp2-slow-net",
+        }}
+        assert "fault_plan" not in _explorer(fault_plan=None).scenario
+
+    def test_destructive_plans(self):
+        """Only a crash/drop/corrupt rule may end a run in a declared
+        abort or degrade; a clean or delay-only plan may not."""
+        assert not _destructive(None)
+        assert not _destructive(FaultPlan(rules=()))
+        assert not _destructive(FaultPlan(rules=(FaultRule(kind="delay", rank=1, seconds=1e-4),)))
+        assert _destructive(default_fault_plan(4))
+
+    def test_crash_under_abort_recovery_is_declared_aborted(self):
+        """A destructive plan's ``RankFailedError`` is the declared
+        ``aborted`` outcome, not an unexpected error."""
+        cfg = RunConfig(method="binary-swap:raw", num_ranks=4, recovery="abort", **SMALL)
+        report = Explorer(cfg, default_fault_plan(4)).run("random", 6)
+        assert [r.classification for r in report.results] == [
+            "identical", "identical", "aborted", "identical", "identical", "aborted",
+        ]
+        assert report.ok
+
+    def test_non_simulator_backend_is_refused(self):
+        with pytest.raises(ConfigurationError, match="simulator"):
+            Explorer(RunConfig(backend="mp", **SMALL))
+
+    def test_unnamed_machine_is_refused(self):
+        custom = SP2.with_overrides(tc=SP2.tc * 3.0)
+        with pytest.raises(ConfigurationError, match="not a preset"):
+            Explorer(RunConfig(machine=custom, **SMALL))
+
+    @pytest.mark.parametrize(
+        "spec, names",
+        [
+            ("random", ["random:0", "random:1", "random:2"]),
+            ("random:7", ["random:7", "random:8", "random:9"]),
+            ("adversarial", [f"adversarial:{m}" for m in ADVERSARIAL_MODES[:3]]),
+            ("adversarial:lifo", ["adversarial:lifo"] * 3),
+            ("deterministic", ["deterministic"] * 3),
+            ("dfs", ["dfs:0", "dfs:1", "dfs:2"]),
+        ],
+    )
+    def test_run_policy_names(self, spec, names):
+        """The policy each interleaving of a sweep runs under."""
+        report = _explorer().run(spec, 3)
+        assert [r.policy for r in report.results] == names
+        assert [r.index for r in report.results] == [0, 1, 2]
+
+    def test_old_trace_without_config_is_refused(self, tmp_path):
+        path = RandomPolicy(1).save_trace(
+            str(tmp_path / "old.json"),
+            meta={"scenario": {"method": "binary-swap:raw", "num_ranks": 4}},
+        )
+        with pytest.raises(ConfigurationError, match="carries no scenario metadata"):
+            Explorer.from_trace(path)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.cluster.backend import SimBackend
 from repro.cluster.faults import FaultPlan, FaultRule
 from repro.cluster.model import IDEALIZED, SP2
 from repro.cluster.progress import ProgressFeed
-from repro.cluster.schedule_policy import DeterministicPolicy
+from repro.cluster.schedule_policy import SchedulePolicy
 from repro.errors import ConfigurationError, RankFailedError
 from repro.pipeline.config import RunConfig
 from repro.pipeline.system import SortLastSystem, assemble_final
@@ -184,7 +184,7 @@ class TestOneRunPath:
         try:
             result = SortLastSystem(cfg).run(
                 backend=backend, trace=True, fault_plan=self.CRASH, recovery=recovery,
-                schedule_policy=DeterministicPolicy(), progress=feed,
+                schedule_policy=SchedulePolicy(), progress=feed,
             )
         except RankFailedError:
             result = None

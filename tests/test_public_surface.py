@@ -30,8 +30,9 @@ ROOT = Path(__file__).resolve().parent.parent
 #: collectives nothing called, the second sparse folds, rect
 #: helpers and result views, the mp supervisor's in-place respawn, and
 #: the transport's heartbeats, send retries and unused ``barrier`` verb,
-#: the fused tile-routed phase with its band marcher, and the harness's
-#: own block cache and the raw-trace JSON writer
+#: the fused tile-routed phase with its band marcher, the harness's
+#: own block cache and the raw-trace JSON writer, and the explorer's
+#: second config, per-kind policy gates and per-family sweep drivers
 #: (CHANGELOG lists each with its replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
@@ -117,6 +118,17 @@ REMOVED_NAMES = {
     "_blocks_to_entry",
     "_blocks_from_entry",
     "trace_to_json",
+    "ExploreScenario",
+    "DeterministicPolicy",
+    "explores_ties",
+    "explores_wildcards",
+    "explores_faults",
+    "explores_any",
+    "run_random",
+    "run_adversarial",
+    "run_policy_spec",
+    "compact",
+    "run_dfs",
 }
 
 #: Classes that carried one of the removed names (a second view or entry).
@@ -136,6 +148,9 @@ REMOVED_FROM_CLASSES = (
     "repro.pipeline.config.RunConfig",
     "repro.serving.service.RenderService",
     "repro.serving.service.SessionHandle",
+    "repro.cluster.schedule_policy.SchedulePolicy",
+    "repro.cluster.schedule_policy.ReplayPolicy",
+    "repro.cluster.explore.Explorer",
 )
 
 #: Modules deleted with the MPI substrate and the index-array parts.
@@ -174,7 +189,8 @@ def test_module_imports_and_all_resolves(name):
         "repro.compositing.codec", "repro.compositing.registry", "repro.compositing.rle",
         "repro.cluster.simulator", "repro.cluster.collectives",
         "repro.cluster.recovery", "repro.cluster.mp_backend",
-        "repro.compositing.tile_engine",
+        "repro.compositing.tile_engine", "repro.cluster.explore",
+        "repro.cluster.schedule_policy",
     ],
 )
 def test_removed_names_stay_removed(package):
@@ -285,6 +301,19 @@ def test_every_annotation_resolves():
 def test_removed_modules_stay_removed(name):
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module(name)
+
+
+def test_explorer_takes_a_run_config_and_one_policy_switch():
+    """The explorer explores a ``RunConfig``; a policy has one
+    ``explores`` switch and replay always checks digests."""
+    from repro.cluster.explore import Explorer
+    from repro.cluster.schedule_policy import ReplayPolicy, SchedulePolicy
+
+    assert list(inspect.signature(Explorer).parameters)[:2] == ["config", "fault_plan"]
+    assert "strict" not in inspect.signature(Explorer.replay).parameters
+    assert list(inspect.signature(ReplayPolicy).parameters) == ["trace"]
+    assert SchedulePolicy.explores is False and SchedulePolicy.name == "deterministic"
+    assert not hasattr(SchedulePolicy, "reset")
 
 
 def test_backend_interface_has_no_engine_switch_and_no_spmd_rank():

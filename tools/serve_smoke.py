@@ -28,7 +28,9 @@ asserts, against the on-disk artifacts:
   is answered with an ``ok: false`` result and does not stop the
   server from serving the five real jobs.
 
-Exit status is non-zero on any violation, so CI can gate on it.
+Exit status is non-zero on any violation, so CI can gate on it.  The
+spool (under the system temp dir) is removed on success and kept, with
+its path printed, on failure.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -120,6 +123,15 @@ def _verify(spool: str, job_id: str, want, *, outcome: str = "clean") -> None:
 
 def main() -> None:
     spool = tempfile.mkdtemp(prefix="serve-smoke-")
+    try:
+        _smoke(spool)
+    except BaseException:
+        print(f"serve-smoke: spool kept for inspection at {spool}", file=sys.stderr)
+        raise
+    shutil.rmtree(spool)
+
+
+def _smoke(spool: str) -> None:
     plan = FaultPlan(
         rules=(FaultRule(kind="crash", rank=1, phase="render"),), seed=5
     )

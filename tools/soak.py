@@ -124,22 +124,20 @@ def run_explorer_sweep(offset: int, interleavings: int, artifacts: str) -> dict:
     """
     sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
     try:
-        from repro.cluster.explore import (
-            Explorer,
-            ExploreScenario,
-            default_fault_plan,
-        )
+        from repro.cluster.explore import Explorer, default_fault_plan
+        from repro.pipeline.config import RunConfig
 
-        scenario = ExploreScenario(
-            method="binary-swap:raw",
-            num_ranks=EXPLORE_RANKS,
-            fault_plan=default_fault_plan(EXPLORE_RANKS),
-        )
         explorer = Explorer(
-            scenario,
+            RunConfig(
+                method="binary-swap:raw",
+                num_ranks=EXPLORE_RANKS,
+                image_size=32,
+                volume_shape=(32, 32, 16),
+            ),
+            default_fault_plan(EXPLORE_RANKS),
             trace_dir=os.path.join(artifacts, f"fail-{offset}", "sched-traces"),
         )
-        report = explorer.run_random(interleavings, seed=offset)
+        report = explorer.run("random", interleavings, seed=offset)
         return {
             "interleavings": len(report.results),
             "counts": report.counts(),
