@@ -59,22 +59,30 @@ explore:
 # Bounded CI variant: random walks + the adversarial rotation over both
 # the stage-structured and the tile-routed planes, plus a bounded DFS
 # enumeration (~72 interleavings total), plus the exploration unit suite.
+# Each sweep writes its report (explore.json/.txt) and any failing
+# traces (sched-traces/) under its own results/explore/<method>-<policy>/
+# (no colon in the name: CI artifact paths may not hold one).
 explore-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_explore.py -q \
 		$(shell $(PYTHON) -c "import pytest_timeout" 2>/dev/null && echo --timeout=300 --timeout-method=signal)
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --out results explore \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli \
+		--out results/explore/binary-swap-raw-random explore \
 		--method binary-swap:raw --ranks 8 --fault-plan default \
 		--policy random --interleavings 24
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --out results explore \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli \
+		--out results/explore/binary-swap-raw-adversarial explore \
 		--method binary-swap:raw --ranks 8 --fault-plan default \
 		--policy adversarial --interleavings 8
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --out results explore \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli \
+		--out results/explore/binary-swap-raw-dfs explore \
 		--method binary-swap:raw --ranks 8 --fault-plan default \
 		--policy dfs --interleavings 8
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --out results explore \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli \
+		--out results/explore/tile-routed-rle-random explore \
 		--method tile-routed:rle --ranks 8 --fault-plan default \
 		--policy random --interleavings 24
-	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli --out results explore \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli \
+		--out results/explore/tile-routed-rle-adversarial explore \
 		--method tile-routed:rle --ranks 8 --fault-plan default \
 		--policy adversarial --interleavings 8
 

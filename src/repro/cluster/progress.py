@@ -40,14 +40,17 @@ partial frame arrives *flagged*, not silently.
 
 Serialization
 -------------
-:meth:`ProgressEvent.to_dict` emits the ``repro.serve-event/3``
-document the serving layer streams to clients: the planes exactly as
-the event holds them (base64 with dtype/shape) and the part's address,
+:meth:`ProgressEvent.to_dict` emits the ``repro.serve-event/4``
+document the serving layer streams to clients: the part's address,
 ``{"rect": [y0, x0, y1, x1]}`` or ``{"index": [frame_pixels, section,
-stride, offset]}`` — four integers, never an index list.  There is
-nothing to crop or pad, so :func:`serve_event_from_dict` rebuilds the
-event exactly, and a consumer folds it with the one owned-pixel scatter
-(:class:`~repro.serving.frames.ProgressiveFrame`).
+stride, offset]}``, and ``pixels``, the base64 ``pack_rle`` body of the
+planes (§3.3: run codes over the part's blank mask, then the non-blank
+pixels only).  :func:`serve_event_from_dict` decodes it into zero planes
+shaped by the part (a damaged body is a ``WireFormatError``), and a
+consumer folds it with the one owned-pixel scatter
+(:class:`~repro.serving.frames.ProgressiveFrame`).  The spool's writer
+thread runs outside every job's ``perf.scope``, so ``pack_rle``'s
+``wire.packed_pixel_bytes`` bump lands in the process default registry.
 
 Threading: the feed is locked and :meth:`ProgressFeed.stream` is a
 blocking generator, so a service thread can stream a job's frames while
@@ -67,7 +70,8 @@ from typing import Any, Iterator, Optional
 import numpy as np
 
 from ..compositing.schedule import IndexPart, RectPart
-from ..errors import DeadlineExceededError
+from ..compositing.wire import pack_rle, unpack_rle
+from ..errors import ConfigurationError, DeadlineExceededError, WireFormatError
 from ..types import Rect
 
 __all__ = [
@@ -78,22 +82,25 @@ __all__ = [
 ]
 
 #: Schema tag of one streamed progress event document.
-SERVE_EVENT_SCHEMA = "repro.serve-event/3"
+SERVE_EVENT_SCHEMA = "repro.serve-event/4"
 
 
-def _array_doc(arr: np.ndarray) -> dict[str, Any]:
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+def _pixels_doc(intensity: np.ndarray, opacity: np.ndarray) -> str:
+    """The planes as one base64 RLE body (run codes, non-blank pixels)."""
+    return base64.b64encode(pack_rle(intensity, opacity).buffer).decode("ascii")
 
 
-def _array_from_doc(doc: dict[str, Any]) -> np.ndarray:
-    raw = base64.b64decode(doc["data"])
-    return np.frombuffer(raw, dtype=np.dtype(doc["dtype"])).reshape(
-        tuple(int(v) for v in doc["shape"])
-    ).copy()
+def _planes_from_doc(part: "RectPart | IndexPart", pixels: str) -> dict[str, np.ndarray]:
+    """Zero planes shaped by the part, the body's pixels scattered in."""
+    try:
+        body = base64.b64decode(pixels, validate=True)
+    except ValueError as exc:
+        raise WireFormatError(f"serve-event pixels are not base64: {exc}") from exc
+    mask, *values = unpack_rle(body, part.num_pixels, what="serve-event pixels")
+    planes = np.zeros((2, part.num_pixels))
+    planes[:, mask] = values
+    shape = (part.rect.height, part.rect.width) if part.kind == "rect" else (-1,)
+    return {"intensity": planes[0].reshape(shape), "opacity": planes[1].reshape(shape)}
 
 
 def _part_doc(part: "RectPart | IndexPart") -> dict[str, list[int]]:
@@ -157,7 +164,7 @@ class ProgressEvent:
     def to_dict(
         self, *, job_id: Optional[str] = None, session: Optional[str] = None
     ) -> dict[str, Any]:
-        """Export as a ``repro.serve-event/3`` document."""
+        """Export as a ``repro.serve-event/4`` document."""
         doc: dict[str, Any] = {
             "schema": SERVE_EVENT_SCHEMA,
             "seq": self.seq,
@@ -172,8 +179,7 @@ class ProgressEvent:
             "part": _part_doc(self.part),
             "degraded": self.degraded,
             "outcome": self.outcome,
-            "intensity": _array_doc(self.intensity),
-            "opacity": _array_doc(self.opacity),
+            "pixels": _pixels_doc(self.intensity, self.opacity),
         }
         if job_id is not None:
             doc["job_id"] = job_id
@@ -184,29 +190,23 @@ class ProgressEvent:
 
 def serve_event_from_dict(doc: dict[str, Any]) -> ProgressEvent:
     """Rebuild a :class:`ProgressEvent` from its streamed document."""
-    from ..errors import ConfigurationError
-
     schema = doc.get("schema")
     if schema != SERVE_EVENT_SCHEMA:
         raise ConfigurationError(
             f"unsupported serve-event schema {schema!r} "
             f"(expected {SERVE_EVENT_SCHEMA!r})"
         )
+    part = _part_from_doc(doc["part"])
     return ProgressEvent(
         seq=int(doc["seq"]),
         kind=str(doc["kind"]),
         rank=int(doc["rank"]),
         t=float(doc["t"]),
         coverage=float(doc["coverage"]),
-        part=_part_from_doc(doc["part"]),
-        intensity=_array_from_doc(doc["intensity"]),
-        opacity=_array_from_doc(doc["opacity"]),
-        stage=None if doc.get("stage") is None else int(doc["stage"]),
-        ordinal=None if doc.get("ordinal") is None else int(doc["ordinal"]),
-        num_stages=(
-            None if doc.get("num_stages") is None else int(doc["num_stages"])
-        ),
-        tile=None if doc.get("tile") is None else int(doc["tile"]),
+        part=part,
+        **_planes_from_doc(part, doc["pixels"]),
+        **{key: None if doc.get(key) is None else int(doc[key])
+           for key in ("stage", "ordinal", "num_stages", "tile")},
         degraded=bool(doc.get("degraded", False)),
         outcome=doc.get("outcome"),
     )

@@ -83,7 +83,7 @@ def progress_meta(feed) -> dict[str, Any]:
     the total event count, a per-kind breakdown, and the feed's final
     monotone coverage — enough for post-hoc analysis of the streamed
     delivery without persisting the pixel payloads themselves (the
-    serving layer owns that, as ``repro.serve-event/3`` documents).
+    serving layer owns that, as ``repro.serve-event/4`` documents).
     """
     if feed is None:
         return {}

@@ -24,7 +24,7 @@ Subcommands regenerate each paper artifact::
               sparse workloads (event-driven simulator core)
     serve     file-spool render service: multi-session jobs over a
               bounded worker pool, per-session QoS on the recovery
-              lattice, progressive ``repro.serve-event/3`` frames
+              lattice, progressive ``repro.serve-event/4`` frames
     submit    drop one job (config deltas + optional fault plan) into
               a serve spool; ``--wait`` polls for the result
 
@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a file-spool render service: claims repro.serve-job/1 "
              "requests from <spool>/jobs/, multiplexes sessions over a "
              "bounded worker pool with per-session QoS, and streams "
-             "repro.serve-event/3 progressive frames to <spool>/out/",
+             "repro.serve-event/4 progressive frames to <spool>/out/",
     )
     serve.add_argument("--spool", required=True,
                        help="spool directory (jobs/, work/, out/ created)")

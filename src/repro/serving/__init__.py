@@ -10,7 +10,7 @@ Layered on the pipeline's :class:`~repro.pipeline.session.RenderSession`:
   streamed :class:`~repro.cluster.progress.ProgressEvent`\\ s into a
   best-known partial display image.
 * :mod:`repro.serving.spool` — a file-spool process boundary
-  (``repro.serve-job/1`` in, ``repro.serve-event/3`` +
+  (``repro.serve-job/1`` in, ``repro.serve-event/4`` +
   ``repro.serve-result/1`` out) behind the ``repro-experiments serve``
   / ``submit`` CLI.
 """

@@ -1,7 +1,7 @@
 """Client-side progressive frame assembly from streamed serve events.
 
 A consumer of a :class:`~repro.cluster.progress.ProgressFeed` (or of a
-``repro.serve-event/3`` document stream) folds events into a
+``repro.serve-event/4`` document stream) folds events into a
 :class:`ProgressiveFrame`: the best currently-known approximation of
 the final display image.  Every event carries the pixels of one part,
 and every kind folds through the one owned-pixel scatter,
@@ -33,13 +33,13 @@ class ProgressiveFrame:
 
     @classmethod
     def replay(cls, docs, height: int, width: int) -> "ProgressiveFrame":
-        """Fold a recorded ``repro.serve-event/3`` document stream.
+        """Fold a recorded ``repro.serve-event/4`` document stream.
 
         Pairs with :func:`repro.serving.spool.read_events`, which
         already drops a torn trailing record from an interrupted
         writer — so replaying a crashed server's partial event log
         yields the frame as of the last *complete* event, never a JSON
-        crash.
+        crash; a complete line with a damaged body raises instead.
         """
         frame = cls(height, width)
         for doc in docs:

@@ -17,7 +17,7 @@
   the lowest-priority *queued* job is evicted (its ticket future
   resolves with :class:`~repro.errors.JobShedError` — a shed client
   never hangs) to admit a higher-QoS arrival.  Every overload decision
-  lands as a structured ``repro.serve-event/3`` document in
+  lands as a structured ``repro.serve-event/4`` document in
   :attr:`RenderService.events`.
 * **Per-job deadlines** — ``deadline_s`` (on the job or the submit
   call) starts the clock at admission: queued-past-deadline jobs are
@@ -292,7 +292,7 @@ class RenderService:
         self._queued: list[JobTicket] = []
         self._running: set[JobTicket] = set()
         self._closed = False
-        #: Structured ``repro.serve-event/3`` control documents, one per
+        #: Structured ``repro.serve-event/4`` control documents, one per
         #: overload/deadline/drain decision (no pixel payloads).
         self.events: list[dict] = []
         self.shed_jobs = 0

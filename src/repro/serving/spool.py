@@ -5,10 +5,10 @@ works anywhere the test-suite does: a *spool directory*.  Clients drop
 job request documents (``repro.serve-job/1``) into ``<spool>/jobs/``;
 a serving process claims them (atomic rename into ``<spool>/work/``),
 renders them through a shared :class:`~repro.serving.service.
-RenderService`, streams every progress event as a
-``repro.serve-event/3`` JSON line into ``<spool>/out/<job>.events.jsonl``,
-and finishes with ``<spool>/out/<job>.result.json`` plus the final
-image planes in ``<spool>/out/<job>.final.npz``.
+RenderService`, streams every progress event as a ``repro.serve-event/4``
+JSON line (pixels as one RLE body) into ``<spool>/out/<job>.events.jsonl``,
+and finishes with ``<spool>/out/<job>.result.json`` plus the final image
+planes in ``<spool>/out/<job>.final.npz``.
 
 An idle server does not sleep out a poll period: it waits on the
 spool's *doorbell*, a FIFO at ``<spool>/doorbell`` that

@@ -9,11 +9,14 @@ Locks the ProgressFeed contracts the serving layer depends on:
 * an installed feed changes nothing — pixels, integer byte/message
   counters, and modelled times are identical with and without one;
 * coverage is monotone, ends at 1.0, and survives degraded re-runs;
-* live feeds are simulator-only, and the ``repro.serve-event/3``
-  document carries the part's address and its planes as they are,
-  round-trips them bit for bit, and replays to the one-shot frame.
+* live feeds are simulator-only, and the ``repro.serve-event/4``
+  document carries the part's address and its planes as one base64
+  RLE body, round-trips them bit for bit, replays to the one-shot
+  frame, and refuses a damaged body.
 """
 
+import base64
+import json
 import os
 import threading
 
@@ -30,7 +33,8 @@ from repro.cluster.progress import (
 from repro.cluster.recovery import MemoryCheckpointStore, StageCheckpointer
 from repro.cluster.run_timeline import progress_meta
 from repro.compositing.registry import make_compositor
-from repro.errors import ConfigurationError
+from repro.compositing.wire import unpack_rle
+from repro.errors import ConfigurationError, WireFormatError
 from repro.pipeline.config import RunConfig
 from repro.pipeline.phases import build_scene
 from repro.pipeline.system import SortLastSystem
@@ -48,6 +52,11 @@ def _cfg(**kw):
     )
     base.update(kw)
     return RunConfig(**base)
+
+
+def _bytes(*planes):
+    """The planes' exact bytes: ``np.array_equal`` cannot see a ``-0.0``."""
+    return [(plane.dtype, plane.shape, plane.tobytes()) for plane in planes]
 
 
 def _coverages(feed):
@@ -311,8 +320,9 @@ class TestServeEventSchema:
     @pytest.mark.parametrize("method", ["bsbrc", "bslc"])
     def test_stage_documents_carry_exactly_the_keep_part(self, method):
         """Rect parts (``bsbrc``) travel as their corners, index parts
-        (``bslc``) as their four integers; the planes travel as the
-        event holds them, and decoding rebuilds the event exactly."""
+        (``bslc``) as their four integers; the planes travel as one
+        ``pixels`` string, the RLE body of the part's values in part
+        order, and decoding rebuilds the event exactly."""
         feed = ProgressFeed()
         SortLastSystem(_cfg(method=method)).run(progress=feed)
         stages = [e for e in feed.events if e.kind == "stage"]
@@ -320,31 +330,73 @@ class TestServeEventSchema:
         for event in stages:
             doc = event.to_dict()
             part = event.part
-            assert not {"frame_shape", "rect", "part_rect", "part_indices"} & set(doc)
+            assert not {
+                "frame_shape", "rect", "part_rect", "part_indices",
+                "intensity", "opacity",
+            } & set(doc)
             if method == "bsbrc":
                 rect = part.rect
                 assert doc["part"] == {"rect": [rect.y0, rect.x0, rect.y1, rect.x1]}
-                shape = [rect.height, rect.width]
+                shape = (rect.height, rect.width)
             else:
                 assert doc["part"] == {
                     "index": [part.frame_pixels, part.section, part.stride, part.offset]
                 }
                 assert all(type(v) is int for v in doc["part"]["index"])
-                shape = [part.num_pixels]
-            assert doc["intensity"]["shape"] == doc["opacity"]["shape"] == shape
+                shape = (part.num_pixels,)
+            assert isinstance(doc["pixels"], str)
+            mask, _, _ = unpack_rle(base64.b64decode(doc["pixels"]), part.num_pixels)
+            assert np.array_equal(
+                mask, ((event.intensity != 0) | (event.opacity != 0)).ravel()
+            )
             back = serve_event_from_dict(doc)
+            assert back.intensity.shape == back.opacity.shape == shape
             assert back.to_dict() == doc
-            for got, sent in (
-                (back.intensity, event.intensity),
-                (back.opacity, event.opacity),
-            ):
-                assert got.dtype == sent.dtype
-                assert np.array_equal(got, sent)
+            assert _bytes(back.intensity, back.opacity) == _bytes(
+                event.intensity, event.opacity
+            )
+
+    @pytest.mark.parametrize("num_ranks", [4, 8])
+    @pytest.mark.parametrize("method", SCHEDULED + ("tile-routed:rect-rle",))
+    def test_documents_round_trip_bit_for_bit(self, method, num_ranks):
+        """Every event, sent through ``to_dict -> json -> decode``, is
+        the in-process event byte for byte: zero-filled decoding is exact
+        because no blank pixel holds a ``-0.0``."""
+        feed = ProgressFeed()
+        SortLastSystem(_cfg(method=method, num_ranks=num_ranks)).run(progress=feed)
+        assert feed.events[-1].kind == "final"
+        for event in feed.events:
+            back = serve_event_from_dict(json.loads(json.dumps(event.to_dict())))
+            assert (back.seq, back.kind, back.rank, back.stage, back.tile) == (
+                event.seq, event.kind, event.rank, event.stage, event.tile
+            )
+            assert back.part.kind == event.part.kind
+            assert _bytes(back.intensity, back.opacity) == _bytes(
+                event.intensity, event.opacity
+            )
+
+    @pytest.mark.parametrize("num_ranks", [4, 8])
+    def test_short_last_section_round_trips(self, num_ranks):
+        """A 60 px frame ends in a short BSLC section; the index part
+        that owns it decodes to its exact pixels, in part order."""
+        feed = ProgressFeed()
+        cfg = _cfg(method="bslc", num_ranks=num_ranks, image_size=60)
+        SortLastSystem(cfg).run(progress=feed)
+        tails = [
+            e for e in feed.events
+            if e.kind == "stage" and e.part.flat()[-1] == e.part.frame_pixels - 1
+        ]
+        assert tails and tails[0].part.frame_pixels % tails[0].part.section
+        for event in tails:
+            back = serve_event_from_dict(json.loads(json.dumps(event.to_dict())))
+            assert _bytes(back.intensity, back.opacity) == _bytes(
+                event.intensity, event.opacity
+            )
 
     @pytest.mark.parametrize("num_ranks", [4, 8])
     @pytest.mark.parametrize("method", SCHEDULED + ("tile-routed:rect-rle",))
     def test_documents_replay_to_the_one_shot_frame(self, method, num_ranks):
-        """The ``/3`` documents replay bit-identical to the one-shot
+        """The ``/4`` documents replay byte-identical to the one-shot
         image, also without the ``final`` event; every tile event holds
         the final image on its part."""
         cfg = _cfg(method=method, num_ranks=num_ranks)
@@ -357,16 +409,15 @@ class TestServeEventSchema:
             event = serve_event_from_dict(doc)
             assert event.intensity.size == event.part.num_pixels
             if event.kind == "tile":
-                assert np.array_equal(
-                    event.intensity, _on_part(event.part, one_shot.intensity)
-                )
-                assert np.array_equal(
-                    event.opacity, _on_part(event.part, one_shot.opacity)
+                assert _bytes(event.intensity, event.opacity) == _bytes(
+                    _on_part(event.part, one_shot.intensity),
+                    _on_part(event.part, one_shot.opacity),
                 )
         for replayed in (docs, docs[:-1]):
             frame = ProgressiveFrame.replay(replayed, 64, 64)
-            assert np.array_equal(frame.image.intensity, one_shot.intensity)
-            assert np.array_equal(frame.image.opacity, one_shot.opacity)
+            assert _bytes(frame.image.intensity, frame.image.opacity) == _bytes(
+                one_shot.intensity, one_shot.opacity
+            )
 
     def test_spooled_stage_log_replays_to_the_one_shot_frame(self, tmp_path):
         """After the last exchange the keep parts tile the frame, so the
@@ -387,7 +438,9 @@ class TestServeEventSchema:
     def test_event_log_byte_guard(self, tmp_path):
         """Deterministic stand-in for a wall-clock assertion: the e2e
         benchmark's serve job (``engine_high``, 96 px, P=8, ``bsbrc``)
-        spooled 4.93 MB of events when stage frames travelled whole."""
+        spooled 4.93 MB of events when stage frames travelled whole and
+        1.58 MB as raw base64 planes of the keep part; as RLE bodies it
+        spools about 0.09 MB."""
         spool = str(tmp_path / "spool")
         cfg = RunConfig(
             dataset="engine_high", image_size=96, num_ranks=8, method="bsbrc"
@@ -395,7 +448,7 @@ class TestServeEventSchema:
         job_id = submit_job(spool)
         assert serve(spool, cfg, max_jobs=1, idle_timeout=10.0) == 1
         log = os.path.join(spool, "out", f"{job_id}.events.jsonl")
-        assert os.path.getsize(log) <= 1_700_000
+        assert os.path.getsize(log) <= 200_000
 
     def test_bad_schema_rejected(self):
         with pytest.raises(ConfigurationError, match="serve-event"):
@@ -413,11 +466,70 @@ class TestServeEventSchema:
 
     def test_v2_documents_are_refused(self):
         """``/2`` addressed stage planes by index arrays beside a frame
-        shape; there is one decoder, for ``/3``."""
+        shape; there is one decoder, for ``/4``."""
         feed = ProgressFeed()
         SortLastSystem(_cfg(method="bslc")).run(progress=feed)
         doc = feed.events[0].to_dict()
-        assert doc["schema"] == SERVE_EVENT_SCHEMA == "repro.serve-event/3"
+        assert doc["schema"] == SERVE_EVENT_SCHEMA == "repro.serve-event/4"
         doc["schema"] = "repro.serve-event/2"
         with pytest.raises(ConfigurationError, match="serve-event/2"):
             serve_event_from_dict(doc)
+
+    def test_v3_documents_are_refused(self):
+        """``/3`` shipped raw base64 planes with dtype and shape; the
+        ``/4`` body is the RLE of the part, and there is no second
+        decoder."""
+        feed = ProgressFeed()
+        SortLastSystem(_cfg()).run(progress=feed)
+        doc = feed.events[0].to_dict()
+        doc["schema"] = "repro.serve-event/3"
+        with pytest.raises(ConfigurationError, match="serve-event/3"):
+            serve_event_from_dict(doc)
+
+
+class TestDamagedPixels:
+    """A complete line with a damaged ``pixels`` body is refused, never
+    decoded into a wrong frame."""
+
+    @staticmethod
+    def _docs():
+        feed = ProgressFeed()
+        SortLastSystem(_cfg(method="bsbrc")).run(progress=feed)
+        return [event.to_dict() for event in feed.events]
+
+    @staticmethod
+    def _with_body(doc, body: bytes):
+        return dict(doc, pixels=base64.b64encode(body).decode("ascii"))
+
+    @pytest.mark.parametrize("cut", [1, 4, 24])
+    def test_truncated_body_is_refused(self, cut):
+        """Cut mid-quantum (bad padding) or on a quantum boundary (a
+        shorter body): both are refused."""
+        docs = self._docs()
+        docs[-1] = dict(docs[-1], pixels=docs[-1]["pixels"][:-cut])
+        with pytest.raises(WireFormatError):
+            serve_event_from_dict(docs[-1])
+        with pytest.raises(WireFormatError):
+            ProgressiveFrame.replay(docs, 64, 64)
+
+    def test_trailing_bytes_are_refused(self):
+        docs = self._docs()
+        last = docs[-1]
+        docs[-1] = self._with_body(last, base64.b64decode(last["pixels"]) + b"\0" * 16)
+        with pytest.raises(WireFormatError):
+            serve_event_from_dict(docs[-1])
+        with pytest.raises(WireFormatError):
+            ProgressiveFrame.replay(docs, 64, 64)
+
+    def test_body_for_another_part_is_refused(self):
+        """Run codes must cover exactly the part's pixels."""
+        docs = self._docs()
+        first, last = docs[0], docs[-1]
+        assert first["part"] != last["part"]
+        with pytest.raises(WireFormatError):
+            serve_event_from_dict(dict(last, pixels=first["pixels"]))
+
+    @pytest.mark.parametrize("text", ["@@@@", "QUJD", "QUJDRA="])
+    def test_text_that_is_not_a_body_is_refused(self, text):
+        with pytest.raises(WireFormatError):
+            serve_event_from_dict(dict(self._docs()[-1], pixels=text))

@@ -15,7 +15,7 @@ serving):
 * **Overload.**  Arrivals at several times pool capacity under each
   shedding policy (``block`` / ``reject`` / ``shed-lowest-qos``) never
   deadlock and never leave a client hanging: sheds and rejects are
-  exact, typed, and logged as structured ``repro.serve-event/3``
+  exact, typed, and logged as structured ``repro.serve-event/4``
   documents, and every *accepted* job's final image is bit-identical to
   a one-shot run.
 
@@ -38,6 +38,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.cluster.progress import SERVE_EVENT_SCHEMA
 from repro.errors import JobRejectedError, JobShedError
 from repro.pipeline.config import RunConfig
 from repro.pipeline.system import SortLastSystem
@@ -362,7 +363,7 @@ class TestOverloadMatrix:
                 t.job_id for t in cheap
             }
             assert all(
-                e["schema"] == "repro.serve-event/3" for e in service.events
+                e["schema"] == SERVE_EVENT_SCHEMA for e in service.events
             )
             gate.set()
             for ticket in vips:

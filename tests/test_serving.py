@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import FAULT_PLAN_SCHEMA, FaultPlan, FaultRule
-from repro.cluster.progress import ProgressFeed
+from repro.cluster.progress import SERVE_EVENT_SCHEMA, ProgressFeed
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -554,7 +554,7 @@ class TestAdmission:
             assert service.rejected_jobs == 1
             kinds = [e["kind"] for e in service.events]
             assert kinds.count("rejected") == 1
-            assert all(e["schema"] == "repro.serve-event/3" for e in service.events)
+            assert all(e["schema"] == SERVE_EVENT_SCHEMA for e in service.events)
             gate.set()
             for ticket in kept:
                 assert ticket.result(timeout=120).config is not None
@@ -786,7 +786,7 @@ class TestTornSpoolWrites:
         os.makedirs(os.path.join(spool, "out"))
         with open(self._events_path(spool, "job-x"), "w", encoding="utf-8") as fh:
             fh.write("not json\n")
-            fh.write(json.dumps({"schema": "repro.serve-event/3"}) + "\n")
+            fh.write(json.dumps({"schema": SERVE_EVENT_SCHEMA}) + "\n")
         with pytest.raises(json.JSONDecodeError):
             read_events(spool, "job-x")
 

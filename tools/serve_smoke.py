@@ -9,10 +9,10 @@ invocation multiplexes their five sessions over a single bounded worker
 pool.  Afterwards the script
 asserts, against the on-disk artifacts:
 
-* every streamed ``repro.serve-event/3`` sequence is monotone in
+* every streamed ``repro.serve-event/4`` sequence is monotone in
   coverage and ends with a ``final`` event at coverage 1.0;
 * every event log, folded through ``ProgressiveFrame.replay``, equals
-  the job's ``final.npz`` bit for bit — for a clean job already
+  the job's ``final.npz`` byte for byte (a ``-0.0`` counts) — for a clean job already
   *without* its ``final`` event, from the stage parts and the tiles
   alone — and its size is printed;
 * every persisted final frame is bit-identical to a one-shot
@@ -85,6 +85,11 @@ def _check(label: str, ok: bool, detail: str = "") -> None:
         raise SystemExit(f"serve-smoke: {label} failed {detail}")
 
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: ``np.array_equal`` cannot see a ``-0.0``."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _verify(spool: str, job_id: str, want, *, outcome: str = "clean") -> None:
     doc = load_result(spool, job_id)
     degraded = outcome == "degraded"
@@ -114,9 +119,9 @@ def _verify(spool: str, job_id: str, want, *, outcome: str = "clean") -> None:
                np.array_equal(npz["opacity"], want.final_image.opacity))
         for what, docs in folds.items():
             frame = ProgressiveFrame.replay(docs, size, size)
-            _check(f"{job_id}: replayed {what} bit-identical to final.npz",
-                   np.array_equal(frame.image.intensity, npz["intensity"])
-                   and np.array_equal(frame.image.opacity, npz["opacity"]))
+            _check(f"{job_id}: replayed {what} byte-identical to final.npz",
+                   _same_bytes(frame.image.intensity, npz["intensity"])
+                   and _same_bytes(frame.image.opacity, npz["opacity"]))
     log = os.path.join(spool, "out", f"{job_id}.events.jsonl")
     print(f"  {job_id}: {len(events)} events, {os.path.getsize(log)} event bytes")
 
