@@ -117,11 +117,14 @@ soak:
 # the hand-written classes they replaced produced — pixels, counters,
 # modelled clocks — as recorded in tests/data/seed_counters.json; and
 # the definition of BSLC's interleaved part with its pinned runs; the
-# memoized program table against per-rank builds, and the BSBRC wire
-# path against the loop run codecs.
+# memoized program table against per-rank builds, the BSBRC wire
+# path against the loop run codecs; the compositor contract (inputs
+# read, never written; the gather's bytes pinned) and the outcome's
+# retained bytes.
 grid:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_grid_equivalence.py tests/test_schedule_codec.py \
-		tests/test_program_table.py tests/test_rect_rle_wire.py tests/test_interleave.py -q
+		tests/test_program_table.py tests/test_rect_rle_wire.py tests/test_interleave.py \
+		tests/test_compositor_contract.py tests/test_outcome_retention.py -q
 
 # What CI gates on: the tier-1 suite, then the end-to-end harness's own
 # tests (19 tests, ~21 s: golden digests and modelled clocks — the

@@ -20,12 +20,12 @@ byte/message counters, and no accounting notes, so a run with a feed
 installed is bit-identical (pixels and integer counters) to the same
 run without one — that is tested.  Every event carries one ``part``
 of the frame and only that part's pixels: a ``stage`` event the rank's
-keep part (a ``RectPart`` or an ``IndexPart``), bit-identical there to
-the corresponding :class:`~repro.cluster.recovery.CheckpointSnapshot`
-image (both copy the engine's image at the same post-stage point); a
-``tile`` event its tile's rect, holding the tile's *final* values
-(tile-routed tiles never change after completion); a ``final`` event
-the whole frame.
+keep part (a ``RectPart`` or an ``IndexPart``), bit-identical to the
+corresponding :class:`~repro.cluster.recovery.CheckpointSnapshot` (both
+hold the one :class:`~repro.compositing.base.OwnedPiece` the engine cuts
+after the stage); a ``tile`` event its tile's rect, holding the tile's
+*final* values (the owner's outcome piece for that tile); a ``final``
+event the whole frame.
 
 Coverage
 --------
@@ -69,6 +69,7 @@ from typing import Any, Iterator, Optional
 
 import numpy as np
 
+from ..compositing.base import OwnedPiece
 from ..compositing.schedule import IndexPart, RectPart
 from ..compositing.wire import pack_rle, unpack_rle
 from ..errors import ConfigurationError, DeadlineExceededError, WireFormatError
@@ -115,16 +116,6 @@ def _part_from_doc(doc: dict[str, Any]) -> "RectPart | IndexPart":
     if "rect" in doc:
         return RectPart(Rect(*(int(v) for v in doc["rect"])))
     return IndexPart(*(int(v) for v in doc["index"]))
-
-
-def _part_planes(part: "RectPart | IndexPart", image) -> dict[str, np.ndarray]:
-    """Copies of ``image``'s values on ``part``: a rect's ``(h, w)``
-    block, or an index part's values as one row in part order."""
-    planes = {}
-    for name in ("intensity", "opacity"):
-        values = np.array(part.pixels(getattr(image, name)))
-        planes[name] = values if part.kind == "rect" else values.reshape(-1)
-    return planes
 
 
 @dataclass
@@ -195,6 +186,12 @@ def serve_event_from_dict(doc: dict[str, Any]) -> ProgressEvent:
         raise ConfigurationError(
             f"unsupported serve-event schema {schema!r} "
             f"(expected {SERVE_EVENT_SCHEMA!r})"
+        )
+    missing = [key for key in ("part", "pixels") if key not in doc]
+    if missing:
+        raise WireFormatError(
+            f"serve-event document lacks {', '.join(missing)} "
+            f"(kind {doc.get('kind')!r})"
         )
     part = _part_from_doc(doc["part"])
     return ProgressEvent(
@@ -345,19 +342,17 @@ class ProgressFeed:
         ordinal: int,
         num_stages: int,
         num_ranks: int,
-        part: "RectPart | IndexPart",
-        image,
+        piece: OwnedPiece,
         t: float,
     ) -> ProgressEvent:
         """One completed exchange stage on one rank (engine-driven).
 
-        ``image`` is the engine's live full-frame :class:`SubImage` and
-        ``part`` the schedule's keep part (rect- or index-shaped); the
-        feed copies the part's pixels *here*, at exactly the point the
-        recovery layer would pickle a
-        :class:`~repro.cluster.recovery.CheckpointSnapshot` — which is
-        what makes streamed stage frames bit-identical to checkpoints
-        on their part.
+        ``piece`` is the schedule's keep part (rect- or index-shaped)
+        and a copy of its post-stage pixels, cut at exactly the point
+        the recovery layer pickles a
+        :class:`~repro.cluster.recovery.CheckpointSnapshot` of the same
+        piece — which is what makes streamed stage frames bit-identical
+        to checkpoints.
         """
         with self._cond:
             self._stage_total = int(num_stages)
@@ -370,8 +365,7 @@ class ProgressFeed:
             stage=int(stage),
             ordinal=int(ordinal),
             num_stages=int(num_stages),
-            part=part,
-            **_part_planes(part, image),
+            **piece._asdict(),
             t=float(t),
         )
 
@@ -380,25 +374,20 @@ class ProgressFeed:
         *,
         rank: int,
         tile: int,
-        part: RectPart,
-        image,
+        piece: OwnedPiece,
         frame_pixels: int,
         t: float,
     ) -> ProgressEvent:
-        """One completed tile on its owner rank (tile-engine-driven).
-
-        ``image`` already holds the tile's final pixels on ``part``;
-        copied here.
-        """
+        """One completed tile on its owner rank (tile-engine-driven):
+        ``piece`` is the tile's rect and its final pixels."""
         with self._cond:
             self._frame_pixels = int(frame_pixels)
-            self._tile_pixels += part.num_pixels
+            self._tile_pixels += piece.part.num_pixels
         return self._append(
             "tile",
             rank=rank,
             tile=int(tile),
-            part=part,
-            **_part_planes(part, image),
+            **piece._asdict(),
             t=float(t),
         )
 
@@ -411,15 +400,13 @@ class ProgressFeed:
         t: float = 0.0,
     ) -> ProgressEvent:
         """The assembled display image (system-layer-driven, rank 0)."""
-        part = RectPart(image.full_rect())
         return self._append(
             "final",
             coverage=1.0,
             rank=0,
             degraded=bool(degraded),
             outcome=outcome,
-            part=part,
-            **_part_planes(part, image),
+            **OwnedPiece.cut(RectPart(image.full_rect()), image)._asdict(),
             t=float(t),
         )
 

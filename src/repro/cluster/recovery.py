@@ -11,14 +11,14 @@ Two cooperating pieces:
 **Checkpoints** — :class:`StageCheckpointer` is installed on a rank
 context (:meth:`~repro.cluster.protocol.BaseRankContext.install_checkpointer`)
 and driven by the compositing engine: after each exchange stage it
-snapshots the rank's partial image planes, codec state, and stage
-counters into a :class:`CheckpointStore`.  The simulator runs all ranks
+snapshots the stage's keep part (the only pixels the rest of the run
+reads), codec state, and stage counters into a :class:`CheckpointStore`.  The simulator runs all ranks
 in one process, so :class:`MemoryCheckpointStore` keeps pickled
 snapshots in a dict; the multiprocessing backend crosses process
 boundaries, so :class:`DiskCheckpointStore` spills them to
 ``REPRO_CACHE_DIR`` (or a temp dir) with atomic replace-on-write.
-Snapshots are pickled at save time, so later in-place image mutation
-never aliases a stored checkpoint.
+Snapshots are pickled at save time, so later in-place folds never
+alias a stored checkpoint.
 
 **Policies** — :class:`RecoveryPolicy` names one point on the lattice
 
@@ -141,8 +141,8 @@ class CheckpointSnapshot(NamedTuple):
     """
 
     stage: int
-    intensity: Any  # numpy array, full-frame intensity plane
-    opacity: Any  # numpy array, full-frame opacity plane
+    intensity: Any  # numpy array, the stage's keep part (part-shaped)
+    opacity: Any  # numpy array, the stage's keep part (part-shaped)
     codec_state: Any
     stats: RankStats
     producer: str
@@ -320,10 +320,9 @@ class StageCheckpointer:
         self.resume = resume
         self.events: list = sink if sink is not None else []
 
-    def restore(self, image, producer: str) -> Optional[CheckpointSnapshot]:
-        """Restore this rank's resume-point snapshot into ``image``.
-
-        Returns the snapshot (caller applies codec state and stats) or
+    def restore(self, producer: str) -> Optional[CheckpointSnapshot]:
+        """This rank's resume-point snapshot (the caller writes its keep
+        part's planes back and applies codec state and stats), or
         ``None`` when there is nothing to restore — no resume requested,
         no snapshot at the resume stage, or a snapshot produced by a
         different compositor (stale store).
@@ -334,8 +333,6 @@ class StageCheckpointer:
         snapshot = self.store.load(self.rank, stage)
         if snapshot is None or snapshot.producer != producer:
             return None
-        image.intensity[...] = snapshot.intensity
-        image.opacity[...] = snapshot.opacity
         self.events.append(
             {
                 "event": "checkpoint",
@@ -346,15 +343,16 @@ class StageCheckpointer:
         )
         return snapshot
 
-    def save(self, stage: int, image, codec_state, stats: RankStats, producer: str) -> None:
-        """Snapshot the rank's post-stage state (store makes the copy)."""
+    def save(self, stage: int, piece, codec_state, stats: RankStats, producer: str) -> None:
+        """Snapshot the rank's post-stage state: ``piece`` is the stage's
+        keep part and its planes (the store makes the copy)."""
         self.store.save(
             self.rank,
             stage,
             CheckpointSnapshot(
                 stage=stage,
-                intensity=image.intensity,
-                opacity=image.opacity,
+                intensity=piece.intensity,
+                opacity=piece.opacity,
                 codec_state=codec_state,
                 stats=_stats_for_snapshot(stats),
                 producer=producer,

@@ -21,7 +21,7 @@ bounding-rectangle machinery and the byte-level wire formats (one
 kernel per concept, :mod:`~repro.compositing.wire`).
 """
 
-from .base import CompositeOutcome, Compositor, composite_rect_pixels, split_axis_for
+from .base import CompositeOutcome, Compositor, OwnedPiece, composite_rect_pixels, split_axis_for
 from .baselines import (
     BinaryTreeCompression,
     DirectSend,
@@ -102,6 +102,7 @@ __all__ = [
     "FoldedCompositor",
     "IndexPart",
     "MAX_RUN",
+    "OwnedPiece",
     "PAPER_METHODS",
     "ParallelPipeline",
     "PixelCodec",

@@ -2,27 +2,30 @@
 
 A compositor is an object whose :meth:`Compositor.run` coroutine executes
 one rank's side of the compositing phase against the cluster substrate:
-it consumes the rank's rendered :class:`~repro.render.image.SubImage`,
-exchanges messages with partners, charges modelled computation, and
-returns a :class:`CompositeOutcome` describing the disjoint portion of
-the final image this rank ends up owning.
+it reads the rank's rendered :class:`~repro.render.image.SubImage` (and
+never writes it), exchanges messages with partners, charges modelled
+computation, and returns a :data:`CompositeOutcome`: the
+:class:`OwnedPiece`\\ s of the final image this rank ends up owning.
 
-Two ownership representations exist:
+A piece is a part of the frame and that part's final pixels, the shape a
+:class:`~repro.cluster.progress.ProgressEvent` carries:
 
-* *rect-based* (BS, BSBR, BSBRC): the rank owns a contiguous image
+* a :class:`~repro.compositing.schedule.RectPart` (BS, BSBR, BSBRC, and
+  one per owned tile for tile-routed): the rank owns a contiguous image
   region that halves each stage;
-* *index-based* (BSLC): the rank owns an interleaved set of flat pixel
-  indices (the static load-balancing distribution of §3.3).
+* an :class:`~repro.compositing.schedule.IndexPart` (BSLC): the rank owns
+  an interleaved section pattern of the flattened frame (the static
+  load-balancing distribution of §3.3).
 
-Either way ``finalize``/ownership invariants are the same: across ranks
-the owned sets partition the image, and the owned pixels equal the
-sequential depth-order composite.
+Either way the ownership invariant is the same: across ranks the owned
+parts partition the image, and the owned pixels equal the sequential
+depth-order composite.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .over import over, over_inplace
 __all__ = [
     "Compositor",
     "CompositeOutcome",
+    "OwnedPiece",
     "composite_at",
     "composite_masked",
     "composite_rect_pixels",
@@ -43,55 +47,33 @@ __all__ = [
 ]
 
 
-@dataclass
-class CompositeOutcome:
-    """What one rank holds after the compositing phase.
+class OwnedPiece(NamedTuple):
+    """One part of the final frame a rank owns, with its final pixels.
 
-    ``image`` is the rank's full-frame buffer whose *owned* portion
-    carries final pixels.  Exactly one of ``owned_rect`` /
-    ``owned_indices`` is set.
+    ``part`` is a :class:`~repro.compositing.schedule.RectPart` or an
+    :class:`~repro.compositing.schedule.IndexPart`; the planes hold the
+    part's values only — a rect's ``(h, w)`` block, or an index part's
+    values as one row in part order.
     """
 
-    image: SubImage
-    owned_rect: Rect | None = None
-    owned_indices: np.ndarray | None = None
-    #: Name of the compositor that produced this outcome (diagnostics;
-    #: optional, filled in by the pipeline when the method omits it).
-    producer: str | None = None
+    part: Any
+    intensity: np.ndarray
+    opacity: np.ndarray
 
-    def __post_init__(self) -> None:
-        if (self.owned_rect is None) == (self.owned_indices is None):
-            got = "both" if self.owned_rect is not None else "neither"
-            who = f" (from compositor {self.producer!r})" if self.producer else ""
-            raise CompositingError(
-                f"exactly one of owned_rect / owned_indices must be provided; "
-                f"got {got}{who}"
-            )
+    @classmethod
+    def cut(cls, part, image: SubImage) -> "OwnedPiece":
+        """Copies of full-frame ``image``'s values on ``part``."""
+        shape = (part.rect.height, part.rect.width) if part.kind == "rect" else -1
+        return cls(
+            part,
+            np.array(part.pixels(image.intensity)).reshape(shape),
+            np.array(part.pixels(image.opacity)).reshape(shape),
+        )
 
-    @property
-    def owned_pixel_count(self) -> int:
-        if self.owned_rect is not None:
-            return self.owned_rect.area
-        indices = np.asarray(self.owned_indices)
-        if indices.size == 0:
-            # An empty index set is valid ownership (e.g. a fully-sent
-            # sequence); a 0-d or 0-length array must count as 0, not
-            # trip over a missing shape[0].
-            return 0
-        return int(indices.shape[0])
 
-    def owned_values(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(intensity, opacity)`` arrays of the owned pixels."""
-        if self.owned_rect is not None:
-            rows, cols = self.owned_rect.slices()
-            return (
-                self.image.intensity[rows, cols].ravel().copy(),
-                self.image.opacity[rows, cols].ravel().copy(),
-            )
-        flat_i = self.image.intensity.ravel()
-        flat_a = self.image.opacity.ravel()
-        idx = self.owned_indices
-        return flat_i[idx].copy(), flat_a[idx].copy()
+#: What one rank holds after the compositing phase: the pieces it owns
+#: (one for a scheduled method, one per owned tile for tile-routed).
+CompositeOutcome = tuple[OwnedPiece, ...]
 
 
 class Compositor(abc.ABC):
@@ -110,9 +92,9 @@ class Compositor(abc.ABC):
     ) -> CompositeOutcome:
         """Execute this rank's side of the compositing phase.
 
-        ``image`` may be mutated in place and becomes the outcome's
-        buffer.  ``plan`` and ``view_dir`` supply the front/back decision
-        for each pairwise *over*.
+        ``image`` is read, never written: a method that folds in place
+        does so in working planes of its own.  ``plan`` and ``view_dir``
+        supply the front/back decision for each pairwise *over*.
         """
 
     # ---- shared helpers ----------------------------------------------------

@@ -42,7 +42,9 @@ from ..errors import CompositingError, WireFormatError
 from ..render.image import SubImage
 from ..types import Rect
 from ..volume.partition import PartitionPlan, depth_order
-from .base import CompositeOutcome, Compositor, composite_at, composite_rect_pixels
+from .base import (CompositeOutcome, Compositor, OwnedPiece, composite_at,
+                   composite_rect_pixels)
+from .schedule import RectPart
 from .rect import find_bounding_rect
 from .wire import bsbr_nbytes, pack_bsbr, pack_rle, unpack_bsbr, unpack_rle
 from .over import over
@@ -81,11 +83,12 @@ async def _fold_buffered(
     contributions: dict[int, tuple[Rect, np.ndarray, np.ndarray]],
     plan: PartitionPlan,
     view_dir: np.ndarray,
-    shape: tuple[int, int],
-) -> SubImage:
+    strip: Rect,
+) -> OwnedPiece:
     """Composite the buffered contributions back-to-front into a blank
-    frame, then charge ``T_over`` once for every folded pixel."""
-    result = SubImage.blank(*shape)
+    strip, then charge ``T_over`` once for every folded pixel."""
+    shape = (strip.height, strip.width)
+    result = SubImage(np.zeros(shape), np.zeros(shape))
     composited = 0
     for src in reversed(depth_order(plan, view_dir)):  # depth_order is front first
         entry = contributions.get(src)
@@ -93,10 +96,13 @@ async def _fold_buffered(
             continue
         rect, block_i, block_a = entry
         # Every new contribution sits in front of everything folded so far.
-        composite_rect_pixels(result, rect, block_i, block_a, local_in_front=False)
+        composite_rect_pixels(
+            result, rect.shifted(-strip.y0, -strip.x0), block_i, block_a,
+            local_in_front=False,
+        )
         composited += rect.area
     await ctx.charge_over(composited)
-    return result
+    return OwnedPiece(RectPart(strip), result.intensity, result.opacity)
 
 
 class DirectSend(Compositor):
@@ -176,8 +182,7 @@ class DirectSend(Compositor):
             fold_stage = size - 1
 
         ctx.begin_stage(fold_stage)
-        result = await _fold_buffered(ctx, contributions, plan, view_dir, image.shape)
-        return CompositeOutcome(image=result, owned_rect=my_strip)
+        return (await _fold_buffered(ctx, contributions, plan, view_dir, my_strip),)
 
 
 class DirectSendAsync(DirectSend):
@@ -210,8 +215,7 @@ class BinaryTreeCompression(Compositor):
         stages = self.check_plan(ctx, plan)
         rank = ctx.rank
         num_pixels = image.num_pixels
-        flat_i = image.intensity.ravel()
-        flat_a = image.opacity.ravel()
+        work = image  # becomes a copy of our own before the first fold
 
         for stage in range(stages):
             ctx.begin_stage(stage)
@@ -220,26 +224,28 @@ class BinaryTreeCompression(Compositor):
             if rank % group == span:
                 # Sender: compress the whole current image and drop out.
                 peer = rank - span
-                msg = pack_rle(flat_i, flat_a)
+                msg = pack_rle(work.intensity.ravel(), work.opacity.ravel())
                 await ctx.charge_encode(num_pixels)
                 await ctx.charge_pack(len(msg.buffer))
                 await ctx.send(peer, msg.buffer, nbytes=msg.accounted_bytes, tag=stage)
-                return CompositeOutcome(image=image, owned_rect=Rect.empty())
+                return (OwnedPiece.cut(RectPart(Rect.empty()), work),)
             if rank % group == 0:
                 peer = rank + span
                 raw = await ctx.recv(peer, tag=stage)
                 mask, recv_i, recv_a = unpack_rle(raw, num_pixels)
                 positions = np.flatnonzero(mask)
                 if positions.size:
+                    if work is image:
+                        work = image.copy()
                     composite_at(
-                        image,
+                        work,
                         positions,
                         recv_i,
                         recv_a,
                         local_in_front=plan.local_in_front(rank, stage, view_dir),
                     )
                     await ctx.charge_over(positions.size)
-        return CompositeOutcome(image=image, owned_rect=image.full_rect())
+        return (OwnedPiece.cut(RectPart(work.full_rect()), work),)
 
 
 class ParallelPipeline(Compositor):
@@ -266,7 +272,7 @@ class ParallelPipeline(Compositor):
         await ctx.charge_bound(image.num_pixels)
 
         if size == 1:
-            return CompositeOutcome(image=image, owned_rect=image.full_rect())
+            return (OwnedPiece.cut(RectPart(image.full_rect()), image),)
 
         # Partial for strip s is created at position (s+1) % size and ends
         # at position s after size-1 transfers.  A partial carries two
@@ -303,13 +309,9 @@ class ParallelPipeline(Compositor):
                 result = current
         assert result is not None
 
-        final = SubImage.blank(height, width)
         merged_i, merged_a = result.merge()
-        rows, cols = result.strip.slices()
-        final.intensity[rows, cols] = merged_i
-        final.opacity[rows, cols] = merged_a
         await ctx.charge_over(result.strip.area)
-        return CompositeOutcome(image=final, owned_rect=result.strip)
+        return (OwnedPiece(RectPart(result.strip), merged_i, merged_a),)
 
 
 class _Partial:

@@ -17,6 +17,12 @@ the stage's exchanges), runs the grouped exchange
 (:func:`repro.cluster.collectives.exchange_grouped`), then folds the
 decoded contributions in the schedule's depth order, charging ``T_over``
 per non-empty fold.
+
+The caller's planes are read, never written.  Stage 0 bound-scans and
+encodes straight from them; only then does the engine allocate working
+planes (uninitialised, full-frame addressed) and copy stage 0's keep
+part in.  Every later read and write stays inside the current keep part.
+The outcome is one :class:`~repro.compositing.base.OwnedPiece`.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ from ..cluster.stats import PRE_STAGE
 from ..errors import ConfigurationError
 from ..render.image import SubImage
 from ..volume.partition import PartitionPlan
-from .base import CompositeOutcome, Compositor
+from .base import CompositeOutcome, Compositor, OwnedPiece
 from .codec import PixelCodec
-from .schedule import IndexPart, Schedule
+from .schedule import Schedule
 
 __all__ = ["ScheduledCompositor"]
 
@@ -66,21 +72,24 @@ class ScheduledCompositor(Compositor):
         program = self.schedule.program(
             ctx.rank, ctx.size, image.full_rect(), image.num_pixels, plan, view_dir
         )
-        # Stage-level recovery: an installed checkpointer restores the
-        # resume-point snapshot (image planes, codec state, and the
-        # already-accounted stage buckets) so the loop below replays
+        # Stage-level recovery: an installed checkpointer loads the
+        # resume-point snapshot (the keep part's planes, codec state, and
+        # the already-accounted stage buckets) so the loop below replays
         # only the stages after it — the restored counters keep their
         # original deterministic values, which is what makes a resumed
         # run's byte/message accounting bit-identical to a clean one.
         checkpointer = getattr(ctx, "checkpointer", None)
         snapshot = (
-            checkpointer.restore(image, self.name) if checkpointer is not None else None
+            checkpointer.restore(self.name) if checkpointer is not None else None
         )
+        work = None
         if snapshot is not None:
             state = snapshot.codec_state
             resume_after = snapshot.stage
             ctx.stats.stages.clear()
             ctx.stats.stages.update(snapshot.stats.stages)
+            keep = next(s.keep_part for s in program.stages if s.index == resume_after)
+            work = _working_planes(image, keep, snapshot.intensity, snapshot.opacity)
         else:
             resume_after = None
             state = codec.make_state(image)
@@ -90,8 +99,8 @@ class ScheduledCompositor(Compositor):
 
         # Live progress: a feed installed on the context receives a
         # bit-exact partial frame after every completed exchange stage —
-        # the same post-fold image the checkpointer snapshots.  Emission
-        # copies pixels and charges nothing.
+        # the same keep-part piece the checkpointer snapshots.  Cutting
+        # the piece copies pixels and charges nothing.
         progress = ctx.progress
         start = ctx.now()
         num_stages = len(program.stages)
@@ -99,10 +108,11 @@ class ScheduledCompositor(Compositor):
             if resume_after is not None and stage.index <= resume_after:
                 continue
             ctx.begin_stage(stage.index)
+            source = image if work is None else work
             sends: list[tuple[int, bytes, int]] = []
             metas: list[object] = []
             for step in stage.steps:
-                msg, meta = codec.encode(image, step.send_part, state)
+                msg, meta = codec.encode(source, step.send_part, state)
                 await codec.charge_encode(ctx, step.send_part, meta)
                 if msg.buffer:
                     # Zero-byte packs charge nothing (add_counter drops
@@ -117,15 +127,21 @@ class ScheduledCompositor(Compositor):
                 codec.decode(ctx, raw, stage.keep_part, meta, stage.index)
                 for raw, meta in zip(raws, metas)
             ]
-            for slot, local_in_front in stage.composite_order:
-                folded = codec.composite(
-                    image, stage.keep_part, contribs[slot], local_in_front
+            keep = stage.keep_part
+            if work is None:
+                work = _working_planes(
+                    image, keep, keep.pixels(image.intensity), keep.pixels(image.opacity)
                 )
+            for slot, local_in_front in stage.composite_order:
+                folded = codec.composite(work, keep, contribs[slot], local_in_front)
                 if folded:
                     await ctx.charge_over(folded)
-            codec.update_state(state, stage.keep_part, contribs)
+            codec.update_state(state, keep, contribs)
+            if checkpointer is None and progress is None:
+                continue
+            piece = OwnedPiece.cut(keep, work)
             if checkpointer is not None:
-                checkpointer.save(stage.index, image, state, ctx.stats, self.name)
+                checkpointer.save(stage.index, piece, state, ctx.stats, self.name)
             if progress is not None:
                 progress.emit_stage(
                     rank=ctx.rank,
@@ -133,14 +149,17 @@ class ScheduledCompositor(Compositor):
                     ordinal=ordinal,
                     num_stages=num_stages,
                     num_ranks=ctx.size,
-                    part=stage.keep_part,
-                    image=image,
+                    piece=piece,
                     t=ctx.now() - start,
                 )
 
-        final = program.final_part
-        if isinstance(final, IndexPart):
-            return CompositeOutcome(
-                image=image, owned_indices=final.flat(), producer=self.name
-            )
-        return CompositeOutcome(image=image, owned_rect=final.rect, producer=self.name)
+        return (OwnedPiece.cut(program.final_part, image if work is None else work),)
+
+
+def _working_planes(image: SubImage, keep, intensity, opacity) -> SubImage:
+    """Uninitialised full-frame planes shaped like ``image``, holding
+    ``keep``'s pixels only."""
+    work = SubImage(np.empty_like(image.intensity), np.empty_like(image.opacity))
+    keep.put(work.intensity, intensity)
+    keep.put(work.opacity, opacity)
+    return work

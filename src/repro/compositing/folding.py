@@ -26,7 +26,8 @@ from ..errors import CompositingError
 from ..render.image import SubImage
 from ..types import Rect
 from ..volume.folded import FoldedPartition
-from .base import CompositeOutcome, Compositor, composite_rect_pixels
+from .base import CompositeOutcome, Compositor, OwnedPiece, composite_rect_pixels
+from .schedule import RectPart
 from .wire import pack_bsbr, unpack_bsbr
 
 __all__ = ["FoldedCompositor"]
@@ -91,13 +92,14 @@ class FoldedCompositor(Compositor):
             await ctx.charge_pack(len(msg.buffer))
             buddy = plan.buddy_of_extra[ctx.rank]
             await ctx.send(buddy, msg.buffer, nbytes=msg.accounted_bytes, tag=_FOLD_TAG)
-            return CompositeOutcome(image=image, owned_rect=Rect.empty())
+            return (OwnedPiece.cut(RectPart(Rect.empty()), image),)
 
         extra = plan.extra_of_core.get(ctx.rank)
         if extra is not None:
             raw = await ctx.recv(extra, tag=_FOLD_TAG)
             rect, recv_i, recv_a = unpack_bsbr(raw)
             if not rect.is_empty:
+                image = image.copy()  # fold into planes of our own
                 composite_rect_pixels(
                     image,
                     rect,
@@ -110,6 +112,6 @@ class FoldedCompositor(Compositor):
                 await ctx.charge_over(rect.area)
 
         if core == 1:
-            return CompositeOutcome(image=image, owned_rect=image.full_rect())
+            return (OwnedPiece.cut(RectPart(image.full_rect()), image),)
         group_ctx = _GroupView(ctx, core)
         return await self.inner.run(group_ctx, image, plan.core_plan, view_dir)

@@ -97,6 +97,12 @@ class RectPart:
         rows, cols = self.rect.slices()
         return plane[rows, cols]
 
+    def put(self, plane: np.ndarray, values: np.ndarray) -> None:
+        """Write the part's ``values`` (row-major) into ``plane``: the
+        inverse of :meth:`pixels`."""
+        rows, cols = self.rect.slices()
+        plane[rows, cols] = np.reshape(values, (self.rect.height, self.rect.width))
+
 
 @dataclass(frozen=True, eq=False)
 class IndexPart:
@@ -158,6 +164,17 @@ class IndexPart:
         if not self._layout()[1]:
             return sections
         return np.concatenate((sections.reshape(-1), flat[full:]))
+
+    def put(self, plane: np.ndarray, values: np.ndarray) -> None:
+        """Write the part's ``values`` (sequence order) into ``plane``:
+        the inverse of :meth:`pixels`."""
+        flat = plane.reshape(-1)
+        values = np.reshape(values, -1)
+        full = self.frame_pixels // self.section * self.section
+        sections = flat[:full].reshape(-1, self.section)[self.offset :: self.stride]
+        sections[...] = values[: sections.size].reshape(sections.shape)
+        if self._layout()[1]:
+            flat[full:] = values[sections.size :]
 
 
 # --------------------------------------------------------------------------

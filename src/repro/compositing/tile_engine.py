@@ -17,6 +17,11 @@ fold_tile_planes`, reproducing binary-swap's association bit for bit
 (codecs included: skipped pixels are exactly blank, and blank operands
 are IEEE identities under *over*).
 
+Ownership: the caller's planes are read, never written.  An owner
+folds each tile into a piece of its own, and the rank's outcome is one
+:class:`~repro.compositing.base.OwnedPiece` per owned tile, each with a
+:class:`~repro.compositing.tiles.TilePart`.
+
 Accounting: the wire traffic is priced through the same Ts/Tc/To model
 as every other method, all of it in stage 0: each non-owned tile is
 ``T_bound``-scanned (codecs that track a rect), encoded, packed and
@@ -47,10 +52,10 @@ from ..errors import ConfigurationError
 from ..render.image import SubImage
 from ..types import Rect
 from ..volume.partition import PartitionPlan
-from .base import CompositeOutcome, Compositor
+from .base import CompositeOutcome, Compositor, OwnedPiece
 from .codec import PixelCodec
 from .schedule import RectPart
-from .tiles import TileMap, build_tile_map, densify_contribution, fold_tile_planes
+from .tiles import TileMap, TilePart, build_tile_map, densify_contribution, fold_tile_planes
 
 __all__ = ["TileRoutedCompositor", "DEFAULT_TILE"]
 
@@ -159,16 +164,13 @@ class TileRoutedCompositor(Compositor):
         start: float,
     ) -> CompositeOutcome:
         remote = [r for r in range(ctx.size) if r != ctx.rank]
+        pieces = []
         for tile_id in tile_map.owned(ctx.rank):
             rect = tile_map.rect(tile_id)
-            part = RectPart(rect)
+            part = TilePart(rect)
             raws = await router.collect(tile_id)
-            rows, cols = rect.slices()
             planes: list = [None] * ctx.size
-            planes[ctx.rank] = (
-                image.intensity[rows, cols].copy(),
-                image.opacity[rows, cols].copy(),
-            )
+            planes[ctx.rank] = OwnedPiece.cut(part, image)[1:]
             charged = 0
             for src, raw in zip(remote, raws):
                 # The tile rect doubles as the decode metadata: tile
@@ -178,9 +180,8 @@ class TileRoutedCompositor(Compositor):
                 contrib = self.codec.decode(ctx, raw, part, rect, 0)
                 planes[src] = densify_contribution(contrib, rect)
                 charged += _contribution_pixels(contrib, rect)
-            folded_i, folded_a, _ = fold_tile_planes(planes, plan, view_dir)
-            image.intensity[rows, cols] = folded_i
-            image.opacity[rows, cols] = folded_a
+            piece = OwnedPiece(part, *fold_tile_planes(planes, plan, view_dir)[:2])
+            pieces.append(piece)
             # Charge T_over for the pixels each contribution actually
             # carries — the same convention as the codec's ``composite``
             # on the scheduled engine (the dense tree fold is just the
@@ -202,17 +203,12 @@ class TileRoutedCompositor(Compositor):
             if ctx.progress is not None:
                 # Stream the tile's final pixels the moment they exist
                 # (tile-routed tiles never change after completion).
-                # Copies only; no charges, so accounting is unchanged.
+                # No charges, so accounting is unchanged.
                 ctx.progress.emit_tile(
                     rank=ctx.rank,
                     tile=tile_id,
-                    part=part,
-                    image=image,
+                    piece=piece,
                     frame_pixels=image.num_pixels,
                     t=elapsed,
                 )
-        return CompositeOutcome(
-            image=image,
-            owned_indices=tile_map.owned_flat_indices(ctx.rank),
-            producer=self.name,
-        )
+        return tuple(pieces)

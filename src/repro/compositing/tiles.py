@@ -33,9 +33,11 @@ from ..errors import CompositingError, ConfigurationError
 from ..types import Rect
 from .codec import Contribution
 from .over import over
+from .schedule import RectPart
 
 __all__ = [
     "TileMap",
+    "TilePart",
     "build_tile_map",
     "densify_contribution",
     "fold_tile_planes",
@@ -77,15 +79,15 @@ class TileMap:
         """Tile ids owned by ``rank``, ascending."""
         return [t for t in range(self.num_tiles) if self.owners[t] == rank]
 
-    def owned_flat_indices(self, rank: int) -> np.ndarray:
-        """Flat row-major frame indices of every pixel ``rank`` owns."""
-        parts = [
-            tile_flat_indices(self.rects[t], self.frame.width)
-            for t in self.owned(rank)
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+
+@dataclass(frozen=True, eq=False)
+class TilePart(RectPart):
+    """One tile of a :class:`TileMap`, as a part an owner's outcome holds.
+
+    A rect in every respect but one: the final gather ships a tile
+    owner's pieces by flat index, as one index set over all its tiles,
+    even when it owns a single tile.
+    """
 
 
 def build_tile_map(frame: Rect, tile: int, num_ranks: int) -> TileMap:

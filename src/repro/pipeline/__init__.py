@@ -1,6 +1,5 @@
 """End-to-end sort-last-sparse pipeline."""
 
-from .assemble import OwnedTile, assemble_tiles, tile_from_outcome
 from .config import RunConfig
 from .phases import (
     GATHER_STAGE,
@@ -24,7 +23,6 @@ from .system import (
 __all__ = [
     "CompositingRun",
     "GATHER_STAGE",
-    "OwnedTile",
     "RenderJob",
     "RenderPool",
     "RenderSession",
@@ -33,13 +31,11 @@ __all__ = [
     "SortLastSystem",
     "SystemResult",
     "assemble_final",
-    "assemble_tiles",
     "build_scene",
     "composite_phase",
     "gather_phase",
     "pipeline_rank_program",
     "run_compositing",
     "shared_pool",
-    "tile_from_outcome",
     "validate_ownership",
 ]

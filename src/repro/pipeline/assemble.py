@@ -1,89 +1,93 @@
 """The one final-image assembly routine shared by every backend path.
 
-A compositing outcome gives each rank a disjoint *owned* portion of the
-final image, either as a contiguous rect or as a flat index set (BSLC).
-Exactly one scatter in the codebase writes owned pixels into a display
-image, :func:`scatter_tile` — the simulator gather and the
-multiprocessing cross-check funnel through :func:`assemble_tiles`, and
-a progressive display folds each streamed event through it.
+A compositing outcome gives each rank the disjoint pieces of the final
+image it owns (:class:`~repro.compositing.base.OwnedPiece`: a part and
+that part's pixels).  Exactly one scatter in the codebase writes owned
+pixels into a display image, :func:`scatter_tile` — :func:`assemble_final`,
+the gather to rank 0, ``validate_ownership`` and a progressive display
+folding each streamed event all go through it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..compositing.base import CompositeOutcome
+from ..compositing.schedule import RectPart
+from ..compositing.tiles import TilePart, tile_flat_indices
 from ..render.image import SubImage
-from ..types import Rect
 
 __all__ = [
-    "OwnedTile",
-    "tile_from_outcome",
     "scatter_tile",
-    "assemble_tiles",
-    "assemble_outcomes",
+    "assemble_final",
+    "gather_payload",
+    "payload_piece",
 ]
 
 
-class OwnedTile(NamedTuple):
-    """One rank's owned pixels, detached from its full-frame buffer.
+def scatter_tile(image: SubImage, part, intensity: np.ndarray, opacity: np.ndarray) -> None:
+    """Write one part's pixels into full-frame ``image`` in place.
 
-    Exactly one of ``owned_rect`` / ``owned_indices`` is set;
-    ``values_i``/``values_a`` are the flat owned intensity/opacity values
-    in row-major (rect) or index (indices) order.  This is the wire shape
-    of the final gather: small enough to ship, complete enough to
-    assemble.
+    The single authoritative owned-pixel scatter: a rect part writes
+    its block, an index part its sections, a gathered index set its
+    flat positions.
     """
-
-    owned_rect: Optional[Rect]
-    owned_indices: Optional[np.ndarray]
-    values_i: np.ndarray
-    values_a: np.ndarray
+    part.put(image.intensity, intensity)
+    part.put(image.opacity, opacity)
 
 
-def tile_from_outcome(outcome: CompositeOutcome) -> OwnedTile:
-    """Extract the owned tile of one compositing outcome."""
-    values_i, values_a = outcome.owned_values()
-    return OwnedTile(outcome.owned_rect, outcome.owned_indices, values_i, values_a)
-
-
-def scatter_tile(image: SubImage, tile: OwnedTile) -> None:
-    """Write one owned tile into ``image`` in place.
-
-    The single authoritative rect/indices scatter: a rect tile writes
-    its block, an index tile its flat positions.
-    """
-    owned_rect, owned_indices, values_i, values_a = tile
-    if owned_rect is not None:
-        if owned_rect.is_empty:
-            return
-        rows, cols = owned_rect.slices()
-        shape = (owned_rect.height, owned_rect.width)
-        image.intensity[rows, cols] = np.asarray(values_i).reshape(shape)
-        image.opacity[rows, cols] = np.asarray(values_a).reshape(shape)
-    else:
-        image.intensity.ravel()[owned_indices] = values_i
-        image.opacity.ravel()[owned_indices] = values_a
-
-
-def assemble_tiles(
-    tiles: Iterable[OwnedTile], height: int, width: int
+def assemble_final(
+    outcomes: Sequence[CompositeOutcome], height: int, width: int
 ) -> SubImage:
-    """Scatter every owned tile into a blank ``height x width`` image.
+    """Scatter every rank's owned pieces into a blank ``height x width``
+    display image.
 
-    Tiles are assumed disjoint (``validate_ownership`` checks that
+    Pieces are assumed disjoint (``validate_ownership`` checks that
     invariant).
     """
     final = SubImage.blank(height, width)
-    for tile in tiles:
-        scatter_tile(final, tile)
+    for outcome in outcomes:
+        for piece in outcome:
+            scatter_tile(final, *piece)
     return final
 
 
-def assemble_outcomes(
-    outcomes: Sequence[CompositeOutcome], height: int, width: int
-) -> SubImage:
-    """Merge every rank's owned pixels into the display image."""
-    return assemble_tiles((tile_from_outcome(o) for o in outcomes), height, width)
+class _FlatIndices(NamedTuple):
+    """The part a gathered index set addresses: flat frame positions."""
+
+    flat: np.ndarray
+
+    def put(self, plane: np.ndarray, values: np.ndarray) -> None:
+        plane.reshape(-1)[self.flat] = values
+
+
+def gather_payload(outcome: CompositeOutcome, width: int) -> tuple:
+    """One rank's pieces as the final gather ships them.
+
+    A lone rect piece ships ``(rect, None, values_i, values_a)``; any
+    other outcome (an index part, or a tile owner's tiles) ships
+    ``(None, flat indices, values_i, values_a)`` over all its pieces in
+    order.  The values are raw float64 bytes.  The payload's pickled
+    size prices the modelled gather stage.
+    """
+    values = [b"".join(p.intensity.tobytes() for p in outcome),
+              b"".join(p.opacity.tobytes() for p in outcome)]
+    parts = [piece.part for piece in outcome]
+    if len(parts) == 1 and parts[0].kind == "rect" and not isinstance(parts[0], TilePart):
+        return (parts[0].rect, None, *values)
+    flat = [p.flat() if p.kind == "index" else tile_flat_indices(p.rect, width) for p in parts]
+    return (None, np.concatenate(flat or [np.empty(0, dtype=np.int64)]), *values)
+
+
+def payload_piece(payload: tuple) -> tuple:
+    """``(part, values_i, values_a)`` of a :func:`gather_payload`, ready
+    for :func:`scatter_tile`."""
+    rect, flat, raw_i, raw_a = payload
+    part = RectPart(rect) if rect is not None else _FlatIndices(flat)
+    return (
+        part,
+        np.frombuffer(raw_i, dtype=np.float64),
+        np.frombuffer(raw_a, dtype=np.float64),
+    )

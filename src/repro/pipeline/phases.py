@@ -21,7 +21,7 @@ Phase semantics:
   configured method (folding-wrapped on non-power-of-two plans) on the
   rendered subimage.  Every method, tile-routed included, takes this
   one path on every backend and plan.
-* **gather** (:func:`gather_phase`) — owned tiles flow to rank 0 over
+* **gather** (:func:`gather_phase`) — owned pieces flow to rank 0 over
   the same substrate, bucketed under :data:`GATHER_STAGE` so the
   compositing-stage stats stay separable.
 """
@@ -46,7 +46,7 @@ from ..types import Rect
 from ..volume.datasets import make_dataset
 from ..volume.folded import FoldedPartition, partition_folded
 from ..volume.partition import PartitionPlan, recursive_bisect, render_load_weights
-from .assemble import OwnedTile, assemble_tiles, tile_from_outcome
+from .assemble import gather_payload, payload_piece, scatter_tile
 from .config import RunConfig
 from .render_pool import Pending, RenderPool
 
@@ -266,40 +266,24 @@ async def composite_phase(
     """Run the configured compositing method on this rank."""
     compositor = compositor_for(cfg.method, scene.plan, **cfg.method_options)
     with perf.timer("pipeline.composite"):
-        outcome = await compositor.run(ctx, image, scene.plan, scene.camera.view_dir)
-    if outcome.producer is None:
-        # Legacy methods predate the producer field; stamp for diagnostics.
-        outcome.producer = compositor.name
-    return outcome
+        return await compositor.run(ctx, image, scene.plan, scene.camera.view_dir)
 
 
 # ---- gather phase -----------------------------------------------------------
 async def gather_phase(
-    ctx: BaseRankContext, tile: OwnedTile, height: int, width: int
+    ctx: BaseRankContext, outcome: CompositeOutcome, height: int, width: int
 ) -> Optional[SubImage]:
-    """Collect owned tiles to rank 0 over the substrate; rank 0 returns
+    """Collect owned pieces to rank 0 over the substrate; rank 0 returns
     the assembled final image, everyone else ``None``."""
     ctx.begin_stage(GATHER_STAGE)
-    payload = (
-        tile.owned_rect,
-        tile.owned_indices,
-        tile.values_i.tobytes(),
-        tile.values_a.tobytes(),
-    )
-    collected = await gather(ctx, payload, root=0)
+    collected = await gather(ctx, gather_payload(outcome, width), root=0)
     if ctx.rank != 0:
         return None
     assert collected is not None
-    tiles = [
-        OwnedTile(
-            rect,
-            indices,
-            np.frombuffer(raw_i, dtype=np.float64),
-            np.frombuffer(raw_a, dtype=np.float64),
-        )
-        for rect, indices, raw_i, raw_a in collected
-    ]
-    return assemble_tiles(tiles, height, width)
+    final = SubImage.blank(height, width)
+    for payload in collected:
+        scatter_tile(final, *payload_piece(payload))
+    return final
 
 
 # ---- the full pipeline ------------------------------------------------------
@@ -369,9 +353,7 @@ async def pipeline_rank_program(
         render = renders[ctx.rank]
     subimage = render.result()
     ctx.fault_checkpoint("composite")
-    outcome = await composite_phase(ctx, cfg, subimage.copy(), scene)
+    outcome = await composite_phase(ctx, cfg, subimage, scene)
     ctx.fault_checkpoint("gather")
-    final = await gather_phase(
-        ctx, tile_from_outcome(outcome), scene.camera.height, scene.camera.width
-    )
+    final = await gather_phase(ctx, outcome, scene.camera.height, scene.camera.width)
     return subimage, outcome, final

@@ -10,7 +10,7 @@ Two entry points:
   :class:`~repro.pipeline.config.RunConfig`, executed end to end on a
   pluggable :class:`~repro.cluster.backend.Backend`: every rank renders
   its subvolume *inside* its rank program, composites, and the owned
-  tiles are gathered to rank 0 over the same substrate.  The simulator
+  pieces are gathered to rank 0 over the same substrate.  The simulator
   and the multiprocessing backend produce bit-identical final images
   (tested); the result carries a unified
   :class:`~repro.cluster.run_timeline.RunTimeline` either way.
@@ -54,7 +54,7 @@ from ..render.image import SubImage
 from ..render.reference import composite_sequential
 from ..volume.folded import FoldedPartition, folded_depth_order, refold_survivors
 from ..volume.partition import PartitionPlan, depth_order
-from .assemble import assemble_outcomes
+from .assemble import assemble_final, scatter_tile
 from .config import RunConfig
 from .phases import (
     GATHER_STAGE,
@@ -101,9 +101,10 @@ def run_compositing(
 ) -> CompositingRun:
     """Composite pre-rendered subimages on the simulated cluster.
 
-    ``images[r]`` is rank ``r``'s rendered subimage; inputs are copied,
-    not mutated.  Returns outcomes plus the :class:`RunResult` whose
-    totals are exactly the compositing-phase ``T_comp``/``T_comm``.
+    ``images[r]`` is rank ``r``'s rendered subimage; inputs are read,
+    never written.  Returns each rank's owned pieces plus the
+    :class:`RunResult` whose totals are exactly the compositing-phase
+    ``T_comp``/``T_comm``.
 
     Passing a :class:`~repro.volume.folded.FoldedPartition` (any rank
     count) automatically wraps swap-structured methods in a
@@ -123,8 +124,7 @@ def run_compositing(
     outcomes: list[CompositeOutcome | None] = [None] * num_ranks
 
     async def program(ctx):
-        local = images[ctx.rank].copy()
-        outcomes[ctx.rank] = await compositor.run(ctx, local, plan, view_dir)
+        outcomes[ctx.rank] = await compositor.run(ctx, images[ctx.rank], plan, view_dir)
 
     stats = Simulator(num_ranks, model, network=network).run(program)
     assert all(o is not None for o in outcomes)
@@ -145,34 +145,17 @@ def validate_ownership(
     pass when a single outcome is supplied — empty ownerships contribute
     nothing.
     """
-    seen = np.zeros(height * width, dtype=np.int32)
+    seen = SubImage.blank(height, width)
     for outcome in outcomes:
-        if outcome.owned_rect is not None:
-            rect = outcome.owned_rect
-            if rect.is_empty:
-                continue
-            flat = (
-                np.arange(rect.y0, rect.y1)[:, None] * width
-                + np.arange(rect.x0, rect.x1)[None, :]
-            ).ravel()
-            seen[flat] += 1
-        else:
-            seen[outcome.owned_indices] += 1  # type: ignore[index]
-    if not np.all(seen == 1):
-        missing = int((seen == 0).sum())
-        dup = int((seen > 1).sum())
+        for part, _, _ in outcome:
+            counts = part.pixels(seen.intensity) + 1.0
+            scatter_tile(seen, part, counts, counts)
+    if not np.all(seen.intensity == 1.0):
+        missing = int((seen.intensity == 0.0).sum())
+        dup = int((seen.intensity > 1.0).sum())
         raise CompositingError(
             f"ownership is not a partition: {missing} unowned, {dup} multiply-owned pixels"
         )
-
-
-def assemble_final(
-    outcomes: Sequence[CompositeOutcome], height: int, width: int
-) -> SubImage:
-    """Merge every rank's owned pixels into the display image (see
-    :func:`~repro.pipeline.assemble.assemble_tiles` for the one scatter
-    routine behind every backend path)."""
-    return assemble_outcomes(outcomes, height, width)
 
 
 def _strip_stage(rank_stats: Sequence[RankStats], stage: int) -> list[RankStats]:

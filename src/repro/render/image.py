@@ -24,8 +24,9 @@ class SubImage:
     """Full-frame intensity/opacity planes for one rank.
 
     Planes always have identical ``(height, width)`` shape and float64
-    dtype.  Instances are mutable on purpose: compositing stages fold
-    received pixels into the local planes in place.
+    dtype.  Instances are mutable on purpose: a compositor folds
+    received pixels in place into working planes of its own (it never
+    writes the rendered image it was given).
     """
 
     intensity: np.ndarray

@@ -22,6 +22,7 @@ from .service import (
     QOS_POLICIES,
     QOS_SHED_PRIORITY,
     RenderService,
+    SERVE_CONTROL_SCHEMA,
     SHED_POLICIES,
     SessionHandle,
     WorkerPool,
@@ -47,6 +48,7 @@ __all__ = [
     "QOS_SHED_PRIORITY",
     "RESULT_SCHEMA",
     "RenderService",
+    "SERVE_CONTROL_SCHEMA",
     "SHED_POLICIES",
     "SessionHandle",
     "WorkerPool",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..cluster.progress import ProgressEvent, serve_event_from_dict
-from ..pipeline.assemble import OwnedTile, scatter_tile
+from ..pipeline.assemble import scatter_tile
 from ..render.image import SubImage
 
 __all__ = ["ProgressiveFrame"]
@@ -58,11 +58,7 @@ class ProgressiveFrame:
 
     def apply(self, event: ProgressEvent) -> None:
         """Fold one event into the frame (events in feed order)."""
-        part = event.part
-        indices = None if part.kind == "rect" else part.flat()
-        scatter_tile(
-            self.image, OwnedTile(part.rect, indices, event.intensity, event.opacity)
-        )
+        scatter_tile(self.image, event.part, event.intensity, event.opacity)
         if event.kind == "final":
             self.finalized = True
             self.degraded = event.degraded

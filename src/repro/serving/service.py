@@ -17,7 +17,7 @@
   the lowest-priority *queued* job is evicted (its ticket future
   resolves with :class:`~repro.errors.JobShedError` — a shed client
   never hangs) to admit a higher-QoS arrival.  Every overload decision
-  lands as a structured ``repro.serve-event/4`` document in
+  lands as a structured ``repro.serve-control/1`` document in
   :attr:`RenderService.events`.
 * **Per-job deadlines** — ``deadline_s`` (on the job or the submit
   call) starts the clock at admission: queued-past-deadline jobs are
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Optional
 
 from .. import perf
-from ..cluster.progress import SERVE_EVENT_SCHEMA, ProgressEvent, ProgressFeed
+from ..cluster.progress import ProgressEvent, ProgressFeed
 from ..errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -76,6 +76,7 @@ from ..pipeline.session import RenderJob, RenderSession
 from ..pipeline.system import SystemResult
 
 __all__ = [
+    "SERVE_CONTROL_SCHEMA",
     "DEFAULT_QOS",
     "JobTicket",
     "QOS_POLICIES",
@@ -85,6 +86,10 @@ __all__ = [
     "SessionHandle",
     "WorkerPool",
 ]
+
+#: Schema tag of one overload/deadline/drain control document: its own
+#: tag, since it carries no part or pixels and never decodes as an event.
+SERVE_CONTROL_SCHEMA = "repro.serve-control/1"
 
 #: QoS class -> recovery policy on the lattice
 #: ``abort < degrade < respawn < checkpoint-resume``.
@@ -292,7 +297,7 @@ class RenderService:
         self._queued: list[JobTicket] = []
         self._running: set[JobTicket] = set()
         self._closed = False
-        #: Structured ``repro.serve-event/4`` control documents, one per
+        #: Structured ``repro.serve-control/1`` documents, one per
         #: overload/deadline/drain decision (no pixel payloads).
         self.events: list[dict] = []
         self.shed_jobs = 0
@@ -314,7 +319,7 @@ class RenderService:
 
     def _record(self, kind: str, ticket: Optional[JobTicket] = None, **extra) -> dict:
         doc: dict[str, Any] = {
-            "schema": SERVE_EVENT_SCHEMA,
+            "schema": SERVE_CONTROL_SCHEMA,
             "kind": kind,
             "policy": self.shed_policy,
             "queue_limit": self.queue_limit,

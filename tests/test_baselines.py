@@ -8,6 +8,7 @@ from repro.cluster.model import IDEALIZED, SP2
 from repro.compositing.baselines import _Partial, strip_rect
 from repro.errors import CompositingError, WireFormatError
 from repro.pipeline.system import assemble_final, run_compositing
+from repro.render.image import SubImage
 from repro.types import Rect
 
 
@@ -42,7 +43,7 @@ class TestDirectSend:
         run = run_compositing(list(subimages), "direct", plan, camera.view_dir, SP2)
         h, w = subimages[0].shape
         for rank, outcome in enumerate(run.outcomes):
-            assert outcome.owned_rect == strip_rect(h, w, rank, 8)
+            assert outcome[0].part.rect == strip_rect(h, w, rank, 8)
 
     def test_message_count_p_minus_one(self):
         subimages, plan, camera = rendered_workload("engine_low", 8)
@@ -76,9 +77,9 @@ class TestBinaryTree:
         subimages, plan, camera = rendered_workload("engine_low", 8)
         reference = reference_image("engine_low", 8)
         run = run_compositing(list(subimages), "tree", plan, camera.view_dir, SP2)
-        root = run.outcomes[0]
-        assert root.owned_rect == subimages[0].full_rect()
-        assert root.image.max_abs_diff(reference) < 1e-9
+        (root,) = run.outcomes[0]
+        assert root.part.rect == subimages[0].full_rect()
+        assert SubImage(root.intensity, root.opacity).max_abs_diff(reference) < 1e-9
 
     def test_root_does_all_the_over_work(self):
         subimages, plan, camera = rendered_workload("engine_low", 8)
@@ -96,7 +97,7 @@ class TestParallelPipeline:
         run = run_compositing(list(subimages), "pipeline", plan, camera.view_dir, SP2)
         h, w = subimages[0].shape
         owned = sorted(
-            (o.owned_rect.y0, o.owned_rect.y1) for o in run.outcomes
+            (o[0].part.rect.y0, o[0].part.rect.y1) for o in run.outcomes
         )
         assert owned[0][0] == 0 and owned[-1][1] == h
         for (y0a, y1a), (y0b, y1b) in zip(owned, owned[1:]):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from repro.compositing.base import (
-    CompositeOutcome,
     Compositor,
+    OwnedPiece,
     composite_rect_pixels,
     split_axis_for,
 )
+from repro.compositing.schedule import IndexPart, RectPart
 from repro.compositing.registry import available_methods, make_compositor, register
 from repro.errors import CompositingError, ConfigurationError
 from repro.render.image import SubImage
@@ -16,42 +17,26 @@ from repro.types import Rect
 
 
 class TestCompositeOutcome:
-    def test_requires_exactly_one_ownership(self):
-        image = SubImage.blank(4, 4)
-        with pytest.raises(CompositingError):
-            CompositeOutcome(image=image)
-        with pytest.raises(CompositingError):
-            CompositeOutcome(
-                image=image,
-                owned_rect=Rect(0, 0, 2, 2),
-                owned_indices=np.arange(4),
-            )
-
     def test_rect_owned_values(self):
         image = SubImage.blank(4, 4)
         image.intensity[1, 1] = 0.5
         image.opacity[1, 1] = 0.25
-        outcome = CompositeOutcome(image=image, owned_rect=Rect(1, 1, 2, 3))
-        values_i, values_a = outcome.owned_values()
-        assert values_i.tolist() == [0.5, 0.0]
-        assert values_a.tolist() == [0.25, 0.0]
-        assert outcome.owned_pixel_count == 2
+        piece = OwnedPiece.cut(RectPart(Rect(1, 1, 2, 3)), image)
+        assert piece.intensity.tolist() == [[0.5, 0.0]]
+        assert piece.opacity.tolist() == [[0.25, 0.0]]
+        assert piece.part.num_pixels == 2
 
     def test_index_owned_values(self):
         image = SubImage.blank(2, 2)
         image.intensity[1, 1] = 0.7
-        outcome = CompositeOutcome(
-            image=image, owned_indices=np.array([0, 3], dtype=np.int64)
-        )
-        values_i, _ = outcome.owned_values()
-        assert values_i.tolist() == [0.0, 0.7]
-        assert outcome.owned_pixel_count == 2
+        piece = OwnedPiece.cut(IndexPart(4, 1, stride=3), image)  # flat 0, 3
+        assert piece.intensity.tolist() == [0.0, 0.7]
+        assert piece.part.num_pixels == 2
 
     def test_owned_values_are_copies(self):
         image = SubImage.blank(2, 2)
-        outcome = CompositeOutcome(image=image, owned_rect=Rect(0, 0, 2, 2))
-        values_i, _ = outcome.owned_values()
-        values_i[0] = 99.0
+        piece = OwnedPiece.cut(RectPart(Rect(0, 0, 2, 2)), image)
+        piece.intensity[0, 0] = 99.0
         assert image.intensity[0, 0] == 0.0
 
 
@@ -123,7 +108,7 @@ class TestRegistry:
             name = "custom-test-method"
 
             async def run(self, ctx, image, plan, view_dir):
-                return CompositeOutcome(image=image, owned_rect=image.full_rect())
+                return (OwnedPiece.cut(RectPart(image.full_rect()), image),)
 
         register("custom-test-method", Custom)
         assert make_compositor("custom-test-method").name == "custom-test-method"

@@ -260,8 +260,9 @@ class TestCompositingEquivalence:
         ev, ls = runs["event"], runs["lockstep"]
         assert ev.stats.makespan == ls.stats.makespan
         for oe, ol in zip(ev.outcomes, ls.outcomes):
-            assert np.array_equal(oe.image.intensity, ol.image.intensity)
-            assert np.array_equal(oe.image.opacity, ol.image.opacity)
+            for pe, pl in zip(oe, ol, strict=True):
+                assert np.array_equal(pe.intensity, pl.intensity)
+                assert np.array_equal(pe.opacity, pl.opacity)
         for se, sl in zip(ev.stats.rank_stats, ls.stats.rank_stats):
             assert se.bytes_sent == sl.bytes_sent
             assert se.msgs_sent == sl.msgs_sent

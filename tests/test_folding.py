@@ -126,7 +126,7 @@ class TestFoldedCompositing:
         subimages, folded, camera = rendered_folded("engine_low", 6)
         run = run_compositing(subimages, "bsbrc", folded, camera.view_dir, SP2)
         for extra in folded.buddy_of_extra:
-            assert run.outcomes[extra].owned_rect.is_empty
+            assert run.outcomes[extra][0].part.rect.is_empty
 
     def test_extras_send_exactly_one_message(self):
         subimages, folded, camera = rendered_folded("engine_low", 6)

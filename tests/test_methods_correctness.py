@@ -107,9 +107,9 @@ class TestOwnership:
     def test_tree_root_owns_everything(self):
         subimages, plan, camera = rendered_workload("engine_low", 8)
         _, run = run_and_assemble(subimages, "tree", plan, camera)
-        assert run.outcomes[0].owned_rect == subimages[0].full_rect()
+        assert run.outcomes[0][0].part.rect == subimages[0].full_rect()
         for outcome in run.outcomes[1:]:
-            assert outcome.owned_rect.is_empty
+            assert outcome[0].part.rect.is_empty
 
     def test_validate_ownership_detects_overlap(self):
         subimages, plan, camera = rendered_workload("engine_low", 2)

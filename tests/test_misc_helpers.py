@@ -32,7 +32,7 @@ class TestFinalOwnedIndices:
         num_pixels = subimages[0].num_pixels
         for rank, outcome in enumerate(run.outcomes):
             recomputed = final_owned_indices(rank, num_ranks, num_pixels)
-            assert np.array_equal(outcome.owned_indices, recomputed)
+            assert np.array_equal(outcome[0].part.flat(), recomputed)
 
     def test_respects_section(self):
         a = final_owned_indices(0, 2, 64, section=1)

@@ -150,7 +150,8 @@ class TestExactFlatDegradation:
         free, free_run = composite_makespan(make())
         assert free == flat  # exact, not approx: the fast path keeps no state
         for oa, ob in zip(flat_run.outcomes, free_run.outcomes):
-            assert np.array_equal(oa.image.intensity, ob.image.intensity)
+            for pa, pb in zip(oa, ob, strict=True):
+                assert np.array_equal(pa.intensity, pb.intensity)
         for sa, sb in zip(flat_run.stats.rank_stats, free_run.stats.rank_stats):
             assert sa.comm_time == sb.comm_time
             assert sa.bytes_sent == sb.bytes_sent

@@ -103,24 +103,22 @@ SCHEDULED = ("bs", "bsbr", "bslc", "bsbrc", "radix-k:rect-rle")
 
 class TestStageEvents:
     def test_stage_frames_bit_identical_to_checkpoints(self):
-        """A streamed stage frame IS the checkpoint image on its keep
-        part, byte for byte."""
+        """A streamed stage frame IS the checkpoint: both hold the keep
+        part's planes, byte for byte."""
         stage_events, store = _checkpointed_stage_events(_cfg())
         for event in stage_events:
             snapshot = store.load(event.rank, event.stage)
             assert snapshot is not None
-            assert np.array_equal(
-                event.intensity, _on_part(event.part, snapshot.intensity)
-            )
-            assert np.array_equal(
-                event.opacity, _on_part(event.part, snapshot.opacity)
-            )
+            for plane in ("intensity", "opacity"):
+                ours, stored = getattr(event, plane), getattr(snapshot, plane)
+                assert ours.shape == stored.shape
+                assert ours.tobytes() == stored.tobytes()
 
     @pytest.mark.parametrize("num_ranks", [4, 8])
     @pytest.mark.parametrize("method", SCHEDULED)
     def test_stage_planes_hold_only_the_keep_part(self, method, num_ranks):
-        """An in-process stage event holds ``part.num_pixels`` values per
-        plane, equal to the stage's checkpoint on the part."""
+        """An in-process stage event and the stage's checkpoint each hold
+        ``part.num_pixels`` values per plane, and they are equal."""
         stage_events, store = _checkpointed_stage_events(
             _cfg(method=method, num_ranks=num_ranks)
         )
@@ -128,12 +126,9 @@ class TestStageEvents:
             part = event.part
             assert event.intensity.size == event.opacity.size == part.num_pixels
             snapshot = store.load(event.rank, event.stage)
-            assert np.array_equal(
-                event.intensity.ravel(), _on_part(part, snapshot.intensity).ravel()
-            )
-            assert np.array_equal(
-                event.opacity.ravel(), _on_part(part, snapshot.opacity).ravel()
-            )
+            assert snapshot.intensity.size == snapshot.opacity.size == part.num_pixels
+            assert np.array_equal(event.intensity, snapshot.intensity)
+            assert np.array_equal(event.opacity, snapshot.opacity)
 
     def test_every_rank_and_stage_is_covered(self):
         cfg = _cfg()
@@ -484,6 +479,17 @@ class TestServeEventSchema:
         doc = feed.events[0].to_dict()
         doc["schema"] = "repro.serve-event/3"
         with pytest.raises(ConfigurationError, match="serve-event/3"):
+            serve_event_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["part", "pixels"])
+    def test_event_without_part_or_pixels_is_a_wire_error(self, key):
+        """An event document missing its part or its pixels is damaged,
+        a typed error rather than a bare ``KeyError``."""
+        feed = ProgressFeed()
+        SortLastSystem(_cfg()).run(progress=feed)
+        doc = feed.events[0].to_dict()
+        del doc[key]
+        with pytest.raises(WireFormatError, match=f"lacks {key}"):
             serve_event_from_dict(doc)
 
 

@@ -32,7 +32,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the transport's heartbeats, send retries and unused ``barrier`` verb,
 #: the fused tile-routed phase with its band marcher, the harness's
 #: own block cache and the raw-trace JSON writer, and the explorer's
-#: second config, per-kind policy gates and per-family sweep drivers
+#: second config, per-kind policy gates and per-family sweep drivers, and
+#: the full-frame outcome with its detached tile and index arrays
 #: (CHANGELOG lists each with its replacement, or says it has none).
 REMOVED_NAMES = {
     "BinarySwap",
@@ -129,6 +130,15 @@ REMOVED_NAMES = {
     "run_policy_spec",
     "compact",
     "run_dfs",
+    "OwnedTile",
+    "tile_from_outcome",
+    "owned_values",
+    "owned_indices",
+    "owned_rect",
+    "owned_pixel_count",
+    "owned_flat_indices",
+    "assemble_tiles",
+    "assemble_outcomes",
 }
 
 #: Classes that carried one of the removed names (a second view or entry).
@@ -151,6 +161,8 @@ REMOVED_FROM_CLASSES = (
     "repro.cluster.schedule_policy.SchedulePolicy",
     "repro.cluster.schedule_policy.ReplayPolicy",
     "repro.cluster.explore.Explorer",
+    "repro.compositing.base.OwnedPiece",
+    "repro.compositing.tiles.TileMap",
 )
 
 #: Modules deleted with the MPI substrate and the index-array parts.
@@ -190,7 +202,8 @@ def test_module_imports_and_all_resolves(name):
         "repro.cluster.simulator", "repro.cluster.collectives",
         "repro.cluster.recovery", "repro.cluster.mp_backend",
         "repro.compositing.tile_engine", "repro.cluster.explore",
-        "repro.cluster.schedule_policy",
+        "repro.cluster.schedule_policy", "repro.compositing.base",
+        "repro.compositing.tiles", "repro.pipeline.assemble",
     ],
 )
 def test_removed_names_stay_removed(package):

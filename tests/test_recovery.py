@@ -516,15 +516,12 @@ class TestCheckpointStores:
         store = MemoryCheckpointStore()
         events: list = []
         saver = StageCheckpointer(store, rank=0, sink=events)
-        image = _snapshot(0, 7.0)
-        saver.save(0, image, None, RankStats(rank=0), "bsbrc")
+        piece = _snapshot(0, 7.0)
+        saver.save(0, piece, None, RankStats(rank=0), "bsbrc")
         restorer = StageCheckpointer(store, rank=0, resume=0, sink=events)
-        target = _snapshot(0, 0.0)
-        assert restorer.restore(target, "radix-k:rect-rle") is None  # stale
-        got = restorer.restore(target, "bsbrc")
-        assert got is not None and np.array_equal(
-            target.intensity, np.full((4, 4), 7.0)
-        )
+        assert restorer.restore("radix-k:rect-rle") is None  # stale
+        got = restorer.restore("bsbrc")
+        assert got is not None and np.array_equal(got.intensity, np.full((4, 4), 7.0))
         actions = [(e["event"], e["action"]) for e in events]
         assert actions == [("checkpoint", "save"), ("checkpoint", "restore")]
 

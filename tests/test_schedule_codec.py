@@ -3,7 +3,7 @@
 Covers the two planes in isolation — schedule structure (partners,
 parts, depth order, radix adaptation) and codec wire roundtrips — plus
 the registry surface (combo resolution, did-you-mean, catalog) and the
-:class:`~repro.compositing.base.CompositeOutcome` invariants.  End-to-end
+:class:`~repro.compositing.base.CompositeOutcome` ownership shape.  End-to-end
 pixel equivalence of every combo lives in ``test_grid_equivalence.py``.
 """
 
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import rendered_workload
-from repro.compositing.base import CompositeOutcome
+from repro.compositing.base import OwnedPiece
 from repro.compositing.codec import (
     BoundingRectCodec,
     RawCodec,
@@ -46,6 +46,8 @@ from repro.compositing.wire import (
     unpack_rle,
 )
 from repro.errors import CompositingError, ConfigurationError, PartitionError
+from repro.pipeline.assemble import gather_payload
+from repro.pipeline.system import validate_ownership
 from repro.render.image import SubImage
 from repro.types import Rect
 from repro.volume.folded import refold_survivors
@@ -62,42 +64,26 @@ def _plan(num_ranks):
 # CompositeOutcome invariants
 # ---------------------------------------------------------------------------
 class TestCompositeOutcome:
-    def _image(self):
-        return SubImage.blank(4, 4)
-
-    def test_both_ownerships_rejected_naming_producer(self):
-        with pytest.raises(CompositingError) as err:
-            CompositeOutcome(
-                image=self._image(),
-                owned_rect=Rect(0, 0, 2, 2),
-                owned_indices=np.arange(3),
-                producer="radix-k:raw",
-            )
-        assert "got both" in str(err.value)
-        assert "radix-k:raw" in str(err.value)
-
     def test_neither_ownership_rejected(self):
-        with pytest.raises(CompositingError, match="got neither"):
-            CompositeOutcome(image=self._image())
-
-    def test_no_producer_message_still_readable(self):
-        with pytest.raises(CompositingError) as err:
-            CompositeOutcome(image=self._image())
-        assert "compositor" not in str(err.value)
+        """An outcome set that owns nothing leaves every pixel unowned."""
+        piece = OwnedPiece.cut(RectPart(Rect(0, 0, 2, 4)), SubImage.blank(4, 4))
+        with pytest.raises(CompositingError, match="8 unowned, 0 multiply"):
+            validate_ownership([(piece,), ()], 4, 4)
+        validate_ownership(
+            [(piece,), (OwnedPiece.cut(RectPart(Rect(2, 0, 4, 4)), SubImage.blank(4, 4)),)],
+            4, 4,
+        )
 
     def test_empty_index_ownership_counts_zero(self):
-        outcome = CompositeOutcome(
-            image=self._image(), owned_indices=np.array([], dtype=np.int64)
-        )
-        assert outcome.owned_pixel_count == 0
-        values_i, values_a = outcome.owned_values()
-        assert values_i.size == 0 and values_a.size == 0
+        part = IndexPart(16, 4, stride=8, offset=5)  # no section 5 in a 4-section frame
+        piece = OwnedPiece.cut(part, SubImage.blank(4, 4))
+        assert part.num_pixels == 0
+        assert piece.intensity.size == 0 and piece.opacity.size == 0
 
     def test_zero_dim_index_array_counts_zero(self):
-        outcome = CompositeOutcome(
-            image=self._image(), owned_indices=np.empty((0,), dtype=np.int64)
-        )
-        assert outcome.owned_pixel_count == 0
+        """A rank owning no tile gathers a zero-length index array."""
+        _, flat, raw_i, _ = gather_payload((), 4)
+        assert flat.shape == (0,) and raw_i == b""
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +330,23 @@ class TestScheduledCompositor:
         compositor = ScheduledCompositor(BinarySwapSchedule(), RawCodec())
         assert compositor.name == "binary-swap:raw"
 
-    def test_outcome_stamps_producer(self):
+    def test_outcome_is_the_final_part(self):
         from repro.cluster.model import IDEALIZED
         from repro.pipeline.system import run_compositing
 
         subimages, plan, camera = rendered_workload("engine_low", 4)
         run = run_compositing(
-            [img.copy() for img in subimages],
-            "radix-k:raw", plan, camera.view_dir, IDEALIZED, radix=(4,),
+            list(subimages), "radix-k:raw", plan, camera.view_dir, IDEALIZED, radix=(4,),
         )
-        assert all(o.producer == "radix-k:raw" for o in run.outcomes)
+        schedule = make_compositor("radix-k:raw", radix=(4,)).schedule
+        for rank, outcome in enumerate(run.outcomes):
+            (piece,) = outcome
+            final = schedule.program(
+                rank, 4, subimages[0].full_rect(), subimages[0].num_pixels,
+                plan, camera.view_dir,
+            ).final_part
+            assert piece.part.rect == final.rect
+            assert piece.intensity.shape == (final.rect.height, final.rect.width)
 
 
 # ---------------------------------------------------------------------------

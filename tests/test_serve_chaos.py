@@ -38,11 +38,11 @@ import time
 import numpy as np
 import pytest
 
-from repro.cluster.progress import SERVE_EVENT_SCHEMA
 from repro.errors import JobRejectedError, JobShedError
 from repro.pipeline.config import RunConfig
 from repro.pipeline.system import SortLastSystem
 from repro.serving import (
+    SERVE_CONTROL_SCHEMA,
     RenderService,
     load_result,
     read_events,
@@ -363,7 +363,7 @@ class TestOverloadMatrix:
                 t.job_id for t in cheap
             }
             assert all(
-                e["schema"] == SERVE_EVENT_SCHEMA for e in service.events
+                e["schema"] == SERVE_CONTROL_SCHEMA for e in service.events
             )
             gate.set()
             for ticket in vips:

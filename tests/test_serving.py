@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import FAULT_PLAN_SCHEMA, FaultPlan, FaultRule
-from repro.cluster.progress import SERVE_EVENT_SCHEMA, ProgressFeed
+from repro.cluster.progress import SERVE_EVENT_SCHEMA, ProgressFeed, serve_event_from_dict
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -40,6 +40,7 @@ from repro.serving import (
     ProgressiveFrame,
     QOS_POLICIES,
     RenderService,
+    SERVE_CONTROL_SCHEMA,
     SHED_POLICIES,
     WorkerPool,
     read_events,
@@ -554,7 +555,10 @@ class TestAdmission:
             assert service.rejected_jobs == 1
             kinds = [e["kind"] for e in service.events]
             assert kinds.count("rejected") == 1
-            assert all(e["schema"] == SERVE_EVENT_SCHEMA for e in service.events)
+            assert all(e["schema"] == SERVE_CONTROL_SCHEMA for e in service.events)
+            # A control record is no pixel event: refused by its tag.
+            with pytest.raises(ConfigurationError, match="serve-control/1"):
+                serve_event_from_dict(service.events[0])
             gate.set()
             for ticket in kept:
                 assert ticket.result(timeout=120).config is not None

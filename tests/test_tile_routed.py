@@ -85,7 +85,7 @@ class TestTileMap:
     def test_owned_flat_indices_partition_the_pixels(self):
         tile_map = build_tile_map(Rect.full(33, 19), 8, 4)
         seen = np.concatenate(
-            [tile_map.owned_flat_indices(r) for r in range(4)]
+            [tile_flat_indices(tile_map.rect(t), 19) for r in range(4) for t in tile_map.owned(r)]
         )
         assert sorted(seen.tolist()) == list(range(33 * 19))
 
