@@ -120,11 +120,20 @@ soak:
 # memoized program table against per-rank builds, the BSBRC wire
 # path against the loop run codecs; the compositor contract (inputs
 # read, never written; the gather's bytes pinned) and the outcome's
-# retained bytes.
+# retained bytes.  Then the paper-fidelity record and Tables 1 and 2
+# (~1 min) must regenerate byte for byte against results/.
 grid:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_grid_equivalence.py tests/test_schedule_codec.py \
 		tests/test_program_table.py tests/test_rect_rle_wire.py tests/test_interleave.py \
 		tests/test_compositor_contract.py tests/test_outcome_retention.py -q
+	out=$$(mktemp -d) && \
+	for cmd in compare table1 table2; do \
+		PYTHONPATH=src $(PYTHON) -m repro.experiments --out $$out $$cmd > /dev/null || exit 1; \
+	done && \
+	for f in compare.txt table1.txt table1.json table2.txt table2.json; do \
+		cmp $$out/$$f results/$$f || exit 1; \
+	done && \
+	rm -rf $$out
 
 # What CI gates on: the tier-1 suite, then the end-to-end harness's own
 # tests (19 tests, ~21 s: golden digests and modelled clocks — the

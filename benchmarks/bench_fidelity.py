@@ -9,7 +9,7 @@ totals rank-correlate strongly with the published ones.
 
 from conftest import PAPER_RANKS, emit
 from repro.experiments.compare import compare_to_paper, format_fidelity
-from repro.experiments.table2 import run_table2
+from repro.experiments.tables import run_table2
 
 
 def test_bench_fidelity_table1(benchmark, table1_rows):

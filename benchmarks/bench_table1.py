@@ -8,7 +8,7 @@ and as standalone tests for plain ``pytest benchmarks/``.
 """
 
 from conftest import PAPER_RANKS, cell, emit
-from repro.experiments.table1 import format_table1, run_table1
+from repro.experiments.tables import format_table1, run_table1
 from repro.volume.datasets import PAPER_DATASETS
 
 

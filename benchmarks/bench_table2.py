@@ -9,7 +9,7 @@ method has the best overall performance".
 import pytest
 
 from conftest import PAPER_RANKS, cell, emit
-from repro.experiments.table2 import TABLE2_METHODS, format_table2, run_table2
+from repro.experiments.tables import TABLE2_METHODS, format_table2, run_table2
 from repro.volume.datasets import PAPER_DATASETS
 
 

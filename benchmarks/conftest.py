@@ -32,7 +32,7 @@ def emit(name: str, text: str) -> None:
 @pytest.fixture(scope="session")
 def table1_rows():
     """Table 1 measurements (also feeds Figures 8-11 benches)."""
-    from repro.experiments.table1 import run_table1
+    from repro.experiments.tables import run_table1
 
     return run_table1(rank_counts=PAPER_RANKS)
 

@@ -34,7 +34,6 @@ from .cluster import (
     MachineModel,
     RankContext,
     RunResult,
-    RunTimeline,
     Simulator,
     make_backend,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "ReproError",
     "RunConfig",
     "RunResult",
-    "RunTimeline",
     "SP2",
     "SP2_FAST_NET",
     "SP2_SLOW_NET",

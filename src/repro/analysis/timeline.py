@@ -4,7 +4,7 @@ Turns a simulated run's stats into a per-rank **ASCII Gantt chart**
 showing when each rank computed, transferred, and waited (great for
 *seeing* the load imbalance the BSLC interleaving removes).  The raw
 event trace is the ``trace`` list of a ``repro.run-timeline/1``
-document (:class:`~repro.cluster.run_timeline.RunTimeline`).
+document (:meth:`~repro.cluster.stats.RunResult.to_dict`).
 
 Time is bucketed into fixed columns; within a bucket, compute wins over
 transfer wins over wait for display purposes.

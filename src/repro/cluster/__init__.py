@@ -12,7 +12,6 @@ paper's analytic regime.
 from .backend import (
     BACKENDS,
     Backend,
-    BackendRunResult,
     MPBackend,
     SimBackend,
     make_backend,
@@ -57,7 +56,6 @@ from .explore import (
     InterleavingResult,
     default_fault_plan,
 )
-from .run_timeline import TIMELINE_SCHEMA, RunTimeline, schedule_meta
 from .schedule_policy import (
     ADVERSARIAL_MODES,
     POLICIES,
@@ -69,9 +67,18 @@ from .schedule_policy import (
     SchedulePolicy,
     load_trace,
     make_policy,
+    schedule_meta,
 )
-from .simulator import Simulator, TraceEvent
-from .stats import PRE_STAGE, RankStats, RunResult, StageStats, merge_counters
+from .simulator import Simulator
+from .stats import (
+    PRE_STAGE,
+    TIMELINE_SCHEMA,
+    RankStats,
+    RunResult,
+    StageStats,
+    TraceEvent,
+    merge_counters,
+)
 
 __all__ = [
     "ADVERSARIAL_MODES",
@@ -93,7 +100,6 @@ __all__ = [
     "load_trace",
     "make_policy",
     "schedule_meta",
-    "BackendRunResult",
     "BaseRankContext",
     "EncodedPayload",
     "ComputeOp",
@@ -112,7 +118,6 @@ __all__ = [
     "RecvOp",
     "Request",
     "RunResult",
-    "RunTimeline",
     "SP2",
     "SP2_FAST_NET",
     "SP2_SLOW_NET",

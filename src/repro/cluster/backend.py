@@ -2,8 +2,8 @@
 
 A *rank program* is a picklable module-level ``async def program(ctx,
 *args)`` written against :class:`~repro.cluster.protocol.BaseRankContext`.
-A :class:`Backend` runs ``num_ranks`` copies of it and returns a uniform
-:class:`BackendRunResult`:
+A :class:`Backend` runs ``num_ranks`` copies of it and returns the
+run's :class:`~repro.cluster.stats.RunResult`:
 
 * :class:`SimBackend` — the discrete-event simulator; needs a
   :class:`~repro.cluster.model.MachineModel` and reports *modelled*
@@ -19,18 +19,15 @@ backend by name with :func:`make_backend`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .model import MachineModel
-from .run_timeline import RunTimeline
-from .simulator import Simulator, TraceEvent
-from .stats import RankStats
+from .simulator import Simulator
+from .stats import RunResult
 
 __all__ = [
     "Backend",
-    "BackendRunResult",
     "SimBackend",
     "MPBackend",
     "BACKENDS",
@@ -38,58 +35,11 @@ __all__ = [
 ]
 
 
-@dataclass
-class BackendRunResult:
-    """Uniform outcome of running a rank program on any backend."""
-
-    #: Backend short name: "sim" | "mp".
-    backend: str
-    #: What ``makespan`` measures: "modelled" virtual seconds or "wall".
-    clock: str
-    num_ranks: int
-    returns: list[Any]
-    rank_stats: list[RankStats]
-    #: Modelled makespan (sim) or the largest per-rank wall time (real).
-    makespan: float
-    #: Simulator trace (empty unless ``trace=True`` on SimBackend).
-    trace_events: list[TraceEvent] = field(default_factory=list)
-    #: Per-rank wall seconds (zeros on the simulator).
-    wall_times: list[float] = field(default_factory=list)
-    #: Per-rank :func:`repro.perf.report` snapshots (empty on the simulator).
-    rank_perf: list[dict] = field(default_factory=list)
-
-    def timeline(
-        self,
-        meta: Optional[dict[str, Any]] = None,
-        *,
-        events: Optional[list[dict[str, Any]]] = None,
-    ) -> RunTimeline:
-        """Export as the unified run-timeline document.
-
-        Per-rank fault events are harvested from the stats automatically;
-        ``events`` appends orchestrator-level entries (failure
-        detection, recovery, degradation) on top.
-        """
-        return RunTimeline.from_parts(
-            backend=self.backend,
-            clock=self.clock,
-            rank_stats=self.rank_stats,
-            makespan=self.makespan,
-            wall_times=self.wall_times,
-            rank_perf=self.rank_perf,
-            trace_events=self.trace_events,
-            meta=meta,
-            events=events or None,
-        )
-
-
 class Backend(abc.ABC):
     """An execution substrate for rank programs."""
 
     #: Short name used by ``--backend`` and the timeline schema.
     name: str = "abstract"
-    #: What this backend's makespan measures.
-    clock: str = "wall"
     #: Whether this backend can apply a modelled ``--topology`` (only
     #: simulated interconnects can; real transports use real wires).
     supports_topology: bool = False
@@ -106,7 +56,7 @@ class Backend(abc.ABC):
         timeout: Optional[float] = None,
         network=None,
         schedule_policy=None,
-    ) -> BackendRunResult:
+    ) -> RunResult:
         """Run ``program(ctx, *args)`` on ``num_ranks`` ranks.
 
         ``model`` is required by the simulator and ignored by real
@@ -130,7 +80,6 @@ class SimBackend(Backend):
     """Discrete-event simulation with modelled virtual time."""
 
     name = "sim"
-    clock = "modelled"
     supports_topology = True
 
     def run(
@@ -144,37 +93,21 @@ class SimBackend(Backend):
         timeout: Optional[float] = None,
         network=None,
         schedule_policy=None,
-    ) -> BackendRunResult:
+    ) -> RunResult:
         if model is None:
             raise ConfigurationError(
                 "the sim backend needs a MachineModel (pass model=...)"
             )
         simulator = Simulator(
-            num_ranks,
-            model,
-            trace=trace,
-            network=network,
-            policy=schedule_policy,
+            num_ranks, model, trace=trace, network=network, policy=schedule_policy
         )
-        result = simulator.run(lambda ctx: program(ctx, *args))
-        return BackendRunResult(
-            backend=self.name,
-            clock=self.clock,
-            num_ranks=num_ranks,
-            returns=result.returns,
-            rank_stats=result.rank_stats,
-            makespan=result.makespan,
-            trace_events=list(simulator.trace_events),
-            wall_times=[0.0] * num_ranks,
-            rank_perf=[{} for _ in range(num_ranks)],
-        )
+        return simulator.run(lambda ctx: program(ctx, *args))
 
 
 class MPBackend(Backend):
     """Real OS processes over multiprocessing queues (wall clock)."""
 
     name = "mp"
-    clock = "wall"
 
     def run(
         self,
@@ -187,27 +120,17 @@ class MPBackend(Backend):
         timeout: Optional[float] = None,
         network=None,
         schedule_policy=None,
-    ) -> BackendRunResult:
+    ) -> RunResult:
         from .mp_backend import DEFAULT_TIMEOUT, run_rank_programs_mp
 
         _require_flat_network(self.name, network)
         _require_deterministic_schedule(self.name, schedule_policy)
 
-        result = run_rank_programs_mp(
+        return run_rank_programs_mp(
             num_ranks,
             program,
             args,
             timeout=DEFAULT_TIMEOUT if timeout is None else timeout,
-        )
-        return BackendRunResult(
-            backend=self.name,
-            clock=self.clock,
-            num_ranks=num_ranks,
-            returns=result.returns,
-            rank_stats=result.rank_stats,
-            makespan=max(result.wall_times, default=0.0),
-            wall_times=result.wall_times,
-            rank_perf=result.perf_reports,
         )
 
 

@@ -49,7 +49,6 @@ import time
 import traceback
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
 from multiprocessing import connection as mp_connection
 from typing import Any, Optional, Sequence
 
@@ -64,7 +63,7 @@ from ..errors import (
 from .events import ANY_TAG
 from .faults import frame_checksum
 from .protocol import BaseRankContext, decode_payload, drive, encode_payload
-from .stats import RankStats
+from .stats import RankStats, RunResult
 
 __all__ = [
     "MPRankContext",
@@ -346,16 +345,6 @@ def _worker(rank, size, program, args, queues, timeout, result_queue):
             pass  # the parent's liveness supervisor notices the exit
 
 
-@dataclass
-class MPRunResult:
-    """Results of one multiprocessing run."""
-
-    returns: list[Any]
-    rank_stats: list[RankStats]
-    wall_times: list[float] = field(default_factory=list)
-    perf_reports: list[dict] = field(default_factory=list)
-
-
 def _error_from_info(rank: int, info: dict, stats: Optional[RankStats]) -> Exception:
     """Rebuild a typed error from a worker's failure report."""
     events = list(stats.events) if stats is not None else []
@@ -421,11 +410,12 @@ def run_rank_programs_mp(
     args: Sequence[Any] = (),
     *,
     timeout: float = DEFAULT_TIMEOUT,
-) -> MPRunResult:
+) -> RunResult:
     """Run ``program(ctx, *args)`` on ``num_ranks`` real processes.
 
     ``program`` must be a picklable (module-level) ``async def``; its
-    return values are collected per rank.  A supervisor loop drains
+    return values are collected per rank into a wall-clock record whose
+    makespan is the slowest rank's wall time.  A supervisor loop drains
     results while watching worker liveness through process sentinels:
     the first rank that reports an error or dies without reporting
     raises immediately — :class:`~repro.errors.RankFailedError` with the
@@ -456,7 +446,7 @@ def run_rank_programs_mp(
     returns: list[Any] = [None] * num_ranks
     rank_stats = [RankStats(rank=r) for r in range(num_ranks)]
     wall_times = [0.0] * num_ranks
-    perf_reports: list[dict] = [{} for _ in range(num_ranks)]
+    rank_perf: list[dict] = [{} for _ in range(num_ranks)]
     pending = set(range(num_ranks))
     failure: Optional[Exception] = None
     # Workers bound their own receives by `timeout`, so honest runs
@@ -483,7 +473,7 @@ def run_rank_programs_mp(
                 returns[rank] = value
                 rank_stats[rank] = stats
                 wall_times[rank] = wall
-                perf_reports[rank] = report
+                rank_perf[rank] = report
             elif failure is None:  # first failure wins (fail fast)
                 failure = _error_from_info(rank, value, stats)
 
@@ -536,9 +526,14 @@ def run_rank_programs_mp(
                 _release_queue(channel)
     if failure is not None:
         raise failure
-    return MPRunResult(
+    return RunResult(
+        num_ranks=num_ranks,
         returns=returns,
         rank_stats=rank_stats,
+        makespan=max(wall_times, default=0.0),
+        backend="mp",
+        clock="wall",
         wall_times=wall_times,
-        perf_reports=perf_reports,
+        rank_perf=rank_perf,
+        events=[ev for rs in rank_stats for ev in rs.events],
     )

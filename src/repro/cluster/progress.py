@@ -65,7 +65,7 @@ import base64
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -79,7 +79,9 @@ __all__ = [
     "SERVE_EVENT_SCHEMA",
     "ProgressEvent",
     "ProgressFeed",
+    "progress_meta",
     "serve_event_from_dict",
+    "tile_latency_metrics",
 ]
 
 #: Schema tag of one streamed progress event document.
@@ -424,3 +426,64 @@ class ProgressFeed:
             self._num_ranks = None
             self._tile_pixels = 0
             self._frame_pixels = None
+
+
+def progress_meta(feed) -> dict[str, Any]:
+    """Timeline ``meta`` entries describing a run's live progress feed.
+
+    ``{}`` when no feed was installed (``feed`` is ``None``); otherwise
+    the total event count, a per-kind breakdown, and the feed's final
+    monotone coverage — enough for post-hoc analysis of the streamed
+    delivery without persisting the pixel payloads themselves (the
+    serving layer owns that, as ``repro.serve-event/4`` documents).
+    """
+    if feed is None:
+        return {}
+    kinds: dict[str, int] = {}
+    for event in feed.events:
+        kinds[event.kind] = kinds.get(event.kind, 0) + 1
+    return {
+        "progress_events": len(feed.events),
+        "progress_kinds": kinds,
+        "progress_coverage": feed.coverage,
+    }
+
+
+def tile_latency_metrics(events: Iterable[dict]) -> dict[str, float]:
+    """Progressive-display latencies from ``tile_complete`` events.
+
+    The tile-routed engine appends one event per completed tile with the
+    substrate time ``t`` since compositing started and the tile's pixel
+    count.  Two summary latencies fall out:
+
+    * ``latency_to_first_pixel`` — time until *any* tile of the frame is
+      final (the earliest moment a progressive display has something
+      correct to show);
+    * ``latency_to_p50_pixels`` — time until half the completed pixels
+      are final (tiles accumulated in completion order).
+
+    Returns ``{}`` when no ``tile_complete`` events are present (every
+    stage-synchronous method: their first finished pixel *is* the
+    makespan, so the timeline's ``makespan`` already tells the story).
+    """
+    tiles = sorted(
+        (
+            (float(ev["t"]), int(ev["pixels"]))
+            for ev in events
+            if ev.get("event") == "tile_complete"
+        ),
+    )
+    if not tiles:
+        return {}
+    total = sum(pixels for _, pixels in tiles)
+    covered = 0
+    p50 = tiles[-1][0]
+    for t, pixels in tiles:
+        covered += pixels
+        if 2 * covered >= total:
+            p50 = t
+            break
+    return {
+        "latency_to_first_pixel": tiles[0][0],
+        "latency_to_p50_pixels": p50,
+    }

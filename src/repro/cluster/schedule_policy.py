@@ -69,6 +69,7 @@ __all__ = [
     "POLICIES",
     "make_policy",
     "load_trace",
+    "schedule_meta",
 ]
 
 #: Schema identifier of the recorded decision trace.
@@ -399,3 +400,30 @@ def make_policy(spec: str, *, seed: int = 0, index: int = 0) -> SchedulePolicy:
         f"unknown schedule policy {spec!r}; choose from {POLICIES} "
         f"(adversarial modes: {ADVERSARIAL_MODES})"
     )
+
+
+def schedule_meta(policy) -> dict[str, Any]:
+    """Timeline ``meta`` entries describing the schedule policy of a run.
+
+    ``{}`` when ``policy`` is ``None`` (the default engine ordering);
+    otherwise:
+
+    * ``schedule_policy`` — the policy name (``"random:17"``,
+      ``"adversarial:lifo"``, ...);
+    * ``schedule_decisions`` — how many recorded decisions the whole
+      run took (accumulated across recovery re-runs);
+    * ``schedule_trace`` — path of the saved ``repro.sched-trace/1``
+      decision trace, when one was written.  This mirrors the trace
+      reference embedded in :class:`~repro.errors.DeadlockError`, so a
+      run record alone is enough to find the replayable schedule that
+      produced it.
+    """
+    if policy is None:
+        return {}
+    meta: dict[str, Any] = {
+        "schedule_policy": policy.name,
+        "schedule_decisions": len(policy.decisions),
+    }
+    if policy.trace_path is not None:
+        meta["schedule_trace"] = str(policy.trace_path)
+    return meta

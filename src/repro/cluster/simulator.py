@@ -75,7 +75,7 @@ from .events import (
 )
 from .model import MachineModel, Network
 from .schedule_policy import SchedulePolicy, state_digest
-from .stats import RankStats, RunResult
+from .stats import RankStats, RunResult, TraceEvent
 
 __all__ = ["Simulator", "TraceEvent"]
 
@@ -84,16 +84,6 @@ class _State(Enum):
     READY = "ready"
     BLOCKED = "blocked"
     DONE = "done"
-
-
-@dataclass
-class TraceEvent:
-    """One entry of the optional execution trace."""
-
-    time: float
-    rank: int
-    kind: str
-    detail: str
 
 
 @dataclass
@@ -214,12 +204,16 @@ class Simulator:
             self._close_all()
             raise
 
-        makespan = max((p.clock for p in self._procs), default=0.0)
+        stats = [p.stats for p in self._procs]
         return RunResult(
             num_ranks=self.num_ranks,
             returns=[p.return_value for p in self._procs],
-            rank_stats=[p.stats for p in self._procs],
-            makespan=makespan,
+            rank_stats=stats,
+            makespan=max((p.clock for p in self._procs), default=0.0),
+            trace_events=list(self.trace_events),
+            wall_times=[0.0] * self.num_ranks,
+            rank_perf=[{} for _ in stats],
+            events=[ev for rs in stats for ev in rs.events],
         )
 
     # ------------------------------------------------------------ scheduler

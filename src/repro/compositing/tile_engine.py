@@ -180,7 +180,7 @@ class TileRoutedCompositor(Compositor):
                 contrib = self.codec.decode(ctx, raw, part, rect, 0)
                 planes[src] = densify_contribution(contrib, rect)
                 charged += _contribution_pixels(contrib, rect)
-            piece = OwnedPiece(part, *fold_tile_planes(planes, plan, view_dir)[:2])
+            piece = OwnedPiece(part, *fold_tile_planes(planes, plan, view_dir))
             pieces.append(piece)
             # Charge T_over for the pixels each contribution actually
             # carries — the same convention as the codec's ``composite``

@@ -178,7 +178,7 @@ def fold_tile_planes(
     planes: list[tuple[np.ndarray, np.ndarray]],
     plan,
     view_dir: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Depth-ordered balanced tree fold of per-rank tile planes.
 
     ``planes[r]`` is rank ``r``'s dense contribution to one tile.  Level
@@ -187,8 +187,7 @@ def fold_tile_planes(
     association and operand order as binary-swap's stage ``s`` exchange,
     so the result is bit-identical to ``binary-swap:raw`` on the tile.
 
-    Returns ``(intensity, opacity, folded)`` where ``folded`` is the
-    total pixel count that went through *over* (the ``T_over`` charge).
+    Returns the folded ``(intensity, opacity)`` planes.
     """
     size = len(planes)
     if size & (size - 1) != 0 or size < 1:
@@ -196,7 +195,6 @@ def fold_tile_planes(
             f"tile tree fold needs a power-of-two rank count, got {size}"
         )
     current = list(planes)
-    folded = 0
     span = 1
     stage = 0
     while span < size:
@@ -204,12 +202,9 @@ def fold_tile_planes(
             low_i, low_a = current[base]
             high_i, high_a = current[base + span]
             if plan.local_in_front(base, stage, view_dir):
-                out_i, out_a = over(low_i, low_a, high_i, high_a)
+                current[base] = over(low_i, low_a, high_i, high_a)
             else:
-                out_i, out_a = over(high_i, high_a, low_i, low_a)
-            current[base] = (out_i, out_a)
-            folded += int(out_i.size)
+                current[base] = over(high_i, high_a, low_i, low_a)
         span <<= 1
         stage += 1
-    final_i, final_a = current[0]
-    return final_i, final_a, folded
+    return current[0]

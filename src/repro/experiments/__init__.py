@@ -18,8 +18,7 @@ from .mmax import MmaxReport, format_mmax, run_mmax
 from .paper_data import PAPER_TABLE1, PAPER_TABLE2, PaperCell, paper_cell
 from .rotation import RotationObservation, format_rotation, run_rotation
 from .stages import StageBreakdown, format_stage_breakdown, run_stage_breakdown
-from .table1 import format_table1, run_table1
-from .table2 import format_table2, run_table2
+from .tables import format_table1, format_table2, run_table1, run_table2
 
 __all__ = [
     "DEFAULT_ROTATION",

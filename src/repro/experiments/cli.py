@@ -51,8 +51,7 @@ from .figures import format_figure, render_figure7, run_figures
 from .harness import save_rows
 from .mmax import format_mmax, run_mmax
 from .rotation import format_rotation, run_rotation
-from .table1 import format_table1, run_table1
-from .table2 import format_table2, run_table2
+from .tables import format_table1, format_table2, run_table1, run_table2
 
 __all__ = ["main", "build_parser"]
 
@@ -452,7 +451,7 @@ def _run_one(args, command: str) -> None:
             fault_plan=fault_plan,
         )
         stats = result.compositing.stats
-        clock = result.timeline.clock if result.timeline else "modelled"
+        clock = result.timeline.clock
         lines = [
             f"Pipeline run: {cfg.label()} on backend={result.backend_name}",
             f"  compositing T_comp  = {stats.t_comp * 1e3:9.3f} ms ({clock})",
@@ -470,14 +469,17 @@ def _run_one(args, command: str) -> None:
                 "  RECOVERED: failure absorbed losslessly "
                 "(lockstep replay); full-fidelity image"
             )
-        if result.timeline is not None and result.timeline.events:
-            lines.append(f"  fault events        = {len(result.timeline.events)}")
-            for ev in result.timeline.events[:8]:
+        faults = [
+            ev for ev in result.timeline.events
+            if ev.get("event") in ("injected", "detected", "recovery", "degraded")
+        ]
+        if faults:
+            lines.append(f"  fault events        = {len(faults)}")
+            for ev in faults[:8]:
                 lines.append(f"    {ev}")
         text = "\n".join(lines)
         _emit(args, "run", text)
         if getattr(args, "trace_out", None):
-            assert result.timeline is not None
             result.timeline.save(args.trace_out)
             print(f"[timeline written to {args.trace_out}]")
         if getattr(args, "out_image", None):

@@ -12,8 +12,8 @@ Two entry points:
   its subvolume *inside* its rank program, composites, and the owned
   pieces are gathered to rank 0 over the same substrate.  The simulator
   and the multiprocessing backend produce bit-identical final images
-  (tested); the result carries a unified
-  :class:`~repro.cluster.run_timeline.RunTimeline` either way.
+  (tested); the result carries the run's
+  :class:`~repro.cluster.stats.RunResult` either way.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Callable, Optional, Sequence
 import numpy as np
 
 from ..cache import cache_dir
-from ..cluster.backend import Backend, BackendRunResult, make_backend
+from ..cluster.backend import Backend, make_backend
 from ..cluster.faults import FaultPlan, crash_phase_of, crash_stage_of
 from ..cluster.model import MachineModel
 from ..cluster.recovery import (
@@ -37,15 +37,10 @@ from ..cluster.recovery import (
     RecoveryRuntime,
     run_outcome,
 )
-from ..cluster.progress import ProgressFeed
-from ..cluster.run_timeline import (
-    RunTimeline,
-    progress_meta,
-    schedule_meta,
-    tile_latency_metrics,
-)
+from ..cluster.progress import ProgressFeed, progress_meta, tile_latency_metrics
+from ..cluster.schedule_policy import schedule_meta
 from ..cluster.simulator import Simulator
-from ..cluster.stats import RankStats, RunResult
+from ..cluster.stats import RunResult
 from ..compositing.base import CompositeOutcome, Compositor
 from ..compositing.registry import make_compositor
 from ..errors import CompositingError, ConfigurationError, RankFailedError
@@ -158,37 +153,6 @@ def validate_ownership(
         )
 
 
-def _strip_stage(rank_stats: Sequence[RankStats], stage: int) -> list[RankStats]:
-    """Per-rank stats with one stage bucket removed (shared buckets)."""
-    out: list[RankStats] = []
-    for rs in rank_stats:
-        copy = RankStats(rank=rs.rank, events=list(rs.events))
-        for key, bucket in rs.stages.items():
-            if key != stage:
-                copy.stages[key] = bucket
-        out.append(copy)
-    return out
-
-
-def _compositing_stats(backend_result: BackendRunResult) -> RunResult:
-    """Compositing-phase view of a unified pipeline run.
-
-    Drops the :data:`GATHER_STAGE` bucket.  On the simulator the
-    filtered makespan is exact: rendering charges no virtual time, and a
-    rank's clock equals its accumulated ``comp + comm + wait``, so the
-    max filtered ``elapsed_time`` equals the makespan of a
-    compositing-only run.
-    """
-    stats = _strip_stage(backend_result.rank_stats, GATHER_STAGE)
-    makespan = max((rs.elapsed_time for rs in stats), default=0.0)
-    return RunResult(
-        num_ranks=backend_result.num_ranks,
-        returns=[None] * backend_result.num_ranks,
-        rank_stats=stats,
-        makespan=makespan,
-    )
-
-
 @dataclass
 class SystemResult:
     """Everything the full pipeline produces."""
@@ -201,8 +165,9 @@ class SystemResult:
     final_image: SubImage
     #: Short name of the backend that executed the run ("sim"/"mp").
     backend_name: str = "sim"
-    #: Unified run timeline (all phases, including the gather stage).
-    timeline: Optional[RunTimeline] = field(default=None, repr=False)
+    #: The run's record (all phases, including the gather stage),
+    #: without the rank returns.
+    timeline: Optional[RunResult] = field(default=None, repr=False)
     #: True when ranks were lost and the run re-folded onto survivors;
     #: the final image is partial-but-valid and the timeline carries the
     #: fault/degradation events.
@@ -343,7 +308,7 @@ class SortLastSystem:
             run_scene = scene if plan is None else scene._replace(plan=plan)
             renders = self._issue_renders(engine, run_scene)
             try:
-                backend_result = engine.run(
+                record = engine.run(
                     run_scene.plan.num_ranks,
                     pipeline_rank_program,
                     (cfg, fault_plan, runtime, progress, plan, renders),
@@ -358,7 +323,7 @@ class SortLastSystem:
                 for render in renders or ():
                     render.cancel()
             return self._build_result(
-                engine, run_scene, backend_result,
+                engine, run_scene, record,
                 schedule_policy=schedule_policy, progress=progress, **result_flags,
             )
 
@@ -512,7 +477,7 @@ class SortLastSystem:
         self,
         engine: Backend,
         scene,
-        backend_result: BackendRunResult,
+        record: RunResult,
         *,
         degraded: bool = False,
         failed_ranks: Optional[list[int]] = None,
@@ -522,14 +487,8 @@ class SortLastSystem:
         progress: Optional[ProgressFeed] = None,
     ) -> SystemResult:
         cfg = self.config
-        subimages = [ret[0] for ret in backend_result.returns]
-        outcomes = [ret[1] for ret in backend_result.returns]
-        compositing = CompositingRun(
-            compositor=compositor_for(cfg.method, scene.plan, **cfg.method_options),
-            outcomes=outcomes,
-            stats=_compositing_stats(backend_result),
-        )
-        final = backend_result.returns[0][2]
+        returns, record.returns = record.returns, []
+        final = returns[0][2]
         assert final is not None
 
         meta = {
@@ -553,26 +512,27 @@ class SortLastSystem:
                 image=final,
                 degraded=degraded,
                 outcome=meta["outcome"],
-                t=max(
-                    (rs.elapsed_time for rs in backend_result.rank_stats),
-                    default=0.0,
-                ),
+                t=max((rs.elapsed_time for rs in record.rank_stats), default=0.0),
             )
         meta.update(schedule_meta(schedule_policy))
         meta.update(progress_meta(progress))
-        timeline = backend_result.timeline(meta=meta, events=extra_events)
-        latencies = tile_latency_metrics(timeline.events)
-        if latencies:
-            timeline.meta.update(latencies)
+        record.events.extend(extra_events or ())
+        meta.update(tile_latency_metrics(record.events))
+        record.meta = meta
+        compositing = CompositingRun(
+            compositor=compositor_for(cfg.method, scene.plan, **cfg.method_options),
+            outcomes=[ret[1] for ret in returns],
+            stats=record.without_stage(GATHER_STAGE),
+        )
         return SystemResult(
             config=cfg,
             plan=scene.plan,
             camera=scene.camera,
-            subimages=subimages,
+            subimages=[ret[0] for ret in returns],
             compositing=compositing,
             final_image=final,
             backend_name=engine.name,
-            timeline=timeline,
+            timeline=record,
             degraded=degraded,
             failed_ranks=list(failed_ranks or []),
             recovered=recovered,

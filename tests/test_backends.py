@@ -1,16 +1,10 @@
-"""Backend.run() returns a uniform result on every substrate."""
+"""Backend.run() returns the same run record on every substrate."""
 
 import pytest
 
-from repro.cluster.backend import (
-    BACKENDS,
-    BackendRunResult,
-    MPBackend,
-    SimBackend,
-    make_backend,
-)
+from repro.cluster.backend import BACKENDS, MPBackend, SimBackend, make_backend
 from repro.cluster.model import SP2
-from repro.cluster.run_timeline import TIMELINE_SCHEMA
+from repro.cluster.stats import TIMELINE_SCHEMA, RunResult
 from repro.errors import ConfigurationError
 
 
@@ -45,7 +39,7 @@ async def _nonblocking_program(ctx):
 class TestSimBackend:
     def test_uniform_result(self):
         result = SimBackend().run(4, _pair_program, (3,), model=SP2)
-        assert isinstance(result, BackendRunResult)
+        assert isinstance(result, RunResult)
         assert result.backend == "sim" and result.clock == "modelled"
         assert result.returns == [4, 3, 6, 5]
         assert result.makespan > 0
@@ -65,6 +59,7 @@ class TestSimBackend:
 class TestMPBackend:
     def test_uniform_result(self):
         result = MPBackend().run(2, _pair_program, (3,))
+        assert isinstance(result, RunResult)
         assert result.backend == "mp" and result.clock == "wall"
         assert result.returns == [4, 3]
         assert len(result.wall_times) == 2 and all(w > 0 for w in result.wall_times)
@@ -105,8 +100,8 @@ class TestRegistry:
 
 class TestTimelineExport:
     def test_every_backend_exports_the_same_schema(self):
-        sim_tl = SimBackend().run(2, _pair_program, (0,), model=SP2).timeline()
-        mp_tl = MPBackend().run(2, _pair_program, (0,)).timeline()
+        sim_tl = SimBackend().run(2, _pair_program, (0,), model=SP2)
+        mp_tl = MPBackend().run(2, _pair_program, (0,))
         assert sim_tl.to_dict()["schema"] == TIMELINE_SCHEMA
         assert mp_tl.to_dict()["schema"] == TIMELINE_SCHEMA
         assert sim_tl.clock == "modelled" and mp_tl.clock == "wall"

@@ -35,6 +35,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.faults import FaultPlan, FaultRule, random_plan
+from repro.cluster.stats import RunResult
 from repro.errors import RankFailedError, ReproError, WireFormatError
 from repro.pipeline.config import RunConfig
 from repro.pipeline.system import SortLastSystem
@@ -189,9 +190,7 @@ class TestCrashFaults:
         # ... and survives a JSON round trip to disk.
         path = tmp_path / "timeline.json"
         result.timeline.save(path)
-        from repro.cluster.run_timeline import RunTimeline
-
-        reloaded = RunTimeline.load(path)
+        reloaded = RunResult.load(path)
         assert reloaded.meta["degraded"] is True
         assert reloaded.events == result.timeline.events
 

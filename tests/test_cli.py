@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.cluster.faults import FaultPlan, FaultRule
 from repro.experiments.cli import build_parser, main
 from repro.experiments.harness import clear_workload_cache
 
@@ -74,3 +75,24 @@ class TestCommands:
         code = main(["--quick", "--out", str(tmp_path), "rotation"])
         assert code == 0
         assert "viewpoint" in capsys.readouterr().out
+
+    TILE_RUN = ["run", "--method", "tile-routed:rect-rle", "--ranks", "4"]
+
+    def test_clean_tile_routed_run_prints_no_fault_events(self, tmp_path, capsys):
+        """``tile_complete`` latency records are not fault events."""
+        code = main(["--quick", "--out", str(tmp_path), *self.TILE_RUN])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Pipeline run" in out
+        assert "fault events" not in out and "tile_complete" not in out
+
+    def test_render_crash_run_lists_its_fault_events(self, tmp_path, capsys):
+        plan = tmp_path / "crash.json"
+        FaultPlan(rules=(FaultRule(kind="crash", rank=1, phase="render"),), seed=3).save(plan)
+        code = main(["--quick", "--out", str(tmp_path), *self.TILE_RUN, "--fault-plan", str(plan)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fault events        = 4" in out
+        for kind in ("injected", "detected", "recovery", "degraded"):
+            assert f"{{'event': '{kind}'" in out
+        assert "tile_complete" not in out

@@ -13,8 +13,7 @@ from repro.experiments.figures import (
 from repro.experiments.harness import clear_workload_cache
 from repro.experiments.mmax import format_mmax, run_mmax
 from repro.experiments.rotation import VIEWPOINTS, format_rotation, run_rotation
-from repro.experiments.table1 import format_table1, run_table1
-from repro.experiments.table2 import format_table2, run_table2
+from repro.experiments.tables import format_table1, format_table2, run_table1, run_table2
 from repro.volume.io import read_pgm
 
 QUICK = dict(rank_counts=(2, 4), volume_shape=(32, 32, 16), image_size=48)

@@ -28,10 +28,10 @@ from repro.cluster.faults import FaultPlan, FaultRule
 from repro.cluster.progress import (
     SERVE_EVENT_SCHEMA,
     ProgressFeed,
+    progress_meta,
     serve_event_from_dict,
 )
 from repro.cluster.recovery import MemoryCheckpointStore, StageCheckpointer
-from repro.cluster.run_timeline import progress_meta
 from repro.compositing.registry import make_compositor
 from repro.compositing.wire import unpack_rle
 from repro.errors import ConfigurationError, WireFormatError

@@ -32,9 +32,11 @@ ROOT = Path(__file__).resolve().parent.parent
 #: the transport's heartbeats, send retries and unused ``barrier`` verb,
 #: the fused tile-routed phase with its band marcher, the harness's
 #: own block cache and the raw-trace JSON writer, and the explorer's
-#: second config, per-kind policy gates and per-family sweep drivers, and
-#: the full-frame outcome with its detached tile and index arrays
-#: (CHANGELOG lists each with its replacement, or says it has none).
+#: second config, per-kind policy gates and per-family sweep drivers,
+#: the full-frame outcome with its detached tile and index arrays, and
+#: the three run-record shapes beside ``RunResult`` with the conversions
+#: between them (CHANGELOG lists each with its replacement, or says it
+#: has none).
 REMOVED_NAMES = {
     "BinarySwap",
     "BinarySwapBoundingRect",
@@ -139,16 +141,20 @@ REMOVED_NAMES = {
     "owned_flat_indices",
     "assemble_tiles",
     "assemble_outcomes",
+    "BackendRunResult",
+    "MPRunResult",
+    "RunTimeline",
+    "from_parts",
+    "perf_reports",
+    "_strip_stage",
+    "_compositing_stats",
 }
 
 #: Classes that carried one of the removed names (a second view or entry).
 REMOVED_FROM_CLASSES = (
     "repro.render.image.SubImage",
     "repro.cluster.stats.RunResult",
-    "repro.cluster.backend.BackendRunResult",
-    "repro.cluster.run_timeline.RunTimeline",
     "repro.cluster.mp_backend.MPRankContext",
-    "repro.cluster.mp_backend.MPRunResult",
     "repro.cluster.protocol.BaseRankContext",
     "repro.cluster.context.RankContext",
     "repro.cluster.recovery.RecoveryPolicy",
@@ -165,11 +171,15 @@ REMOVED_FROM_CLASSES = (
     "repro.compositing.tiles.TileMap",
 )
 
-#: Modules deleted with the MPI substrate and the index-array parts.
+#: Modules deleted with the MPI substrate, the index-array parts and
+#: the second run-record shape, and the two tables merged into one.
 REMOVED_MODULES = (
     "repro.cluster.mpi_backend",
     "repro.pipeline.mpi_main",
     "repro.compositing.interleave",
+    "repro.cluster.run_timeline",
+    "repro.experiments.table1",
+    "repro.experiments.table2",
 )
 
 #: Every module but the ``python -m`` entry scripts, which run on import.
@@ -204,6 +214,7 @@ def test_module_imports_and_all_resolves(name):
         "repro.compositing.tile_engine", "repro.cluster.explore",
         "repro.cluster.schedule_policy", "repro.compositing.base",
         "repro.compositing.tiles", "repro.pipeline.assemble",
+        "repro.cluster.backend", "repro.cluster.stats", "repro.pipeline.system",
     ],
 )
 def test_removed_names_stay_removed(package):
@@ -332,9 +343,10 @@ def test_explorer_takes_a_run_config_and_one_policy_switch():
 def test_backend_interface_has_no_engine_switch_and_no_spmd_rank():
     """The backend interface selects no simulator engine (there is one),
     and no backend runs as one SPMD rank of a job it did not launch."""
-    from repro.cluster.backend import Backend, BackendRunResult, MPBackend, SimBackend
+    from repro.cluster.backend import Backend, MPBackend, SimBackend
+    from repro.cluster.stats import RunResult
 
-    assert "local_rank" not in {f.name for f in dataclasses.fields(BackendRunResult)}
+    assert "local_rank" not in {f.name for f in dataclasses.fields(RunResult)}
     for accepts in (Backend.run, SimBackend.run, MPBackend.run):
         assert "engine" not in inspect.signature(accepts).parameters, accepts
 
@@ -343,14 +355,16 @@ def test_recovery_has_one_path(tmp_path):
     """Lossless recovery is the lockstep re-run in ``SortLastSystem``:
     no backend restarts a worker in place, reports supervisor events,
     or takes a respawn plan, and no store compacts its history."""
-    from repro.cluster.backend import Backend, BackendRunResult, MPBackend, SimBackend
-    from repro.cluster.mp_backend import MPRunResult, run_rank_programs_mp
+    from repro.cluster import mp_backend
+    from repro.cluster.backend import Backend, MPBackend, SimBackend
+    from repro.cluster.mp_backend import run_rank_programs_mp
     from repro.cluster.recovery import DiskCheckpointStore, RecoveryPolicy
     from repro.experiments.cli import build_parser
     from repro.pipeline import RunConfig
 
-    for result in (BackendRunResult, MPRunResult):
-        assert "events" not in {f.name for f in dataclasses.fields(result)}, result
+    # The record's ``events`` are the ranks' own: the mp supervisor
+    # writes none (the one record in the module is a rank's CRC check).
+    assert inspect.getsource(mp_backend).count('"event":') == 1
     assert "respawn_budget" not in {f.name for f in dataclasses.fields(RunConfig)}
     assert "respawn_budget" not in {f.name for f in dataclasses.fields(RecoveryPolicy)}
     assert list(inspect.signature(RecoveryPolicy.resolve).parameters) == ["value"]

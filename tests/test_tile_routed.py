@@ -14,7 +14,7 @@ import pytest
 from conftest import rendered_workload, route_tiles
 from repro.cluster.collectives import TileRouter
 from repro.cluster.model import IDEALIZED, SP2, make_network
-from repro.cluster.run_timeline import tile_latency_metrics
+from repro.cluster.progress import tile_latency_metrics
 from repro.cluster.simulator import Simulator
 from repro.compositing.registry import (
     CODECS,
@@ -23,6 +23,7 @@ from repro.compositing.registry import (
     make_compositor,
     method_catalog,
 )
+from repro.compositing.over import over
 from repro.compositing.schedule import IndexPart
 from repro.compositing.tiles import (
     build_tile_map,
@@ -43,7 +44,7 @@ from repro.render.image import SubImage
 from repro.types import Rect
 from repro.volume.datasets import PAPER_DATASETS
 from repro.volume.folded import refold_survivors
-from repro.volume.partition import recursive_bisect
+from repro.volume.partition import depth_order, recursive_bisect
 
 TILE_METHODS = tuple(m for m in available_methods() if m.startswith("tile-routed:"))
 
@@ -154,16 +155,21 @@ class TestDensify:
 
 class TestFoldTilePlanes:
     def test_matches_sequential_reference(self, rng):
-        """The balanced fold equals binary-swap's association — checked
-        end to end by the bit-identity tests; here only shape/counting."""
+        """The balanced fold composites the planes in depth order (its
+        association is binary-swap's — checked bit for bit end to end by
+        the bit-identity tests; here the sequential order to rounding)."""
         plan = recursive_bisect((8, 8, 4), 4)
         view = np.array([0.0, 0.0, 1.0])
         planes = [
             (rng.random((3, 3)), rng.random((3, 3)) * 0.5) for _ in range(4)
         ]
-        out_i, out_a, folded = fold_tile_planes(planes, plan, view)
-        assert out_i.shape == (3, 3)
-        assert folded == 3 * 9  # P-1 over ops x tile pixels
+        out_i, out_a = fold_tile_planes(planes, plan, view)
+        front, *behind = depth_order(plan, view)
+        ref_i, ref_a = planes[front]
+        for rank in behind:
+            ref_i, ref_a = over(ref_i, ref_a, *planes[rank])
+        np.testing.assert_allclose(out_i, ref_i, rtol=1e-12)
+        np.testing.assert_allclose(out_a, ref_a, rtol=1e-12)
 
     def test_requires_power_of_two(self, rng):
         plan = recursive_bisect((8, 8, 4), 4)

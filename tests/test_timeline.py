@@ -13,9 +13,8 @@ from repro.cluster.model import (
     SP2,
     T3E,
 )
-from repro.cluster.run_timeline import RunTimeline
-from repro.cluster.simulator import Simulator, TraceEvent
-from repro.cluster.stats import RankStats, RunResult
+from repro.cluster.simulator import Simulator
+from repro.cluster.stats import RankStats, RunResult, TraceEvent
 from repro.pipeline.system import run_compositing
 
 
@@ -85,24 +84,19 @@ class TestTraceJson:
 
     def test_roundtrip(self):
         events = [TraceEvent(time=0.5, rank=1, kind="post", detail="x")]
-        timeline = RunTimeline(
-            backend="sim", clock="modelled", num_ranks=2, makespan=0.5, trace_events=events
+        timeline = RunResult(
+            num_ranks=2, returns=[], rank_stats=[], makespan=0.5, trace_events=events
         )
         data = json.loads(timeline.to_json())["trace"]
         assert data == [{"time": 0.5, "rank": 1, "kind": "post", "detail": "x"}]
-        assert RunTimeline.from_json(timeline.to_json()).trace_events == events
+        assert RunResult.from_json(timeline.to_json()).trace_events == events
 
     def test_from_real_trace(self):
         async def program(ctx):
             await ctx.compute(1e-3)
             await ctx.sendrecv(ctx.rank ^ 1, b"x")
 
-        sim = Simulator(2, SP2, trace=True)
-        sim.run(program)
-        timeline = RunTimeline(
-            backend="sim", clock="modelled", num_ranks=2, makespan=0.0,
-            trace_events=sim.trace_events,
-        )
+        timeline = Simulator(2, SP2, trace=True).run(program)
         data = json.loads(timeline.to_json())["trace"]
         assert len(data) > 0
         assert {e["kind"] for e in data} >= {"compute", "post"}
